@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 from .errors import DegenerateBearing, NonMonotoneTrack, OutOfTrackSpan, ParseError
@@ -83,6 +83,8 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon_deg}")
         if self.t_ms < 0:
             raise ValueError(f"negative timestamp: {self.t_ms}")
+        if self.ele_m is not None and not math.isfinite(self.ele_m):
+            raise ValueError(f"elevation is not finite: {self.ele_m}")
 
 
 @dataclass(frozen=True)
@@ -91,19 +93,22 @@ class TrackLog:
 
     Timestamps must be non-decreasing. A single-point log is a valid parse
     result; interpolation and bearing queries need at least two points.
+    ``times`` holds every point's t_ms in order, built once so that time
+    queries can bisect it; it takes no part in equality or repr.
     """
 
     points: tuple[GeoPoint, ...]
     source_id: str = ""
+    times: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        for prev, nxt in zip(pts, pts[1:]):
-            if nxt.t_ms < prev.t_ms:
-                raise NonMonotoneTrack(
-                    f"timestamps decrease: {prev.t_ms} -> {nxt.t_ms}"
-                )
+        times = tuple(p.t_ms for p in pts)
+        for prev, nxt in zip(times, times[1:]):
+            if nxt < prev:
+                raise NonMonotoneTrack(f"timestamps decrease: {prev} -> {nxt}")
+        object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -186,11 +191,14 @@ def _bracket(log: TrackLog, t_ms: int, tolerance_ms: int) -> tuple[int, int, int
     """Locate t within the track, clamping into the span when within tolerance.
 
     Returns (clamped_t, lo_index, hi_index) where lo/hi bracket clamped_t.
+    Bisects the log's cached ``times``, so a query costs O(log N) and a run
+    of E queries over N fixes costs O(N + E log N) in all.
     """
-    pts = log.points
-    if len(pts) < 2:
+    times = log.times
+    n = len(times)
+    if n < 2:
         raise OutOfTrackSpan("track has fewer than 2 points")
-    first, last = pts[0].t_ms, pts[-1].t_ms
+    first, last = times[0], times[-1]
     if t_ms < first:
         if first - t_ms > tolerance_ms:
             raise OutOfTrackSpan(
@@ -202,11 +210,10 @@ def _bracket(log: TrackLog, t_ms: int, tolerance_ms: int) -> tuple[int, int, int
             raise OutOfTrackSpan(
                 f"t={t_ms} follows track end {last} by more than {tolerance_ms} ms"
             )
-        return last, len(pts) - 2, len(pts) - 1
-    times = [p.t_ms for p in pts]
+        return last, n - 2, n - 1
     i = bisect_left(times, t_ms)
     if times[i] == t_ms:
-        lo = i if i < len(pts) - 1 else i - 1
+        lo = i if i < n - 1 else i - 1
         return t_ms, lo, lo + 1
     return t_ms, i - 1, i
 

@@ -56,7 +56,7 @@ class EmptyTranscript(DataError):
 
 
 class InvalidFps(DataError):
-    """Video sidecar declares a non-positive frame rate."""
+    """Video sidecar declares a non-positive or non-finite frame rate."""
 
 
 class InvalidAnchor(DataError):

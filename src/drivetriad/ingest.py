@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -264,15 +265,17 @@ def parse_video_meta(data: bytes) -> VideoIndex:
         raise ParseError("sidecar must be a JSON object")
     for fieldname in ("start_time", "fps", "frame_count"):
         if fieldname not in doc:
-            raise ParseError(fieldname)
+            raise ParseError(f"sidecar is missing the {fieldname!r} field")
     if not isinstance(doc["start_time"], str):
         raise ParseError("start_time must be an ISO-8601 string")
     start_ms = parse_iso8601_ms(doc["start_time"])
     fps = doc["fps"]
     if not isinstance(fps, (int, float)) or isinstance(fps, bool):
         raise ParseError("fps must be a number")
-    if fps <= 0:
-        raise InvalidFps(f"fps must be positive, got {fps}")
+    # One comparison rejects zero, negatives, NaN, the infinities and ints
+    # too large to become a float.
+    if not 0 < fps <= sys.float_info.max:
+        raise InvalidFps(f"fps must be positive and finite, got {fps}")
     frame_count = doc["frame_count"]
     if not isinstance(frame_count, int) or isinstance(frame_count, bool) or frame_count < 0:
         raise ParseError("frame_count must be a non-negative integer")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -156,6 +157,10 @@ def segment_actions(
     Windows are clamped to the track's time span; a window that collapses
     to nothing after clamping produces a warning instead of a segment, so
     consecutive surviving segments still abut exactly.
+
+    A window's interior (the fixes strictly inside it) is a slice found by
+    bisecting the track's cached times, O(log N) per window. Windows do not
+    overlap, so a run over N fixes and E events is O(N + E log N).
     """
     if not events:
         raise NoUsableEvents("no instruction events to segment")
@@ -166,6 +171,7 @@ def segment_actions(
             )
     shifted_track = track.shifted(offsets.gps_ms)
     shifted_video = video.shifted(offsets.video_ms) if video is not None else None
+    times = shifted_track.times
 
     segments: list[ActionSegment] = []
     warnings: list[str] = []
@@ -182,8 +188,8 @@ def segment_actions(
             continue
         start_point = interpolate_position(shifted_track, t_start, tolerance_ms)
         end_point = interpolate_position(shifted_track, t_end, tolerance_ms)
-        interior = [
-            p for p in shifted_track.points if t_start < p.t_ms < t_end
+        interior = shifted_track.points[
+            bisect_right(times, t_start):bisect_left(times, t_end)
         ]
         waypoints = (start_point, *interior, end_point)
         distance = sum(

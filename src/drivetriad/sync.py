@@ -125,7 +125,8 @@ def build_events(
 
     timed = absolutize(transcript, anchor, offsets.audio_ms)
     warnings: list[str] = []
-    placed: list[InstructionEvent] = []
+    # Each placed segment's fields, held until the time sort assigns ids.
+    placed: list[dict] = []
     for t_ms, text in timed:
         try:
             labeled = classify(text, lex)
@@ -157,8 +158,7 @@ def build_events(
                 frame = None
                 event_warnings.append(f"no video frame: {exc}")
         placed.append(
-            InstructionEvent(
-                id=-1,
+            dict(
                 t_ms=t_ms,
                 text=text,
                 classes=labeled.classes,
@@ -173,19 +173,6 @@ def build_events(
         raise NoUsableEvents(
             "no transcript segment could be placed on the track timeline"
         )
-    placed.sort(key=lambda e: e.t_ms)
-    events = [
-        InstructionEvent(
-            id=i,
-            t_ms=e.t_ms,
-            text=e.text,
-            classes=e.classes,
-            evidence=e.evidence,
-            geo=e.geo,
-            heading_deg=e.heading_deg,
-            frame_index=e.frame_index,
-            warnings=e.warnings,
-        )
-        for i, e in enumerate(placed)
-    ]
+    placed.sort(key=lambda fields: fields["t_ms"])
+    events = [InstructionEvent(id=i, **fields) for i, fields in enumerate(placed)]
     return events, warnings

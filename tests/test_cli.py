@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import drivetriad
 from drivetriad.cli import (
     EXIT_DATA,
     EXIT_NOINPUT,
@@ -43,10 +46,18 @@ class TestTopLevel:
         assert code == EXIT_USAGE
 
     def test_version_via_subprocess(self):
+        # The child must import the same package as this process, which may
+        # come from the checkout's src/ rather than an installed copy.
+        package_root = str(Path(drivetriad.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, env.get("PYTHONPATH")])
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "drivetriad.cli", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("drivetriad ")
@@ -227,6 +238,51 @@ class TestPipelineCommand:
         )
         assert code == EXIT_DATA
 
+    def _run_on(self, tmp_path, capsys, corpus, gpx, video_meta):
+        return run(
+            [
+                "pipeline",
+                "--gpx",
+                str(gpx),
+                "--transcript",
+                str(corpus / "transcript.json"),
+                "--video-meta",
+                str(video_meta),
+                "--out",
+                str(tmp_path / "d"),
+            ],
+            capsys,
+        )
+
+    def test_non_finite_elevation_is_data_error(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, capsys)
+        gpx = corpus / "track.gpx"
+        lines = gpx.read_text().splitlines(keepends=True)
+        trkpts = [i for i, line in enumerate(lines) if "<trkpt" in line]
+        # A fix well inside the drive, so it lies in some action window.
+        target = trkpts[len(trkpts) // 2]
+        lines[target] = lines[target].replace("<time>", "<ele>nan</ele><time>")
+        gpx.write_text("".join(lines))
+        code, _, err = self._run_on(
+            tmp_path, capsys, corpus, gpx, corpus / "video_meta.json"
+        )
+        assert code == EXIT_DATA
+        assert f"trkpt {len(trkpts) // 2}: elevation is not finite" in err
+        assert not (tmp_path / "d" / "triads.jsonl").exists()
+
+    @pytest.mark.parametrize("fps", ["NaN", "Infinity"])
+    def test_non_finite_fps_is_data_error(self, tmp_path, capsys, fps):
+        corpus = make_corpus(tmp_path, capsys)
+        sidecar = corpus / "video_meta.json"
+        doc = json.loads(sidecar.read_text())
+        sidecar.write_text(
+            '{"start_time": "%s", "fps": %s, "frame_count": %d}'
+            % (doc["start_time"], fps, doc["frame_count"])
+        )
+        code, _, err = self._run_on(tmp_path, capsys, corpus, corpus / "track.gpx", sidecar)
+        assert code == EXIT_DATA
+        assert "InvalidFps" in err
+
     def test_config_file_supplies_options(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, capsys)
         out_dir = tmp_path / "dataset"
@@ -361,6 +417,18 @@ class TestStatsCommand:
         assert code == EXIT_DATA
         last_line = len(data.splitlines())
         assert f":{last_line}" in err
+
+    def test_non_finite_elevation_is_data_error_with_line(self, tmp_path, capsys):
+        triads = self._dataset(tmp_path, capsys)
+        lines = triads.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["geo"]["ele"] = float("nan")
+        lines[1] = json.dumps(record).encode() + b"\n"
+        bad = tmp_path / "nan.jsonl"
+        bad.write_bytes(b"".join(lines))
+        code, _, err = run(["stats", str(bad)], capsys)
+        assert code == EXIT_DATA
+        assert ":2: elevation is not finite" in err
 
     def test_missing_file_is_noinput(self, capsys):
         code, _, _ = run(["stats", "/nope/triads.jsonl"], capsys)

@@ -87,6 +87,14 @@ class TestGeoPoint:
         with pytest.raises(ValueError):
             GeoPoint(0, 0, -1)
 
+    @pytest.mark.parametrize("ele", [math.nan, math.inf, -math.inf])
+    def test_non_finite_elevation_rejected(self, ele):
+        with pytest.raises(ValueError, match="elevation is not finite"):
+            GeoPoint(0, 0, 0, ele)
+
+    def test_missing_elevation_allowed(self):
+        assert GeoPoint(0, 0, 0).ele_m is None
+
 
 class TestTrackLog:
     def test_rejects_decreasing_time(self):

@@ -99,6 +99,14 @@ class TestParseGpx:
         with pytest.raises(ParseError):
             parse_gpx(b"<gpx><trk>")
 
+    @pytest.mark.parametrize("ele", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_elevation_names_trkpt(self, ele):
+        data = GPX_11.replace(b"<ele>1600.0</ele>", b"").replace(
+            b'<time>2024-06-01T12:00:10Z', b"<ele>" + ele.encode() + b'</ele><time>2024-06-01T12:00:10Z'
+        )
+        with pytest.raises(ParseError, match="trkpt 1: elevation is not finite"):
+            parse_gpx(data)
+
     def test_non_utf8_rejected(self):
         with pytest.raises(EncodingError):
             parse_transcript(b"\xff\xfe broken", "plain-lines")
@@ -278,7 +286,19 @@ class TestParseVideoMeta:
 
     def test_missing_field_named_in_error(self):
         data = json.dumps({"start_time": "2024-06-01T12:00:00Z", "fps": 30}).encode()
-        with pytest.raises(ParseError, match="frame_count"):
+        with pytest.raises(ParseError, match="missing the 'frame_count' field"):
+            parse_video_meta(data)
+
+    @pytest.mark.parametrize(
+        "fps",
+        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "huge-int"],
+    )
+    def test_non_finite_fps_rejected(self, fps):
+        data = (
+            '{"start_time": "2024-06-01T12:00:00Z", "fps": %s, "frame_count": 10}' % fps
+        ).encode()
+        with pytest.raises(InvalidFps, match="positive and finite"):
             parse_video_meta(data)
 
     def test_zero_fps_rejected(self):
