@@ -37,7 +37,6 @@ from .core import (
 from .emitter import (
     Manifest,
     ManifestInput,
-    VisionRef,
     VlaTriad,
     build_manifest,
     config_digest,
@@ -80,7 +79,7 @@ from .stats import (
     corpus_stats,
     render_report,
 )
-from .sync import InstructionEvent, StreamOffsets, build_events, frame_index_at
+from .sync import InstructionEvent, build_events, frame_index_at
 from .synth import (
     GroundTruth,
     GroundTruthEntry,
@@ -138,7 +137,6 @@ __all__ = [
     "normalize_text",
     "sort_classes",
     # sync
-    "StreamOffsets",
     "InstructionEvent",
     "frame_index_at",
     "build_events",
@@ -159,7 +157,6 @@ __all__ = [
     "corpus_stats",
     "render_report",
     # emitter
-    "VisionRef",
     "VlaTriad",
     "Manifest",
     "ManifestInput",

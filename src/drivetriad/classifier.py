@@ -36,6 +36,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import EmptyInstruction, LexiconError
@@ -276,13 +277,10 @@ class Lexicon:
     road_suffixes: tuple[str, ...]
     distance_units: tuple[str, ...]
 
+    @cached_property
     def _compiled(self) -> "_CompiledLexicon":
-        try:
-            return object.__getattribute__(self, "_cache")
-        except AttributeError:
-            compiled = _CompiledLexicon(self)
-            object.__setattr__(self, "_cache", compiled)
-            return compiled
+        # Kept in the instance __dict__, which frozen allows and eq ignores.
+        return _CompiledLexicon(self)
 
 
 DEFAULT_LEXICON = Lexicon(
@@ -307,7 +305,7 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
         return DEFAULT_LEXICON
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise LexiconError(f"lexicon override is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LexiconError("lexicon override must be a JSON object")
@@ -337,7 +335,7 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
     if version is None:
         version = DEFAULT_LEXICON.version + "+override"
     lex = Lexicon(version, patterns, tuple(suffixes), tuple(units))
-    lex._compiled()  # validate every pattern now, not at first classify
+    lex._compiled  # validate every pattern now, not at first classify
     return lex
 
 
@@ -541,7 +539,7 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
     """
     if lex is None:
         lex = DEFAULT_LEXICON
-    comp = lex._compiled()
+    comp = lex._compiled
     normalized, omap = normalize_text(text)
     tokens = _tokenize(normalized)
 

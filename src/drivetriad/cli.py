@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable
+from typing import Iterable
 
 from ._version import __version__
 from .classifier import classify, load_lexicon, sort_classes
@@ -29,6 +30,7 @@ from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
 from .stats import corpus_stats, render_report
 from .synth import (
+    DEFAULT_LEGS,
     RoutePlan,
     STYLES,
     generate_instructions,
@@ -44,7 +46,11 @@ EXIT_DATA = 65
 EXIT_NOINPUT = 66
 EXIT_INTERNAL = 70
 
-_DEFAULT_LEGS = "600R,500L,700R,400"
+# The config fields whose option is named after a shorter flag.
+_OPTION_NAMES = dict(
+    gpx_path="gpx", transcript_path="transcript", out_dir="out",
+    video_meta_path="video_meta", lexicon_path="lexicon",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +74,7 @@ class _Options:
             raw = Path(config_path).read_bytes()
             try:
                 doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"{config_path}: not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ParseError(f"{config_path}: config must be a JSON object")
@@ -83,6 +89,11 @@ class _Options:
         if name in self._file and self._file[name] is not None:
             return self._file[name]
         return default
+
+    def given(self, names: Iterable[str]) -> dict:
+        """Each set option among the config fields ``names``, keyed by field."""
+        values = {name: self.get(_OPTION_NAMES.get(name, name)) for name in names}
+        return {name: value for name, value in values.items() if value is not None}
 
     def require(self, name: str, flag: str):
         value = self.get(name)
@@ -196,7 +207,7 @@ def _build_parser() -> _Parser:
     p_synth.add_argument(
         "--legs",
         metavar="SPEC",
-        help=f'route legs like "400R,300L,250" (default {_DEFAULT_LEGS})',
+        help=f'route legs like "400R,300L,250" (default {DEFAULT_LEGS})',
     )
     p_synth.add_argument("--style", choices=STYLES, help="instruction style")
     p_synth.add_argument("--noise-sigma-m", type=float, metavar="M")
@@ -214,7 +225,7 @@ def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
     transcript_path = options.require("transcript", "--transcript")
     fmt = options.choice(
         "transcript_format", "--transcript-format", TRANSCRIPT_FORMATS,
-        "segment-json",
+        PipelineConfig.transcript_format,
     )
     lexicon_path = options.get("lexicon")
     lexicon = load_lexicon(
@@ -246,27 +257,12 @@ def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
 
 def _run_pipeline(args: argparse.Namespace, parser: _Parser) -> int:
     options = _Options(args, parser)
-    config = PipelineConfig(
-        gpx_path=Path(options.require("gpx", "--gpx")),
-        transcript_path=Path(options.require("transcript", "--transcript")),
-        out_dir=Path(options.require("out", "--out")),
-        transcript_format=options.choice(
-            "transcript_format", "--transcript-format", TRANSCRIPT_FORMATS,
-            "segment-json",
-        ),
-        video_meta_path=_optional_path(options.get("video_meta")),
-        audio_start=options.get("audio_start"),
-        gps_offset_ms=int(options.get("gps_offset_ms", 0)),
-        audio_offset_ms=int(options.get("audio_offset_ms", 0)),
-        video_offset_ms=int(options.get("video_offset_ms", 0)),
-        lexicon_path=_optional_path(options.get("lexicon")),
-        tolerance_ms=int(options.get("tolerance_ms", 5000)),
-        jitter_floor_m=float(options.get("jitter_floor_m", 1.0)),
-        straight_threshold_deg=float(options.get("straight_threshold_deg", 30.0)),
-        uturn_threshold_deg=float(options.get("uturn_threshold_deg", 150.0)),
-        source_label=options.get("source_label"),
-        relativize=bool(options.get("relativize", False)),
-    )
+    for name in ("gpx", "transcript", "out"):
+        options.require(name, f"--{name}")
+    try:
+        config = PipelineConfig(**options.given(f.name for f in fields(PipelineConfig)))
+    except ValueError as exc:
+        parser.error(str(exc))
     result = run_pipeline(config)
     print(f"events: {result.event_count}")
     print(f"segments: {result.segment_count}")
@@ -274,10 +270,6 @@ def _run_pipeline(args: argparse.Namespace, parser: _Parser) -> int:
     print(f"mismatches: {result.mismatch_count}")
     print(f"wrote: {result.out_dir}")
     return EXIT_OK
-
-
-def _optional_path(value) -> Path | None:
-    return Path(value) if value is not None else None
 
 
 def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
@@ -305,11 +297,8 @@ def _run_synth(args: argparse.Namespace, parser: _Parser) -> int:
     style = options.choice("style", "--style", STYLES, "distance-heavy")
     try:
         plan = RoutePlan(
-            legs=parse_legs(str(options.get("legs", _DEFAULT_LEGS))),
-            speed_mps=float(options.get("speed_mps", 15.0)),
-            sample_hz=float(options.get("sample_hz", 1.0)),
-            noise_sigma_m=float(options.get("noise_sigma_m", 0.0)),
-            seed=int(options.get("seed", 0)),
+            legs=parse_legs(options.get("legs", DEFAULT_LEGS)),
+            **options.given(("speed_mps", "sample_hz", "noise_sigma_m", "seed")),
         )
     except ValueError as exc:
         parser.error(str(exc))

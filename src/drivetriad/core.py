@@ -19,9 +19,12 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from .errors import DegenerateBearing, NonMonotoneTrack, OutOfTrackSpan, ParseError
 
@@ -53,6 +56,41 @@ def parse_iso8601_ms(text: str) -> int:
     if micros < 0:
         raise ParseError(f"timestamp before the epoch: {text!r}")
     return (micros + 500) // 1000
+
+
+# Annotation -> (accepted types, what a bad value is told, type it is stored as).
+_FIELD_KINDS = {
+    "int": (int, "an integer", None),
+    "float": ((int, float), "a finite number", float),
+    "bool": (bool, "true or false", None),
+    "str": (str, "a string", None),
+    "Path": ((str, os.PathLike), "a path", Path),
+}
+
+
+def check_fields(obj: object) -> None:
+    """Hold each field of the frozen dataclass ``obj`` to its annotation.
+
+    Fields annotated with a key of ``_FIELD_KINDS`` (or that ``| None``) are
+    checked, others are left to the class; a bad value raises ValueError
+    naming the field. Needs postponed annotations, which read as source text.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type.removesuffix(" | None")
+        if kind not in _FIELD_KINDS or (value is None and kind != f.type):
+            continue
+        types, expected, store = _FIELD_KINDS[kind]
+        # A bool is no number; the range test rejects NaN, the infinities
+        # and ints too large to become a float.
+        if (
+            not isinstance(value, types)
+            or (isinstance(value, bool) and kind != "bool")
+            or (kind == "float" and not abs(value) <= sys.float_info.max)
+        ):
+            raise ValueError(f"{f.name} must be {expected}, got {value!r}")
+        if store is not None:
+            object.__setattr__(obj, f.name, store(value))
 
 
 def format_iso8601_ms(t_ms: int) -> str:

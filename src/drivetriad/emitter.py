@@ -1,7 +1,7 @@
 """Deterministic on-disk dataset format: triads.jsonl + manifest.json.
 
-A triad pairs one instruction event with its action segment and (when
-video is present) a frame range. Records are serialized by hand rather
+A triad pairs one instruction event with its action segment, whose frame
+range is set when video is present. Records are serialized by hand rather
 than through a generic JSON dumper so that key order, float rendering
 (fixed 6 decimals), and line order are byte-stable across runs and
 machines — reruns on identical inputs must produce identical bytes.
@@ -29,7 +29,6 @@ from .segmenter import ActionSegment, Maneuver
 from .sync import InstructionEvent
 
 __all__ = [
-    "VisionRef",
     "VlaTriad",
     "Manifest",
     "ManifestInput",
@@ -52,27 +51,11 @@ MANIFEST_FILENAME = "manifest.json"
 
 
 @dataclass(frozen=True)
-class VisionRef:
-    """Frame range (and optional video identity) backing one triad."""
-
-    frame_start: int
-    frame_end: int
-    video_id: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.frame_start > self.frame_end:
-            raise InternalError(
-                f"frame range inverted: [{self.frame_start}, {self.frame_end}]"
-            )
-
-
-@dataclass(frozen=True)
 class VlaTriad:
     """One vision-language-action record."""
 
     event: InstructionEvent
     action: ActionSegment
-    vision: VisionRef | None = None
 
     def __post_init__(self) -> None:
         if self.action.event_id != self.event.id:
@@ -85,7 +68,6 @@ class VlaTriad:
 def make_triads(
     events: Sequence[InstructionEvent],
     segments: Sequence[ActionSegment],
-    video_id: str | None = None,
 ) -> tuple[list[VlaTriad], list[str]]:
     """Pair events with their segments; events without one are dropped
     (each drop is reported in the returned warning list)."""
@@ -100,10 +82,7 @@ def make_triads(
                 f"action segment; excluded from triads"
             )
             continue
-        vision = None
-        if segment.frame_start is not None and segment.frame_end is not None:
-            vision = VisionRef(segment.frame_start, segment.frame_end, video_id)
-        triads.append(VlaTriad(event, segment, vision))
+        triads.append(VlaTriad(event, segment))
     return triads, warnings
 
 
@@ -218,7 +197,7 @@ def read_triads(data: bytes, source: str = TRIADS_FILENAME) -> list[VlaTriad]:
             continue
         try:
             triads.append(_triad_from_json(line))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"{source}:{line_no}: {exc}") from exc
     return triads
 
@@ -292,10 +271,10 @@ def _triad_from_json(line: str) -> VlaTriad:
         frame_start=None if frame_start is None else int(frame_start),
         frame_end=None if frame_end is None else int(frame_end),
     )
-    vision = None
-    if action.frame_start is not None and action.frame_end is not None:
-        vision = VisionRef(action.frame_start, action.frame_end, None)
-    return VlaTriad(event, action, vision)
+    start, end = action.frame_start, action.frame_end
+    if start is not None and end is not None and start > end:
+        raise ValueError(f"frame range inverted: [{start}, {end}]")
+    return VlaTriad(event, action)
 
 
 # --- manifest ---------------------------------------------------------------

@@ -160,7 +160,7 @@ def _parse_srt(text: str) -> list[TranscriptSegment]:
 def _parse_segment_json(text: str) -> tuple[list[TranscriptSegment], int | None]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ParseError('expected an object with a "segments" array')
@@ -259,7 +259,7 @@ def parse_video_meta(data: bytes) -> VideoIndex:
     text = _decode(data)
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON sidecar: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("sidecar must be a JSON object")

@@ -16,11 +16,11 @@ collected into the manifest.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import load_lexicon
-from .core import DEFAULT_TOLERANCE_MS, parse_iso8601_ms
+from .core import DEFAULT_TOLERANCE_MS, check_fields, parse_iso8601_ms
 from .emitter import (
     build_manifest,
     config_digest,
@@ -29,8 +29,8 @@ from .emitter import (
     manifest_input,
     write_manifest,
 )
-from .errors import IoError
-from .ingest import parse_gpx, parse_transcript, parse_video_meta
+from .errors import InvalidAnchor, IoError
+from .ingest import TRANSCRIPT_FORMATS, parse_gpx, parse_transcript, parse_video_meta
 from .segmenter import (
     DEFAULT_JITTER_FLOOR_M,
     DEFAULT_STRAIGHT_THRESHOLD_DEG,
@@ -39,7 +39,7 @@ from .segmenter import (
     segment_actions,
 )
 from .stats import corpus_stats, render_report
-from .sync import StreamOffsets, build_events
+from .sync import build_events
 
 __all__ = ["PipelineConfig", "PipelineResult", "run_pipeline"]
 
@@ -49,7 +49,12 @@ MISMATCHES_FILENAME = "mismatches.txt"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one pipeline run needs; paths stay untouched on disk."""
+    """Everything one pipeline run needs; paths stay untouched on disk.
+
+    The one home of each setting's default, type and range: a bad value
+    raises ValueError naming the field. Thresholds are stored as floats, so
+    equal settings give the same config digest.
+    """
 
     gpx_path: Path
     transcript_path: Path
@@ -67,6 +72,22 @@ class PipelineConfig:
     uturn_threshold_deg: float = DEFAULT_UTURN_THRESHOLD_DEG
     source_label: str | None = None
     relativize: bool = False
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.transcript_format not in TRANSCRIPT_FORMATS:
+            raise ValueError(
+                f"transcript_format must be one of {', '.join(TRANSCRIPT_FORMATS)}"
+                f", got {self.transcript_format!r}"
+            )
+        for name in ("tolerance_ms", "jitter_floor_m"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.straight_threshold_deg <= self.uturn_threshold_deg:
+            raise ValueError(
+                "need 0 <= straight_threshold_deg <= uturn_threshold_deg, got "
+                f"{self.straight_threshold_deg} and {self.uturn_threshold_deg}"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,20 +111,12 @@ def _effective_config(config: PipelineConfig, lexicon_version: str) -> dict:
     Input file content is covered by the per-input digests, so paths are
     deliberately excluded here.
     """
-    return {
-        "transcript_format": config.transcript_format,
-        "audio_start": config.audio_start,
-        "gps_offset_ms": config.gps_offset_ms,
-        "audio_offset_ms": config.audio_offset_ms,
-        "video_offset_ms": config.video_offset_ms,
-        "tolerance_ms": config.tolerance_ms,
-        "jitter_floor_m": config.jitter_floor_m,
-        "straight_threshold_deg": config.straight_threshold_deg,
-        "uturn_threshold_deg": config.uturn_threshold_deg,
-        "lexicon_version": lexicon_version,
-        "source_label": config.source_label,
-        "relativize": config.relativize,
+    knobs = {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if "Path" not in f.type
     }
+    return {**knobs, "lexicon_version": lexicon_version}
 
 
 def run_pipeline(
@@ -115,21 +128,19 @@ def run_pipeline(
     default the current wall clock is recorded. All other output bytes
     are pure functions of the inputs and config.
     """
-    gpx_bytes = Path(config.gpx_path).read_bytes()
-    transcript_bytes = Path(config.transcript_path).read_bytes()
+    gpx_bytes = config.gpx_path.read_bytes()
+    transcript_bytes = config.transcript_path.read_bytes()
     video_bytes = (
-        Path(config.video_meta_path).read_bytes()
+        config.video_meta_path.read_bytes()
         if config.video_meta_path is not None
         else None
     )
     lexicon_bytes = (
-        Path(config.lexicon_path).read_bytes()
-        if config.lexicon_path is not None
-        else None
+        config.lexicon_path.read_bytes() if config.lexicon_path is not None else None
     )
 
     lexicon = load_lexicon(lexicon_bytes)
-    track = parse_gpx(gpx_bytes, source_id=Path(config.gpx_path).stem)
+    track = parse_gpx(gpx_bytes, source_id=config.gpx_path.stem)
     transcript = parse_transcript(transcript_bytes, config.transcript_format)
     video = parse_video_meta(video_bytes) if video_bytes is not None else None
     audio_start_ms = (
@@ -137,26 +148,27 @@ def run_pipeline(
         if config.audio_start is not None
         else None
     )
-    offsets = StreamOffsets(
-        gps_ms=config.gps_offset_ms,
-        audio_ms=config.audio_offset_ms,
-        video_ms=config.video_offset_ms,
-    )
+    # The gps and video clock corrections are applied here, once; sync and
+    # segmentation only ever see the shifted streams.
+    for name, stream in (("gps_offset_ms", track), ("video_offset_ms", video)):
+        if stream is not None and stream.start_ms + getattr(config, name) < 0:
+            raise InvalidAnchor(f"{name} moves the stream start before the epoch")
+    track = track.shifted(config.gps_offset_ms)
+    video = video.shifted(config.video_offset_ms) if video is not None else None
 
     events, warnings = build_events(
         transcript,
         track,
         video,
         lexicon,
-        offsets,
         audio_start_ms,
         config.tolerance_ms,
+        config.audio_offset_ms,
     )
     segments, segment_warnings = segment_actions(
         events,
         track,
         video,
-        offsets,
         config.tolerance_ms,
         config.jitter_floor_m,
         config.straight_threshold_deg,
@@ -168,15 +180,10 @@ def run_pipeline(
     warnings += segment_warnings
     mismatches = collect_mismatches(events, segments)
 
-    video_id = (
-        Path(config.video_meta_path).stem
-        if config.video_meta_path is not None
-        else None
-    )
-    triads, triad_warnings = make_triads(events, segments, video_id)
+    triads, triad_warnings = make_triads(events, segments)
     warnings += triad_warnings
 
-    label = config.source_label or Path(config.gpx_path).stem
+    label = config.source_label or config.gpx_path.stem
     report = render_report([corpus_stats(label, events)])
     mismatch_lines = "".join(
         f"event {m.event_id}: stated {m.stated}, observed {m.observed}\n"
@@ -184,23 +191,15 @@ def run_pipeline(
     )
 
     inputs = [
-        manifest_input(config.gpx_path, "track", gpx_bytes, config.relativize),
-        manifest_input(
-            config.transcript_path, "transcript", transcript_bytes, config.relativize
-        ),
+        manifest_input(path, role, data, config.relativize)
+        for path, role, data in (
+            (config.gpx_path, "track", gpx_bytes),
+            (config.transcript_path, "transcript", transcript_bytes),
+            (config.video_meta_path, "video-meta", video_bytes),
+            (config.lexicon_path, "lexicon", lexicon_bytes),
+        )
+        if data is not None
     ]
-    if video_bytes is not None:
-        inputs.append(
-            manifest_input(
-                config.video_meta_path, "video-meta", video_bytes, config.relativize
-            )
-        )
-    if lexicon_bytes is not None:
-        inputs.append(
-            manifest_input(
-                config.lexicon_path, "lexicon", lexicon_bytes, config.relativize
-            )
-        )
     manifest = build_manifest(
         inputs=inputs,
         config_sha256=config_digest(_effective_config(config, lexicon.version)),
@@ -212,7 +211,7 @@ def run_pipeline(
         ),
     )
 
-    out_dir = Path(config.out_dir)
+    out_dir = config.out_dir
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -39,7 +39,7 @@ from .errors import (
     NoUsableEvents,
 )
 from .ingest import VideoIndex
-from .sync import InstructionEvent, StreamOffsets, frame_index_at
+from .sync import InstructionEvent, frame_index_at
 
 __all__ = [
     "Maneuver",
@@ -146,13 +146,14 @@ def segment_actions(
     events: Sequence[InstructionEvent],
     track: TrackLog,
     video: VideoIndex | None = None,
-    offsets: StreamOffsets = StreamOffsets(),
     tolerance_ms: int = DEFAULT_TOLERANCE_MS,
     jitter_floor_m: float = DEFAULT_JITTER_FLOOR_M,
     straight_threshold_deg: float = DEFAULT_STRAIGHT_THRESHOLD_DEG,
     uturn_threshold_deg: float = DEFAULT_UTURN_THRESHOLD_DEG,
 ) -> tuple[list[ActionSegment], list[str]]:
     """Build one action segment per event window, plus warnings.
+
+    ``track`` and ``video`` must be on the events' clock (already shifted).
 
     Windows are clamped to the track's time span; a window that collapses
     to nothing after clamping produces a warning instead of a segment, so
@@ -169,26 +170,24 @@ def segment_actions(
             raise InternalOrderingError(
                 f"events {previous.id} and {current.id} are out of time order"
             )
-    shifted_track = track.shifted(offsets.gps_ms)
-    shifted_video = video.shifted(offsets.video_ms) if video is not None else None
-    times = shifted_track.times
+    times = track.times
 
     segments: list[ActionSegment] = []
     warnings: list[str] = []
     for i, event in enumerate(events):
         raw_start = event.t_ms
-        raw_end = events[i + 1].t_ms if i + 1 < len(events) else shifted_track.end_ms
-        t_start = min(max(raw_start, shifted_track.start_ms), shifted_track.end_ms)
-        t_end = min(max(raw_end, shifted_track.start_ms), shifted_track.end_ms)
+        raw_end = events[i + 1].t_ms if i + 1 < len(events) else track.end_ms
+        t_start = min(max(raw_start, track.start_ms), track.end_ms)
+        t_end = min(max(raw_end, track.start_ms), track.end_ms)
         if t_start >= t_end:
             warnings.append(
                 f"event {event.id}: action window is empty after clamping to "
                 f"the track span; no segment emitted"
             )
             continue
-        start_point = interpolate_position(shifted_track, t_start, tolerance_ms)
-        end_point = interpolate_position(shifted_track, t_end, tolerance_ms)
-        interior = shifted_track.points[
+        start_point = interpolate_position(track, t_start, tolerance_ms)
+        end_point = interpolate_position(track, t_end, tolerance_ms)
+        interior = track.points[
             bisect_right(times, t_start):bisect_left(times, t_end)
         ]
         waypoints = (start_point, *interior, end_point)
@@ -209,10 +208,10 @@ def segment_actions(
                 f"to classify a maneuver"
             )
         frame_start = frame_end = None
-        if shifted_video is not None:
+        if video is not None:
             try:
-                frame_start = frame_index_at(shifted_video, t_start, clamp=True)
-                frame_end = frame_index_at(shifted_video, t_end, clamp=True)
+                frame_start = frame_index_at(video, t_start, clamp=True)
+                frame_end = frame_index_at(video, t_end, clamp=True)
             except (BeforeVideoStart, AfterVideoEnd):
                 frame_start = frame_end = None
         segments.append(

@@ -2,8 +2,9 @@
 
 Each spoken instruction becomes an InstructionEvent anchored at the
 segment's onset time, carrying the interpolated position, heading, and
-video frame index at that instant. Per-stream clock offsets are applied
-here so raw capture files never need rewriting.
+video frame index at that instant. The track and video come in with their
+clock offsets applied (``run_pipeline`` shifts each stream once); the audio
+offset is added here, where the transcript is anchored.
 
 Events that cannot be placed (outside the track's time span beyond the
 interpolation tolerance, or with unusable text) are dropped, but every
@@ -37,20 +38,10 @@ from .errors import (
 from .ingest import Transcript, VideoIndex, absolutize
 
 __all__ = [
-    "StreamOffsets",
     "InstructionEvent",
     "frame_index_at",
     "build_events",
 ]
-
-
-@dataclass(frozen=True)
-class StreamOffsets:
-    """Signed millisecond corrections added to each stream's timestamps."""
-
-    gps_ms: int = 0
-    audio_ms: int = 0
-    video_ms: int = 0
 
 
 @dataclass(frozen=True)
@@ -88,15 +79,18 @@ def frame_index_at(video: VideoIndex, t_ms: int, clamp: bool = False) -> int:
         )
     # Multiply before dividing: (dt * fps) is exact for integral fps, so
     # whole-second boundaries never land a float ulp below the frame line.
-    index = math.floor((t_ms - video.start_ms) * video.fps / 1000.0)
-    if index >= video.frame_count:
+    # Test the bound before flooring (floor(x) >= n exactly when x >= n):
+    # a huge fps makes the position infinite, which floor cannot take.
+    position = (t_ms - video.start_ms) * video.fps / 1000.0
+    if position >= video.frame_count:
         if clamp:
             return video.frame_count - 1
+        shown = math.floor(position) if math.isfinite(position) else position
         raise AfterVideoEnd(
-            f"instant {format_iso8601_ms(t_ms)} maps to frame {index}, "
+            f"instant {format_iso8601_ms(t_ms)} maps to frame {shown}, "
             f"past the last frame {video.frame_count - 1}"
         )
-    return index
+    return math.floor(position)
 
 
 def build_events(
@@ -104,26 +98,25 @@ def build_events(
     track: TrackLog,
     video: VideoIndex | None = None,
     lex: Lexicon | None = None,
-    offsets: StreamOffsets = StreamOffsets(),
     audio_start_ms: int | None = None,
     tolerance_ms: int = DEFAULT_TOLERANCE_MS,
+    audio_offset_ms: int = 0,
 ) -> tuple[list[InstructionEvent], list[str]]:
     """Classify and place every transcript segment on the shared timeline.
 
     ``audio_start_ms`` anchors relative transcript times; if omitted, the
-    transcript's own embedded anchor is used. Returns the events sorted by
-    time with ids 0..n-1, plus corpus-level warnings for dropped segments.
-    Raises NoUsableEvents when nothing survives.
+    transcript's own embedded anchor is used. ``audio_offset_ms`` moves
+    every segment; ``track`` and ``video`` must already be on that clock.
+    Returns the events sorted by time with ids 0..n-1, plus corpus-level
+    warnings for dropped segments. Raises NoUsableEvents when nothing
+    survives.
     """
     anchor = audio_start_ms if audio_start_ms is not None else transcript.audio_start_ms
     if anchor is None:
         raise InvalidAnchor(
             "transcript has relative times but no audio start anchor was given"
         )
-    shifted_track = track.shifted(offsets.gps_ms)
-    shifted_video = video.shifted(offsets.video_ms) if video is not None else None
-
-    timed = absolutize(transcript, anchor, offsets.audio_ms)
+    timed = absolutize(transcript, anchor, audio_offset_ms)
     warnings: list[str] = []
     # Each placed segment's fields, held until the time sort assigns ids.
     placed: list[dict] = []
@@ -137,7 +130,7 @@ def build_events(
             )
             continue
         try:
-            geo = interpolate_position(shifted_track, t_ms, tolerance_ms)
+            geo = interpolate_position(track, t_ms, tolerance_ms)
         except OutOfTrackSpan:
             warnings.append(
                 f"segment at {format_iso8601_ms(t_ms)} is outside the track "
@@ -146,16 +139,15 @@ def build_events(
             continue
         event_warnings: list[str] = []
         try:
-            heading = heading_at(shifted_track, t_ms, tolerance_ms)
+            heading = heading_at(track, t_ms, tolerance_ms)
         except DegenerateBearing:
             heading = None
             event_warnings.append("heading undefined: track is degenerate here")
         frame: int | None = None
-        if shifted_video is not None:
+        if video is not None:
             try:
-                frame = frame_index_at(shifted_video, t_ms)
+                frame = frame_index_at(video, t_ms)
             except (BeforeVideoStart, AfterVideoEnd) as exc:
-                frame = None
                 event_warnings.append(f"no video frame: {exc}")
         placed.append(
             dict(

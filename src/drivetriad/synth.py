@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ from .core import (
     EARTH_RADIUS_M,
     GeoPoint,
     TrackLog,
+    check_fields,
     format_iso8601_ms,
     normalize_bearing,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "STYLES",
     "DEFAULT_ORIGIN",
     "DEFAULT_LEAD_M",
+    "DEFAULT_LEGS",
     "parse_legs",
     "generate_route",
     "generate_instructions",
@@ -63,6 +66,7 @@ STYLES = ("distance-heavy", "static-object-heavy", "cardinal-heavy")
 _BASE_UTC_MS = 1_717_243_200_000  # 2024-06-01T12:00:00Z
 DEFAULT_ORIGIN = GeoPoint(40.0, -105.0, _BASE_UTC_MS)
 DEFAULT_LEAD_M = 150.0
+DEFAULT_LEGS = "600R,500L,700R,400"
 _SPEECH_SECONDS = 2.0
 _VIDEO_FPS = 30.0
 
@@ -99,8 +103,9 @@ class Leg:
     maneuver_after: Maneuver | None = None
 
     def __post_init__(self) -> None:
-        if self.length_m <= 0:
-            raise ValueError(f"leg length must be positive, got {self.length_m}")
+        # One comparison rejects zero, negatives, NaN and the infinities.
+        if not 0 < self.length_m <= sys.float_info.max:
+            raise ValueError(f"leg length must be finite and > 0, got {self.length_m}")
         if self.maneuver_after is Maneuver.UNKNOWN:
             raise ValueError("a plan cannot plant an Unknown maneuver")
 
@@ -120,6 +125,7 @@ class RoutePlan:
     def __post_init__(self) -> None:
         if not self.legs:
             raise ValueError("a plan needs at least one leg")
+        check_fields(self)
         if self.speed_mps <= 0:
             raise ValueError(f"speed must be positive, got {self.speed_mps}")
         if not 0 < self.sample_hz <= 100:
@@ -136,6 +142,8 @@ def parse_legs(text: str) -> tuple[Leg, ...]:
     Each element is a length in meters with an optional turn suffix
     (R/L/U) planted at the end of that leg.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"legs must be a string like \"400R,250\", got {text!r}")
     suffix_map = {
         "R": Maneuver.RIGHT_TURN,
         "L": Maneuver.LEFT_TURN,

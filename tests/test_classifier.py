@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from drivetriad import (
     CommandClass,
     DEFAULT_LEXICON,
+    Lexicon,
     classify,
     load_lexicon,
     normalize_text,
@@ -314,6 +315,21 @@ class TestLexicon:
     def test_invalid_json_rejected(self):
         with pytest.raises(LexiconError):
             load_lexicon(b"{not json")
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"version": ' + b"9" * 5000 + b"}", b"[" * 200_000 + b"]" * 200_000],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_json_limits_rejected(self, data):
+        with pytest.raises(LexiconError, match="not valid JSON"):
+            load_lexicon(data)
+
+    def test_compiled_patterns_are_cached_outside_equality(self):
+        lex = load_lexicon(json.dumps({"road_suffixes": ["via"]}).encode())
+        assert lex._compiled is lex._compiled
+        fresh = Lexicon(lex.version, lex.patterns, lex.road_suffixes, lex.distance_units)
+        assert fresh == lex
 
 
 class TestMonotonicity:

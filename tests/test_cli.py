@@ -283,6 +283,17 @@ class TestPipelineCommand:
         assert code == EXIT_DATA
         assert "InvalidFps" in err
 
+    def test_huge_fps_is_past_the_last_frame(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, capsys)
+        sidecar = corpus / "video_meta.json"
+        doc = json.loads(sidecar.read_text())
+        doc["fps"] = 1e308
+        sidecar.write_text(json.dumps(doc))
+        code, _, _ = self._run_on(tmp_path, capsys, corpus, corpus / "track.gpx", sidecar)
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert any("maps to frame inf" in w for w in manifest["warnings"])
+
     def test_config_file_supplies_options(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, capsys)
         out_dir = tmp_path / "dataset"
@@ -430,6 +441,16 @@ class TestStatsCommand:
         assert code == EXIT_DATA
         assert ":2: elevation is not finite" in err
 
+    def test_inverted_frame_range_in_triads_is_data_error(self, tmp_path, capsys):
+        triads = self._dataset(tmp_path, capsys)
+        record = json.loads(triads.read_bytes().splitlines()[0])
+        record["action"]["frame_start"], record["action"]["frame_end"] = 50, 10
+        bad = tmp_path / "inverted.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        code, _, err = run(["stats", str(bad)], capsys)
+        assert code == EXIT_DATA
+        assert ":1: frame range inverted: [50, 10]" in err
+
     def test_missing_file_is_noinput(self, capsys):
         code, _, _ = run(["stats", "/nope/triads.jsonl"], capsys)
         assert code == EXIT_NOINPUT
@@ -445,3 +466,125 @@ class TestStatsCommand:
         header = out.splitlines()[2]
         assert "void" in header
         assert "Total events: " in out
+
+
+_LONG_INT = '{"x": ' + "9" * 5000 + "}"
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+class TestHostileInput:
+    """Each bad setting or input file ends in a defined exit code, no traceback."""
+
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"jitter_floor_m": "abc"}, "jitter_floor_m"),
+            ({"gps_offset_ms": "abc"}, "gps_offset_ms"),
+            ({"source_label": 5}, "source_label"),
+            ({"audio_start": 5}, "audio_start"),
+            ({"gpx": 5}, "gpx_path"),
+            ({"jitter_floor_m": "nan"}, "jitter_floor_m"),
+            ({"relativize": "false"}, "relativize"),
+            ({"tolerance_ms": True}, "tolerance_ms"),
+            ({"tolerance_ms": 1.9}, "tolerance_ms"),
+            ({"tolerance_ms": "5000"}, "tolerance_ms"),
+            (
+                {"straight_threshold_deg": 170, "uturn_threshold_deg": 10},
+                "straight_threshold_deg",
+            ),
+        ],
+    )
+    def test_bad_pipeline_setting_is_usage_error(self, tmp_path, capsys, settings, field):
+        # Settings are checked before any input file is opened, so the
+        # paths need not exist.
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "gpx": str(tmp_path / "track.gpx"),
+                    "transcript": str(tmp_path / "transcript.json"),
+                    "out": str(tmp_path / "d"),
+                    **settings,
+                }
+            )
+        )
+        code, _, err = run(["pipeline", "--config", str(config)], capsys)
+        assert code == EXIT_USAGE
+        assert field in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag", ["--gps-offset-ms", "--video-offset-ms"])
+    def test_offset_before_epoch_is_data_error(self, tmp_path, capsys, flag):
+        corpus = make_corpus(tmp_path, capsys)
+        code, _, err = run(
+            [
+                "pipeline",
+                "--gpx",
+                str(corpus / "track.gpx"),
+                "--transcript",
+                str(corpus / "transcript.json"),
+                "--video-meta",
+                str(corpus / "video_meta.json"),
+                "--out",
+                str(tmp_path / "d"),
+                flag,
+                "-1717243200000000",
+            ],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert flag[2:].replace("-", "_") in err
+        assert "before the epoch" in err
+
+    @pytest.mark.parametrize("document", [_LONG_INT, _DEEP], ids=["long-integer", "deep-nesting"])
+    @pytest.mark.parametrize("flag", ["--video-meta", "--transcript", "--config", "--lexicon"])
+    def test_json_limits_are_data_errors(self, tmp_path, capsys, flag, document):
+        corpus = make_corpus(tmp_path, capsys)
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        paths = {
+            "--gpx": corpus / "track.gpx",
+            "--transcript": corpus / "transcript.json",
+            "--video-meta": corpus / "video_meta.json",
+            "--out": tmp_path / "d",
+            flag: bad,
+        }
+        args = ["pipeline"]
+        for name, path in paths.items():
+            args += [name, str(path)]
+        code, _, err = run(args, capsys)
+        assert code == EXIT_DATA
+        assert ("LexiconError" if flag == "--lexicon" else "ParseError") in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--speed-mps", "inf"], "speed_mps"),
+            (["--speed-mps", "nan"], "speed_mps"),
+            (["--noise-sigma-m", "nan"], "noise_sigma_m"),
+            (["--noise-sigma-m", "inf"], "noise_sigma_m"),
+            (["--legs", "1e400R"], "leg length"),
+            (["--sample-hz", "nan"], "sample_hz"),
+        ],
+    )
+    def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, field):
+        code, _, err = run(["synth", *flags, "--out", str(tmp_path / "s")], capsys)
+        assert code == EXIT_USAGE
+        assert field in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "3"}, "seed"),
+            ({"speed_mps": "20"}, "speed_mps"),
+            ({"legs": 5}, "legs"),
+        ],
+    )
+    def test_bad_synth_setting_is_usage_error(self, tmp_path, capsys, settings, field):
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "s"), **settings}))
+        code, _, err = run(["synth", "--config", str(config)], capsys)
+        assert code == EXIT_USAGE
+        assert field in err

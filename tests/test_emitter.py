@@ -10,7 +10,6 @@ from drivetriad import (
     ActionSegment,
     GeoPoint,
     Maneuver,
-    VisionRef,
     VlaTriad,
     build_manifest,
     classify,
@@ -64,14 +63,10 @@ def make_segment(event_id=0, t_start=1_000_000, t_end=1_030_000):
 def make_triad(id=0, t_ms=1_000_000):
     event = make_event(id, t_ms)
     segment = make_segment(id, t_ms, t_ms + 30_000)
-    return VlaTriad(event, segment, VisionRef(0, 899, "drive-cam"))
+    return VlaTriad(event, segment)
 
 
 class TestStructures:
-    def test_vision_ref_rejects_inverted_range(self):
-        with pytest.raises(InternalError):
-            VisionRef(10, 9)
-
     def test_triad_rejects_event_id_mismatch(self):
         with pytest.raises(InternalError):
             VlaTriad(make_event(id=0), make_segment(event_id=1))
@@ -79,10 +74,10 @@ class TestStructures:
     def test_make_triads_pairs_by_id(self):
         events = [make_event(0), make_event(1, 1_030_000)]
         segments = [make_segment(0), make_segment(1, 1_030_000, 1_060_000)]
-        triads, warnings = make_triads(events, segments, video_id="cam")
+        triads, warnings = make_triads(events, segments)
         assert warnings == []
         assert [t.event.id for t in triads] == [0, 1]
-        assert triads[0].vision.video_id == "cam"
+        assert [t.action for t in triads] == segments
 
     def test_make_triads_warns_on_missing_segment(self):
         events = [make_event(0), make_event(1, 1_030_000)]
@@ -91,22 +86,6 @@ class TestStructures:
         assert len(warnings) == 1
         assert "event 1" in warnings[0]
         assert "no action segment" in warnings[0]
-
-    def test_make_triads_without_frames_has_no_vision(self):
-        seg = make_segment(0)
-        seg = ActionSegment(
-            event_id=0,
-            t_start_ms=seg.t_start_ms,
-            t_end_ms=seg.t_end_ms,
-            waypoints=seg.waypoints,
-            net_bearing_change_deg=seg.net_bearing_change_deg,
-            distance_m=seg.distance_m,
-            maneuver=seg.maneuver,
-            frame_start=None,
-            frame_end=None,
-        )
-        triads, _ = make_triads([make_event(0)], [seg])
-        assert triads[0].vision is None
 
 
 class TestSerializeTriad:
@@ -274,6 +253,21 @@ class TestReadTriads:
     def test_non_json_rejected(self):
         with pytest.raises(ParseError, match=":1"):
             read_triads(b"not json at all\n")
+
+    def test_inverted_frame_range_rejected(self, tmp_path):
+        data = export_triads([make_triad()], tmp_path).read_bytes()
+        inverted = data.replace(b'"frame_start": 0', b'"frame_start": 900')
+        with pytest.raises(ParseError, match=r":1: frame range inverted: \[900, 899\]"):
+            read_triads(inverted)
+
+    @pytest.mark.parametrize(
+        "line",
+        [b'{"id": ' + b"9" * 5000 + b"}", b"[" * 200_000 + b"]" * 200_000],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_json_limits_are_parse_errors(self, line):
+        with pytest.raises(ParseError, match=":1:"):
+            read_triads(line + b"\n")
 
 
 class TestManifest:

@@ -8,6 +8,10 @@ import pytest
 
 from drivetriad import (
     Maneuver,
+    format_iso8601_ms,
+    parse_gpx,
+    parse_video_meta,
+    write_gpx,
     PipelineConfig,
     RoutePlan,
     generate_instructions,
@@ -16,6 +20,8 @@ from drivetriad import (
     run_pipeline,
     write_corpus,
 )
+from pathlib import Path
+
 from drivetriad.errors import NoUsableEvents
 
 
@@ -34,6 +40,31 @@ def config_for(files, out_dir, **overrides):
     )
     settings.update(overrides)
     return PipelineConfig(**settings)
+
+
+class TestPipelineConfig:
+    def test_paths_and_thresholds_are_normalized(self):
+        config = PipelineConfig("drive.gpx", "voice.json", "out", jitter_floor_m=2)
+        assert config.gpx_path == Path("drive.gpx")
+        assert config.out_dir == Path("out")
+        assert config.jitter_floor_m == 2.0 and type(config.jitter_floor_m) is float
+
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"gps_offset_ms": 1.0}, "gps_offset_ms"),
+            ({"tolerance_ms": -1}, "tolerance_ms"),
+            ({"jitter_floor_m": -0.5}, "jitter_floor_m"),
+            ({"straight_threshold_deg": -1.0}, "straight_threshold_deg"),
+            ({"uturn_threshold_deg": float("inf")}, "uturn_threshold_deg"),
+            ({"transcript_format": "vtt"}, "transcript_format"),
+            ({"lexicon_path": 3}, "lexicon_path"),
+            ({"relativize": 1}, "relativize"),
+        ],
+    )
+    def test_bad_value_names_the_field(self, settings, field):
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig("drive.gpx", "voice.json", "out", **settings)
 
 
 class TestRunPipeline:
@@ -150,6 +181,36 @@ class TestRunPipeline:
         assert result.warning_count > 0
         assert any("no video frame" in w for w in manifest["warnings"])
 
+    def test_offsets_match_pre_shifted_inputs(self, tmp_path):
+        # Offsets are applied once: running with them equals running on
+        # inputs whose clocks were moved by hand.
+        files, _ = generated(tmp_path)
+        offsets = run_pipeline(
+            config_for(
+                files, tmp_path / "a", gps_offset_ms=1500, video_offset_ms=2300,
+                relativize=True,
+            ),
+            created_at_ms=0,
+        )
+        triads = offsets.triads_path.read_bytes()
+        track = parse_gpx(files["track.gpx"].read_bytes()).shifted(1500)
+        moved = tmp_path / "moved"
+        moved.mkdir()
+        (moved / "track.gpx").write_bytes(write_gpx(track))
+        meta = json.loads(files["video_meta.json"].read_text())
+        video = parse_video_meta(files["video_meta.json"].read_bytes()).shifted(2300)
+        meta["start_time"] = format_iso8601_ms(video.start_ms)
+        (moved / "video_meta.json").write_text(json.dumps(meta))
+        by_hand = run_pipeline(
+            config_for(
+                {**files, "track.gpx": moved / "track.gpx",
+                 "video_meta.json": moved / "video_meta.json"},
+                tmp_path / "b", relativize=True,
+            ),
+            created_at_ms=0,
+        )
+        assert by_hand.triads_path.read_bytes() == triads
+
     def test_tolerance_gates_event_placement(self, tmp_path):
         files, corpus = generated(tmp_path)
         # Shift the GPS stream far ahead of the audio: with a tight
@@ -163,6 +224,25 @@ class TestRunPipeline:
                     tolerance_ms=100,
                 )
             )
+
+    @pytest.mark.parametrize(
+        "settings, digest",
+        [
+            ({}, "f2a17ffe7b9da4d69f43daba00f84bbb6f062e46130aaf9acaaeaeec794693db"),
+            (
+                {"jitter_floor_m": 1, "tolerance_ms": 4000, "relativize": True},
+                "cf3db07a0731b37f74af3792f70c70694dbbed40524afb4b6b68edddf0b73c52",
+            ),
+        ],
+        ids=["defaults", "overrides"],
+    )
+    def test_config_digest_is_pinned(self, tmp_path, settings, digest):
+        # The digest is built from the config's fields, so a field that is
+        # added, renamed or stored with another type shows up here.
+        files, _ = generated(tmp_path)
+        result = run_pipeline(config_for(files, tmp_path / "out", **settings))
+        manifest = json.loads(result.manifest_path.read_text())
+        assert manifest["config_sha256"] == digest
 
     def test_audio_start_override(self, tmp_path):
         files, corpus = generated(tmp_path)

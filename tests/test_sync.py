@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from drivetriad import (
-    StreamOffsets,
     Transcript,
     TranscriptSegment,
     VideoIndex,
@@ -68,6 +67,17 @@ class TestFrameIndexAt:
     def test_past_end_clamps_to_last(self):
         assert frame_index_at(self.VIDEO, 1_100_000, clamp=True) == 2999
 
+    def test_past_end_message_names_the_frame(self):
+        with pytest.raises(AfterVideoEnd, match=r"maps to frame 3000, past the last frame 2999$"):
+            frame_index_at(self.VIDEO, 1_100_000)
+
+    def test_huge_fps_is_past_end_not_overflow(self):
+        # 5 s at 1e308 fps is an infinite frame position.
+        video = VideoIndex(start_ms=0, fps=1e308, frame_count=10)
+        with pytest.raises(AfterVideoEnd, match="maps to frame inf"):
+            frame_index_at(video, 5_000)
+        assert frame_index_at(video, 5_000, clamp=True) == 9
+
     def test_last_millisecond_of_final_frame(self):
         assert frame_index_at(self.VIDEO, 1_099_999) == 2999
 
@@ -116,7 +126,7 @@ class TestBuildEvents:
             transcript((5.0, 6.0, "Turn left.")),
             self._track(),
             audio_start_ms=1_000_000,
-            offsets=StreamOffsets(audio_ms=2_000),
+            audio_offset_ms=2_000,
         )
         assert events[0].t_ms == 1_007_000
 
@@ -126,9 +136,8 @@ class TestBuildEvents:
         # the first fix.
         events, _ = build_events(
             transcript((2.0, 3.0, "Turn left.")),
-            self._track(),
+            self._track().shifted(5_000),
             audio_start_ms=1_000_000,
-            offsets=StreamOffsets(gps_ms=5_000),
         )
         assert events[0].geo.lat_deg == 0.0
 
@@ -199,9 +208,8 @@ class TestBuildEvents:
         events, _ = build_events(
             transcript((5.0, 6.0, "Turn left.")),
             self._track(),
-            video=video,
+            video=video.shifted(1_000),
             audio_start_ms=1_000_000,
-            offsets=StreamOffsets(video_ms=1_000),
         )
         # Video now starts 1 s later, so the event is 4 s into it.
         assert events[0].frame_index == 120

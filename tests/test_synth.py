@@ -61,6 +61,37 @@ class TestParseLegs:
         with pytest.raises(ValueError):
             Leg(100.0, Maneuver.UNKNOWN)
 
+    def test_spec_must_be_text(self):
+        with pytest.raises(ValueError, match="legs must be a string"):
+            parse_legs(400)
+
+
+class TestRoutePlanChecks:
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ({"speed_mps": float("inf")}, "speed_mps"),
+            ({"speed_mps": float("nan")}, "speed_mps"),
+            ({"noise_sigma_m": float("nan")}, "noise_sigma_m"),
+            ({"noise_sigma_m": float("inf")}, "noise_sigma_m"),
+            ({"sample_hz": "1"}, "sample_hz"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+        ],
+    )
+    def test_bad_value_names_the_field(self, settings, field):
+        with pytest.raises(ValueError, match=field):
+            simple_plan(**settings)
+
+    def test_infinite_leg_rejected(self):
+        with pytest.raises(ValueError, match="leg length must be finite and > 0"):
+            parse_legs("1e400R")
+
+    def test_numbers_are_stored_as_floats(self):
+        plan = simple_plan(speed_mps=20, sample_hz=2)
+        assert (plan.speed_mps, plan.sample_hz) == (20.0, 2.0)
+        assert type(plan.speed_mps) is float
+
 
 class TestGenerateRoute:
     def test_point_count_and_span(self):
