@@ -38,8 +38,6 @@ from .synth import (
     write_corpus,
 )
 
-__all__ = ["main", "entry"]
-
 EXIT_OK = 0
 EXIT_USAGE = 64
 EXIT_DATA = 65
@@ -63,9 +61,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Options:
-    """Merged view over parsed flags and the optional config file."""
+    """Merged view over parsed flags and the optional config file.
 
-    def __init__(self, args: argparse.Namespace, parser: _Parser) -> None:
+    A config key must name one of the subcommand's flags or one of
+    ``extra_keys``; anything else is a usage error naming the key.
+    """
+
+    def __init__(
+        self, args: argparse.Namespace, parser: _Parser, extra_keys: Iterable[str] = ()
+    ) -> None:
         self._args = args
         self._parser = parser
         self._file: dict = {}
@@ -78,9 +82,15 @@ class _Options:
                 raise ParseError(f"{config_path}: not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ParseError(f"{config_path}: config must be a JSON object")
-            self._file = {
-                str(key).replace("-", "_"): value for key, value in doc.items()
-            }
+            for key, value in doc.items():
+                name = str(key).replace("-", "_")
+                if name in self._file:
+                    parser.error(f"{config_path}: config key {name!r} given twice")
+                self._file[name] = value
+            known = set(vars(args)).union(extra_keys)
+            known -= {"command", "func", "config", "sources"}
+            for key in sorted(self._file.keys() - known):
+                parser.error(f"{config_path}: unknown config key {key!r}")
 
     def get(self, name: str, default=None):
         flag_value = getattr(self._args, name, None)
@@ -95,10 +105,17 @@ class _Options:
         values = {name: self.get(_OPTION_NAMES.get(name, name)) for name in names}
         return {name: value for name, value in values.items() if value is not None}
 
-    def require(self, name: str, flag: str):
+    def require(self, name: str):
         value = self.get(name)
         if value is None:
-            self._parser.error(f"{flag} is required (flag or config file)")
+            self._parser.error(f"--{name} is required (flag or config file)")
+        return value
+
+    def path(self, name: str, required: bool = False) -> str | None:
+        """A path option, which a config file must give as a string."""
+        value = self.require(name) if required else self.get(name)
+        if value is not None and not isinstance(value, str):
+            self._parser.error(f"{name} must be a path string, got {value!r}")
         return value
 
     def choice(self, name: str, flag: str, allowed, default):
@@ -222,12 +239,12 @@ def _build_parser() -> _Parser:
 
 def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
     options = _Options(args, parser)
-    transcript_path = options.require("transcript", "--transcript")
+    transcript_path = options.path("transcript", required=True)
     fmt = options.choice(
         "transcript_format", "--transcript-format", TRANSCRIPT_FORMATS,
         PipelineConfig.transcript_format,
     )
-    lexicon_path = options.get("lexicon")
+    lexicon_path = options.path("lexicon")
     lexicon = load_lexicon(
         Path(lexicon_path).read_bytes() if lexicon_path else None
     )
@@ -256,11 +273,14 @@ def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _run_pipeline(args: argparse.Namespace, parser: _Parser) -> int:
-    options = _Options(args, parser)
+    config_fields = [f.name for f in fields(PipelineConfig)]
+    options = _Options(
+        args, parser, (_OPTION_NAMES.get(name, name) for name in config_fields)
+    )
     for name in ("gpx", "transcript", "out"):
-        options.require(name, f"--{name}")
+        options.require(name)
     try:
-        config = PipelineConfig(**options.given(f.name for f in fields(PipelineConfig)))
+        config = PipelineConfig(**options.given(config_fields))
     except ValueError as exc:
         parser.error(str(exc))
     result = run_pipeline(config)
@@ -273,7 +293,7 @@ def _run_pipeline(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
-    options = _Options(args, parser)
+    out_path = _Options(args, parser).path("out")
     all_stats = []
     for item in args.sources:
         label, sep, path_text = item.partition("=")
@@ -283,7 +303,6 @@ def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
         triads = read_triads(data, source=path_text)
         all_stats.append(corpus_stats(label, [t.event for t in triads]))
     report = render_report(all_stats)
-    out_path = options.get("out")
     if out_path is None:
         sys.stdout.write(report)
     else:
@@ -293,7 +312,7 @@ def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
 
 def _run_synth(args: argparse.Namespace, parser: _Parser) -> int:
     options = _Options(args, parser)
-    out_dir = options.require("out", "--out")
+    out_dir = options.path("out", required=True)
     style = options.choice("style", "--style", STYLES, "distance-heavy")
     try:
         plan = RoutePlan(

@@ -11,7 +11,8 @@ Conventions used throughout the package:
   positive.
 * Positional interpolation is linear in lat/lon. Track points are seconds
   apart, so the departure from the great circle is negligible at vehicle
-  speeds, and linearity makes midpoint tests exact.
+  speeds, and linearity makes midpoint tests exact. Between fixes on either
+  side of the ±180° meridian the longitude steps the short way round.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -34,6 +35,9 @@ EARTH_RADIUS_M = 6_371_008.8
 DEFAULT_TOLERANCE_MS = 5000
 """How far outside the track span a query may fall and still be clamped."""
 
+MAX_INSTANT_MS = 253_402_300_799_999
+"""9999-12-31T23:59:59.999Z, the last instant format_iso8601_ms can render."""
+
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
@@ -41,7 +45,8 @@ def parse_iso8601_ms(text: str) -> int:
     """Parse an ISO-8601 instant into epoch milliseconds (UTC).
 
     Accepts a trailing ``Z``, an explicit offset, or a naive value (treated
-    as UTC). Raises ParseError on anything unparseable or before the epoch.
+    as UTC). Raises ParseError on anything unparseable, before the epoch or
+    past MAX_INSTANT_MS.
     """
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
@@ -55,7 +60,10 @@ def parse_iso8601_ms(text: str) -> int:
     micros = (dt - _EPOCH) // timedelta(microseconds=1)
     if micros < 0:
         raise ParseError(f"timestamp before the epoch: {text!r}")
-    return (micros + 500) // 1000
+    t_ms = (micros + 500) // 1000
+    if t_ms > MAX_INSTANT_MS:
+        raise ParseError(f"timestamp after 9999-12-31T23:59:59.999Z: {text!r}")
+    return t_ms
 
 
 # Annotation -> (accepted types, what a bad value is told, type it is stored as).
@@ -275,7 +283,14 @@ def interpolate_position(
         return GeoPoint(b.lat_deg, b.lon_deg, t_ms, b.ele_m)
     frac = (clamped - a.t_ms) / (b.t_ms - a.t_ms)
     lat = a.lat_deg + frac * (b.lat_deg - a.lat_deg)
-    lon = a.lon_deg + frac * (b.lon_deg - a.lon_deg)
+    dlon = b.lon_deg - a.lon_deg
+    if abs(dlon) > 180.0:
+        # The short way crosses the antimeridian (RFC 7946 section 3.1.9):
+        # step the wrapped delta and fold the result into [-180, 180).
+        dlon -= math.copysign(360.0, dlon)
+        lon = (a.lon_deg + frac * dlon + 180.0) % 360.0 - 180.0
+    else:
+        lon = a.lon_deg + frac * dlon
     ele = None
     if a.ele_m is not None and b.ele_m is not None:
         ele = a.ele_m + frac * (b.ele_m - a.ele_m)
@@ -304,18 +319,3 @@ def heading_at(
         else:
             raise DegenerateBearing("all track points coincide")
 
-
-__all__ = [
-    "EARTH_RADIUS_M",
-    "DEFAULT_TOLERANCE_MS",
-    "GeoPoint",
-    "TrackLog",
-    "parse_iso8601_ms",
-    "format_iso8601_ms",
-    "normalize_bearing",
-    "haversine_distance",
-    "initial_bearing",
-    "signed_bearing_delta",
-    "interpolate_position",
-    "heading_at",
-]

@@ -24,27 +24,9 @@ from typing import Mapping, Sequence
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
 from .core import GeoPoint, format_iso8601_ms
-from .errors import InternalError, InternalOrderingError, IoError, ParseError
+from .errors import EncodingError, InternalError, InternalOrderingError, IoError, ParseError
 from .segmenter import ActionSegment, Maneuver
 from .sync import InstructionEvent
-
-__all__ = [
-    "VlaTriad",
-    "Manifest",
-    "ManifestInput",
-    "make_triads",
-    "serialize_triad",
-    "export_triads",
-    "read_triads",
-    "sha256_hex",
-    "config_digest",
-    "manifest_input",
-    "build_manifest",
-    "render_manifest",
-    "write_manifest",
-    "TRIADS_FILENAME",
-    "MANIFEST_FILENAME",
-]
 
 TRIADS_FILENAME = "triads.jsonl"
 MANIFEST_FILENAME = "manifest.json"
@@ -189,33 +171,36 @@ def export_triads(triads: Sequence[VlaTriad], out_dir: Path | str) -> Path:
 def read_triads(data: bytes, source: str = TRIADS_FILENAME) -> list[VlaTriad]:
     """Parse a triads.jsonl byte stream back into triad objects.
 
-    Schema violations raise ParseError naming the source and line number.
+    Schema violations raise ParseError naming the source and line number;
+    bytes that are not UTF-8 raise EncodingError naming the source.
     """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{source}: not valid UTF-8: {exc}") from exc
     triads = []
-    for line_no, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             triads.append(_triad_from_json(line))
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{source}:{line_no}: {exc}") from exc
     return triads
 
 
-def _req(obj: dict, key: str) -> object:
+def _req(obj: object, key: str) -> object:
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected an object holding {key!r}")
     if key not in obj:
         raise KeyError(f"missing field {key!r}")
     return obj[key]
 
 
-def _geo_from(obj: dict, t_ms: int) -> GeoPoint:
+def _geo_from(obj: object, t_ms: int) -> GeoPoint:
+    lat, lon = float(_req(obj, "lat")), float(_req(obj, "lon"))
     ele = obj.get("ele")
-    return GeoPoint(
-        float(_req(obj, "lat")),
-        float(_req(obj, "lon")),
-        t_ms,
-        None if ele is None else float(ele),
-    )
+    return GeoPoint(lat, lon, t_ms, None if ele is None else float(ele))
 
 
 def _triad_from_json(line: str) -> VlaTriad:
@@ -280,39 +265,13 @@ def _triad_from_json(line: str) -> VlaTriad:
 # --- manifest ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifestInput:
-    """Provenance record for one input file."""
-
-    path: str
-    role: str
-    sha256: str
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """Provenance and accounting for one emitted dataset directory."""
-
-    tool_version: str
-    created_at_ms: int
-    inputs: tuple[ManifestInput, ...]
-    config_sha256: str
-    event_count: int
-    segment_count: int
-    warnings: tuple[str, ...]
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def manifest_input(
     path: str | Path, role: str, data: bytes, relativize: bool = False
-) -> ManifestInput:
+) -> dict[str, str]:
     """Digest one input; --relativize keeps only the basename so digests
     compare across machines."""
     shown = os.path.basename(str(path)) if relativize else str(path)
-    return ManifestInput(shown, role, sha256_hex(data))
+    return {"path": shown, "role": role, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def config_digest(config: Mapping[str, object]) -> str:
@@ -320,49 +279,34 @@ def config_digest(config: Mapping[str, object]) -> str:
     canonical = json.dumps(
         config, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     )
-    return sha256_hex(canonical.encode("utf-8"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def build_manifest(
-    inputs: Sequence[ManifestInput],
+    inputs: Sequence[dict[str, str]],
     config_sha256: str,
     event_count: int,
     segment_count: int,
     warnings: Sequence[str],
     created_at_ms: int,
-) -> Manifest:
-    return Manifest(
-        tool_version=__version__,
-        created_at_ms=created_at_ms,
-        inputs=tuple(inputs),
-        config_sha256=config_sha256,
-        event_count=event_count,
-        segment_count=segment_count,
-        warnings=tuple(warnings),
-    )
-
-
-def render_manifest(manifest: Manifest) -> str:
-    document = {
-        "tool_version": manifest.tool_version,
-        "created_at_utc_ms": manifest.created_at_ms,
-        "inputs": [
-            {"path": i.path, "role": i.role, "sha256": i.sha256}
-            for i in manifest.inputs
-        ],
-        "config_sha256": manifest.config_sha256,
-        "event_count": manifest.event_count,
-        "segment_count": manifest.segment_count,
-        "warnings": list(manifest.warnings),
+) -> dict:
+    """The manifest document, keys in on-disk order."""
+    return {
+        "tool_version": __version__,
+        "created_at_utc_ms": created_at_ms,
+        "inputs": list(inputs),
+        "config_sha256": config_sha256,
+        "event_count": event_count,
+        "segment_count": segment_count,
+        "warnings": list(warnings),
     }
-    return json.dumps(document, indent=2, ensure_ascii=True) + "\n"
 
 
-def write_manifest(manifest: Manifest, out_dir: Path | str) -> Path:
+def write_manifest(manifest: dict, out_dir: Path | str) -> Path:
     target = Path(out_dir) / MANIFEST_FILENAME
     try:
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_manifest(manifest))
+            handle.write(json.dumps(manifest, indent=2, ensure_ascii=True) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {target}: {exc}") from exc
     return target

@@ -16,7 +16,7 @@ import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .core import GeoPoint, TrackLog, parse_iso8601_ms
+from .core import MAX_INSTANT_MS, GeoPoint, TrackLog, parse_iso8601_ms
 from .errors import (
     EmptyTrack,
     EmptyTranscript,
@@ -181,7 +181,9 @@ def _parse_segment_json(text: str) -> tuple[list[TranscriptSegment], int | None]
             raise ParseError(f"segment {i}: start/end must be numbers")
         if not isinstance(seg_text, str):
             raise ParseError(f"segment {i}: text must be a string")
-        if start < 0 or end < start:
+        # One chained comparison also rejects NaN, the infinities and ints
+        # too large to become a float.
+        if not 0 <= start <= end <= sys.float_info.max:
             raise ParseError(f"segment {i}: bad timing [{start}, {end}]")
         body = seg_text.strip()
         if body:
@@ -203,7 +205,7 @@ def _parse_plain_lines(text: str) -> list[TranscriptSegment]:
             end_s = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {line_no}: bad timing {parts[:2]!r}") from exc
-        if start_s < 0 or end_s < start_s:
+        if not 0 <= start_s <= end_s <= sys.float_info.max:
             raise ParseError(f"line {line_no}: bad timing [{start_s}, {end_s}]")
         body = parts[2].strip()
         if body:
@@ -288,12 +290,23 @@ def absolutize(
     """Anchor relative segment starts to wall time.
 
     Each segment maps to (audio_start + round(start_s * 1000) + offset, text)
-    in input order. Any result before the epoch raises InvalidAnchor.
+    in input order. Any result before the epoch or past MAX_INSTANT_MS
+    raises InvalidAnchor.
     """
     events = []
     for i, seg in enumerate(transcript.segments):
+        # Compare before rounding: round() takes no NaN or infinity.
+        if not seg.start_s * 1000 <= MAX_INSTANT_MS:
+            raise InvalidAnchor(
+                f"segment {i} lands after 9999-12-31T23:59:59.999Z: "
+                f"starts at {seg.start_s} s"
+            )
         t_ms = audio_start_ms + round(seg.start_s * 1000) + offset_ms
         if t_ms < 0:
             raise InvalidAnchor(f"segment {i} lands before the epoch: {t_ms} ms")
+        if t_ms > MAX_INSTANT_MS:
+            raise InvalidAnchor(
+                f"segment {i} lands after 9999-12-31T23:59:59.999Z: {t_ms} ms"
+            )
         events.append((t_ms, seg.text))
     return events

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import load_lexicon
-from .core import DEFAULT_TOLERANCE_MS, check_fields, parse_iso8601_ms
+from .core import DEFAULT_TOLERANCE_MS, MAX_INSTANT_MS, check_fields, parse_iso8601_ms
 from .emitter import (
     build_manifest,
     config_digest,
@@ -40,8 +40,6 @@ from .segmenter import (
 )
 from .stats import corpus_stats, render_report
 from .sync import build_events
-
-__all__ = ["PipelineConfig", "PipelineResult", "run_pipeline"]
 
 REPORT_FILENAME = "report.txt"
 MISMATCHES_FILENAME = "mismatches.txt"
@@ -150,9 +148,17 @@ def run_pipeline(
     )
     # The gps and video clock corrections are applied here, once; sync and
     # segmentation only ever see the shifted streams.
-    for name, stream in (("gps_offset_ms", track), ("video_offset_ms", video)):
-        if stream is not None and stream.start_ms + getattr(config, name) < 0:
+    spans = [("gps_offset_ms", track.start_ms, track.end_ms)]
+    if video is not None:
+        spans.append(("video_offset_ms", video.start_ms, video.start_ms))
+    for name, first_ms, last_ms in spans:
+        offset_ms = getattr(config, name)
+        if first_ms + offset_ms < 0:
             raise InvalidAnchor(f"{name} moves the stream start before the epoch")
+        if last_ms + offset_ms > MAX_INSTANT_MS:
+            raise InvalidAnchor(
+                f"{name} moves the stream past 9999-12-31T23:59:59.999Z"
+            )
     track = track.shifted(config.gps_offset_ms)
     video = video.shifted(config.video_offset_ms) if video is not None else None
 
@@ -174,9 +180,6 @@ def run_pipeline(
         config.straight_threshold_deg,
         config.uturn_threshold_deg,
     )
-    warnings += [
-        f"event {event.id}: {note}" for event in events for note in event.warnings
-    ]
     warnings += segment_warnings
     mismatches = collect_mismatches(events, segments)
 

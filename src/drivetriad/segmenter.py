@@ -41,20 +41,6 @@ from .errors import (
 from .ingest import VideoIndex
 from .sync import InstructionEvent, frame_index_at
 
-__all__ = [
-    "Maneuver",
-    "ActionSegment",
-    "Mismatch",
-    "net_bearing_change",
-    "classify_maneuver",
-    "segment_actions",
-    "consistency_check",
-    "collect_mismatches",
-    "DEFAULT_JITTER_FLOOR_M",
-    "DEFAULT_STRAIGHT_THRESHOLD_DEG",
-    "DEFAULT_UTURN_THRESHOLD_DEG",
-]
-
 DEFAULT_JITTER_FLOOR_M = 1.0
 DEFAULT_STRAIGHT_THRESHOLD_DEG = 30.0
 DEFAULT_UTURN_THRESHOLD_DEG = 150.0

@@ -16,14 +16,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .classifier import CommandClass, sort_classes
 
-__all__ = [
-    "CorpusStats",
-    "class_frequencies",
-    "combo_frequencies",
-    "corpus_stats",
-    "combo_label",
-    "render_report",
-]
 
 def _class_sets(events: Iterable) -> list[frozenset[CommandClass]]:
     sets = []

@@ -37,13 +37,6 @@ from .errors import (
 )
 from .ingest import Transcript, VideoIndex, absolutize
 
-__all__ = [
-    "InstructionEvent",
-    "frame_index_at",
-    "build_events",
-]
-
-
 @dataclass(frozen=True)
 class InstructionEvent:
     """One spoken instruction pinned to time, place, heading, and frame."""
@@ -56,7 +49,6 @@ class InstructionEvent:
     geo: GeoPoint
     heading_deg: float | None
     frame_index: int | None
-    warnings: tuple[str, ...] = ()
 
 
 def frame_index_at(video: VideoIndex, t_ms: int, clamp: bool = False) -> int:
@@ -107,9 +99,9 @@ def build_events(
     ``audio_start_ms`` anchors relative transcript times; if omitted, the
     transcript's own embedded anchor is used. ``audio_offset_ms`` moves
     every segment; ``track`` and ``video`` must already be on that clock.
-    Returns the events sorted by time with ids 0..n-1, plus corpus-level
-    warnings for dropped segments. Raises NoUsableEvents when nothing
-    survives.
+    Returns the events sorted by time with ids 0..n-1, plus warnings: one
+    per dropped segment, then the ``event N:`` notes (no heading, no video
+    frame) in id order. Raises NoUsableEvents when nothing survives.
     """
     anchor = audio_start_ms if audio_start_ms is not None else transcript.audio_start_ms
     if anchor is None:
@@ -118,8 +110,9 @@ def build_events(
         )
     timed = absolutize(transcript, anchor, audio_offset_ms)
     warnings: list[str] = []
-    # Each placed segment's fields, held until the time sort assigns ids.
-    placed: list[dict] = []
+    # Each placed segment's fields and notes, held until the time sort
+    # assigns ids.
+    placed: list[tuple[dict, list[str]]] = []
     for t_ms, text in timed:
         try:
             labeled = classify(text, lex)
@@ -137,34 +130,33 @@ def build_events(
                 f"span (tolerance {tolerance_ms} ms); dropped"
             )
             continue
-        event_warnings: list[str] = []
+        notes: list[str] = []
         try:
             heading = heading_at(track, t_ms, tolerance_ms)
         except DegenerateBearing:
             heading = None
-            event_warnings.append("heading undefined: track is degenerate here")
+            notes.append("heading undefined: track is degenerate here")
         frame: int | None = None
         if video is not None:
             try:
                 frame = frame_index_at(video, t_ms)
             except (BeforeVideoStart, AfterVideoEnd) as exc:
-                event_warnings.append(f"no video frame: {exc}")
-        placed.append(
-            dict(
-                t_ms=t_ms,
-                text=text,
-                classes=labeled.classes,
-                evidence=labeled.evidence,
-                geo=geo,
-                heading_deg=heading,
-                frame_index=frame,
-                warnings=tuple(event_warnings),
-            )
+                notes.append(f"no video frame: {exc}")
+        fields = dict(
+            t_ms=t_ms,
+            text=text,
+            classes=labeled.classes,
+            evidence=labeled.evidence,
+            geo=geo,
+            heading_deg=heading,
+            frame_index=frame,
         )
+        placed.append((fields, notes))
     if not placed:
         raise NoUsableEvents(
             "no transcript segment could be placed on the track timeline"
         )
-    placed.sort(key=lambda fields: fields["t_ms"])
-    events = [InstructionEvent(id=i, **fields) for i, fields in enumerate(placed)]
+    placed.sort(key=lambda item: item[0]["t_ms"])
+    events = [InstructionEvent(id=i, **fields) for i, (fields, _) in enumerate(placed)]
+    warnings += [f"event {i}: {n}" for i, (_, notes) in enumerate(placed) for n in notes]
     return events, warnings

@@ -40,27 +40,6 @@ from .errors import IoError
 from .ingest import Transcript, TranscriptSegment
 from .segmenter import Maneuver
 
-__all__ = [
-    "Leg",
-    "RoutePlan",
-    "GroundTruthEntry",
-    "GroundTruth",
-    "StyledCorpus",
-    "STYLES",
-    "DEFAULT_ORIGIN",
-    "DEFAULT_LEAD_M",
-    "DEFAULT_LEGS",
-    "parse_legs",
-    "generate_route",
-    "generate_instructions",
-    "write_gpx",
-    "write_transcript_json",
-    "write_video_meta",
-    "write_ground_truth",
-    "read_ground_truth",
-    "write_corpus",
-]
-
 STYLES = ("distance-heavy", "static-object-heavy", "cardinal-heavy")
 
 _BASE_UTC_MS = 1_717_243_200_000  # 2024-06-01T12:00:00Z

@@ -1,0 +1,47 @@
+"""The public API is exactly the README's Library import block."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import drivetriad
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(drivetriad.__file__).resolve().parent
+
+
+def readme_import_names() -> set[str]:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\nfrom drivetriad import \((.*?)\)\n```", readme, re.S)
+    assert block is not None, "README has no `from drivetriad import (...)` block"
+    code = re.sub(r"#[^\n]*", "", block.group(1))
+    return {name.strip() for name in code.split(",") if name.strip()}
+
+
+def test_readme_block_is_the_package_api():
+    assert readme_import_names() == set(drivetriad.__all__) - {"__version__"}
+    assert len(drivetriad.__all__) == len(set(drivetriad.__all__))
+
+
+def test_every_exported_name_is_importable():
+    namespace: dict = {}
+    exec("from drivetriad import *", namespace)
+    for name in drivetriad.__all__:
+        assert namespace[name] is getattr(drivetriad, name)
+
+
+def test_only_the_package_init_states_an_api():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assigned = {
+            target.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        assert "__all__" not in assigned, f"{path.name} assigns __all__"

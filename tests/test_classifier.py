@@ -7,15 +7,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from drivetriad import (
-    CommandClass,
-    DEFAULT_LEXICON,
-    Lexicon,
-    classify,
-    load_lexicon,
-    normalize_text,
-    sort_classes,
-)
+from drivetriad import CommandClass, classify, load_lexicon
+from drivetriad.classifier import DEFAULT_LEXICON, Lexicon, normalize_text, sort_classes
 from drivetriad.errors import EmptyInstruction, LexiconError
 
 C = CommandClass

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import drivetriad
 from drivetriad.cli import (
@@ -588,3 +590,240 @@ class TestHostileInput:
         code, _, err = run(["synth", "--config", str(config)], capsys)
         assert code == EXIT_USAGE
         assert field in err
+
+    @pytest.mark.parametrize("flag", ["--gps-offset-ms", "--audio-offset-ms", "--video-offset-ms"])
+    def test_offset_past_9999_is_data_error(self, tmp_path, capsys, flag):
+        corpus = make_corpus(tmp_path, capsys)
+        code, _, err = run(
+            [
+                "pipeline",
+                "--gpx",
+                str(corpus / "track.gpx"),
+                "--transcript",
+                str(corpus / "transcript.json"),
+                "--video-meta",
+                str(corpus / "video_meta.json"),
+                "--out",
+                str(tmp_path / "d"),
+                flag,
+                "10000000000000000",
+            ],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert "9999-12-31T23:59:59.999Z" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("number", ["1e15", "1e309", "NaN", "Infinity"])
+    def test_bad_segment_json_time_is_data_error(self, tmp_path, capsys, number):
+        corpus = make_corpus(tmp_path, capsys)
+        text = (corpus / "transcript.json").read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            text.replace(
+                '"segments": [',
+                f'"segments": [{{"start": {number}, "end": {number}, "text": "Stop."}}, ',
+            )
+        )
+        code, _, err = run(
+            ["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript", str(bad),
+             "--out", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert re.search(r"segment \d+:? (bad timing|lands after 9999)", err)
+
+    @pytest.mark.parametrize("number", ["nan", "inf", "1e15"])
+    def test_bad_plain_lines_time_is_data_error(self, tmp_path, capsys, number):
+        corpus = make_corpus(tmp_path, capsys)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"1.0\t2.0\tTurn left.\n{number}\t{number}\tStop.\n")
+        code, _, err = run(
+            ["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript", str(bad),
+             "--transcript-format", "plain-lines", "--audio-start",
+             "2024-06-01T12:00:00Z", "--out", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert "line 2" in err or "segment 1" in err
+
+    def test_non_utf8_triads_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = run(["stats", str(bad)], capsys)
+        assert code == EXIT_DATA
+        assert f"EncodingError: {bad}" in err
+
+    @pytest.mark.parametrize(
+        "argv, settings, key",
+        [
+            (["classify", "--transcript", "t.json"], {"lexicon": 5}, "lexicon"),
+            (["classify"], {"transcript": 5}, "transcript"),
+            (["stats", "t.jsonl"], {"out": 5}, "out"),
+            (["synth"], {"out": 5}, "out"),
+            (["synth"], {"out": ["x"]}, "out"),
+            (["pipeline"], {"tolerence_ms": 1}, "tolerence_ms"),
+            (["pipeline"], {"gpx_path": "a.gpx"}, "gpx_path"),
+            (["classify"], {"lexicon-path": "x"}, "lexicon_path"),
+            (["stats", "t.jsonl"], {"sources": ["a"]}, "sources"),
+            (["synth"], {"noise": 1.0}, "noise"),
+            (["pipeline"], {"tolerance-ms": 100, "tolerance_ms": 9000}, "tolerance_ms"),
+        ],
+        ids=[
+            "classify-lexicon-int", "classify-transcript-int", "stats-out-int",
+            "synth-out-int", "synth-out-list", "pipeline-misspelt-key",
+            "pipeline-field-name-key", "classify-unknown-key", "stats-sources-key",
+            "synth-unknown-key", "pipeline-key-twice",
+        ],
+    )
+    def test_bad_config_key_is_usage_error(self, tmp_path, capsys, argv, settings, key):
+        # Checked before any input file is opened, so the paths need not exist.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(settings))
+        code, _, err = run([*argv, "--config", str(config)], capsys)
+        assert code == EXIT_USAGE
+        assert key in err
+        assert "Traceback" not in err
+
+
+# --- fuzzing: every input file ends in a defined exit code ------------------
+
+_FUZZ = settings(max_examples=20, deadline=None)
+_ANCHOR = "2024-06-01T12:00:00Z"
+# JSON number texts, including the ones Python's json module reads as
+# NaN, +-Infinity or ints beyond float range.
+_NUMBERS = st.one_of(
+    st.sampled_from(
+        ["NaN", "Infinity", "-Infinity", "1e309", "1e15", "1e306", "1" + "0" * 400,
+         "-1", "0", "5e-324", "true", "null"]
+    ),
+    st.floats().map(json.dumps),
+    st.integers().map(str),
+)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    corpus = tmp_path_factory.mktemp("fuzz") / "corpus"
+    assert main(["synth", "--seed", "3", "--legs", "200R,200", "--out", str(corpus)]) == EXIT_OK
+    return corpus
+
+
+def _pipeline_with(corpus, flag, data, *extra):
+    """Run the pipeline on the small corpus with one input file replaced."""
+    fuzzed = corpus.parent / "fuzzed"
+    fuzzed.write_bytes(data)
+    paths = {
+        "--gpx": corpus / "track.gpx",
+        "--transcript": corpus / "transcript.json",
+        "--video-meta": corpus / "video_meta.json",
+        "--out": corpus.parent / "out",
+        flag: fuzzed,
+    }
+    args = ["pipeline", *extra]
+    for name, path in paths.items():
+        args += [name, str(path)]
+    return main(args)
+
+
+class TestFuzz:
+    """Arbitrary input bytes exit 0 or 65 (64 or 65 for a config file)."""
+
+    @pytest.mark.parametrize(
+        "flag, extra",
+        [
+            ("--gpx", ()),
+            ("--transcript", ()),
+            ("--transcript", ("--transcript-format", "srt", "--audio-start", _ANCHOR)),
+            ("--transcript", ("--transcript-format", "plain-lines", "--audio-start", _ANCHOR)),
+            ("--video-meta", ()),
+            ("--lexicon", ()),
+        ],
+        ids=["gpx", "segment-json", "srt", "plain-lines", "sidecar", "lexicon"],
+    )
+    @_FUZZ
+    @given(data=st.binary(max_size=200))
+    def test_input_bytes(self, small_corpus, flag, extra, data):
+        assert _pipeline_with(small_corpus, flag, data, *extra) in (EXIT_OK, EXIT_DATA)
+
+    @_FUZZ
+    @given(data=st.binary(max_size=200))
+    def test_triads_bytes(self, small_corpus, data):
+        fuzzed = small_corpus.parent / "fuzzed.jsonl"
+        fuzzed.write_bytes(data)
+        assert main(["stats", str(fuzzed)]) in (EXIT_OK, EXIT_DATA)
+
+    @pytest.mark.parametrize("command", ["classify", "pipeline", "synth"])
+    @_FUZZ
+    @given(data=st.binary(max_size=200))
+    def test_config_bytes(self, small_corpus, command, data):
+        # No required option is given, so even a usable config cannot run.
+        fuzzed = small_corpus.parent / "fuzzed-config.json"
+        fuzzed.write_bytes(data)
+        assert main([command, "--config", str(fuzzed)]) in (EXIT_USAGE, EXIT_DATA)
+
+    @_FUZZ
+    @given(times=st.lists(st.tuples(_NUMBERS, _NUMBERS), min_size=1, max_size=3))
+    def test_segment_json_numbers(self, small_corpus, times):
+        segments = ", ".join(
+            f'{{"start": {start}, "end": {end}, "text": "Turn left."}}'
+            for start, end in times
+        )
+        doc = f'{{"audio_start_utc": "{_ANCHOR}", "segments": [{segments}]}}'
+        code = _pipeline_with(small_corpus, "--transcript", doc.encode())
+        assert code in (EXIT_OK, EXIT_DATA)
+
+    @_FUZZ
+    @given(
+        start=st.sampled_from(
+            [_ANCHOR, "1970-01-01T00:00:00Z", "9999-12-31T23:59:59.999Z", "9999-12-31T23:59:59.9999Z"]
+        ),
+        fps=_NUMBERS,
+        frame_count=_NUMBERS,
+    )
+    def test_sidecar_numbers(self, small_corpus, start, fps, frame_count):
+        doc = f'{{"start_time": "{start}", "fps": {fps}, "frame_count": {frame_count}}}'
+        code = _pipeline_with(small_corpus, "--video-meta", doc.encode())
+        assert code in (EXIT_OK, EXIT_DATA)
+
+    @_FUZZ
+    @given(
+        fixes=st.lists(
+            st.tuples(
+                _NUMBERS,
+                st.sampled_from(["179.9999", "-179.9999", "180", "-180", "nan", "inf", "-105"]),
+                st.sampled_from(
+                    [_ANCHOR, "2024-06-01T12:00:10Z", "1969-12-31T23:59:59Z",
+                     "9999-12-31T23:59:59.999Z", "9999-12-31T23:59:59.9999Z", "noon"]
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_gpx_numbers(self, small_corpus, fixes):
+        points = "".join(
+            f'<trkpt lat="{lat}" lon="{lon}"><time>{time}</time></trkpt>'
+            for lat, lon, time in fixes
+        )
+        doc = f"<gpx><trk><trkseg>{points}</trkseg></trk></gpx>"
+        assert _pipeline_with(small_corpus, "--gpx", doc.encode()) in (EXIT_OK, EXIT_DATA)
+
+    @pytest.mark.parametrize("command", ["classify", "pipeline", "synth"])
+    @_FUZZ
+    @given(
+        doc=st.dictionaries(
+            st.sampled_from(
+                ["gpx", "transcript", "out", "lexicon", "video-meta", "tolerance_ms",
+                 "seed", "legs", "style", "relativize", "transcript_format", "nope"]
+            ),
+            st.one_of(st.booleans(), st.integers(), st.floats(), st.lists(st.none())),
+            min_size=1,
+        )
+    )
+    def test_config_values(self, small_corpus, command, doc):
+        # Without a string path no run can start: every such config is a
+        # usage error.
+        fuzzed = small_corpus.parent / "fuzzed-config.json"
+        fuzzed.write_text(json.dumps(doc))
+        assert main([command, "--config", str(fuzzed)]) == EXIT_USAGE

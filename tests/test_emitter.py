@@ -2,28 +2,35 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from drivetriad import (
-    ActionSegment,
     GeoPoint,
     Maneuver,
-    VlaTriad,
-    build_manifest,
     classify,
-    config_digest,
     export_triads,
     make_triads,
-    manifest_input,
     read_triads,
-    render_manifest,
+)
+from drivetriad.emitter import (
+    VlaTriad,
+    build_manifest,
+    config_digest,
+    manifest_input,
     serialize_triad,
-    sha256_hex,
     write_manifest,
 )
-from drivetriad.errors import InternalError, InternalOrderingError, IoError, ParseError
+from drivetriad.errors import (
+    EncodingError,
+    InternalError,
+    InternalOrderingError,
+    IoError,
+    ParseError,
+)
+from drivetriad.segmenter import ActionSegment
 from drivetriad.sync import InstructionEvent
 
 
@@ -254,6 +261,27 @@ class TestReadTriads:
         with pytest.raises(ParseError, match=":1"):
             read_triads(b"not json at all\n")
 
+    def test_non_utf8_names_source(self):
+        with pytest.raises(EncodingError, match="^run1.jsonl: not valid UTF-8"):
+            read_triads(b"\xff\xfe", source="run1.jsonl")
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'"geo": {', b'"geo": [1], "x": {'),
+            (b'"action": {', b'"action": [1], "x": {'),
+            (b'"id": 0', b'"id": Infinity'),
+            (b'"t_utc_ms": 1000000', b'"t_utc_ms": -Infinity'),
+            (b'"lat": 40.012346', b'"lat": 1' + b"0" * 400),
+        ],
+        ids=["geo-not-object", "action-not-object", "inf-id", "inf-time", "huge-lat"],
+    )
+    def test_malformed_values_name_the_line(self, tmp_path, old, new):
+        data = export_triads([make_triad()], tmp_path).read_bytes()
+        assert old in data
+        with pytest.raises(ParseError, match=":1: "):
+            read_triads(data.replace(old, new, 1))
+
     def test_inverted_frame_range_rejected(self, tmp_path):
         data = export_triads([make_triad()], tmp_path).read_bytes()
         inverted = data.replace(b'"frame_start": 0', b'"frame_start": 900')
@@ -286,20 +314,24 @@ class TestManifest:
         )
 
     def test_digests_are_stable(self):
-        assert sha256_hex(b"gpx bytes") == sha256_hex(b"gpx bytes")
         assert manifest_input("a", "track", b"x") == manifest_input("a", "track", b"x")
+        assert manifest_input("a", "track", b"x") == {
+            "path": "a",
+            "role": "track",
+            "sha256": hashlib.sha256(b"x").hexdigest(),
+        }
 
     def test_digest_tracks_content(self):
         a = manifest_input("/data/track.gpx", "track", b"v1")
         b = manifest_input("/data/track.gpx", "track", b"v2")
-        assert a.sha256 != b.sha256
+        assert a["sha256"] != b["sha256"]
 
     def test_relativize_keeps_basename(self):
         full = manifest_input("/long/abs/path/track.gpx", "track", b"x")
         rel = manifest_input("/long/abs/path/track.gpx", "track", b"x", relativize=True)
-        assert full.path == "/long/abs/path/track.gpx"
-        assert rel.path == "track.gpx"
-        assert full.sha256 == rel.sha256
+        assert full["path"] == "/long/abs/path/track.gpx"
+        assert rel["path"] == "track.gpx"
+        assert full["sha256"] == rel["sha256"]
 
     def test_config_digest_is_order_insensitive(self):
         a = config_digest({"a": 1, "b": 2})
@@ -307,8 +339,8 @@ class TestManifest:
         assert a == b
         assert a != config_digest({"a": 1, "b": 3})
 
-    def test_render_key_order(self):
-        obj = json.loads(render_manifest(self._manifest()))
+    def test_render_key_order(self, tmp_path):
+        obj = json.loads(write_manifest(self._manifest(), tmp_path).read_text())
         assert list(obj) == [
             "tool_version",
             "created_at_utc_ms",
@@ -321,14 +353,15 @@ class TestManifest:
         assert obj["inputs"][0]["role"] == "track"
         assert obj["event_count"] == 4
 
-    def test_render_identical_except_created_at(self):
-        a = json.loads(render_manifest(self._manifest(created=1)))
-        b = json.loads(render_manifest(self._manifest(created=2)))
+    def test_render_identical_except_created_at(self, tmp_path):
+        a = json.loads(write_manifest(self._manifest(created=1), tmp_path).read_text())
+        b = json.loads(write_manifest(self._manifest(created=2), tmp_path).read_text())
         del a["created_at_utc_ms"], b["created_at_utc_ms"]
         assert a == b
 
     def test_write_manifest(self, tmp_path):
         path = write_manifest(self._manifest(), tmp_path)
         assert path.name == "manifest.json"
-        obj = json.loads(path.read_text())
-        assert obj["warnings"] == ["event 2: no video frame"]
+        text = path.read_text()
+        assert text.startswith('{\n  "tool_version": ') and text.endswith("\n}\n")
+        assert json.loads(text)["warnings"] == ["event 2: no video frame"]

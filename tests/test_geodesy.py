@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivetriad import (
-    EARTH_RADIUS_M,
     GeoPoint,
     TrackLog,
-    format_iso8601_ms,
     haversine_distance,
-    heading_at,
     initial_bearing,
     interpolate_position,
+)
+from drivetriad.core import (
+    EARTH_RADIUS_M,
+    MAX_INSTANT_MS,
+    format_iso8601_ms,
+    heading_at,
     normalize_bearing,
     parse_iso8601_ms,
     signed_bearing_delta,
@@ -61,6 +64,17 @@ class TestTimestamps:
     def test_parse_rejects_pre_epoch(self):
         with pytest.raises(ParseError):
             parse_iso8601_ms("1969-12-31T23:59:59Z")
+
+    @pytest.mark.parametrize(
+        "text", ["9999-12-31T23:59:59.9995Z", "9999-12-31T23:59:59-01:00"]
+    )
+    def test_parse_rejects_past_9999(self, text):
+        with pytest.raises(ParseError, match="after 9999-12-31"):
+            parse_iso8601_ms(text)
+
+    def test_last_instant_roundtrips(self):
+        assert format_iso8601_ms(MAX_INSTANT_MS) == "9999-12-31T23:59:59.999Z"
+        assert parse_iso8601_ms("9999-12-31T23:59:59.999Z") == MAX_INSTANT_MS
 
     def test_format(self):
         assert format_iso8601_ms(1_717_243_200_123) == "2024-06-01T12:00:00.123Z"
@@ -229,6 +243,31 @@ class TestInterpolation:
         assert interpolate_position(log, 1000).ele_m == 150.0
         log2 = TrackLog((P(0, 0, 0, ele=100.0), P(1, 0, 2000)))
         assert interpolate_position(log2, 1000).ele_m is None
+
+    def test_crossing_the_antimeridian_takes_the_short_way(self):
+        log = track_from([(0.0, 179.9999), (0.0, -179.9999)], step_ms=1000)
+        mid = interpolate_position(log, 500)
+        assert mid.lon_deg == -180.0
+        assert haversine_distance(mid, log.points[0]) < 12.0
+        back = track_from([(10.0, -179.9), (10.0, 179.9)], step_ms=4000)
+        assert interpolate_position(back, 1000).lon_deg == pytest.approx(-179.95)
+        assert interpolate_position(back, 3000).lon_deg == pytest.approx(179.95)
+
+    @given(
+        st.floats(-85.0, 85.0),
+        st.floats(-180.0, 180.0, exclude_max=True),
+        st.floats(-0.5, 0.5),
+        st.floats(-0.5, 0.5),
+        st.integers(min_value=1, max_value=999),
+    )
+    def test_stays_between_the_bracketing_fixes(self, lat, lon, dlat, dlon, t):
+        # Longitudes wrap, so some pairs straddle the antimeridian.
+        a = P(lat, lon, 0)
+        b = P(lat + dlat, (lon + dlon + 180.0) % 360.0 - 180.0, 1000)
+        point = interpolate_position(TrackLog((a, b)), t)
+        span = haversine_distance(a, b)
+        assert haversine_distance(a, point) <= span + 1e-6
+        assert haversine_distance(b, point) <= span + 1e-6
 
     @given(st.integers(min_value=0, max_value=9000))
     def test_interpolated_time_is_query_time(self, t):

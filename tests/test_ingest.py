@@ -9,11 +9,12 @@ import pytest
 from drivetriad import (
     Transcript,
     TranscriptSegment,
-    absolutize,
     parse_gpx,
     parse_transcript,
     parse_video_meta,
 )
+from drivetriad.core import MAX_INSTANT_MS
+from drivetriad.ingest import absolutize
 from drivetriad.errors import (
     EmptyTrack,
     EmptyTranscript,
@@ -200,6 +201,17 @@ class TestParseSegmentJson:
         with pytest.raises(ParseError):
             parse_transcript(data, "segment-json")
 
+    @pytest.mark.parametrize(
+        "number", ["NaN", "Infinity", "-Infinity", "1e309", "1" + "0" * 400]
+    )
+    def test_non_finite_time_names_segment(self, number):
+        data = (
+            '{"segments": [{"start": 0, "end": 1, "text": "ok"}, '
+            f'{{"start": {number}, "end": {number}, "text": "bad"}}]}}'
+        ).encode()
+        with pytest.raises(ParseError, match="segment 1: bad timing"):
+            parse_transcript(data, "segment-json")
+
     def test_non_object_rejected(self):
         with pytest.raises(ParseError):
             parse_transcript(b"[1, 2, 3]", "segment-json")
@@ -220,6 +232,12 @@ class TestParsePlainLines:
     def test_bad_number_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_transcript(b"0\t1\tok\nzero\tone\tbad\n", "plain-lines")
+
+    @pytest.mark.parametrize("number", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_time_names_line(self, number):
+        data = f"0\t1\tok\n{number}\t{number}\tbad\n".encode()
+        with pytest.raises(ParseError, match="line 2: bad timing"):
+            parse_transcript(data, "plain-lines")
 
     def test_missing_column_rejected(self):
         with pytest.raises(ParseError):
@@ -344,3 +362,17 @@ class TestAbsolutize:
     def test_pre_epoch_rejected(self):
         with pytest.raises(InvalidAnchor):
             absolutize(self._transcript(), audio_start_ms=0, offset_ms=-1_000_000)
+
+    def test_last_instant_accepted(self):
+        rows = absolutize(self._transcript(), MAX_INSTANT_MS - 3_250)
+        assert rows[-1][0] == MAX_INSTANT_MS
+
+    @pytest.mark.parametrize(
+        "start_s, offset_ms",
+        [(1e15, 0), (1e306, 0), (float("inf"), 0), (float("nan"), 0), (0.5, 10**16)],
+        ids=["past-9999", "product-overflows", "inf", "nan", "offset"],
+    )
+    def test_instant_past_9999_rejected(self, start_s, offset_ms):
+        transcript = Transcript((TranscriptSegment(start_s, start_s, "Go."),))
+        with pytest.raises(InvalidAnchor, match="segment 0 lands after 9999-12-31"):
+            absolutize(transcript, audio_start_ms=1_000_000, offset_ms=offset_ms)

@@ -8,10 +8,8 @@ import pytest
 
 from drivetriad import (
     Maneuver,
-    format_iso8601_ms,
     parse_gpx,
     parse_video_meta,
-    write_gpx,
     PipelineConfig,
     RoutePlan,
     generate_instructions,
@@ -20,6 +18,8 @@ from drivetriad import (
     run_pipeline,
     write_corpus,
 )
+from drivetriad.core import format_iso8601_ms
+from drivetriad.synth import write_gpx
 from pathlib import Path
 
 from drivetriad.errors import NoUsableEvents

@@ -5,19 +5,21 @@ from __future__ import annotations
 import pytest
 
 from drivetriad import (
-    ActionSegment,
     GeoPoint,
     Maneuver,
     build_events,
     classify,
-    classify_maneuver,
-    collect_mismatches,
-    consistency_check,
     haversine_distance,
-    net_bearing_change,
     segment_actions,
 )
 from drivetriad.errors import InsufficientGeometry, InternalOrderingError, NoUsableEvents
+from drivetriad.segmenter import (
+    ActionSegment,
+    classify_maneuver,
+    collect_mismatches,
+    consistency_check,
+    net_bearing_change,
+)
 from drivetriad.sync import InstructionEvent
 
 from helpers import straight_north_track, track_from
@@ -68,7 +70,8 @@ class TestNetBearingChange:
             GeoPoint(0.0030, 0.0002, 3000),
             GeoPoint(0.0040, 0.0002, 4000),
         ]
-        from drivetriad import initial_bearing, signed_bearing_delta
+        from drivetriad import initial_bearing
+        from drivetriad.core import signed_bearing_delta
 
         first = initial_bearing(zigzag[0], zigzag[1])
         last = initial_bearing(zigzag[-2], zigzag[-1])

@@ -5,14 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from drivetriad import (
-    CommandClass,
-    class_frequencies,
-    combo_frequencies,
-    combo_label,
-    corpus_stats,
-    render_report,
-)
+from drivetriad import CommandClass, corpus_stats, render_report
+from drivetriad.stats import class_frequencies, combo_frequencies, combo_label
 
 C = CommandClass
 

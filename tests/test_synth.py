@@ -8,20 +8,22 @@ import pytest
 
 from drivetriad import (
     GeoPoint,
-    Leg,
     Maneuver,
     RoutePlan,
     STYLES,
     classify,
     generate_instructions,
-    generate_route,
     haversine_distance,
-    net_bearing_change,
     parse_gpx,
     parse_legs,
     parse_transcript,
-    read_ground_truth,
     write_corpus,
+)
+from drivetriad.segmenter import net_bearing_change
+from drivetriad.synth import (
+    Leg,
+    generate_route,
+    read_ground_truth,
     write_gpx,
     write_ground_truth,
     write_transcript_json,

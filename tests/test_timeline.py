@@ -12,8 +12,8 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from drivetriad import GeoPoint, TrackLog, heading_at, interpolate_position, segment_actions
-from drivetriad.core import _bracket, initial_bearing
+from drivetriad import GeoPoint, TrackLog, interpolate_position, segment_actions
+from drivetriad.core import _bracket, heading_at, initial_bearing
 from drivetriad.errors import DegenerateBearing, OutOfTrackSpan
 from drivetriad.sync import InstructionEvent
 
