@@ -11,12 +11,14 @@ Matching happens on a normalized copy of the text (lowercased, punctuation
 stripped, whitespace collapsed) and spans are mapped back to the original
 through an offset map.
 
-Patterns are plain strings of space-separated elements:
+Patterns are plain strings of space-separated elements, each compiled
+once to a ``re`` pattern that yields the first match from every token:
 
 * a bare word matches that token exactly ("turn", "u-turn");
-* ``*`` matches a gap of up to three arbitrary tokens;
-* ``<num>`` matches a digit token, ``<frac>`` a fraction word
-  (half/quarter/third);
+* ``*`` matches a gap of up to three arbitrary tokens, shortest first,
+  and a pattern needs at least one element other than ``*``;
+* ``<num>`` matches a token of decimal digits (``\\d``, so not "²"),
+  ``<frac>`` a fraction word (half/quarter/third);
 * ``<unit>`` matches a distance unit, ``<suffix>`` a road-type suffix
   (both lists live on the lexicon);
 * ``<cardinal>`` matches north/south/east/west and ``<bound>`` a
@@ -246,8 +248,6 @@ DEFAULT_DISTANCE_UNITS = (
 )
 
 FRACTION_WORDS = frozenset({"half", "quarter", "third"})
-CARDINAL_WORDS = frozenset({"north", "south", "east", "west"})
-_BOUND_RE = re.compile(r"(north|south|east|west)-?bound")
 
 # Words that never belong to a name phrase: articles, prepositions,
 # connective verbs, and the tokens other rules key on.
@@ -264,8 +264,6 @@ STRUCTURE_WORDS = frozenset({
     "roundabout", "crosswalk", "destination", "set", "next", "ahead",
     "half", "quarter", "third",
 })
-
-_MAX_GAP = 3
 
 
 @dataclass(frozen=True)
@@ -356,124 +354,73 @@ def _pattern_list(key: str, value: object) -> tuple[str, ...]:
 
 # --- pattern compilation and matching ---------------------------------------
 
-_TOKEN_CLASSES = frozenset({"num", "frac", "unit", "suffix", "cardinal", "bound", "name+"})
+# Matching runs on the normalized text plus one trailing space, so every
+# token reads "word " and each pattern element consumes whole tokens.
+_CARDINAL = "(?:north|south|east|west)"
+_CARDINAL_TOKEN = re.compile(f"(?<![^ ]){_CARDINAL}(?:-?bound)? ")
+_GAP = "(?:[^ ]+ ){0,3}?"  # up to three tokens, shortest first
 
 
-def _compile_pattern(owner: str, index: int, pattern: str) -> tuple[tuple[str, str | None], ...]:
-    elems: list[tuple[str, str | None]] = []
+def _words(words: Iterable[str]) -> str:
+    """A regex matching one token equal to any of ``words``.
+
+    A word holding whitespace can never equal a token, so it is left out.
+    """
+    kept = sorted({w for w in words if w.split() == [w]})
+    return "(?:" + "|".join(map(re.escape, kept)) + ") "
+
+
+def _compile_pattern(
+    owner: str, index: int, pattern: str, elements: Mapping[str, str]
+) -> re.Pattern[str]:
+    """One regex whose group 1 is the first match from each token start."""
+    parts = []
     for raw in pattern.split():
         if raw == "*":
-            elems.append(("gap", None))
+            parts.append(_GAP)
         elif raw.startswith("<") and raw.endswith(">"):
-            kind = raw[1:-1]
-            if kind not in _TOKEN_CLASSES:
+            if raw[1:-1] not in elements:
                 raise LexiconError(f"{owner}[{index}]: unknown element {raw!r}")
-            elems.append((kind, None))
+            parts.append(elements[raw[1:-1]])
         else:
-            elems.append(("lit", raw.lower()))
-    if not elems:
+            parts.append(re.escape(raw.lower()) + " ")
+    if not parts:
         raise LexiconError(f"{owner}[{index}]: empty pattern")
-    return tuple(elems)
+    if all(part == _GAP for part in parts):
+        raise LexiconError(f"{owner}[{index}]: needs an element other than '*'")
+    return re.compile(f"(?<![^ ])(?=({''.join(parts)}))")
 
 
 class _CompiledLexicon:
     def __init__(self, lex: Lexicon) -> None:
         self.suffixes = frozenset(lex.road_suffixes)
-        self.units = frozenset(lex.distance_units)
-        self.patterns: dict[CommandClass, list[tuple[tuple[str, str | None], ...]]] = {}
-        for cls in CommandClass:
-            compiled = []
-            for i, pattern in enumerate(lex.patterns.get(cls, ())):
-                compiled.append(_compile_pattern(cls.value, i, pattern))
-            self.patterns[cls] = compiled
-
-    def name_like(self, token: str) -> bool:
-        return (
-            token not in STRUCTURE_WORDS
-            and token not in self.suffixes
-            and token not in self.units
+        units = frozenset(lex.distance_units)
+        not_name = _words(STRUCTURE_WORDS | self.suffixes | units)
+        elements = {
+            "num": r"\d+ ",
+            "frac": _words(FRACTION_WORDS),
+            "unit": _words(units),
+            "suffix": _words(self.suffixes),
+            "cardinal": _CARDINAL + " ",
+            "bound": _CARDINAL + "-?bound ",
+            "name+": f"(?:(?!{not_name})[^ ]+ )+",
+        }
+        # The "arrived at" name reach flows through road suffixes; group 1
+        # is its last token.
+        self.name_reach = re.compile(
+            f"(?:(?!{_words(STRUCTURE_WORDS | units)})([^ ]+) )*"
         )
+        self.patterns = {
+            cls: [
+                _compile_pattern(cls.value, i, pattern, elements)
+                for i, pattern in enumerate(lex.patterns.get(cls, ()))
+            ]
+            for cls in CommandClass
+        }
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize(normalized: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    for word in normalized.split(" "):
-        tokens.append(_Token(word, pos, pos + len(word)))
-        pos += len(word) + 1
-    return tokens
-
-
-def _elem_accepts(comp: _CompiledLexicon, kind: str, arg: str | None, token: str) -> bool:
-    if kind == "lit":
-        return token == arg
-    if kind == "num":
-        return token.isdigit()
-    if kind == "frac":
-        return token in FRACTION_WORDS
-    if kind == "unit":
-        return token in comp.units
-    if kind == "suffix":
-        return token in comp.suffixes
-    if kind == "cardinal":
-        return token in CARDINAL_WORDS
-    if kind == "bound":
-        return _BOUND_RE.fullmatch(token) is not None
-    raise AssertionError(kind)
-
-
-def _match_from(
-    tokens: list[_Token],
-    i: int,
-    elems: tuple[tuple[str, str | None], ...],
-    k: int,
-    comp: _CompiledLexicon,
-) -> int | None:
-    """Try to satisfy elems[k:] starting at token i; return the end index."""
-    if k == len(elems):
-        return i
-    kind, arg = elems[k]
-    if kind == "gap":
-        for skip in range(_MAX_GAP + 1):
-            if i + skip > len(tokens):
-                break
-            end = _match_from(tokens, i + skip, elems, k + 1, comp)
-            if end is not None:
-                return end
-        return None
-    if kind == "name+":
-        run = 0
-        while i + run < len(tokens) and comp.name_like(tokens[i + run].text):
-            run += 1
-        for take in range(run, 0, -1):
-            end = _match_from(tokens, i + take, elems, k + 1, comp)
-            if end is not None:
-                return end
-        return None
-    if i >= len(tokens) or not _elem_accepts(comp, kind, arg, tokens[i].text):
-        return None
-    return _match_from(tokens, i + 1, elems, k + 1, comp)
-
-
-def _pattern_spans(
-    tokens: list[_Token],
-    patterns: list[tuple[tuple[str, str | None], ...]],
-    comp: _CompiledLexicon,
-) -> list[tuple[int, int]]:
-    spans = []
-    for elems in patterns:
-        for i in range(len(tokens)):
-            end = _match_from(tokens, i, elems, 0, comp)
-            if end is not None:
-                spans.append((i, end))
-    return spans
+def _pattern_spans(padded: str, patterns: list[re.Pattern[str]]) -> list[tuple[int, int]]:
+    return [m.span(1) for pattern in patterns for m in pattern.finditer(padded)]
 
 
 def _maximal_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -486,7 +433,7 @@ def _maximal_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _locate_names(
-    tokens: list[_Token],
+    padded: str,
     anchors: list[tuple[int, int]],
     comp: _CompiledLexicon,
 ) -> list[tuple[int, int]]:
@@ -498,35 +445,21 @@ def _locate_names(
     """
     spans = []
     for start, anchor_end in anchors:
-        end = anchor_end
-        while end < len(tokens):
-            token = tokens[end].text
-            if token in STRUCTURE_WORDS or token in comp.units:
-                break
-            end += 1
-        if end == anchor_end:
-            continue
-        if tokens[end - 1].text in comp.suffixes:
-            continue
-        spans.append((start, end))
+        reach = comp.name_reach.match(padded, anchor_end)
+        if reach.end() > anchor_end and reach.group(1) not in comp.suffixes:
+            spans.append((start, reach.end()))
     return spans
 
 
 def _all_cardinals_inside_roads(
-    tokens: list[_Token],
     span: tuple[int, int],
+    cardinals: list[int],
     road_spans: list[tuple[int, int]],
 ) -> bool:
     """True when every direction word in the span belongs to a road name."""
-    found = []
-    for j in range(span[0], span[1]):
-        text = tokens[j].text
-        if text in CARDINAL_WORDS or _BOUND_RE.fullmatch(text):
-            found.append(j)
-    if not found:
-        return False
-    return all(
-        any(r_start <= j < r_end for r_start, r_end in road_spans) for j in found
+    found = [pos for pos in cardinals if span[0] <= pos < span[1]]
+    return bool(found) and all(
+        any(r_start <= pos < r_end for r_start, r_end in road_spans) for pos in found
     )
 
 
@@ -541,33 +474,28 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
         lex = DEFAULT_LEXICON
     comp = lex._compiled
     normalized, omap = normalize_text(text)
-    tokens = _tokenize(normalized)
+    padded = normalized + " "
 
     spans_by_class: dict[CommandClass, list[tuple[int, int]]] = {}
-    road_spans = _maximal_spans(
-        _pattern_spans(tokens, comp.patterns[CommandClass.ROAD], comp)
-    )
-    spans_by_class[CommandClass.ROAD] = road_spans
-
-    for cls in CommandClass:
-        if cls is CommandClass.ROAD:
-            continue
-        raw = _pattern_spans(tokens, comp.patterns[cls], comp)
+    for cls in CommandClass:  # ROAD comes first: CARDINAL reads its spans
+        raw = _pattern_spans(padded, comp.patterns[cls])
         if cls is CommandClass.CARDINAL:
+            road_spans = spans_by_class[CommandClass.ROAD]
+            cardinals = [m.start() for m in _CARDINAL_TOKEN.finditer(padded)]
             raw = [
                 span
                 for span in raw
-                if not _all_cardinals_inside_roads(tokens, span, road_spans)
+                if not _all_cardinals_inside_roads(span, cardinals, road_spans)
             ]
         elif cls is CommandClass.LOCATION_NAME:
-            raw = _locate_names(tokens, raw, comp)
+            raw = _locate_names(padded, raw, comp)
         spans_by_class[cls] = _maximal_spans(raw)
 
     evidence = []
     for cls, spans in spans_by_class.items():
-        for tok_start, tok_end in spans:
-            norm_span = (tokens[tok_start].start, tokens[tok_end - 1].end)
-            orig_start, orig_end = omap.to_original(*norm_span)
+        for start, end in spans:
+            # Each span ends after its last token's trailing space.
+            orig_start, orig_end = omap.to_original(start, end - 1)
             evidence.append(
                 Evidence(cls, orig_start, orig_end, text[orig_start:orig_end])
             )

@@ -46,6 +46,7 @@ _BASE_UTC_MS = 1_717_243_200_000  # 2024-06-01T12:00:00Z
 DEFAULT_ORIGIN = GeoPoint(40.0, -105.0, _BASE_UTC_MS)
 DEFAULT_LEAD_M = 150.0
 DEFAULT_LEGS = "600R,500L,700R,400"
+MAX_SAMPLES = 1_000_000
 _SPEECH_SECONDS = 2.0
 _VIDEO_FPS = 30.0
 
@@ -113,6 +114,14 @@ class RoutePlan:
             )
         if self.noise_sigma_m < 0:
             raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_m}")
+        # generate_route takes floor(steps) + 1 samples; an overflowed sum
+        # of leg lengths reads inf here.
+        steps = sum(leg.length_m for leg in self.legs) / self.speed_mps * self.sample_hz
+        if not steps < MAX_SAMPLES:
+            count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+            raise ValueError(
+                f"the route needs {count} GPS samples, more than {MAX_SAMPLES:,}"
+            )
 
 
 def parse_legs(text: str) -> tuple[Leg, ...]:

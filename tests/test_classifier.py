@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from drivetriad import CommandClass, classify, load_lexicon
-from drivetriad.classifier import DEFAULT_LEXICON, Lexicon, normalize_text, sort_classes
+from drivetriad.classifier import (
+    DEFAULT_LEXICON,
+    FRACTION_WORDS,
+    STRUCTURE_WORDS,
+    Lexicon,
+    normalize_text,
+    sort_classes,
+)
 from drivetriad.errors import EmptyInstruction, LexiconError
 
 C = CommandClass
@@ -125,6 +133,9 @@ class TestIndividualRules:
     def test_cardinal_inside_road_name_suppressed(self):
         got = classes_of("Head North Lake Road please.")
         assert got == {"Road"}
+
+    def test_bound_inside_road_name_suppressed(self):
+        assert classes_of("Take Northbound Road.") == {"Road"}
 
     def test_cardinal_survives_next_to_road(self):
         got = classes_of("Head West towards Lake Road, North Lake Road.")
@@ -293,6 +304,16 @@ class TestLexicon:
         with pytest.raises(LexiconError, match="Sideways"):
             load_lexicon(json.dumps({"Sideways": ["x"]}).encode())
 
+    @pytest.mark.parametrize("pattern", ["*", "* *", " * "])
+    def test_gap_only_pattern_rejected(self, pattern):
+        with pytest.raises(LexiconError, match=r"Turn\[0\]: needs an element other than '\*'"):
+            load_lexicon(json.dumps({"Turn": [pattern]}).encode())
+
+    @pytest.mark.parametrize("pattern", ["", "   "])
+    def test_empty_pattern_rejected(self, pattern):
+        with pytest.raises(LexiconError, match=r"Turn\[1\]: empty pattern"):
+            load_lexicon(json.dumps({"Turn": ["turn", pattern]}).encode())
+
     def test_bad_pattern_element_rejected(self):
         with pytest.raises(LexiconError, match=r"Turn\[0\]"):
             load_lexicon(json.dumps({"Turn": ["<bogus> token"]}).encode())
@@ -342,3 +363,194 @@ class TestMonotonicity:
         )
         extended = classify(text, lex).classes
         assert base <= extended
+
+
+def lexicon(override):
+    return load_lexicon(json.dumps(override).encode())
+
+
+def matched(text, cls, lex=None):
+    return [e.matched for e in classify(text, lex).evidence if e.command_class is cls]
+
+
+class TestPatternSemantics:
+    def test_gap_takes_the_shortest_span(self):
+        lex = lexicon({"Destination": ["go * stop"]})
+        # "go up stop then stop" also fits a three-token gap.
+        assert matched("Go up, stop, then stop.", C.DESTINATION, lex) == ["Go up, stop"]
+
+    def test_name_run_gives_back_its_last_token(self):
+        lex = lexicon({"Road": ["<name+> plaza"], "Cardinal": ["<name+> <bound>"]})
+        # The run first takes every name-like token, "plaza" included.
+        assert matched("Meet at Union Square Plaza.", C.ROAD, lex) == ["Union Square Plaza"]
+        assert matched("Take Lake Shore northbound.", C.CARDINAL, lex) == [
+            "Lake Shore northbound"
+        ]
+
+    def test_leading_gap(self):
+        lex = lexicon({"Turn": ["* left"]})
+        assert matched("Bear to the left.", C.TURN, lex) == ["Bear to the left"]
+        assert matched("Left.", C.TURN, lex) == ["Left"]
+
+    def test_trailing_gap_takes_nothing(self):
+        lex = lexicon({"Turn": ["left *"]})
+        assert matched("Keep left now, then left.", C.TURN, lex) == ["left", "left"]
+
+    def test_unit_with_a_space_never_matches(self):
+        lex = lexicon({"distance_units": ["per hour"]})
+        assert "Distance" not in classes_of("Go 60 per hour.", lex)
+        # Neither word is a unit, so both stay name-like.
+        assert matched("Turn onto Per Hour Street.", C.ROAD, lex) == ["onto Per Hour Street"]
+
+    def test_regex_syntax_in_words_is_literal(self):
+        lex = lexicon({"road_suffixes": [".*", "[["], "distance_units": ["\\d+"]})
+        for text in ["Turn left now", "Turn onto Main Street now.", "In 10 feet, stop."]:
+            assert classify(text, lex) == classify(text)
+        assert classes_of("Turn left now", lexicon({"Turn": ["l.ft", "(turn)"]})) == set()
+
+    def test_num_means_decimal_digits(self):
+        assert "Distance" in classes_of("In 2 feet, turn left.")
+        assert "Distance" in classes_of("In ٣ feet, turn left.")
+        # "²" is a digit to str.isdigit but not a decimal digit.
+        assert "Distance" not in classes_of("In ² feet, turn left.")
+
+
+# --- token-level reference matcher -------------------------------------------
+
+_CARDINALS = {"north", "south", "east", "west"}
+
+
+def ref_accepts(elem, token, lex):
+    if elem == "<num>":
+        return token.isdecimal()
+    if elem == "<frac>":
+        return token in FRACTION_WORDS
+    if elem == "<unit>":
+        return token in lex.distance_units
+    if elem == "<suffix>":
+        return token in lex.road_suffixes
+    if elem == "<cardinal>":
+        return token in _CARDINALS
+    if elem == "<bound>":
+        return re.fullmatch(r"(north|south|east|west)-?bound", token) is not None
+    return token == elem.lower()
+
+
+def ref_name_like(token, lex):
+    return not (
+        token in STRUCTURE_WORDS or token in lex.road_suffixes or token in lex.distance_units
+    )
+
+
+def ref_match(tokens, i, elems, lex):
+    """End of the first match of elems from token i: gaps try 0-3 tokens
+    shortest first, name runs longest first, backtracking on failure."""
+    if not elems:
+        return i
+    head, rest = elems[0], elems[1:]
+    if head == "*":
+        takes = range(4)
+    elif head == "<name+>":
+        run = 0
+        while i + run < len(tokens) and ref_name_like(tokens[i + run], lex):
+            run += 1
+        takes = range(run, 0, -1)
+    else:
+        takes = [1] if i < len(tokens) and ref_accepts(head, tokens[i], lex) else []
+    for take in takes:
+        if i + take <= len(tokens):
+            end = ref_match(tokens, i + take, rest, lex)
+            if end is not None:
+                return end
+    return None
+
+
+def ref_maximal(spans):
+    kept = []
+    for start, end in sorted(set(spans), key=lambda s: (s[0], -s[1])):
+        if not any(ks <= start and end <= ke for ks, ke in kept):
+            kept.append((start, end))
+    return kept
+
+
+def ref_evidence(text, lex):
+    """Sorted (start, end, class) of every evidence span, matched on tokens."""
+    normalized, omap = normalize_text(text)
+    tokens = normalized.split(" ")
+    starts = [0]
+    for token in tokens:
+        starts.append(starts[-1] + len(token) + 1)
+    by_class = {}
+    for cls in CommandClass:
+        raw = []
+        for pattern in lex.patterns[cls]:
+            for i in range(len(tokens)):
+                end = ref_match(tokens, i, pattern.split(), lex)
+                if end is not None:
+                    raw.append((i, end))
+        if cls is C.CARDINAL:
+            roads = by_class[C.ROAD]
+            kept = []
+            for start, end in raw:
+                found = [
+                    j for j in range(start, end)
+                    if ref_accepts("<cardinal>", tokens[j], lex)
+                    or ref_accepts("<bound>", tokens[j], lex)
+                ]
+                if not found or not all(any(a <= j < b for a, b in roads) for j in found):
+                    kept.append((start, end))
+            raw = kept
+        elif cls is C.LOCATION_NAME:
+            names = []
+            for start, anchor_end in raw:
+                end = anchor_end
+                while end < len(tokens) and not (
+                    tokens[end] in STRUCTURE_WORDS or tokens[end] in lex.distance_units
+                ):
+                    end += 1
+                if end > anchor_end and tokens[end - 1] not in lex.road_suffixes:
+                    names.append((start, end))
+            raw = names
+        by_class[cls] = ref_maximal(raw)
+    evidence = []
+    for cls, spans in by_class.items():
+        for start, end in spans:
+            evidence.append((*omap.to_original(starts[start], starts[end] - 1), cls.value))
+    return sorted(evidence)
+
+
+_GAPPY = lexicon(
+    {
+        "Turn": ["* left", "right *", "<name+> * <suffix>"],
+        "Destination": ["<name+> <name+>", "* <num> * <unit>", "arrived at * <name+>"],
+        "Cardinal": ["<name+> <cardinal> *", "* <bound>"],
+        "road_suffixes": ["plaza", "per hour"],
+        "distance_units": ["clicks"],
+    }
+)
+_VOCAB = sorted(
+    STRUCTURE_WORDS
+    | set(DEFAULT_LEXICON.road_suffixes)
+    | set(DEFAULT_LEXICON.distance_units)
+    | _CARDINALS
+    | {"northbound", "south-bound", "plaza", "per", "hour", "clicks", "main", "oak",
+       "15th", "2", "1000", "²", "o'neil's", "u", "pretty", "good"}
+)
+_TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(_VOCAB).map(lambda w: w.title() if len(w) % 3 == 0 else w),
+        st.sampled_from([" ", " ", ", ", ". ", " - ", "  "]),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda words: "".join(w + sep for w, sep in words))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("lex", [DEFAULT_LEXICON, _GAPPY], ids=["default", "gaps"])
+    @given(text=_TEXTS)
+    def test_classify_matches_token_reference(self, lex, text):
+        got = classify(text, lex)
+        assert [(e.start, e.end, e.command_class.value) for e in got.evidence] == (
+            ref_evidence(text, lex)
+        )

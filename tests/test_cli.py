@@ -567,6 +567,7 @@ class TestHostileInput:
             (["--noise-sigma-m", "inf"], "noise_sigma_m"),
             (["--legs", "1e400R"], "leg length"),
             (["--sample-hz", "nan"], "sample_hz"),
+            (["--legs", "1e12"], "66666666667 GPS samples"),
         ],
     )
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, field):
@@ -647,6 +648,20 @@ class TestHostileInput:
         assert code == EXIT_DATA
         assert "line 2" in err or "segment 1" in err
 
+    @pytest.mark.parametrize("pattern", ["*", "* *"])
+    def test_gap_only_pattern_is_data_error(self, tmp_path, capsys, pattern):
+        corpus = make_corpus(tmp_path, capsys)
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"Turn": [pattern]}))
+        code, _, err = run(
+            ["classify", "--transcript", str(corpus / "transcript.json"),
+             "--lexicon", str(lexicon)],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert "LexiconError: Turn[0]: needs an element other than '*'" in err
+        assert "Traceback" not in err
+
     def test_non_utf8_triads_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b"\xff\xfe")
@@ -701,6 +716,19 @@ _NUMBERS = st.one_of(
     st.integers().map(str),
 )
 
+# Lexicon pattern elements: gaps (drawn half the time), the seven token
+# classes, words of the small corpus, and words holding regex syntax or a
+# space (a list entry under road_suffixes or distance_units).
+_LEXICON_ELEMENTS = st.one_of(
+    st.just("*"),
+    st.sampled_from(
+        ["<num>", "<frac>", "<unit>", "<suffix>", "<cardinal>", "<bound>", "<name+>",
+         "turn", "left", "right", "in", "feet", "street", "north", "arrived", "at",
+         ".*", "per hour", "[["]
+    ),
+)
+_LEXICON_LISTS = ["road_suffixes", "distance_units"]
+
 
 @pytest.fixture(scope="module")
 def small_corpus(tmp_path_factory):
@@ -745,6 +773,18 @@ class TestFuzz:
     @given(data=st.binary(max_size=200))
     def test_input_bytes(self, small_corpus, flag, extra, data):
         assert _pipeline_with(small_corpus, flag, data, *extra) in (EXIT_OK, EXIT_DATA)
+
+    @_FUZZ
+    @given(
+        doc=st.dictionaries(
+            st.sampled_from([*(c.value for c in drivetriad.CommandClass), *_LEXICON_LISTS]),
+            st.lists(st.lists(_LEXICON_ELEMENTS, min_size=1, max_size=4).map(" ".join), max_size=3),
+            min_size=1,
+        )
+    )
+    def test_lexicon_documents(self, small_corpus, doc):
+        code = _pipeline_with(small_corpus, "--lexicon", json.dumps(doc).encode())
+        assert code in (EXIT_OK, EXIT_DATA)
 
     @_FUZZ
     @given(data=st.binary(max_size=200))

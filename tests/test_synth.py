@@ -21,6 +21,7 @@ from drivetriad import (
 )
 from drivetriad.segmenter import net_bearing_change
 from drivetriad.synth import (
+    MAX_SAMPLES,
     Leg,
     generate_route,
     read_ground_truth,
@@ -88,6 +89,19 @@ class TestRoutePlanChecks:
     def test_infinite_leg_rejected(self):
         with pytest.raises(ValueError, match="leg length must be finite and > 0"):
             parse_legs("1e400R")
+
+    @pytest.mark.parametrize(
+        "legs, speed, count",
+        [("1e12", 15.0, "66666666667"), ("1000000", 1.0, "1000001"), ("1e308,1e308", 1.0, "inf")],
+    )
+    def test_sample_count_is_bounded(self, legs, speed, count):
+        with pytest.raises(ValueError, match=f"needs {count} GPS samples"):
+            simple_plan(legs=parse_legs(legs), speed_mps=speed)
+
+    def test_largest_plan_is_accepted(self):
+        # floor(999,999 m / 1 m/s * 1 Hz) + 1 samples: exactly the bound.
+        plan = simple_plan(legs=parse_legs("999999"), speed_mps=1.0)
+        assert plan.legs[0].length_m + 1 == MAX_SAMPLES
 
     def test_numbers_are_stored_as_floats(self):
         plan = simple_plan(speed_mps=20, sample_hz=2)
