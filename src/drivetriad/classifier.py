@@ -59,8 +59,8 @@ class CommandClass(enum.Enum):
 
     @property
     def label(self) -> str:
-        """Human-readable form used in reports."""
-        return _LABELS[self]
+        """The report form: "StaticObject" reads "Static Object"."""
+        return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", self.value)
 
     @classmethod
     def from_name(cls, name: str) -> "CommandClass":
@@ -68,19 +68,6 @@ class CommandClass(enum.Enum):
             return cls(name)
         except ValueError:
             raise KeyError(name) from None
-
-
-_LABELS = {
-    CommandClass.ROAD: "Road",
-    CommandClass.DISTANCE: "Distance",
-    CommandClass.STATIC_OBJECT: "Static Object",
-    CommandClass.TURN: "Turn",
-    CommandClass.CARDINAL: "Cardinal",
-    CommandClass.LOCATION_NAME: "Location Name",
-    CommandClass.LANE_INFORMATION: "Lane Information",
-    CommandClass.LIGHT_INFORMATION: "Light Information",
-    CommandClass.DESTINATION: "Destination",
-}
 
 
 def sort_classes(classes: Iterable[CommandClass]) -> list[CommandClass]:
@@ -106,7 +93,6 @@ class Evidence:
 class Classification:
     """The full labeling of one instruction."""
 
-    text: str
     classes: frozenset[CommandClass]
     evidence: tuple[Evidence, ...]
 
@@ -501,4 +487,4 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
             )
     evidence.sort(key=lambda e: (e.start, e.end, e.command_class.value))
     classes = frozenset(e.command_class for e in evidence)
-    return Classification(text, classes, tuple(evidence))
+    return Classification(classes, tuple(evidence))

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from ._version import __version__
 from .classifier import classify, load_lexicon, sort_classes
-from .errors import DataError, InternalError, ParseError
+from .errors import DataError, InternalError, IoError, ParseError
 from .emitter import read_triads
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
@@ -256,7 +256,7 @@ def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
     for segment in transcript.segments:
         result = classify(segment.text, lexicon)
         record = {
-            "text": result.text,
+            "text": segment.text,
             "classes": [cls.value for cls in sort_classes(result.classes)],
             "evidence": [
                 {
@@ -306,7 +306,10 @@ def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
     if out_path is None:
         sys.stdout.write(report)
     else:
-        Path(out_path).write_text(report, encoding="utf-8", newline="")
+        try:
+            Path(out_path).write_text(report, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise IoError(f"cannot write {out_path}: {exc}") from exc
     return EXIT_OK
 
 

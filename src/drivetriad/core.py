@@ -66,14 +66,33 @@ def parse_iso8601_ms(text: str) -> int:
     return t_ms
 
 
-# Annotation -> (accepted types, what a bad value is told, type it is stored as).
+# Kind -> (accepted types, what a bad value is told, type it is stored as).
+# A kind is a field annotation, or the JSON type a triads field must have.
 _FIELD_KINDS = {
     "int": (int, "an integer", None),
     "float": ((int, float), "a finite number", float),
     "bool": (bool, "true or false", None),
     "str": (str, "a string", None),
     "Path": ((str, os.PathLike), "a path", Path),
+    "list": (list, "an array", None),
 }
+
+
+def check_value(name: str, kind: str, value: object) -> object:
+    """``value`` held to the ``_FIELD_KINDS`` entry ``kind``, as stored.
+
+    A bad value raises ValueError naming ``name``.
+    """
+    types, expected, store = _FIELD_KINDS[kind]
+    # A bool is no number; the range test rejects NaN, the infinities
+    # and ints too large to become a float.
+    if (
+        not isinstance(value, types)
+        or (isinstance(value, bool) and kind != "bool")
+        or (kind == "float" and not abs(value) <= sys.float_info.max)
+    ):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value if store is None else store(value)
 
 
 def check_fields(obj: object) -> None:
@@ -88,17 +107,7 @@ def check_fields(obj: object) -> None:
         kind = f.type.removesuffix(" | None")
         if kind not in _FIELD_KINDS or (value is None and kind != f.type):
             continue
-        types, expected, store = _FIELD_KINDS[kind]
-        # A bool is no number; the range test rejects NaN, the infinities
-        # and ints too large to become a float.
-        if (
-            not isinstance(value, types)
-            or (isinstance(value, bool) and kind != "bool")
-            or (kind == "float" and not abs(value) <= sys.float_info.max)
-        ):
-            raise ValueError(f"{f.name} must be {expected}, got {value!r}")
-        if store is not None:
-            object.__setattr__(obj, f.name, store(value))
+        object.__setattr__(obj, f.name, check_value(f.name, kind, value))
 
 
 def format_iso8601_ms(t_ms: int) -> str:
@@ -144,7 +153,6 @@ class TrackLog:
     """
 
     points: tuple[GeoPoint, ...]
-    source_id: str = ""
     times: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,7 +183,7 @@ class TrackLog:
             GeoPoint(p.lat_deg, p.lon_deg, p.t_ms + offset_ms, p.ele_m)
             for p in self.points
         )
-        return TrackLog(moved, self.source_id)
+        return TrackLog(moved)
 
 
 def normalize_bearing(deg: float) -> float:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
-from .core import GeoPoint, format_iso8601_ms
+from .core import GeoPoint, check_value, format_iso8601_ms
 from .errors import EncodingError, InternalError, InternalOrderingError, IoError, ParseError
 from .segmenter import ActionSegment, Maneuver
 from .sync import InstructionEvent
@@ -38,13 +38,6 @@ class VlaTriad:
 
     event: InstructionEvent
     action: ActionSegment
-
-    def __post_init__(self) -> None:
-        if self.action.event_id != self.event.id:
-            raise InternalError(
-                f"action belongs to event {self.action.event_id}, "
-                f"not {self.event.id}"
-            )
 
 
 def make_triads(
@@ -197,64 +190,70 @@ def _req(obj: object, key: str) -> object:
     return obj[key]
 
 
+def _get(obj: object, key: str, kind: str, nullable: bool = False) -> object:
+    """``obj[key]`` held to the JSON type serialize_triad writes there;
+    only a nullable key may hold null."""
+    value = _req(obj, key)
+    if value is None and nullable:
+        return None
+    return check_value(key, kind, value)
+
+
 def _geo_from(obj: object, t_ms: int) -> GeoPoint:
-    lat, lon = float(_req(obj, "lat")), float(_req(obj, "lon"))
-    ele = obj.get("ele")
-    return GeoPoint(lat, lon, t_ms, None if ele is None else float(ele))
+    return GeoPoint(
+        _get(obj, "lat", "float"), _get(obj, "lon", "float"), t_ms,
+        _get(obj, "ele", "float", nullable=True),
+    )
 
 
 def _triad_from_json(line: str) -> VlaTriad:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record is not an object")
-    event_id = int(_req(obj, "id"))
-    t_ms = int(_req(obj, "t_utc_ms"))
+    event_id = _get(obj, "id", "int")
+    t_ms = _get(obj, "t_utc_ms", "int")
     classes = frozenset(
-        CommandClass.from_name(name) for name in _req(obj, "classes")
+        CommandClass.from_name(name) for name in _get(obj, "classes", "list")
     )
     evidence = tuple(
         Evidence(
-            CommandClass.from_name(_req(ev, "class")),
-            int(_req(ev, "start")),
-            int(_req(ev, "end")),
-            str(_req(ev, "matched")),
+            CommandClass.from_name(_get(ev, "class", "str")),
+            _get(ev, "start", "int"),
+            _get(ev, "end", "int"),
+            _get(ev, "matched", "str"),
         )
-        for ev in _req(obj, "evidence")
+        for ev in _get(obj, "evidence", "list")
     )
-    heading = obj.get("heading_deg")
-    frame_index = obj.get("frame_index")
     event = InstructionEvent(
         id=event_id,
         t_ms=t_ms,
-        text=str(_req(obj, "text")),
+        text=_get(obj, "text", "str"),
         classes=classes,
         evidence=evidence,
         geo=_geo_from(_req(obj, "geo"), t_ms),
-        heading_deg=None if heading is None else float(heading),
-        frame_index=None if frame_index is None else int(frame_index),
+        heading_deg=_get(obj, "heading_deg", "float", nullable=True),
+        frame_index=_get(obj, "frame_index", "int", nullable=True),
     )
     raw_action = _req(obj, "action")
     waypoints = tuple(
-        _geo_from(wp, int(_req(wp, "t_ms"))) for wp in _req(raw_action, "waypoints")
+        _geo_from(wp, _get(wp, "t_ms", "int"))
+        for wp in _get(raw_action, "waypoints", "list")
     )
+    maneuver_name = _get(raw_action, "maneuver", "str")
     try:
-        maneuver = Maneuver(str(_req(raw_action, "maneuver")))
+        maneuver = Maneuver(maneuver_name)
     except ValueError:
-        raise ValueError(
-            f"unknown maneuver {raw_action.get('maneuver')!r}"
-        ) from None
-    frame_start = raw_action.get("frame_start")
-    frame_end = raw_action.get("frame_end")
+        raise ValueError(f"unknown maneuver {maneuver_name!r}") from None
     action = ActionSegment(
         event_id=event_id,
-        t_start_ms=int(_req(raw_action, "t_start_ms")),
-        t_end_ms=int(_req(raw_action, "t_end_ms")),
+        t_start_ms=_get(raw_action, "t_start_ms", "int"),
+        t_end_ms=_get(raw_action, "t_end_ms", "int"),
         waypoints=waypoints,
-        net_bearing_change_deg=float(_req(raw_action, "net_bearing_change_deg")),
-        distance_m=float(_req(raw_action, "distance_m")),
+        net_bearing_change_deg=_get(raw_action, "net_bearing_change_deg", "float"),
+        distance_m=_get(raw_action, "distance_m", "float"),
         maneuver=maneuver,
-        frame_start=None if frame_start is None else int(frame_start),
-        frame_end=None if frame_end is None else int(frame_end),
+        frame_start=_get(raw_action, "frame_start", "int", nullable=True),
+        frame_end=_get(raw_action, "frame_end", "int", nullable=True),
     )
     start, end = action.frame_start, action.frame_end
     if start is not None and end is not None and start > end:

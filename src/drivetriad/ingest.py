@@ -66,7 +66,7 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def parse_gpx(data: bytes, source_id: str = "gpx") -> TrackLog:
+def parse_gpx(data: bytes) -> TrackLog:
     """Parse GPX bytes into a TrackLog.
 
     Collects every trkpt across all trk/trkseg elements in document order.
@@ -114,7 +114,7 @@ def parse_gpx(data: bytes, source_id: str = "gpx") -> TrackLog:
 
     if not points:
         raise EmptyTrack("GPX contains no trkpt elements")
-    return TrackLog(tuple(points), source_id)
+    return TrackLog(tuple(points))
 
 
 def _decode(data: bytes) -> str:
@@ -177,7 +177,8 @@ def _parse_segment_json(text: str) -> tuple[list[TranscriptSegment], int | None]
         start = raw.get("start")
         end = raw.get("end")
         seg_text = raw.get("text")
-        if not isinstance(start, (int, float)) or not isinstance(end, (int, float)):
+        # JSON numbers load as exactly int or float; a bool is neither.
+        if type(start) not in (int, float) or type(end) not in (int, float):
             raise ParseError(f"segment {i}: start/end must be numbers")
         if not isinstance(seg_text, str):
             raise ParseError(f"segment {i}: text must be a string")

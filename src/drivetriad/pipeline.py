@@ -138,7 +138,7 @@ def run_pipeline(
     )
 
     lexicon = load_lexicon(lexicon_bytes)
-    track = parse_gpx(gpx_bytes, source_id=config.gpx_path.stem)
+    track = parse_gpx(gpx_bytes)
     transcript = parse_transcript(transcript_bytes, config.transcript_format)
     video = parse_video_meta(video_bytes) if video_bytes is not None else None
     audio_start_ms = (
@@ -175,16 +175,14 @@ def run_pipeline(
         events,
         track,
         video,
-        config.tolerance_ms,
         config.jitter_floor_m,
         config.straight_threshold_deg,
         config.uturn_threshold_deg,
     )
     warnings += segment_warnings
-    mismatches = collect_mismatches(events, segments)
-
     triads, triad_warnings = make_triads(events, segments)
     warnings += triad_warnings
+    mismatches = collect_mismatches(triads)
 
     label = config.source_label or config.gpx_path.stem
     report = render_report([corpus_stats(label, events)])

@@ -18,11 +18,10 @@ import enum
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .classifier import CommandClass
 from .core import (
-    DEFAULT_TOLERANCE_MS,
     GeoPoint,
     TrackLog,
     haversine_distance,
@@ -32,7 +31,6 @@ from .core import (
 )
 from .errors import (
     AfterVideoEnd,
-    BeforeVideoStart,
     DegenerateBearing,
     InsufficientGeometry,
     InternalOrderingError,
@@ -40,6 +38,9 @@ from .errors import (
 )
 from .ingest import VideoIndex
 from .sync import InstructionEvent, frame_index_at
+
+if TYPE_CHECKING:
+    from .emitter import VlaTriad
 
 DEFAULT_JITTER_FLOOR_M = 1.0
 DEFAULT_STRAIGHT_THRESHOLD_DEG = 30.0
@@ -132,7 +133,6 @@ def segment_actions(
     events: Sequence[InstructionEvent],
     track: TrackLog,
     video: VideoIndex | None = None,
-    tolerance_ms: int = DEFAULT_TOLERANCE_MS,
     jitter_floor_m: float = DEFAULT_JITTER_FLOOR_M,
     straight_threshold_deg: float = DEFAULT_STRAIGHT_THRESHOLD_DEG,
     uturn_threshold_deg: float = DEFAULT_UTURN_THRESHOLD_DEG,
@@ -171,8 +171,8 @@ def segment_actions(
                 f"the track span; no segment emitted"
             )
             continue
-        start_point = interpolate_position(track, t_start, tolerance_ms)
-        end_point = interpolate_position(track, t_end, tolerance_ms)
+        start_point = interpolate_position(track, t_start)
+        end_point = interpolate_position(track, t_end)
         interior = track.points[
             bisect_right(times, t_start):bisect_left(times, t_end)
         ]
@@ -198,7 +198,7 @@ def segment_actions(
             try:
                 frame_start = frame_index_at(video, t_start, clamp=True)
                 frame_end = frame_index_at(video, t_end, clamp=True)
-            except (BeforeVideoStart, AfterVideoEnd):
+            except AfterVideoEnd:  # clamped, so only a zero-frame video
                 frame_start = frame_end = None
         segments.append(
             ActionSegment(
@@ -250,17 +250,7 @@ def consistency_check(
     return Mismatch(event_id=event.id, stated=stated, observed=observed)
 
 
-def collect_mismatches(
-    events: Iterable[InstructionEvent], segments: Iterable[ActionSegment]
-) -> list[Mismatch]:
-    """Run the consistency check over every event/segment pair."""
-    by_id = {event.id: event for event in events}
-    found = []
-    for segment in segments:
-        event = by_id.get(segment.event_id)
-        if event is None:
-            continue
-        mismatch = consistency_check(event, segment)
-        if mismatch is not None:
-            found.append(mismatch)
-    return found
+def collect_mismatches(triads: Iterable[VlaTriad]) -> list[Mismatch]:
+    """Run the consistency check over every triad, in triad order."""
+    found = (consistency_check(t.event, t.action) for t in triads)
+    return [mismatch for mismatch in found if mismatch is not None]

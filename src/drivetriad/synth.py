@@ -100,7 +100,6 @@ class RoutePlan:
     sample_hz: float = 1.0
     noise_sigma_m: float = 0.0
     seed: int = 0
-    initial_bearing_deg: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.legs:
@@ -187,7 +186,6 @@ class StyledCorpus:
     track: TrackLog
     transcript: Transcript
     ground_truth: GroundTruth
-    style: str
 
 
 # --- geometry ---------------------------------------------------------------
@@ -198,7 +196,7 @@ def _layout(plan: RoutePlan) -> tuple[list[tuple[float, float]], list[float], li
     vertices = [(0.0, 0.0)]
     headings = []
     cumulative = [0.0]
-    heading = normalize_bearing(plan.initial_bearing_deg)
+    heading = 0.0
     for leg in plan.legs:
         headings.append(heading)
         x, y = vertices[-1]
@@ -248,7 +246,7 @@ def generate_route(plan: RoutePlan) -> TrackLog:
         y += noise.gauss(0.0, plan.noise_sigma_m)
         t_ms = plan.origin.t_ms + round(t_s * 1000)
         points.append(_to_geo(plan, x, y, t_ms))
-    return TrackLog(tuple(points), source_id=f"synth-{plan.seed}")
+    return TrackLog(tuple(points))
 
 
 # --- instruction synthesis --------------------------------------------------
@@ -386,19 +384,19 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
         expected_maneuvers=tuple(expected),
     )
     transcript = Transcript(tuple(segments), audio_start_ms=plan.origin.t_ms)
-    return StyledCorpus(track, transcript, ground_truth, style)
+    return StyledCorpus(track, transcript, ground_truth)
 
 
 # --- writers (the formats ingest reads) -------------------------------------
 
 
-def write_gpx(track: TrackLog) -> bytes:
+def write_gpx(track: TrackLog, name: str) -> bytes:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<gpx version="1.1" creator="drivetriad-synth" '
         'xmlns="http://www.topografix.com/GPX/1/1">',
         "  <trk>",
-        f"    <name>{track.source_id}</name>",
+        f"    <name>{name}</name>",
         "    <trkseg>",
     ]
     for point in track.points:
@@ -421,12 +419,12 @@ def write_transcript_json(corpus: StyledCorpus) -> bytes:
     return (json.dumps(document, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
 
 
-def write_video_meta(track: TrackLog, fps: float = _VIDEO_FPS) -> bytes:
+def write_video_meta(track: TrackLog) -> bytes:
     duration_ms = track.end_ms - track.start_ms
-    frame_count = int(duration_ms * fps) // 1000 + 1
+    frame_count = int(duration_ms * _VIDEO_FPS) // 1000 + 1
     document = {
         "start_time": format_iso8601_ms(track.start_ms),
-        "fps": fps,
+        "fps": _VIDEO_FPS,
         "frame_count": frame_count,
     }
     return (json.dumps(document, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
@@ -451,33 +449,11 @@ def write_ground_truth(ground_truth: GroundTruth) -> bytes:
     return (json.dumps(document, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
 
 
-def read_ground_truth(data: bytes) -> GroundTruth:
-    document = json.loads(data.decode("utf-8"))
-    entries = tuple(
-        GroundTruthEntry(
-            float(item["start_s"]),
-            float(item["end_s"]),
-            str(item["text"]),
-            frozenset(CommandClass(name) for name in item["classes"]),
-        )
-        for item in document["instructions"]
-    )
-    return GroundTruth(
-        style=str(document["style"]),
-        seed=int(document["seed"]),
-        audio_start_ms=int(document["audio_start_utc_ms"]),
-        instructions=entries,
-        expected_maneuvers=tuple(
-            Maneuver(name) for name in document["expected_maneuvers"]
-        ),
-    )
-
-
 def write_corpus(corpus: StyledCorpus, out_dir: Path | str) -> dict[str, Path]:
     """Write the four corpus files; byte-identical for identical plans."""
     out = Path(out_dir)
     files = {
-        "track.gpx": write_gpx(corpus.track),
+        "track.gpx": write_gpx(corpus.track, f"synth-{corpus.ground_truth.seed}"),
         "transcript.json": write_transcript_json(corpus),
         "video_meta.json": write_video_meta(corpus.track),
         "ground_truth.json": write_ground_truth(corpus.ground_truth),

@@ -9,13 +9,13 @@ from drivetriad import GeoPoint, TrackLog
 EARTH_RADIUS_M = 6_371_008.8
 
 
-def track_from(coords, start_ms=0, step_ms=1000, source_id="test"):
+def track_from(coords, start_ms=0, step_ms=1000):
     """Build a TrackLog from (lat, lon) pairs spaced step_ms apart."""
     points = tuple(
         GeoPoint(lat, lon, start_ms + i * step_ms)
         for i, (lat, lon) in enumerate(coords)
     )
-    return TrackLog(points, source_id=source_id)
+    return TrackLog(points)
 
 
 def straight_north_track(n=10, start_ms=0, step_ms=1000, step_deg=0.0001):

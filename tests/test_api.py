@@ -45,3 +45,28 @@ def test_only_the_package_init_states_an_api():
             if isinstance(target, ast.Name)
         }
         assert "__all__" not in assigned, f"{path.name} assigns __all__"
+
+
+def _imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A leftover import outlives the code that needed it; the package
+    # __init__ uses its imports by naming them in __all__.
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(drivetriad.__all__)
+        names = sorted(set(_imported_names(tree)) - used)
+        if names:
+            unused[path.name] = names
+    assert unused == {}

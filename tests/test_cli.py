@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import drivetriad
 from drivetriad.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_NOINPUT,
     EXIT_OK,
     EXIT_USAGE,
@@ -441,7 +442,62 @@ class TestStatsCommand:
         bad.write_bytes(b"".join(lines))
         code, _, err = run(["stats", str(bad)], capsys)
         assert code == EXIT_DATA
-        assert ":2: elevation is not finite" in err
+        assert ":2: ele must be a finite number, got nan" in err
+
+    @pytest.mark.parametrize(
+        "path, value, expected",
+        [
+            (("heading_deg",), float("inf"), "a finite number, got inf"),
+            (("action", "distance_m"), float("inf"), "a finite number, got inf"),
+            (("heading_deg",), "nan", "a finite number, got 'nan'"),
+            (("text",), None, "a string, got None"),
+            (("id",), "7", "an integer, got '7'"),
+            (("frame_index",), 2.9, "an integer, got 2.9"),
+            (("t_utc_ms",), True, "an integer, got True"),
+            (("evidence", 0, "start"), 1.0, "an integer, got 1.0"),
+            (("action", "waypoints", 0, "lat"), False, "a finite number, got False"),
+            (("action", "maneuver"), None, "a string, got None"),
+            (("classes",), {"Turn": 1}, "an array, got {'Turn': 1}"),
+        ],
+        ids=[
+            "heading-infinity", "distance-infinity", "heading-string", "text-null",
+            "id-string", "frame-index-float", "time-bool", "evidence-start-float",
+            "lat-bool", "maneuver-null", "classes-object",
+        ],
+    )
+    def test_value_the_writer_never_emits_is_data_error(
+        self, tmp_path, capsys, path, value, expected
+    ):
+        code, err, bad = self._stats_on_edited_record(tmp_path, capsys, path, value)
+        assert code == EXIT_DATA
+        assert f"{bad}:1: {path[-1]} must be {expected}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "path", [("heading_deg",), ("geo", "ele"), ("action", "frame_end")]
+    )
+    def test_absent_nullable_field_is_data_error(self, tmp_path, capsys, path):
+        # The writer always writes these keys, null or not.
+        code, err, bad = self._stats_on_edited_record(tmp_path, capsys, path)
+        assert code == EXIT_DATA
+        assert f"{bad}:1: \"missing field {path[-1]!r}\"" in err
+
+    def _stats_on_edited_record(self, tmp_path, capsys, path, *value):
+        """Run stats on the first triad with the field at ``path`` set to
+        ``value``, or deleted when no value is given."""
+        triads = self._dataset(tmp_path, capsys)
+        record = json.loads(triads.read_bytes().splitlines()[0])
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        if value:
+            target[path[-1]] = value[0]
+        else:
+            del target[path[-1]]
+        bad = tmp_path / "edited.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        code, _, err = run(["stats", str(bad)], capsys)
+        return code, err, bad
 
     def test_inverted_frame_range_in_triads_is_data_error(self, tmp_path, capsys):
         triads = self._dataset(tmp_path, capsys)
@@ -660,6 +716,31 @@ class TestHostileInput:
         )
         assert code == EXIT_DATA
         assert "LexiconError: Turn[0]: needs an element other than '*'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "start, end", [("true", "true"), ("true", "2"), ("0", "false")]
+    )
+    def test_boolean_segment_time_is_data_error(self, tmp_path, capsys, start, end):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            f'{{"segments": [{{"start": {start}, "end": {end}, "text": "Turn left"}}]}}'
+        )
+        code, _, err = run(["classify", "--transcript", str(bad)], capsys)
+        assert code == EXIT_DATA
+        assert "segment 0: start/end must be numbers" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "target", ["missing/dir/r.txt", "."], ids=["missing-dir", "a-directory"]
+    )
+    def test_unwritable_stats_out_is_io_error(self, tmp_path, capsys, target):
+        triads = tmp_path / "empty.jsonl"
+        triads.write_bytes(b"")
+        out = tmp_path / target
+        code, _, err = run(["stats", str(triads), "--out", str(out)], capsys)
+        assert code == EXIT_INTERNAL
+        assert f"internal error: IoError: cannot write {out}" in err
         assert "Traceback" not in err
 
     def test_non_utf8_triads_is_data_error(self, tmp_path, capsys):

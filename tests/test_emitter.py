@@ -74,10 +74,6 @@ def make_triad(id=0, t_ms=1_000_000):
 
 
 class TestStructures:
-    def test_triad_rejects_event_id_mismatch(self):
-        with pytest.raises(InternalError):
-            VlaTriad(make_event(id=0), make_segment(event_id=1))
-
     def test_make_triads_pairs_by_id(self):
         events = [make_event(0), make_event(1, 1_030_000)]
         segments = [make_segment(0), make_segment(1, 1_030_000, 1_060_000)]

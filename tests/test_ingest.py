@@ -53,9 +53,8 @@ GPX_NO_NS = b"""<gpx><trk><trkseg>
 
 class TestParseGpx:
     def test_gpx_11_with_elevation(self):
-        log = parse_gpx(GPX_11, source_id="drive")
+        log = parse_gpx(GPX_11)
         assert len(log) == 2
-        assert log.source_id == "drive"
         assert log.points[0].lat_deg == 40.0
         assert log.points[0].ele_m == 1600.0
         assert log.points[1].ele_m is None

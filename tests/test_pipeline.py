@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import Phase, given, settings as hsettings, strategies as st
 
 from drivetriad import (
     Maneuver,
@@ -19,7 +20,7 @@ from drivetriad import (
     write_corpus,
 )
 from drivetriad.core import format_iso8601_ms
-from drivetriad.synth import write_gpx
+from drivetriad.synth import write_gpx, write_video_meta
 from pathlib import Path
 
 from drivetriad.errors import NoUsableEvents
@@ -196,7 +197,7 @@ class TestRunPipeline:
         track = parse_gpx(files["track.gpx"].read_bytes()).shifted(1500)
         moved = tmp_path / "moved"
         moved.mkdir()
-        (moved / "track.gpx").write_bytes(write_gpx(track))
+        (moved / "track.gpx").write_bytes(write_gpx(track, "gpx"))
         meta = json.loads(files["video_meta.json"].read_text())
         video = parse_video_meta(files["video_meta.json"].read_bytes()).shifted(2300)
         meta["start_time"] = format_iso8601_ms(video.start_ms)
@@ -254,3 +255,69 @@ class TestRunPipeline:
             config_for(files, tmp_path / "out", audio_start=anchor)
         )
         assert result.event_count == len(corpus.ground_truth.instructions)
+
+
+# The time fields of a triads record; nothing else may move with the clock.
+_TIME_KEYS = frozenset({"t_utc_ms", "t_start_ms", "t_end_ms", "t_ms"})
+
+
+def _unshift(value, delta):
+    """A parsed triads record with every time field moved back by delta."""
+    if isinstance(value, dict):
+        return {
+            k: v - delta if k in _TIME_KEYS else _unshift(v, delta)
+            for k, v in value.items()
+        }
+    if isinstance(value, list):
+        return [_unshift(v, delta) for v in value]
+    return value
+
+
+class TestShiftInvariance:
+    """Metamorphic relation: moving all three streams by one delta moves
+    only the triads' time fields, by exactly that delta."""
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["later", "earlier"])
+    @pytest.mark.parametrize("sample_hz", [1.0, 2.0, 10.0])
+    # Each example runs two pipelines, so a failure is reported as found:
+    # shrinking a seed and a shift would take minutes and say no more.
+    @hsettings(max_examples=3, deadline=None, phases=[Phase.reuse, Phase.generate])
+    @given(seed=st.integers(0, 1000), magnitude=st.integers(1, 10**11))
+    def test_shift_moves_only_time_fields(
+        self, tmp_path_factory, sign, sample_hz, seed, magnitude
+    ):
+        delta = sign * magnitude
+        root = tmp_path_factory.mktemp("shift")
+        plan = RoutePlan(
+            legs=parse_legs("600R,500L,700U,400R,300"), seed=seed,
+            sample_hz=sample_hz, noise_sigma_m=3.0,
+        )
+        corpus = generate_instructions(plan, "cardinal-heavy")
+        files = write_corpus(corpus, root / "corpus")
+        moved = root / "moved"
+        moved.mkdir()
+        track = corpus.track.shifted(delta)
+        (moved / "track.gpx").write_bytes(write_gpx(track, f"synth-{seed}"))
+        (moved / "video_meta.json").write_bytes(write_video_meta(track))
+        # The drive turns right first, but the voice says left, so the
+        # mismatches file has a line to keep.
+        doc = json.loads(files["transcript.json"].read_text())
+        first = doc["segments"][0]
+        first["text"] = first["text"].replace("right", "left")
+        files["transcript.json"].write_text(json.dumps(doc))
+        doc["audio_start_utc"] = format_iso8601_ms(
+            corpus.ground_truth.audio_start_ms + delta
+        )
+        (moved / "transcript.json").write_text(json.dumps(doc))
+        base = run_pipeline(config_for(files, root / "a"), created_at_ms=0)
+        shifted = run_pipeline(
+            config_for({name: moved / name for name in files}, root / "b"),
+            created_at_ms=0,
+        )
+        base_lines = base.triads_path.read_text().splitlines()
+        shifted_lines = shifted.triads_path.read_text().splitlines()
+        assert len(shifted_lines) == len(base_lines) > 0
+        for before, after in zip(base_lines, shifted_lines):
+            assert _unshift(json.loads(after), delta) == json.loads(before)
+        assert shifted.report_path.read_bytes() == base.report_path.read_bytes()
+        assert shifted.mismatches_path.read_bytes() == base.mismatches_path.read_bytes()

@@ -10,6 +10,7 @@ from drivetriad import (
     build_events,
     classify,
     haversine_distance,
+    make_triads,
     segment_actions,
 )
 from drivetriad.errors import InsufficientGeometry, InternalOrderingError, NoUsableEvents
@@ -315,5 +316,6 @@ class TestConsistency:
             frame_start=None,
             frame_end=None,
         )
-        found = collect_mismatches([ev1, ev2], [seg1, seg2])
+        triads, _ = make_triads([ev1, ev2], [seg1, seg2])
+        found = collect_mismatches(triads)
         assert [m.event_id for m in found] == [0]

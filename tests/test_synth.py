@@ -24,7 +24,6 @@ from drivetriad.synth import (
     MAX_SAMPLES,
     Leg,
     generate_route,
-    read_ground_truth,
     write_gpx,
     write_ground_truth,
     write_transcript_json,
@@ -154,9 +153,6 @@ class TestGenerateRoute:
         b = generate_route(simple_plan(noise_sigma_m=3.0, seed=2))
         assert a.points != b.points
 
-    def test_source_id_carries_seed(self):
-        assert generate_route(simple_plan(seed=42)).source_id == "synth-42"
-
     def test_timestamps_anchor_to_origin(self):
         plan = RoutePlan(
             legs=(Leg(100.0),),
@@ -247,7 +243,7 @@ class TestGenerateInstructions:
 class TestWriters:
     def test_gpx_roundtrip_is_exact(self):
         corpus = generate_instructions(simple_plan(noise_sigma_m=2.0), "distance-heavy")
-        parsed = parse_gpx(write_gpx(corpus.track))
+        parsed = parse_gpx(write_gpx(corpus.track, "drive"))
         assert parsed.points == corpus.track.points
 
     def test_transcript_roundtrip(self):
@@ -267,8 +263,26 @@ class TestWriters:
 
     def test_ground_truth_roundtrip(self):
         corpus = generate_instructions(simple_plan(), "cardinal-heavy")
-        back = read_ground_truth(write_ground_truth(corpus.ground_truth))
-        assert back == corpus.ground_truth
+        gt = corpus.ground_truth
+        doc = json.loads(write_ground_truth(gt))
+        assert doc["style"] == gt.style
+        assert doc["seed"] == gt.seed
+        assert doc["audio_start_utc_ms"] == gt.audio_start_ms
+        assert doc["instructions"] == [
+            {
+                "start_s": e.start_s,
+                "end_s": e.end_s,
+                "text": e.text,
+                "classes": sorted(c.value for c in e.classes),
+            }
+            for e in gt.instructions
+        ]
+        assert doc["expected_maneuvers"] == [m.value for m in gt.expected_maneuvers]
+
+    def test_gpx_name_carries_seed(self, tmp_path):
+        corpus = generate_instructions(simple_plan(seed=42), "distance-heavy")
+        gpx = write_corpus(corpus, tmp_path)["track.gpx"].read_text()
+        assert "<name>synth-42</name>" in gpx
 
     def test_write_corpus_files(self, tmp_path):
         corpus = generate_instructions(simple_plan(), "distance-heavy")

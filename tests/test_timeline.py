@@ -35,7 +35,7 @@ def tracks(draw):
     for step, coord in zip(steps, coords[1:]):
         t += step
         points.append(GeoPoint(*coord, t))
-    return TrackLog(tuple(points), "prop")
+    return TrackLog(tuple(points))
 
 
 def query_times(log: TrackLog):
@@ -135,16 +135,16 @@ class TestCachedTimes:
 
     def test_equality_hash_and_repr_ignore_times(self):
         pts = (GeoPoint(0, 0, 0), GeoPoint(0, 0.1, 1000))
-        a, b = TrackLog(pts, "x"), TrackLog(list(pts), "x")
+        a, b = TrackLog(pts), TrackLog(list(pts))
         assert a == b and hash(a) == hash(b)
         assert "times" not in repr(a)
-        assert repr(a) == f"TrackLog(points={pts!r}, source_id='x')"
+        assert repr(a) == f"TrackLog(points={pts!r})"
         compared = [f.name for f in dataclasses.fields(TrackLog) if f.compare]
-        assert compared == ["points", "source_id"]
+        assert compared == ["points"]
 
     def test_times_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
-            TrackLog((GeoPoint(0, 0, 0),), "x", times=(0,))
+            TrackLog((GeoPoint(0, 0, 0),), times=(0,))
 
 
 class TestQueriesMatchLinearScan:
@@ -191,7 +191,7 @@ class TestWindowInteriors:
     def test_waypoints_match_linear_scan(self, case):
         log, queries = case
         events = [_event(i, t) for i, t in enumerate(sorted(queries))]
-        segments, _ = segment_actions(events, log, tolerance_ms=TOLERANCE_MS)
+        segments, _ = segment_actions(events, log)
         for seg in segments:
             assert seg.waypoints[1:-1] == ref_interior(log, seg.t_start_ms, seg.t_end_ms)
             assert seg.waypoints[0] == ref_interpolate(log, seg.t_start_ms, TOLERANCE_MS)
@@ -202,7 +202,7 @@ class TestWindowInteriors:
             GeoPoint(40.0 + i * 0.0001, -105.0, t)
             for i, t in enumerate([0, 1000, 1000, 1000, 2000, 3000, 3000, 4000])
         )
-        log = TrackLog(pts, "dup")
+        log = TrackLog(pts)
         segments, _ = segment_actions([_event(0, 1000), _event(1, 3000)], log)
         first, second = segments
         assert first.waypoints[1:-1] == (pts[4],)
