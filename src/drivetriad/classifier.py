@@ -2,7 +2,7 @@
 
 Every instruction is matched against nine attribute classes describing the
 kind of cue it references (a road name, a distance, a static object, ...).
-All rules run on every input and their results union, so multi-attribute
+Every rule that can match runs and their results union, so multi-attribute
 instructions come out multi-labeled. Each detected class carries evidence:
 the character span of the match in the original text, so automatic labels
 stay auditable against raw transcripts.
@@ -25,6 +25,10 @@ once to a ``re`` pattern that yields the first match from every token:
   direction-suffixed token like "southbound";
 * ``<name+>`` matches a run of one or more name-like tokens (anything that
   is not a structure word, road suffix, or unit).
+
+A pattern runs only on texts holding one of its trigger words, the words of
+its element that takes the fewest; a pattern made only of ``*``, ``<num>``
+and ``<name+>`` runs on every text.
 
 Two rules need structure beyond patterns: the name reach of "arrived at"
 phrases (with rejection of road-suffixed names), and the suppression of
@@ -342,8 +346,8 @@ def _pattern_list(key: str, value: object) -> tuple[str, ...]:
 
 # Matching runs on the normalized text plus one trailing space, so every
 # token reads "word " and each pattern element consumes whole tokens.
-_CARDINAL = "(?:north|south|east|west)"
-_CARDINAL_TOKEN = re.compile(f"(?<![^ ]){_CARDINAL}(?:-?bound)? ")
+_CARDINALS = frozenset({"north", "south", "east", "west"})
+_BOUNDS = frozenset(c + b for c in _CARDINALS for b in ("bound", "-bound"))
 _GAP = "(?:[^ ]+ ){0,3}?"  # up to three tokens, shortest first
 
 
@@ -356,25 +360,39 @@ def _words(words: Iterable[str]) -> str:
     return "(?:" + "|".join(map(re.escape, kept)) + ") "
 
 
+_CARDINAL_TOKEN = re.compile("(?<![^ ])" + _words(_CARDINALS | _BOUNDS))
+
+
 def _compile_pattern(
-    owner: str, index: int, pattern: str, elements: Mapping[str, str]
-) -> re.Pattern[str]:
-    """One regex whose group 1 is the first match from each token start."""
+    owner: str, index: int, pattern: str, vocab: Mapping[str, str | frozenset[str]]
+) -> tuple[re.Pattern[str], frozenset[str] | None]:
+    """One regex whose group 1 is the first match from each token start.
+
+    ``vocab`` maps each element to its regex, or to the word set that both
+    builds its regex and says which tokens it can consume. The second result
+    is the pattern's trigger: its smallest word set, which the text's tokens
+    must meet for the pattern to match, or None when no element has one.
+    """
     parts = []
+    triggers = []
     for raw in pattern.split():
-        if raw == "*":
-            parts.append(_GAP)
-        elif raw.startswith("<") and raw.endswith(">"):
-            if raw[1:-1] not in elements:
+        if raw == "*" or (raw.startswith("<") and raw.endswith(">")):
+            if raw not in vocab:
                 raise LexiconError(f"{owner}[{index}]: unknown element {raw!r}")
-            parts.append(elements[raw[1:-1]])
+            words = vocab[raw]
         else:
-            parts.append(re.escape(raw.lower()) + " ")
+            words = frozenset({raw.lower()})
+        if isinstance(words, str):
+            parts.append(words)
+        else:
+            parts.append(_words(words))
+            triggers.append(words)
     if not parts:
         raise LexiconError(f"{owner}[{index}]: empty pattern")
     if all(part == _GAP for part in parts):
         raise LexiconError(f"{owner}[{index}]: needs an element other than '*'")
-    return re.compile(f"(?<![^ ])(?=({''.join(parts)}))")
+    trigger = min(triggers, key=len, default=None)
+    return re.compile(f"(?<![^ ])(?=({''.join(parts)}))"), trigger
 
 
 class _CompiledLexicon:
@@ -382,31 +400,41 @@ class _CompiledLexicon:
         self.suffixes = frozenset(lex.road_suffixes)
         units = frozenset(lex.distance_units)
         not_name = _words(STRUCTURE_WORDS | self.suffixes | units)
-        elements = {
-            "num": r"\d+ ",
-            "frac": _words(FRACTION_WORDS),
-            "unit": _words(units),
-            "suffix": _words(self.suffixes),
-            "cardinal": _CARDINAL + " ",
-            "bound": _CARDINAL + "-?bound ",
-            "name+": f"(?:(?!{not_name})[^ ]+ )+",
+        vocab: dict[str, str | frozenset[str]] = {
+            "*": _GAP,
+            "<num>": r"\d+ ",
+            "<name+>": f"(?:(?!{not_name})[^ ]+ )+",
+            "<frac>": FRACTION_WORDS,
+            "<unit>": units,
+            "<suffix>": self.suffixes,
+            "<cardinal>": _CARDINALS,
+            "<bound>": _BOUNDS,
         }
         # The "arrived at" name reach flows through road suffixes; group 1
         # is its last token.
         self.name_reach = re.compile(
             f"(?:(?!{_words(STRUCTURE_WORDS | units)})([^ ]+) )*"
         )
-        self.patterns = {
-            cls: [
-                _compile_pattern(cls.value, i, pattern, elements)
-                for i, pattern in enumerate(lex.patterns.get(cls, ()))
-            ]
-            for cls in CommandClass
-        }
+        # Every pattern in class order, the patterns without a trigger, and
+        # for each trigger word the patterns it triggers.
+        self.patterns: list[tuple[CommandClass, re.Pattern[str]]] = []
+        self.always: list[int] = []
+        self.index: dict[str, list[int]] = {}
+        for cls in CommandClass:
+            for i, pattern in enumerate(lex.patterns.get(cls, ())):
+                regex, trigger = _compile_pattern(cls.value, i, pattern, vocab)
+                if trigger is None:
+                    self.always.append(len(self.patterns))
+                for word in trigger or ():
+                    self.index.setdefault(word, []).append(len(self.patterns))
+                self.patterns.append((cls, regex))
 
-
-def _pattern_spans(padded: str, patterns: list[re.Pattern[str]]) -> list[tuple[int, int]]:
-    return [m.span(1) for pattern in patterns for m in pattern.finditer(padded)]
+    def triggered(self, tokens: Iterable[str]) -> set[int]:
+        """Indices into ``patterns`` of every pattern that ``tokens`` can match."""
+        found = set(self.always)
+        for token in tokens:
+            found.update(self.index.get(token, ()))
+        return found
 
 
 def _maximal_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -462,20 +490,26 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
     normalized, omap = normalize_text(text)
     padded = normalized + " "
 
+    # Every element consumes one whole token, so a pattern whose trigger
+    # misses the text's tokens cannot match and is not run.
+    raw: dict[CommandClass, list[tuple[int, int]]] = {cls: [] for cls in CommandClass}
+    for i in comp.triggered(normalized.split(" ")):
+        cls, pattern = comp.patterns[i]
+        raw[cls].extend(m.span(1) for m in pattern.finditer(padded))
+
     spans_by_class: dict[CommandClass, list[tuple[int, int]]] = {}
-    for cls in CommandClass:  # ROAD comes first: CARDINAL reads its spans
-        raw = _pattern_spans(padded, comp.patterns[cls])
-        if cls is CommandClass.CARDINAL:
+    for cls, spans in raw.items():  # ROAD comes first: CARDINAL reads its spans
+        if cls is CommandClass.CARDINAL and spans:
             road_spans = spans_by_class[CommandClass.ROAD]
             cardinals = [m.start() for m in _CARDINAL_TOKEN.finditer(padded)]
-            raw = [
+            spans = [
                 span
-                for span in raw
+                for span in spans
                 if not _all_cardinals_inside_roads(span, cardinals, road_spans)
             ]
         elif cls is CommandClass.LOCATION_NAME:
-            raw = _locate_names(padded, raw, comp)
-        spans_by_class[cls] = _maximal_spans(raw)
+            spans = _locate_names(padded, spans, comp)
+        spans_by_class[cls] = _maximal_spans(spans)
 
     evidence = []
     for cls, spans in spans_by_class.items():

@@ -66,6 +66,17 @@ def parse_iso8601_ms(text: str) -> int:
     return t_ms
 
 
+def parse_float(text: str) -> float:
+    """``float(text)`` for the plain ASCII spellings the input formats use.
+
+    ``float`` also reads "1_0" as 10.0 and non-ASCII digits such as "١" as
+    1.0; both raise ValueError here, in ``float``'s own words.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 # Kind -> (accepted types, what a bad value is told, type it is stored as).
 # A kind is a field annotation, or the JSON type a triads field must have.
 _FIELD_KINDS = {

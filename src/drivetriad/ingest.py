@@ -16,7 +16,7 @@ import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .core import MAX_INSTANT_MS, GeoPoint, TrackLog, parse_iso8601_ms
+from .core import MAX_INSTANT_MS, GeoPoint, TrackLog, parse_float, parse_iso8601_ms
 from .errors import (
     EmptyTrack,
     EmptyTranscript,
@@ -94,7 +94,7 @@ def parse_gpx(data: bytes) -> TrackLog:
             name = _local_name(child.tag)
             if name == "ele" and child.text is not None:
                 try:
-                    ele_m = float(child.text)
+                    ele_m = parse_float(child.text)
                 except ValueError as exc:
                     raise ParseError(f"trkpt {index}: bad ele {child.text!r}") from exc
             elif name == "time" and child.text is not None:
@@ -102,7 +102,7 @@ def parse_gpx(data: bytes) -> TrackLog:
         if t_ms is None:
             raise MissingTimestamp(f"trkpt {index} has no time element")
         try:
-            point = GeoPoint(float(lat_text), float(lon_text), t_ms, ele_m)
+            point = GeoPoint(parse_float(lat_text), parse_float(lon_text), t_ms, ele_m)
         except ValueError as exc:
             raise ParseError(f"trkpt {index}: {exc}") from exc
         if points and point.t_ms < points[-1].t_ms:
@@ -125,7 +125,8 @@ def _decode(data: bytes) -> str:
 
 
 _SRT_TIME = re.compile(
-    r"(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})\s*-->\s*(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})"
+    r"(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})\s*-->\s*(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})",
+    re.ASCII,
 )
 
 
@@ -140,7 +141,7 @@ def _parse_srt(text: str) -> list[TranscriptSegment]:
         lines = [line.strip() for line in block.splitlines() if line.strip()]
         if not lines:
             continue
-        if lines[0].isdigit():
+        if lines[0].isascii() and lines[0].isdigit():
             lines = lines[1:]
         if not lines:
             raise ParseError(f"srt block {block_no}: no timing line")
@@ -202,8 +203,8 @@ def _parse_plain_lines(text: str) -> list[TranscriptSegment]:
         if len(parts) != 3:
             raise ParseError(f"line {line_no}: expected start<TAB>end<TAB>text")
         try:
-            start_s = float(parts[0])
-            end_s = float(parts[1])
+            start_s = parse_float(parts[0])
+            end_s = parse_float(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {line_no}: bad timing {parts[:2]!r}") from exc
         if not 0 <= start_s <= end_s <= sys.float_info.max:

@@ -35,6 +35,7 @@ from .core import (
     check_fields,
     format_iso8601_ms,
     normalize_bearing,
+    parse_float,
 )
 from .errors import IoError
 from .ingest import Transcript, TranscriptSegment
@@ -146,7 +147,7 @@ def parse_legs(text: str) -> tuple[Leg, ...]:
             maneuver = suffix_map[item[-1].upper()]
             item = item[:-1]
         try:
-            length = float(item)
+            length = parse_float(item)
         except ValueError:
             raise ValueError(f"bad leg length {raw.strip()!r}") from None
         legs.append(Leg(length, maneuver))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -554,3 +555,79 @@ class TestAgainstReference:
         assert [(e.start, e.end, e.command_class.value) for e in got.evidence] == (
             ref_evidence(text, lex)
         )
+
+
+# --- trigger index -------------------------------------------------------------
+
+_TRIGGERS = lexicon(
+    {
+        "Turn": ["TURN", "l.ft", "Keep * RIGHT"],
+        "Distance": ["<num> <unit>", "<num> <name+>"],
+        "Cardinal": ["<bound>", "Go <bound>", "<cardinal> ON"],
+        "Destination": ["* <num> *"],
+        "distance_units": ["per hour", "Clicks"],
+    }
+)
+# Words that sit on a trigger's edge: both <bound> spellings, case, regex
+# syntax, the halves of a multi-word unit and digits <num> does or does not
+# take.
+_EDGE = [
+    "north-bound", "West-Bound", "southbound", "EASTBOUND", "l.ft", "L.FT", "lift",
+    "TURN", "keep", "RIGHT", "go", "on", "per", "hour", "per hour", "clicks", "7",
+    "٣", "²",
+]
+_EDGE_TEXTS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_VOCAB), st.sampled_from(_EDGE)),
+        st.sampled_from([" ", ", ", ". ", " - "]),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda words: "".join(w + sep for w, sep in words))
+
+
+def unfiltered_classify(text, lex):
+    """classify with the trigger index switched off: every compiled regex of
+    the lexicon runs on the text."""
+    comp = lex._compiled
+    with patch.object(comp, "triggered", return_value=range(len(comp.patterns))) as run_all:
+        result = classify(text, lex)
+    run_all.assert_called_once()
+    return result
+
+
+def flat_patterns(lex):
+    return [(cls, p) for cls in CommandClass for p in lex.patterns.get(cls, ())]
+
+
+class TestTriggerIndex:
+    @pytest.mark.parametrize(
+        "lex", [DEFAULT_LEXICON, _GAPPY, _TRIGGERS], ids=["default", "gaps", "triggers"]
+    )
+    @given(text=st.one_of(_TEXTS, _EDGE_TEXTS))
+    def test_classify_equals_unfiltered_scan(self, lex, text):
+        assert classify(text, lex) == unfiltered_classify(text, lex)
+
+    def test_no_default_pattern_runs_on_every_text(self):
+        assert DEFAULT_LEXICON._compiled.always == []
+        flat = flat_patterns(_TRIGGERS)
+        assert [flat[i] for i in _TRIGGERS._compiled.always] == [
+            (C.DISTANCE, "<num> <name+>"),
+            (C.DESTINATION, "* <num> *"),
+        ]
+
+    def test_sentence_triggers_exactly_its_patterns(self):
+        comp = DEFAULT_LEXICON._compiled
+        flat = flat_patterns(DEFAULT_LEXICON)
+        assert len(flat) == len(comp.patterns) == 59
+        normalized, _ = normalize_text("In 500 feet turn left onto Oak Street.")
+        got = sorted(comp.triggered(normalized.split(" ")))
+        assert [flat[i] for i in got] == [
+            (C.ROAD, "onto <name+> <suffix>"),
+            (C.ROAD, "<name+> <suffix>"),
+            (C.DISTANCE, "<num> <unit>"),
+            (C.TURN, "turn"),
+            (C.TURN, "left"),
+            # Its trigger is "onto", the smaller of its two word sets.
+            (C.CARDINAL, "<cardinal> onto"),
+        ]

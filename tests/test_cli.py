@@ -624,6 +624,8 @@ class TestHostileInput:
             (["--legs", "1e400R"], "leg length"),
             (["--sample-hz", "nan"], "sample_hz"),
             (["--legs", "1e12"], "66666666667 GPS samples"),
+            (["--legs", "6_00R,400"], "bad leg length '6_00R'"),
+            (["--legs", "400,١٠٠L"], "bad leg length '١٠٠L'"),
         ],
     )
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, field):
@@ -703,6 +705,58 @@ class TestHostileInput:
         )
         assert code == EXIT_DATA
         assert "line 2" in err or "segment 1" in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (r'lat="[^"]*"', 'lat="4_0"', "trkpt 0: could not convert string to float: '4_0'"),
+            (r'lon="[^"]*"', 'lon="1_05"', "trkpt 0: could not convert string to float: '1_05'"),
+            ("<time>", "<ele>1_0</ele><time>", "trkpt 0: bad ele '1_0'"),
+        ],
+        ids=["lat", "lon", "ele"],
+    )
+    def test_underscored_gpx_number_is_data_error(self, tmp_path, capsys, old, new, message):
+        corpus = make_corpus(tmp_path, capsys)
+        bad = tmp_path / "bad.gpx"
+        bad.write_text(re.sub(old, new, (corpus / "track.gpx").read_text(), count=1))
+        code, _, err = run(
+            ["pipeline", "--gpx", str(bad), "--transcript", str(corpus / "transcript.json"),
+             "--out", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fmt, text, message",
+        [
+            ("plain-lines", "1_0\t2_0\tTurn left.\n", "line 1: bad timing ['1_0', '2_0']"),
+            ("plain-lines", "١\t٢\tTurn left.\n", "line 1: bad timing ['١', '٢']"),
+            (
+                "srt",
+                "1\n00:00:0١,000 --> 00:00:02,000\nTurn left.\n",
+                "srt block 1: bad timing line '00:00:0١,000 --> 00:00:02,000'",
+            ),
+            ("srt", "²\n00:00:01,000 --> 00:00:02,000\nTurn left.\n",
+             "srt block 1: bad timing line '²'"),
+            ("srt", "١\n00:00:01,000 --> 00:00:02,000\nTurn left.\n",
+             "srt block 1: bad timing line '١'"),
+        ],
+        ids=["plain-underscore", "plain-arabic-indic", "srt-time", "srt-index-superscript",
+             "srt-index-arabic-indic"],
+    )
+    def test_non_ascii_or_underscored_transcript_number_is_data_error(
+        self, tmp_path, capsys, fmt, text, message
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run(
+            ["classify", "--transcript", str(bad), "--transcript-format", fmt], capsys
+        )
+        assert code == EXIT_DATA
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("pattern", ["*", "* *"])
     def test_gap_only_pattern_is_data_error(self, tmp_path, capsys, pattern):
