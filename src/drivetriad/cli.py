@@ -24,6 +24,7 @@ from typing import Iterable
 
 from ._version import __version__
 from .classifier import classify, load_lexicon, sort_classes
+from .core import parse_float, parse_int
 from .errors import DataError, InternalError, IoError, ParseError
 from .emitter import read_triads
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
@@ -181,12 +182,12 @@ def _build_parser() -> _Parser:
     p_pipeline.add_argument(
         "--video-meta", metavar="PATH", help="video sidecar JSON"
     )
-    p_pipeline.add_argument("--gps-offset-ms", type=int, metavar="MS")
-    p_pipeline.add_argument("--audio-offset-ms", type=int, metavar="MS")
-    p_pipeline.add_argument("--video-offset-ms", type=int, metavar="MS")
+    p_pipeline.add_argument("--gps-offset-ms", type=parse_int, metavar="MS")
+    p_pipeline.add_argument("--audio-offset-ms", type=parse_int, metavar="MS")
+    p_pipeline.add_argument("--video-offset-ms", type=parse_int, metavar="MS")
     p_pipeline.add_argument(
         "--tolerance-ms",
-        type=int,
+        type=parse_int,
         metavar="MS",
         help="max clock gap bridged when placing events (default 5000)",
     )
@@ -220,16 +221,16 @@ def _build_parser() -> _Parser:
     p_synth = commands.add_parser(
         "synth", help="generate a synthetic corpus with ground truth"
     )
-    p_synth.add_argument("--seed", type=int, metavar="N")
+    p_synth.add_argument("--seed", type=parse_int, metavar="N")
     p_synth.add_argument(
         "--legs",
         metavar="SPEC",
         help=f'route legs like "400R,300L,250" (default {DEFAULT_LEGS})',
     )
     p_synth.add_argument("--style", choices=STYLES, help="instruction style")
-    p_synth.add_argument("--noise-sigma-m", type=float, metavar="M")
-    p_synth.add_argument("--speed-mps", type=float, metavar="M_PER_S")
-    p_synth.add_argument("--sample-hz", type=float, metavar="HZ")
+    p_synth.add_argument("--noise-sigma-m", type=parse_float, metavar="M")
+    p_synth.add_argument("--speed-mps", type=parse_float, metavar="M_PER_S")
+    p_synth.add_argument("--sample-hz", type=parse_float, metavar="HZ")
     p_synth.add_argument("--out", metavar="DIR", help="output directory")
     _add_config_flag(p_synth)
     p_synth.set_defaults(func=_run_synth)

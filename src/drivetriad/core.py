@@ -77,6 +77,14 @@ def parse_float(text: str) -> float:
     return float(text)
 
 
+def parse_int(text: str) -> int:
+    """``int(text)`` without the spellings ``parse_float`` also rejects:
+    "1_0" and non-ASCII digits such as "١" raise ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 # Kind -> (accepted types, what a bad value is told, type it is stored as).
 # A kind is a field annotation, or the JSON type a triads field must have.
 _FIELD_KINDS = {

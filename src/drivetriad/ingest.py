@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .core import MAX_INSTANT_MS, GeoPoint, TrackLog, parse_float, parse_iso8601_ms
 from .errors import (
+    DataError,
     EmptyTrack,
     EmptyTranscript,
     EncodingError,
@@ -62,8 +63,79 @@ class VideoIndex:
         return VideoIndex(self.start_ms + offset_ms, self.fps, self.frame_count)
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+class _TrackTarget:
+    """XMLParser target that builds each trkpt's GeoPoint at its end tag.
+
+    It keeps only the open trkpts and the text of their direct ele/time
+    children, never the document tree. ``slots`` holds, per trkpt in
+    start-tag order, its GeoPoint or the DataError its checks raised; an
+    error is stored rather than raised so that a malformed document still
+    wins. A child's text is ElementTree's ``.text``: the character data
+    before its first sub-element.
+    """
+
+    def __init__(self) -> None:
+        self.slots: list[GeoPoint | DataError | None] = []
+        # Per open element: [index, lat, lon, [(child name, text chunks)]]
+        # for a trkpt, None for anything else; the first entry stands for
+        # the document's parent.
+        self._open: list[list | None] = [None]
+        # The chunks of the ele/time text being read, if any.
+        self._text: list[str] | None = None
+
+    def start(self, tag: str, attrib: dict[str, str]) -> None:
+        self._text = None
+        name = tag.rpartition("}")[2]
+        parent = self._open[-1]
+        if parent is not None and (name == "ele" or name == "time"):
+            self._text = []
+            parent[3].append((name, self._text))
+        if name == "trkpt":
+            self._open.append([len(self.slots), attrib.get("lat"), attrib.get("lon"), []])
+            self.slots.append(None)
+        else:
+            self._open.append(None)
+
+    def data(self, text: str) -> None:
+        if self._text is not None:
+            self._text.append(text)
+
+    def end(self, tag: str) -> None:
+        self._text = None
+        point = self._open.pop()
+        if point is not None:
+            try:
+                self.slots[point[0]] = _build_point(*point)
+            except DataError as exc:
+                self.slots[point[0]] = exc
+
+
+def _build_point(
+    index: int, lat_text: str | None, lon_text: str | None, children: list
+) -> GeoPoint:
+    """Trkpt ``index`` from its attributes and its (ele|time, text chunks)
+    children, in document order; the last ele or time with text wins."""
+    if lat_text is None or lon_text is None:
+        raise ParseError(f"trkpt {index}: missing lat/lon attribute")
+    ele_m: float | None = None
+    t_ms: int | None = None
+    for name, chunks in children:
+        if not chunks:
+            continue
+        text = "".join(chunks)
+        if name == "ele":
+            try:
+                ele_m = parse_float(text)
+            except ValueError as exc:
+                raise ParseError(f"trkpt {index}: bad ele {text!r}") from exc
+        else:
+            t_ms = parse_iso8601_ms(text)
+    if t_ms is None:
+        raise MissingTimestamp(f"trkpt {index} has no time element")
+    try:
+        return GeoPoint(parse_float(lat_text), parse_float(lon_text), t_ms, ele_m)
+    except ValueError as exc:
+        raise ParseError(f"trkpt {index}: {exc}") from exc
 
 
 def parse_gpx(data: bytes) -> TrackLog:
@@ -72,46 +144,27 @@ def parse_gpx(data: bytes) -> TrackLog:
     Collects every trkpt across all trk/trkseg elements in document order.
     Each point must carry lat/lon attributes and a time child; a point
     without time is a hard error rather than a silent gap, because gaps
-    corrupt interpolation downstream.
+    corrupt interpolation downstream. The document is read as a stream of
+    parser events and no tree is built, so beyond the input bytes memory
+    grows with the number of fixes, not with the number of elements.
     """
+    target = _TrackTarget()
+    parser = ET.XMLParser(target=target)
     try:
-        root = ET.fromstring(data)
+        parser.feed(data)
+        parser.close()
     except ET.ParseError as exc:
         raise ParseError(f"malformed GPX XML: {exc}") from exc
 
-    points: list[GeoPoint] = []
-    for elem in root.iter():
-        if _local_name(elem.tag) != "trkpt":
-            continue
-        index = len(points)
-        lat_text = elem.get("lat")
-        lon_text = elem.get("lon")
-        if lat_text is None or lon_text is None:
-            raise ParseError(f"trkpt {index}: missing lat/lon attribute")
-        ele_m: float | None = None
-        t_ms: int | None = None
-        for child in elem:
-            name = _local_name(child.tag)
-            if name == "ele" and child.text is not None:
-                try:
-                    ele_m = parse_float(child.text)
-                except ValueError as exc:
-                    raise ParseError(f"trkpt {index}: bad ele {child.text!r}") from exc
-            elif name == "time" and child.text is not None:
-                t_ms = parse_iso8601_ms(child.text)
-        if t_ms is None:
-            raise MissingTimestamp(f"trkpt {index} has no time element")
-        try:
-            point = GeoPoint(parse_float(lat_text), parse_float(lon_text), t_ms, ele_m)
-        except ValueError as exc:
-            raise ParseError(f"trkpt {index}: {exc}") from exc
-        if points and point.t_ms < points[-1].t_ms:
+    points = target.slots
+    for index, point in enumerate(points):
+        if not isinstance(point, GeoPoint):
+            raise point
+        if index and point.t_ms < points[index - 1].t_ms:
             raise NonMonotoneTrack(
                 f"trkpt {index}: time goes backwards "
-                f"({points[-1].t_ms} -> {point.t_ms})"
+                f"({points[index - 1].t_ms} -> {point.t_ms})"
             )
-        points.append(point)
-
     if not points:
         raise EmptyTrack("GPX contains no trkpt elements")
     return TrackLog(tuple(points))

@@ -126,21 +126,24 @@ def run_pipeline(
     default the current wall clock is recorded. All other output bytes
     are pure functions of the inputs and config.
     """
-    gpx_bytes = config.gpx_path.read_bytes()
-    transcript_bytes = config.transcript_path.read_bytes()
-    video_bytes = (
-        config.video_meta_path.read_bytes()
-        if config.video_meta_path is not None
-        else None
-    )
-    lexicon_bytes = (
-        config.lexicon_path.read_bytes() if config.lexicon_path is not None else None
-    )
+    # Each input is digested as soon as it is read, so the GPX bytes can be
+    # dropped once parsed: parse_gpx streams them and keeps only the fixes.
+    raw: dict[str, bytes] = {}
+    inputs = []
+    for path, role in (
+        (config.gpx_path, "track"),
+        (config.transcript_path, "transcript"),
+        (config.video_meta_path, "video-meta"),
+        (config.lexicon_path, "lexicon"),
+    ):
+        if path is not None:
+            raw[role] = path.read_bytes()
+            inputs.append(manifest_input(path, role, raw[role], config.relativize))
 
-    lexicon = load_lexicon(lexicon_bytes)
-    track = parse_gpx(gpx_bytes)
-    transcript = parse_transcript(transcript_bytes, config.transcript_format)
-    video = parse_video_meta(video_bytes) if video_bytes is not None else None
+    lexicon = load_lexicon(raw.get("lexicon"))
+    track = parse_gpx(raw.pop("track"))
+    transcript = parse_transcript(raw["transcript"], config.transcript_format)
+    video = parse_video_meta(raw["video-meta"]) if "video-meta" in raw else None
     audio_start_ms = (
         parse_iso8601_ms(config.audio_start)
         if config.audio_start is not None
@@ -191,16 +194,6 @@ def run_pipeline(
         for m in mismatches
     )
 
-    inputs = [
-        manifest_input(path, role, data, config.relativize)
-        for path, role, data in (
-            (config.gpx_path, "track", gpx_bytes),
-            (config.transcript_path, "transcript", transcript_bytes),
-            (config.video_meta_path, "video-meta", video_bytes),
-            (config.lexicon_path, "lexicon", lexicon_bytes),
-        )
-        if data is not None
-    ]
     manifest = build_manifest(
         inputs=inputs,
         config_sha256=config_digest(_effective_config(config, lexicon.version)),

@@ -626,6 +626,10 @@ class TestHostileInput:
             (["--legs", "1e12"], "66666666667 GPS samples"),
             (["--legs", "6_00R,400"], "bad leg length '6_00R'"),
             (["--legs", "400,١٠٠L"], "bad leg length '١٠٠L'"),
+            (["--speed-mps", "1_5"], "argument --speed-mps"),
+            (["--sample-hz", "٢"], "argument --sample-hz"),
+            (["--noise-sigma-m", "0_5"], "argument --noise-sigma-m"),
+            (["--seed", "1_0"], "argument --seed"),
         ],
     )
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, field):
@@ -633,6 +637,27 @@ class TestHostileInput:
         assert code == EXIT_USAGE
         assert field in err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--tolerance-ms", "5_000"),
+            ("--gps-offset-ms", "١"),
+            ("--audio-offset-ms", "1_0"),
+            ("--video-offset-ms", "٣٠"),
+        ],
+    )
+    def test_bad_pipeline_flag_is_usage_error(self, tmp_path, capsys, flag, value):
+        # Flags are read before any input file is opened, so the paths need
+        # not exist.
+        code, _, err = run(
+            ["pipeline", "--gpx", str(tmp_path / "track.gpx"), "--transcript",
+             str(tmp_path / "transcript.json"), "--out", str(tmp_path / "d"), flag, value],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert f"argument {flag}" in err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "settings, field",

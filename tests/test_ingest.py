@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drivetriad import (
+    GeoPoint,
+    RoutePlan,
+    TrackLog,
     Transcript,
     TranscriptSegment,
+    generate_instructions,
     parse_gpx,
+    parse_legs,
     parse_transcript,
     parse_video_meta,
 )
-from drivetriad.core import MAX_INSTANT_MS
+from drivetriad.core import MAX_INSTANT_MS, parse_float, parse_iso8601_ms
 from drivetriad.ingest import absolutize
+from drivetriad.synth import write_gpx
 from drivetriad.errors import (
+    DataError,
     EmptyTrack,
     EmptyTranscript,
     EncodingError,
@@ -110,6 +120,197 @@ class TestParseGpx:
     def test_non_utf8_rejected(self):
         with pytest.raises(EncodingError):
             parse_transcript(b"\xff\xfe broken", "plain-lines")
+
+
+def _local_name(tag):
+    return tag.rsplit("}", 1)[-1]
+
+
+def reference_parse_gpx(data):
+    """parse_gpx as a loop over a whole ElementTree, the reference that the
+    streaming parser must equal."""
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        raise ParseError(f"malformed GPX XML: {exc}") from exc
+    points = []
+    for elem in root.iter():
+        if _local_name(elem.tag) != "trkpt":
+            continue
+        index = len(points)
+        lat_text = elem.get("lat")
+        lon_text = elem.get("lon")
+        if lat_text is None or lon_text is None:
+            raise ParseError(f"trkpt {index}: missing lat/lon attribute")
+        ele_m = None
+        t_ms = None
+        for child in elem:
+            name = _local_name(child.tag)
+            if name == "ele" and child.text is not None:
+                try:
+                    ele_m = parse_float(child.text)
+                except ValueError as exc:
+                    raise ParseError(f"trkpt {index}: bad ele {child.text!r}") from exc
+            elif name == "time" and child.text is not None:
+                t_ms = parse_iso8601_ms(child.text)
+        if t_ms is None:
+            raise MissingTimestamp(f"trkpt {index} has no time element")
+        try:
+            point = GeoPoint(parse_float(lat_text), parse_float(lon_text), t_ms, ele_m)
+        except ValueError as exc:
+            raise ParseError(f"trkpt {index}: {exc}") from exc
+        if points and point.t_ms < points[-1].t_ms:
+            raise NonMonotoneTrack(
+                f"trkpt {index}: time goes backwards ({points[-1].t_ms} -> {point.t_ms})"
+            )
+        points.append(point)
+    if not points:
+        raise EmptyTrack("GPX contains no trkpt elements")
+    return TrackLog(tuple(points))
+
+
+def outcome(parse, data):
+    try:
+        return parse(data).points
+    except DataError as exc:
+        return (type(exc), str(exc))
+
+
+# Draws repeat the well-formed values, so that many documents parse whole
+# and the rest fail at varied points.
+_STAMPS = ["2024-01-01T00:00:00Z", "2024-01-01T00:00:05.5Z"] * 4 + [
+    "1969-12-31T23:59:59Z",
+    "bad",
+]
+_ELES = ["12.5", "-3"] * 3 + ["x", "nan", "1_0", " "]
+# What may sit inside a text: markup that ElementTree's .text reads through,
+# and a sub-element, after which the rest is that sub-element's tail.
+_SPLICES = ["", "", "", "<!--c-->", "<?pi x?>", "<![CDATA[]]>", "<x/>", "<x>0</x>"]
+
+
+@st.composite
+def _text(draw, values):
+    value = draw(st.sampled_from(values))
+    cut = draw(st.integers(0, len(value)))
+    head, tail = value[:cut], value[cut:]
+    if draw(st.booleans()):
+        head = f"<![CDATA[{head}]]>"
+    return head + draw(st.sampled_from(_SPLICES)) + tail
+
+
+@st.composite
+def _trkpt(draw, p, depth=0):
+    attrs = ""
+    lat = draw(st.sampled_from(["1.5"] * 8 + ["95", None]))
+    lon = draw(st.sampled_from(["2"] * 8 + ["180", "1_0", None]))
+    if lat is not None:
+        attrs += f' lat="{lat}"'
+    if lon is not None:
+        attrs += f' lon="{lon}"'
+    kinds = ["time"] * 4 + ["ele", "empty", "extensions", "other"]
+    if depth < 2:
+        kinds.append("trkpt")
+    body = ""
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "time":
+            body += f"<{p}time>{draw(_text(_STAMPS))}</{p}time>"
+        elif kind == "ele":
+            body += f"<{p}ele>{draw(_text(_ELES))}</{p}ele>"
+        elif kind == "empty":
+            body += draw(
+                st.sampled_from(
+                    [f"<{p}time/>", f"<{p}ele></{p}ele>", f"<{p}time><!--c--></{p}time>"]
+                )
+            )
+        elif kind == "extensions":
+            body += f"<{p}extensions><{p}time>{draw(_text(_STAMPS))}</{p}time></{p}extensions>"
+        elif kind == "other":
+            body += f"<{p}name>n</{p}name>"
+        else:
+            body += draw(_trkpt(p, depth + 1))
+        body += draw(st.sampled_from(["", " ", "\n  "]))
+    return f"<{p}trkpt{attrs}>{body}</{p}trkpt>"
+
+
+@st.composite
+def _gpx_documents(draw):
+    p, declaration = draw(
+        st.sampled_from([
+            ("", ""),
+            ("", ' xmlns="http://www.topografix.com/GPX/1/1"'),
+            ("g:", ' xmlns:g="http://www.topografix.com/GPX/1/1"'),
+        ])
+    )
+    points = "".join(draw(st.lists(_trkpt(p), max_size=4)))
+    doc = f"<{p}gpx{declaration}><{p}trk><{p}trkseg>{points}</{p}trkseg></{p}trk></{p}gpx>"
+    data = doc.encode("utf-8")
+    return data[: len(data) - draw(st.sampled_from([0] * 12 + [1, 9, 60]))]
+
+
+class TestStreamingParse:
+    """parse_gpx reads parser events; it must equal the tree-based reference."""
+
+    @settings(max_examples=300)
+    @given(data=_gpx_documents())
+    def test_equals_tree_reference(self, data):
+        assert outcome(parse_gpx, data) == outcome(reference_parse_gpx, data)
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("<time>2024-01-01<!--c-->T00:00:00Z</time>", 1_704_067_200_000),
+            ("<time>2024-01-01T00:00:00Z<x/>junk</time>", 1_704_067_200_000),
+            ("<extensions><time>2024-01-01T00:00:00Z</time></extensions>", None),
+            ("<time>2024-01-01T00:00:00Z</time><time/><time>2024-01-01T00:00:05Z</time>",
+             1_704_067_205_000),
+        ],
+        ids=["comment", "tail-after-sub-element", "wrapped-time", "last-time-wins"],
+    )
+    def test_time_text_is_element_text(self, body, expected):
+        data = f'<gpx><trkpt lat="1" lon="2">{body}</trkpt></gpx>'.encode()
+        if expected is None:
+            with pytest.raises(MissingTimestamp, match="trkpt 0 has no time element"):
+                parse_gpx(data)
+        else:
+            assert parse_gpx(data).points[0].t_ms == expected
+
+    def test_nested_points_number_by_start_tag(self):
+        data = b"""<gpx><trkpt lat="1" lon="2"><time>2024-01-01T00:00:00Z</time>
+          <trkpt lat="3" lon="4"><time>2024-01-01T00:00:05Z</time></trkpt></trkpt></gpx>"""
+        assert [p.lat_deg for p in parse_gpx(data).points] == [1.0, 3.0]
+
+    def test_malformed_document_beats_point_errors(self):
+        data = b'<gpx><trkpt lon="2"/><trkpt lat="1" lon="2"><time>bad</time></trkpt>'
+        with pytest.raises(ParseError, match="malformed GPX XML: no element found"):
+            parse_gpx(data)
+
+    def test_undefined_entity_is_malformed(self):
+        data = (
+            b'<!DOCTYPE gpx SYSTEM "x.dtd"><gpx><trkpt lat="1" lon="2">'
+            b"<time>&foo;</time></trkpt></gpx>"
+        )
+        with pytest.raises(ParseError, match="undefined entity &foo;"):
+            parse_gpx(data)
+
+    def test_peak_memory_is_bounded_by_the_fixes_kept(self):
+        # A 2,667-fix track: the parse may briefly hold at most three times
+        # what the returned TrackLog keeps, whatever the document's size.
+        corpus = generate_instructions(
+            RoutePlan(legs=parse_legs("2000R,2000L"), sample_hz=10.0), "distance-heavy"
+        )
+        data = write_gpx(corpus.track, "memory")
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            track = parse_gpx(data)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(track) == 2667
+        assert peak - base <= 3 * (kept - base)
 
 
 class TestParseSrt:
