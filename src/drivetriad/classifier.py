@@ -43,6 +43,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Mapping
 
 from .errors import EmptyInstruction, LexiconError
@@ -491,16 +492,18 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
     padded = normalized + " "
 
     # Every element consumes one whole token, so a pattern whose trigger
-    # misses the text's tokens cannot match and is not run.
-    raw: dict[CommandClass, list[tuple[int, int]]] = {cls: [] for cls in CommandClass}
-    for i in comp.triggered(normalized.split(" ")):
-        cls, pattern = comp.patterns[i]
-        raw[cls].extend(m.span(1) for m in pattern.finditer(padded))
-
-    spans_by_class: dict[CommandClass, list[tuple[int, int]]] = {}
-    for cls, spans in raw.items():  # ROAD comes first: CARDINAL reads its spans
-        if cls is CommandClass.CARDINAL and spans:
-            road_spans = spans_by_class[CommandClass.ROAD]
+    # misses the text's tokens cannot match and is not run. Pattern indices
+    # follow class order, so ROAD's spans are final before CARDINAL reads them.
+    patterns = comp.patterns
+    road_spans: list[tuple[int, int]] = []
+    evidence = []
+    for cls, indices in groupby(
+        sorted(comp.triggered(normalized.split(" "))), key=lambda i: patterns[i][0]
+    ):
+        spans = [m.span(1) for i in indices for m in patterns[i][1].finditer(padded)]
+        if not spans:
+            continue
+        if cls is CommandClass.CARDINAL:
             cardinals = [m.start() for m in _CARDINAL_TOKEN.finditer(padded)]
             spans = [
                 span
@@ -509,10 +512,9 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
             ]
         elif cls is CommandClass.LOCATION_NAME:
             spans = _locate_names(padded, spans, comp)
-        spans_by_class[cls] = _maximal_spans(spans)
-
-    evidence = []
-    for cls, spans in spans_by_class.items():
+        spans = _maximal_spans(spans)
+        if cls is CommandClass.ROAD:
+            road_spans = spans
         for start, end in spans:
             # Each span ends after its last token's trailing space.
             orig_start, orig_end = omap.to_original(start, end - 1)

@@ -23,10 +23,10 @@ from pathlib import Path
 from typing import Iterable
 
 from ._version import __version__
-from .classifier import classify, load_lexicon, sort_classes
+from .classifier import classify, load_lexicon
 from .core import parse_float, parse_int
-from .errors import DataError, InternalError, IoError, ParseError
-from .emitter import read_triads
+from .errors import DataError, EmptyInstruction, InternalError, IoError, ParseError
+from .emitter import labels_fragment, read_triads
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
 from .stats import corpus_stats, render_report
@@ -255,21 +255,16 @@ def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
     except DataError as exc:
         raise type(exc)(f"{transcript_path}: {exc}") from exc
     for segment in transcript.segments:
-        result = classify(segment.text, lexicon)
-        record = {
-            "text": segment.text,
-            "classes": [cls.value for cls in sort_classes(result.classes)],
-            "evidence": [
-                {
-                    "class": ev.command_class.value,
-                    "start": ev.start,
-                    "end": ev.end,
-                    "matched": ev.matched,
-                }
-                for ev in result.evidence
-            ],
-        }
-        print(json.dumps(record, ensure_ascii=True))
+        try:
+            result = classify(segment.text, lexicon)
+        except EmptyInstruction:
+            print(
+                f"warning: {transcript_path}: segment at {segment.start_s:.3f} s "
+                f"has no classifiable text ({segment.text!r}); dropped",
+                file=sys.stderr,
+            )
+            continue
+        print("{" + labels_fragment(segment.text, result.classes, result.evidence) + "}")
     return EXIT_OK
 
 

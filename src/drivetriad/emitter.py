@@ -19,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
@@ -95,15 +95,25 @@ def _geo_point(point: GeoPoint, with_time: bool) -> str:
     return "{" + ", ".join(fields) + "}"
 
 
+def labels_fragment(
+    text: str, classes: Iterable[CommandClass], evidence: Iterable[Evidence]
+) -> str:
+    """The text, classes and evidence members of a labels record: the one
+    writer of that JSON fragment, for triads lines and ``classify`` lines."""
+    class_list = ", ".join(_string(c.value) for c in sort_classes(classes))
+    evidence_list = ", ".join(
+        '{"class": %s, "start": %d, "end": %d, "matched": %s}'
+        % (_string(ev.command_class.value), ev.start, ev.end, _string(ev.matched))
+        for ev in evidence
+    )
+    return '"text": %s, "classes": [%s], "evidence": [%s]' % (
+        _string(text), class_list, evidence_list
+    )
+
+
 def serialize_triad(triad: VlaTriad) -> str:
     """One JSON line; fixed key order, 6-decimal floats, ASCII only."""
     event, action = triad.event, triad.action
-    classes = ", ".join(_string(c.value) for c in sort_classes(event.classes))
-    evidence = ", ".join(
-        '{"class": %s, "start": %d, "end": %d, "matched": %s}'
-        % (_string(ev.command_class.value), ev.start, ev.end, _string(ev.matched))
-        for ev in event.evidence
-    )
     waypoints = ", ".join(
         _geo_point(point, with_time=True) for point in action.waypoints
     )
@@ -123,15 +133,12 @@ def serialize_triad(triad: VlaTriad) -> str:
         )
     )
     return (
-        '{"id": %d, "t_utc_ms": %d, "text": %s, "classes": [%s], '
-        '"evidence": [%s], "geo": %s, "heading_deg": %s, "frame_index": %s, '
-        '"action": %s}'
+        '{"id": %d, "t_utc_ms": %d, %s, "geo": %s, "heading_deg": %s, '
+        '"frame_index": %s, "action": %s}'
         % (
             event.id,
             event.t_ms,
-            _string(event.text),
-            classes,
-            evidence,
+            labels_fragment(event.text, event.classes, event.evidence),
             _geo_point(event.geo, with_time=False),
             _opt_float6(event.heading_deg),
             _opt_int(event.frame_index),

@@ -155,6 +155,10 @@ def parse_gpx(data: bytes) -> TrackLog:
         parser.close()
     except ET.ParseError as exc:
         raise ParseError(f"malformed GPX XML: {exc}") from exc
+    except (LookupError, ValueError) as exc:
+        # expat asks Python for the declared encoding's decoder, which may
+        # not exist, not be a text codec, or not map bytes one to one.
+        raise ParseError(f"GPX XML declares an unsupported encoding: {exc}") from exc
 
     points = target.slots
     for index, point in enumerate(points):

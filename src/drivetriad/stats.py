@@ -11,18 +11,11 @@ counts whose set contains it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .classifier import CommandClass, sort_classes
-
-
-def _class_sets(events: Iterable) -> list[frozenset[CommandClass]]:
-    sets = []
-    for event in events:
-        classes = getattr(event, "classes", event)
-        sets.append(frozenset(classes))
-    return sets
 
 
 @dataclass(frozen=True)
@@ -35,41 +28,19 @@ class CorpusStats:
     total_events: int
 
 
-def class_frequencies(events: Iterable) -> dict[CommandClass, int]:
-    """Events containing each class; never-seen classes map to 0.
-
-    Accepts instruction events or bare class sets.
-    """
-    counts = {cls: 0 for cls in CommandClass}
-    for classes in _class_sets(events):
-        for cls in classes:
-            counts[cls] += 1
-    return counts
-
-
-def combo_frequencies(
-    events: Iterable,
-) -> list[tuple[frozenset[CommandClass], int]]:
-    """Distinct class sets with counts, most frequent first.
-
-    Ties break lexicographically on the canonical class-name list.
-    """
-    counts: dict[frozenset[CommandClass], int] = {}
-    for classes in _class_sets(events):
-        counts[classes] = counts.get(classes, 0) + 1
-    return sorted(
-        counts.items(), key=lambda item: (-item[1], _combo_key(item[0]))
-    )
-
-
 def corpus_stats(source_label: str, events: Iterable) -> CorpusStats:
-    """Bundle both frequency views for one labeled source."""
-    sets = _class_sets(events)
+    """Count each distinct class set, and each class from those counts.
+
+    Accepts instruction events or bare class sets; a class no event holds
+    counts 0.
+    """
+    combo_counts = Counter(frozenset(getattr(e, "classes", e)) for e in events)
+    class_counts = dict.fromkeys(CommandClass, 0)
+    for combo, count in combo_counts.items():
+        for cls in combo:
+            class_counts[cls] += count
     return CorpusStats(
-        source_label=source_label,
-        class_counts=class_frequencies(sets),
-        combo_counts=dict(combo_frequencies(sets)),
-        total_events=len(sets),
+        source_label, class_counts, combo_counts, sum(combo_counts.values())
     )
 
 
@@ -139,10 +110,9 @@ def render_report(stats: Sequence[CorpusStats]) -> str:
         class_cells,
     )
 
-    combo_totals: dict[frozenset[CommandClass], int] = {}
+    combo_totals: Counter[frozenset[CommandClass]] = Counter()
     for s in stats:
-        for combo, count in s.combo_counts.items():
-            combo_totals[combo] = combo_totals.get(combo, 0) + count
+        combo_totals.update(s.combo_counts)
     combo_order = sorted(
         combo_totals, key=lambda c: (-combo_totals[c], _combo_key(c))
     )

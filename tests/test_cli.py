@@ -106,6 +106,43 @@ class TestClassifyCommand:
             for ev in record["evidence"]:
                 assert record["text"][ev["start"] : ev["end"]] == ev["matched"]
 
+    def test_record_is_the_triads_labels_bytes(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, capsys)
+        code, out, _ = run(
+            ["classify", "--transcript", str(corpus / "transcript.json")], capsys
+        )
+        assert code == EXIT_OK
+        code, _, _ = run(
+            ["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript",
+             str(corpus / "transcript.json"), "--out", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == EXIT_OK
+        triads = (tmp_path / "d" / "triads.jsonl").read_text().splitlines()
+        records = out.splitlines()
+        assert len(records) == len(triads) > 0
+        for record, triad in zip(records, triads):
+            assert record.startswith('{"text": ') and record.endswith("}")
+            assert ', ' + record[1:-1] + ', "geo": ' in triad
+
+    def test_punctuation_only_segment_is_dropped(self, tmp_path, capsys):
+        srt = tmp_path / "voice.srt"
+        srt.write_text(
+            "1\n00:00:01,000 --> 00:00:02,000\nTurn left.\n\n"
+            "2\n00:00:03,500 --> 00:00:04,000\n...\n\n"
+            "3\n00:00:05,000 --> 00:00:06,000\nStop.\n"
+        )
+        code, out, err = run(
+            ["classify", "--transcript", str(srt), "--transcript-format", "srt"], capsys
+        )
+        assert code == EXIT_OK
+        assert [json.loads(line)["text"] for line in out.splitlines()] == [
+            "Turn left.", "Stop.",
+        ]
+        assert err.splitlines() == [
+            f"warning: {srt}: segment at 3.500 s has no classifiable text ('...'); dropped"
+        ]
+
     def test_missing_file_is_noinput(self, capsys):
         code, _, _ = run(
             ["classify", "--transcript", "/nonexistent/words.json"], capsys
@@ -750,6 +787,34 @@ class TestHostileInput:
             capsys,
         )
         assert code == EXIT_DATA
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "encoding, message",
+        [
+            ("utf-9", "unknown encoding: utf-9"),
+            ("rot13", "'rot13' is not a text encoding"),
+            ("UTF-7", "multi-byte encodings are not supported"),
+            ("idna", "decoding with 'idna' codec failed"),
+        ],
+        ids=["utf-9", "rot13", "utf-7", "idna"],
+    )
+    def test_unsupported_gpx_encoding_is_data_error(self, tmp_path, capsys, encoding, message):
+        corpus = make_corpus(tmp_path, capsys)
+        text = (corpus / "track.gpx").read_text()
+        bad = tmp_path / "bad.gpx"
+        bad.write_text(
+            re.sub(r'encoding="[^"]*"', f'encoding="{encoding}"', text, count=1)
+        )
+        assert f'encoding="{encoding}"' in bad.read_text()
+        code, _, err = run(
+            ["pipeline", "--gpx", str(bad), "--transcript", str(corpus / "transcript.json"),
+             "--out", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == EXIT_DATA
+        assert "ParseError: GPX XML declares an unsupported encoding: " in err
         assert message in err
         assert "Traceback" not in err
 

@@ -53,7 +53,6 @@ Arrived at Lake Road. Arrived at Mesa Coffee. Go West Elm Street to Northbound A
 Keep in the left lane, bear slightly west; 300 yards, then a U-turn at the roundabout.
 """
 
-# Taken from the parent of the classifier, emitter and stats rework.
 GOLDEN = {
     "cardinal-heavy/classify": (
         "8bd32cbdc83fa2ac5fdbf47c0ea98e193aa9473c9f6d20c68d99176d8c137bea"

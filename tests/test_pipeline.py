@@ -8,7 +8,9 @@ import pytest
 from hypothesis import Phase, given, settings as hsettings, strategies as st
 
 from drivetriad import (
+    GeoPoint,
     Maneuver,
+    TrackLog,
     parse_gpx,
     parse_video_meta,
     PipelineConfig,
@@ -321,3 +323,53 @@ class TestShiftInvariance:
             assert _unshift(json.loads(after), delta) == json.loads(before)
         assert shifted.report_path.read_bytes() == base.report_path.read_bytes()
         assert shifted.mismatches_path.read_bytes() == base.mismatches_path.read_bytes()
+
+
+_MIRRORED = {
+    Maneuver.LEFT_TURN: Maneuver.RIGHT_TURN,
+    Maneuver.RIGHT_TURN: Maneuver.LEFT_TURN,
+}
+
+
+class TestMirrorSwapsSides:
+    """Metamorphic relation: mirroring the drive's longitudes about its
+    origin swaps left and right turns and keeps every other maneuver and
+    every window's length."""
+
+    @pytest.mark.parametrize("noise_sigma_m", [0.0, 3.0], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("sample_hz", [1.0, 5.0, 10.0])
+    @hsettings(max_examples=2, deadline=None, phases=[Phase.reuse, Phase.generate])
+    @given(seed=st.integers(0, 1000))
+    def test_mirror_swaps_left_and_right(
+        self, tmp_path_factory, sample_hz, noise_sigma_m, seed
+    ):
+        root = tmp_path_factory.mktemp("mirror")
+        plan = RoutePlan(
+            legs=parse_legs("600R,500L,700U,400R,300L,500"), seed=seed,
+            sample_hz=sample_hz, noise_sigma_m=noise_sigma_m,
+        )
+        corpus = generate_instructions(plan, "distance-heavy")
+        files = write_corpus(corpus, root / "corpus")
+        lon0 = plan.origin.lon_deg
+        mirrored = TrackLog(tuple(
+            GeoPoint(p.lat_deg, 2 * lon0 - p.lon_deg, p.t_ms, p.ele_m)
+            for p in corpus.track.points
+        ))
+        gpx = root / "mirrored.gpx"
+        gpx.write_bytes(write_gpx(mirrored, f"synth-{seed}"))
+        base = run_pipeline(config_for(files, root / "a"), created_at_ms=0)
+        flipped = run_pipeline(config_for(files, root / "b", gpx_path=gpx), created_at_ms=0)
+        before = [t.action for t in read_triads(base.triads_path.read_bytes())]
+        after = [t.action for t in read_triads(flipped.triads_path.read_bytes())]
+        assert len(after) == len(before) > 0
+        if noise_sigma_m == 0.0:
+            assert {a.maneuver for a in before} >= set(_MIRRORED)
+        for a, b in zip(before, after):
+            assert b.maneuver is _MIRRORED.get(a.maneuver, a.maneuver)
+            assert b.distance_m == pytest.approx(a.distance_m, abs=1e-6)
+            # signed_bearing_delta maps an exact half-turn to +180 from
+            # either side, so only other sums must change sign.
+            if abs(a.net_bearing_change_deg) != 180.0:
+                assert b.net_bearing_change_deg == pytest.approx(
+                    -a.net_bearing_change_deg, abs=1e-6
+                )

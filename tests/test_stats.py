@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivetriad import CommandClass, corpus_stats, render_report
-from drivetriad.stats import class_frequencies, combo_frequencies, combo_label
+from drivetriad.stats import combo_label
 
 C = CommandClass
 
@@ -15,9 +15,29 @@ DIST_TURN_ROAD = frozenset({C.DISTANCE, C.TURN, C.ROAD})
 LOCATION = frozenset({C.LOCATION_NAME})
 
 
+def _table_rows(text, title):
+    """The rows of one rendered table, each a list of stripped cells."""
+    lines = text.splitlines()
+    rows = []
+    for line in lines[lines.index(title) + 4:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _combo_rows(sets):
+    """(label, total) per combination row of a one-source report."""
+    text = render_report([corpus_stats("s", sets)])
+    return [
+        (row[0], int(row[-1]))
+        for row in _table_rows(text, "Multi-attribute combination counts")
+    ]
+
+
 class TestClassFrequencies:
     def test_counts_and_zeros(self):
-        counts = class_frequencies([TURN_ROAD, DIST_TURN_ROAD, LOCATION])
+        counts = corpus_stats("s", [TURN_ROAD, DIST_TURN_ROAD, LOCATION]).class_counts
         assert counts[C.TURN] == 2
         assert counts[C.ROAD] == 2
         assert counts[C.DISTANCE] == 1
@@ -26,7 +46,7 @@ class TestClassFrequencies:
         assert set(counts) == set(CommandClass)
 
     def test_empty_input_all_zero(self):
-        counts = class_frequencies([])
+        counts = corpus_stats("s", []).class_counts
         assert all(v == 0 for v in counts.values())
         assert set(counts) == set(CommandClass)
 
@@ -35,27 +55,27 @@ class TestClassFrequencies:
             def __init__(self, classes):
                 self.classes = classes
 
-        counts = class_frequencies([FakeEvent(TURN_ROAD)])
+        counts = corpus_stats("s", [FakeEvent(TURN_ROAD)]).class_counts
         assert counts[C.TURN] == 1
 
 
 class TestComboFrequencies:
     def test_most_frequent_first(self):
-        combos = combo_frequencies(
-            [TURN_ROAD, DIST_TURN_ROAD, TURN_ROAD, LOCATION, TURN_ROAD]
-        )
-        assert combos[0] == (TURN_ROAD, 3)
-        assert {c for c, _ in combos} == {TURN_ROAD, DIST_TURN_ROAD, LOCATION}
+        rows = _combo_rows([TURN_ROAD, DIST_TURN_ROAD, TURN_ROAD, LOCATION, TURN_ROAD])
+        assert rows[0] == ("Road, Turn", 3)
+        assert {label for label, _ in rows} == {
+            "Road, Turn", "Distance, Road, Turn", "Location Name",
+        }
 
     def test_ties_break_lexicographically(self):
         a = frozenset({C.CARDINAL})
         b = frozenset({C.TURN})
-        combos = combo_frequencies([b, a])
-        assert [c for c, _ in combos] == [a, b]
+        assert [label for label, _ in _combo_rows([b, a])] == ["Cardinal", "Turn"]
 
     def test_empty_set_is_countable(self):
-        combos = combo_frequencies([frozenset(), TURN_ROAD, frozenset()])
-        assert (frozenset(), 2) in combos
+        sets = [frozenset(), TURN_ROAD, frozenset()]
+        assert corpus_stats("s", sets).combo_counts[frozenset()] == 2
+        assert ("(none)", 2) in _combo_rows(sets)
 
 
 class TestComboLabel:
@@ -94,16 +114,20 @@ def class_set_lists(draw):
 class TestAccountingIdentities:
     @given(class_set_lists())
     def test_combo_totals_sum_to_event_count(self, sets):
-        combos = combo_frequencies(sets)
-        assert sum(count for _, count in combos) == len(sets)
+        stats = corpus_stats("s", sets)
+        assert sum(stats.combo_counts.values()) == stats.total_events == len(sets)
+        for combo, count in stats.combo_counts.items():
+            assert count == sets.count(combo)
 
     @given(class_set_lists())
     def test_class_count_equals_contributing_combos(self, sets):
-        class_counts = class_frequencies(sets)
-        combos = combo_frequencies(sets)
+        stats = corpus_stats("s", sets)
         for cls in CommandClass:
-            from_combos = sum(count for combo, count in combos if cls in combo)
-            assert class_counts[cls] == from_combos
+            from_combos = sum(
+                count for combo, count in stats.combo_counts.items() if cls in combo
+            )
+            assert stats.class_counts[cls] == from_combos
+            assert from_combos == sum(cls in s for s in sets)
 
 
 class TestRenderReport:
@@ -134,13 +158,7 @@ class TestRenderReport:
 
     def test_rows_ordered_by_total_then_label(self):
         text = render_report(self._two_sources())
-        lines = text.splitlines()
-        start = lines.index("Per-class instruction counts") + 4
-        labels = []
-        for line in lines[start:]:
-            if not line.startswith("|"):
-                break
-            labels.append(line.strip("|").split("|")[0].strip())
+        labels = [row[0] for row in _table_rows(text, "Per-class instruction counts")]
         # Turn and Road both 4, then Distance 1 and Location Name 1, then
         # the five absent classes alphabetically, all nine present.
         assert labels[:4] == ["Road", "Turn", "Distance", "Location Name"]
@@ -149,10 +167,8 @@ class TestRenderReport:
 
     def test_combo_section_ranks_by_count(self):
         text = render_report(self._two_sources())
-        lines = text.splitlines()
-        start = lines.index("Multi-attribute combination counts") + 4
-        first_combo = lines[start].strip("|").split("|")[0].strip()
-        assert first_combo == "Road, Turn"
+        rows = _table_rows(text, "Multi-attribute combination counts")
+        assert rows[0][0] == "Road, Turn"
 
     def test_all_zero_source_renders(self):
         text = render_report([corpus_stats("quiet", [])])
