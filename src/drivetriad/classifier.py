@@ -7,9 +7,11 @@ instructions come out multi-labeled. Each detected class carries evidence:
 the character span of the match in the original text, so automatic labels
 stay auditable against raw transcripts.
 
-Matching happens on a normalized copy of the text (lowercased, punctuation
-stripped, whitespace collapsed) and spans are mapped back to the original
-through an offset map.
+The text is read once, as tokens: runs of letters, digits, apostrophes
+and hyphens, lowercased, each with its span in the original text. Patterns
+match on the tokens joined by single spaces, every match becomes a range of
+tokens, and its evidence runs from the first token's start to the last
+token's end.
 
 Patterns are plain strings of space-separated elements, each compiled
 once to a ``re`` pattern that yields the first match from every token:
@@ -84,7 +86,7 @@ def sort_classes(classes: Iterable[CommandClass]) -> list[CommandClass]:
 class Evidence:
     """One matched span supporting one class.
 
-    start/end index into the original (pre-normalization) text and
+    start/end index into the original text and
     ``matched`` equals ``text[start:end]``.
     """
 
@@ -102,47 +104,31 @@ class Classification:
     evidence: tuple[Evidence, ...]
 
 
-@dataclass(frozen=True)
-class OffsetMap:
-    """Maps normalized character positions back to original ones."""
-
-    origins: tuple[int, ...]
-
-    def to_original(self, start: int, end: int) -> tuple[int, int]:
-        if not 0 <= start < end <= len(self.origins):
-            raise IndexError(f"span [{start}, {end}) outside normalized text")
-        return self.origins[start], self.origins[end - 1] + 1
+_TOKEN = re.compile(r"(?:[^\W_]|['’-])+")  # [^\W_] is exactly str.isalnum
 
 
-def normalize_text(text: str) -> tuple[str, OffsetMap]:
-    """Lowercase, strip punctuation except apostrophes/hyphens, collapse spaces.
+def _fold(word: str) -> str:
+    """The one spelling rule for text tokens and lexicon words."""
+    # Letters lower one by one: whole-string lower() turns a final "Σ" into
+    # "ς", and CPython special-cases no other letter ("ΟΔΟΣ" -> "οδοσ").
+    return word.replace("’", "'").replace("Σ", "σ").lower()
 
-    Returns the normalized string and an offset map translating normalized
-    spans back to the original. Empty or whitespace-only input raises
+
+def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """Split text into folded tokens and their ``(start, end)`` in ``text``.
+
+    A token is a run of letters, digits, apostrophes and hyphens; every
+    other character separates tokens. Text with no token raises
     EmptyInstruction.
     """
-    if not text.strip():
-        raise EmptyInstruction("instruction text is empty")
-    chars: list[str] = []
-    origins: list[int] = []
-    for i, ch in enumerate(text):
-        if ch == "’":
-            ch_norm = "'"
-        elif ch.isalnum() or ch in "'-":
-            ch_norm = ch.lower()
-        else:
-            ch_norm = " "
-        for out in ch_norm:
-            if out == " " and (not chars or chars[-1] == " "):
-                continue
-            chars.append(out)
-            origins.append(i)
-    while chars and chars[-1] == " ":
-        chars.pop()
-        origins.pop()
-    if not chars:
-        raise EmptyInstruction("instruction text is empty after normalization")
-    return "".join(chars), OffsetMap(tuple(origins))
+    tokens = []
+    spans = []
+    for m in _TOKEN.finditer(text):
+        tokens.append(_fold(m.group()))
+        spans.append(m.span())
+    if not tokens:
+        raise EmptyInstruction("instruction text has no words")
+    return tokens, spans
 
 
 # --- lexicon ----------------------------------------------------------------
@@ -332,7 +318,7 @@ def _extend_unique(key: str, target: list[str], value: object) -> None:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise LexiconError(f"{key}: must be a list of strings")
     for word in value:
-        cleaned = word.strip().lower()
+        cleaned = _fold(word.strip())
         if cleaned and cleaned not in target:
             target.append(cleaned)
 
@@ -345,10 +331,11 @@ def _pattern_list(key: str, value: object) -> tuple[str, ...]:
 
 # --- pattern compilation and matching ---------------------------------------
 
-# Matching runs on the normalized text plus one trailing space, so every
+# Matching runs on the space-joined tokens plus one trailing space, so every
 # token reads "word " and each pattern element consumes whole tokens.
 _CARDINALS = frozenset({"north", "south", "east", "west"})
 _BOUNDS = frozenset(c + b for c in _CARDINALS for b in ("bound", "-bound"))
+_DIRECTIONS = _CARDINALS | _BOUNDS
 _GAP = "(?:[^ ]+ ){0,3}?"  # up to three tokens, shortest first
 
 
@@ -359,9 +346,6 @@ def _words(words: Iterable[str]) -> str:
     """
     kept = sorted({w for w in words if w.split() == [w]})
     return "(?:" + "|".join(map(re.escape, kept)) + ") "
-
-
-_CARDINAL_TOKEN = re.compile("(?<![^ ])" + _words(_CARDINALS | _BOUNDS))
 
 
 def _compile_pattern(
@@ -382,7 +366,7 @@ def _compile_pattern(
                 raise LexiconError(f"{owner}[{index}]: unknown element {raw!r}")
             words = vocab[raw]
         else:
-            words = frozenset({raw.lower()})
+            words = frozenset({_fold(raw)})
         if isinstance(words, str):
             parts.append(words)
         else:
@@ -411,11 +395,9 @@ class _CompiledLexicon:
             "<cardinal>": _CARDINALS,
             "<bound>": _BOUNDS,
         }
-        # The "arrived at" name reach flows through road suffixes; group 1
-        # is its last token.
-        self.name_reach = re.compile(
-            f"(?:(?!{_words(STRUCTURE_WORDS | units)})([^ ]+) )*"
-        )
+        # The "arrived at" name reach stops at these words but flows
+        # through road suffixes.
+        self.name_stops = STRUCTURE_WORDS | units
         # Every pattern in class order, the patterns without a trigger, and
         # for each trigger word the patterns it triggers.
         self.patterns: list[tuple[CommandClass, re.Pattern[str]]] = []
@@ -448,7 +430,7 @@ def _maximal_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _locate_names(
-    padded: str,
+    tokens: list[str],
     anchors: list[tuple[int, int]],
     comp: _CompiledLexicon,
 ) -> list[tuple[int, int]]:
@@ -460,9 +442,11 @@ def _locate_names(
     """
     spans = []
     for start, anchor_end in anchors:
-        reach = comp.name_reach.match(padded, anchor_end)
-        if reach.end() > anchor_end and reach.group(1) not in comp.suffixes:
-            spans.append((start, reach.end()))
+        end = anchor_end
+        while end < len(tokens) and tokens[end] not in comp.name_stops:
+            end += 1
+        if end > anchor_end and tokens[end - 1] not in comp.suffixes:
+            spans.append((start, end))
     return spans
 
 
@@ -488,39 +472,48 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
     if lex is None:
         lex = DEFAULT_LEXICON
     comp = lex._compiled
-    normalized, omap = normalize_text(text)
-    padded = normalized + " "
+    tokens, token_spans = tokenize(text)
+    padded = " ".join(tokens) + " "
+    # Offset in ``padded`` of each token start, and of the end, -> token index.
+    token_at = {}
+    offset = 0
+    for i, token in enumerate(tokens):
+        token_at[offset] = i
+        offset += len(token) + 1
+    token_at[offset] = len(tokens)
 
     # Every element consumes one whole token, so a pattern whose trigger
     # misses the text's tokens cannot match and is not run. Pattern indices
     # follow class order, so ROAD's spans are final before CARDINAL reads them.
+    # Spans are [first, last + 1) token ranges.
     patterns = comp.patterns
     road_spans: list[tuple[int, int]] = []
     evidence = []
     for cls, indices in groupby(
-        sorted(comp.triggered(normalized.split(" "))), key=lambda i: patterns[i][0]
+        sorted(comp.triggered(tokens)), key=lambda i: patterns[i][0]
     ):
-        spans = [m.span(1) for i in indices for m in patterns[i][1].finditer(padded)]
+        spans = [
+            (token_at[m.start(1)], token_at[m.end(1)])
+            for i in indices
+            for m in patterns[i][1].finditer(padded)
+        ]
         if not spans:
             continue
         if cls is CommandClass.CARDINAL:
-            cardinals = [m.start() for m in _CARDINAL_TOKEN.finditer(padded)]
+            cardinals = [i for i, token in enumerate(tokens) if token in _DIRECTIONS]
             spans = [
                 span
                 for span in spans
                 if not _all_cardinals_inside_roads(span, cardinals, road_spans)
             ]
         elif cls is CommandClass.LOCATION_NAME:
-            spans = _locate_names(padded, spans, comp)
+            spans = _locate_names(tokens, spans, comp)
         spans = _maximal_spans(spans)
         if cls is CommandClass.ROAD:
             road_spans = spans
-        for start, end in spans:
-            # Each span ends after its last token's trailing space.
-            orig_start, orig_end = omap.to_original(start, end - 1)
-            evidence.append(
-                Evidence(cls, orig_start, orig_end, text[orig_start:orig_end])
-            )
+        for first, end in spans:
+            start, stop = token_spans[first][0], token_spans[end - 1][1]
+            evidence.append(Evidence(cls, start, stop, text[start:stop]))
     evidence.sort(key=lambda e: (e.start, e.end, e.command_class.value))
     classes = frozenset(e.command_class for e in evidence)
     return Classification(classes, tuple(evidence))

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from ._version import __version__
 from .classifier import classify, load_lexicon
-from .core import parse_float, parse_int
+from .core import DEFAULT_TOLERANCE_MS, parse_float, parse_int
 from .errors import DataError, EmptyInstruction, InternalError, IoError, ParseError
 from .emitter import labels_fragment, read_triads
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
@@ -143,7 +143,7 @@ def _add_transcript_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--transcript-format",
         choices=TRANSCRIPT_FORMATS,
-        help="transcript syntax (default: segment-json)",
+        help=f"transcript syntax (default: {PipelineConfig.transcript_format})",
     )
     parser.add_argument(
         "--lexicon", metavar="PATH", help="JSON lexicon override file"
@@ -189,7 +189,8 @@ def _build_parser() -> _Parser:
         "--tolerance-ms",
         type=parse_int,
         metavar="MS",
-        help="max clock gap bridged when placing events (default 5000)",
+        help="max clock gap bridged when placing events "
+        f"(default {DEFAULT_TOLERANCE_MS})",
     )
     p_pipeline.add_argument("--out", metavar="DIR", help="output directory")
     p_pipeline.add_argument(
@@ -318,9 +319,9 @@ def _run_synth(args: argparse.Namespace, parser: _Parser) -> int:
             legs=parse_legs(options.get("legs", DEFAULT_LEGS)),
             **options.given(("speed_mps", "sample_hz", "noise_sigma_m", "seed")),
         )
+        corpus = generate_instructions(plan, style)
     except ValueError as exc:
         parser.error(str(exc))
-    corpus = generate_instructions(plan, style)
     files = write_corpus(corpus, out_dir)
     print(f"wrote {len(files)} files to {out_dir}")
     return EXIT_OK

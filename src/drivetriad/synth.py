@@ -261,58 +261,41 @@ def _cardinal_for(heading_deg: float) -> str:
     return _CARDINAL_NAMES[index]
 
 
-def _turn_word(maneuver: Maneuver) -> str:
-    return "left" if maneuver is Maneuver.LEFT_TURN else "right"
-
-
-def _cue(
-    style: str,
-    maneuver: Maneuver,
-    road: str,
-    cardinal: str,
-    lead_feet: int,
-    with_distance: bool,
-) -> tuple[str, frozenset[CommandClass]]:
-    """Phrase one turn cue and return it with its ground-truth classes."""
-    C = CommandClass
-    if style == "distance-heavy":
-        if maneuver is Maneuver.UTURN:
-            if with_distance:
-                return (
-                    f"In {lead_feet} feet make a U-turn.",
-                    frozenset({C.DISTANCE, C.TURN}),
-                )
-            return "Make a U-turn.", frozenset({C.TURN})
-        word = _turn_word(maneuver)
-        if with_distance:
-            return (
-                f"In {lead_feet} feet turn {word} onto {road}.",
-                frozenset({C.DISTANCE, C.TURN, C.ROAD}),
-            )
-        return f"Turn {word} onto {road}.", frozenset({C.TURN, C.ROAD})
-    if style == "static-object-heavy":
-        if maneuver is Maneuver.UTURN:
-            return (
-                "At the light make a U-turn.",
-                frozenset({C.STATIC_OBJECT, C.TURN}),
-            )
-        word = _turn_word(maneuver)
-        return (
-            f"At the stop sign turn {word} onto {road}.",
-            frozenset({C.STATIC_OBJECT, C.TURN, C.ROAD}),
-        )
-    if style == "cardinal-heavy":
-        if maneuver is Maneuver.UTURN:
-            return (
-                f"Make a U-turn and head {cardinal}.",
-                frozenset({C.TURN, C.CARDINAL}),
-            )
-        word = _turn_word(maneuver)
-        return (
-            f"Turn {word} and head {cardinal} on {road}.",
-            frozenset({C.TURN, C.CARDINAL, C.ROAD}),
-        )
-    raise ValueError(f"unknown style {style!r} (expected one of {STYLES})")
+# Each style's turn cue and U-turn cue: its template, the template with a
+# distance lead where the style has one, and the template's classes (the
+# lead adds Distance).
+_CUES = {
+    ("distance-heavy", False): (
+        "Turn {word} onto {road}.",
+        "In {feet} feet turn {word} onto {road}.",
+        frozenset({CommandClass.TURN, CommandClass.ROAD}),
+    ),
+    ("distance-heavy", True): (
+        "Make a U-turn.",
+        "In {feet} feet make a U-turn.",
+        frozenset({CommandClass.TURN}),
+    ),
+    ("static-object-heavy", False): (
+        "At the stop sign turn {word} onto {road}.",
+        None,
+        frozenset({CommandClass.STATIC_OBJECT, CommandClass.TURN, CommandClass.ROAD}),
+    ),
+    ("static-object-heavy", True): (
+        "At the light make a U-turn.",
+        None,
+        frozenset({CommandClass.STATIC_OBJECT, CommandClass.TURN}),
+    ),
+    ("cardinal-heavy", False): (
+        "Turn {word} and head {cardinal} on {road}.",
+        None,
+        frozenset({CommandClass.TURN, CommandClass.CARDINAL, CommandClass.ROAD}),
+    ),
+    ("cardinal-heavy", True): (
+        "Make a U-turn and head {cardinal}.",
+        None,
+        frozenset({CommandClass.TURN, CommandClass.CARDINAL}),
+    ),
+}
 
 
 def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
@@ -322,6 +305,10 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
     turn; when the leg is shorter than the lead, the cue moves to the
     leg's midpoint and drops its distance phrase. The transcript closes
     with an arrival announcement over the final straight run-out.
+
+    A plan whose cues the pipeline could not read back one event per cue
+    raises ValueError naming the cue: one that starts outside the track,
+    or before the previous cue's segment ends (ingest merges the two).
     """
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r} (expected one of {STYLES})")
@@ -335,23 +322,20 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
         maneuver = leg.maneuver_after
         if maneuver is None or maneuver is Maneuver.STRAIGHT:
             continue
-        turn_at_m = cumulative[i + 1]
+        template, lead_template, classes = _CUES[style, maneuver is Maneuver.UTURN]
         with_distance = DEFAULT_LEAD_M < leg.length_m
         if with_distance:
-            cue_at_m = turn_at_m - DEFAULT_LEAD_M
-            lead_feet = round(DEFAULT_LEAD_M * 3.28084)
+            cue_at_m = cumulative[i + 1] - DEFAULT_LEAD_M
+            if lead_template:
+                template, classes = lead_template, classes | {CommandClass.DISTANCE}
         else:
-            cue_at_m = turn_at_m - leg.length_m / 2.0
-            lead_feet = 0
-        road = text_rng.choice(_ROAD_BANK)
+            cue_at_m = cumulative[i + 1] - leg.length_m / 2.0
         heading_after = headings[i + 1] if i + 1 < len(headings) else headings[i]
-        text, classes = _cue(
-            style,
-            maneuver,
-            road,
-            _cardinal_for(heading_after),
-            lead_feet,
-            with_distance,
+        text = template.format(
+            word="left" if maneuver is Maneuver.LEFT_TURN else "right",
+            road=text_rng.choice(_ROAD_BANK),
+            cardinal=_cardinal_for(heading_after),
+            feet=round(DEFAULT_LEAD_M * 3.28084),
         )
         cues.append((cue_at_m / plan.speed_mps, text, classes))
         expected.append(maneuver)
@@ -368,14 +352,22 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
     expected.append(Maneuver.STRAIGHT)
 
     entries = []
-    segments = []
     for j, (start_s, text, classes) in enumerate(cues):
+        if not 0 <= start_s <= track_end_s:
+            raise ValueError(
+                f"cue {text!r} at {start_s:g} s lies outside the track "
+                f"(0 to {track_end_s:g} s)"
+            )
+        if entries and start_s < entries[-1].end_s:
+            raise ValueError(
+                f"cue {text!r} at {start_s:g} s starts before the previous "
+                f"cue ends ({entries[-1].end_s:g} s)"
+            )
         end_s = start_s + _SPEECH_SECONDS
         if j + 1 < len(cues):
             end_s = min(end_s, cues[j + 1][0] - 0.1)
         end_s = max(end_s, start_s + 0.2)
         entries.append(GroundTruthEntry(start_s, end_s, text, classes))
-        segments.append(TranscriptSegment(start_s, end_s, text))
 
     ground_truth = GroundTruth(
         style=style,
@@ -384,7 +376,10 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
         instructions=tuple(entries),
         expected_maneuvers=tuple(expected),
     )
-    transcript = Transcript(tuple(segments), audio_start_ms=plan.origin.t_ms)
+    transcript = Transcript(
+        tuple(TranscriptSegment(e.start_s, e.end_s, e.text) for e in entries),
+        audio_start_ms=plan.origin.t_ms,
+    )
     return StyledCorpus(track, transcript, ground_truth)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -70,3 +71,20 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_every_traced_attribute_resolves():
+    # The perfbench tracer wraps these module attributes by name, and only on
+    # a traced run, so a rename under src/ would break tracing unnoticed.
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for module, attribute, _ in targets:
+        assert callable(getattr(importlib.import_module(module), attribute, None)), (
+            f"{module}.{attribute}"
+        )

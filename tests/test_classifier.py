@@ -15,8 +15,8 @@ from drivetriad.classifier import (
     FRACTION_WORDS,
     STRUCTURE_WORDS,
     Lexicon,
-    normalize_text,
     sort_classes,
+    tokenize,
 )
 from drivetriad.errors import EmptyInstruction, LexiconError
 
@@ -62,30 +62,85 @@ PROTOTYPES = [
 ]
 
 
+def ref_normalize(text):
+    """The per-character normalizer tokenize replaced, kept as its reference:
+    the normalized string (lowercased, punctuation to single spaces) and the
+    original index of each of its characters."""
+    if not text.strip():
+        raise EmptyInstruction("instruction text is empty")
+    chars = []
+    origins = []
+    for i, ch in enumerate(text):
+        if ch == "’":
+            ch_norm = "'"
+        elif ch.isalnum() or ch in "'-":
+            ch_norm = ch.lower()
+        else:
+            ch_norm = " "
+        for out in ch_norm:
+            if out == " " and (not chars or chars[-1] == " "):
+                continue
+            chars.append(out)
+            origins.append(i)
+    while chars and chars[-1] == " ":
+        chars.pop()
+        origins.pop()
+    if not chars:
+        raise EmptyInstruction("instruction text is empty after normalization")
+    return "".join(chars), tuple(origins)
+
+
+def ref_to_original(origins, start, end):
+    """The original span of normalized characters [start, end)."""
+    return origins[start], origins[end - 1] + 1
+
+
 class TestNormalizeText:
     def test_lowercase_and_punctuation(self):
-        normalized, _ = normalize_text("Turn left onto Main St.")
-        assert normalized == "turn left onto main st"
+        tokens, _ = tokenize("Turn left onto Main St.")
+        assert " ".join(tokens) == "turn left onto main st"
 
     def test_whitespace_collapse(self):
-        normalized, _ = normalize_text("  HEAD   West  ")
-        assert normalized == "head west"
+        tokens, _ = tokenize("  HEAD   West  ")
+        assert " ".join(tokens) == "head west"
 
     def test_keeps_apostrophes_and_hyphens(self):
-        normalized, _ = normalize_text("Make a U-turn at O'Neil's.")
-        assert normalized == "make a u-turn at o'neil's"
+        tokens, _ = tokenize("Make a U-turn at O'Neil's.")
+        assert " ".join(tokens) == "make a u-turn at o'neil's"
 
     def test_offsets_map_back_to_original(self):
         text = "  Turn LEFT,  now!"
-        normalized, offsets = normalize_text(text)
-        idx = normalized.index("left")
-        start, end = offsets.to_original(idx, idx + 4)
+        tokens, spans = tokenize(text)
+        start, end = spans[tokens.index("left")]
         assert text[start:end] == "LEFT"
 
     @pytest.mark.parametrize("bad", ["", "   ", "...", "!?!"])
     def test_blank_input_rejected(self, bad):
         with pytest.raises(EmptyInstruction):
-            normalize_text(bad)
+            tokenize(bad)
+
+    @given(
+        text=st.text(
+            st.one_of(
+                st.sampled_from("İΣσς’'²١_\u00a0\u0307-. ,aZ9"),
+                st.characters(),
+            ),
+            max_size=16,
+        )
+    )
+    def test_matches_per_character_reference(self, text):
+        try:
+            normalized, origins = ref_normalize(text)
+        except EmptyInstruction:
+            with pytest.raises(EmptyInstruction):
+                tokenize(text)
+            return
+        tokens, spans = tokenize(text)
+        assert " ".join(tokens) == normalized
+        start = 0
+        for token, span in zip(tokens, spans):
+            assert span == ref_to_original(origins, start, start + len(token))
+            start += len(token) + 1
 
 
 class TestMixedSentences:
@@ -340,6 +395,13 @@ class TestLexicon:
         with pytest.raises(LexiconError, match="not valid JSON"):
             load_lexicon(data)
 
+    def test_words_lower_like_the_text(self):
+        # Whole-string lower() spells a final capital sigma "ς"; the text's
+        # tokens lower letter by letter to "σ".
+        assert classes_of("ΟΔΟΣ", lexicon({"Road": ["ΟΔΟΣ"]})) == {"Road"}
+        lex = lexicon({"distance_units": ["ΣΤΑΔΙΟΣ"]})
+        assert "Distance" in classes_of("In 5 ΣΤΑΔΙΟΣ turn", lex)
+
     def test_compiled_patterns_are_cached_outside_equality(self):
         lex = load_lexicon(json.dumps({"road_suffixes": ["via"]}).encode())
         assert lex._compiled is lex._compiled
@@ -434,7 +496,7 @@ def ref_accepts(elem, token, lex):
         return token in _CARDINALS
     if elem == "<bound>":
         return re.fullmatch(r"(north|south|east|west)-?bound", token) is not None
-    return token == elem.lower()
+    return token == "".join("'" if ch == "’" else ch.lower() for ch in elem)
 
 
 def ref_name_like(token, lex):
@@ -476,7 +538,7 @@ def ref_maximal(spans):
 
 def ref_evidence(text, lex):
     """Sorted (start, end, class) of every evidence span, matched on tokens."""
-    normalized, omap = normalize_text(text)
+    normalized, origins = ref_normalize(text)
     tokens = normalized.split(" ")
     starts = [0]
     for token in tokens:
@@ -516,7 +578,9 @@ def ref_evidence(text, lex):
     evidence = []
     for cls, spans in by_class.items():
         for start, end in spans:
-            evidence.append((*omap.to_original(starts[start], starts[end] - 1), cls.value))
+            evidence.append(
+                (*ref_to_original(origins, starts[start], starts[end] - 1), cls.value)
+            )
     return sorted(evidence)
 
 
@@ -620,8 +684,8 @@ class TestTriggerIndex:
         comp = DEFAULT_LEXICON._compiled
         flat = flat_patterns(DEFAULT_LEXICON)
         assert len(flat) == len(comp.patterns) == 59
-        normalized, _ = normalize_text("In 500 feet turn left onto Oak Street.")
-        got = sorted(comp.triggered(normalized.split(" ")))
+        tokens, _ = tokenize("In 500 feet turn left onto Oak Street.")
+        got = sorted(comp.triggered(tokens))
         assert [flat[i] for i in got] == [
             (C.ROAD, "onto <name+> <suffix>"),
             (C.ROAD, "<name+> <suffix>"),

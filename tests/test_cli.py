@@ -237,6 +237,17 @@ class TestPipelineCommand:
         assert manifest["event_count"] > 0
         assert manifest["segment_count"] > 0
 
+    def test_short_turn_plan_gives_one_event_per_cue(self, tmp_path, capsys):
+        # One 60 m leg: the turn cue sits at its midpoint, then the arrival.
+        corpus = make_corpus(tmp_path, capsys, extra=("--legs", "60R"))
+        code, out, _ = run(
+            ["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript",
+             str(corpus / "transcript.json"), "--out", str(tmp_path / "d")],
+            capsys,
+        )
+        assert code == EXIT_OK
+        assert "events: 2\n" in out
+
     def test_missing_gpx_flag_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             ["pipeline", "--transcript", "x.json", "--out", str(tmp_path)], capsys
@@ -667,6 +678,9 @@ class TestHostileInput:
             (["--sample-hz", "٢"], "argument --sample-hz"),
             (["--noise-sigma-m", "0_5"], "argument --noise-sigma-m"),
             (["--seed", "1_0"], "argument --seed"),
+            (["--legs", "10R,10L,10R,1"], "starts before the previous cue ends"),
+            (["--sample-hz", "0.01"], "lies outside the track"),
+            (["--speed-mps", "1e308"], "lies outside the track"),
         ],
     )
     def test_bad_synth_flag_is_usage_error(self, tmp_path, capsys, flags, field):

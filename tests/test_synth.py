@@ -222,6 +222,31 @@ class TestGenerateInstructions:
         with pytest.raises(ValueError):
             generate_instructions(simple_plan(), "opera")
 
+    @pytest.mark.parametrize(
+        "legs, settings, message",
+        [
+            # The arrival lands before the last turn cue.
+            ("10R,10L,10R,1", {}, "'Arrived at .*' at 1.5 s starts before the previous"),
+            # Turn cues 0.07 s apart.
+            ("1R,1L,1R,400", {}, "starts before the previous cue ends"),
+            ("600R,500L,700R,400", {"sample_hz": 0.01}, "at 110 s lies outside the track"),
+            ("0.001R,0.001", {}, "lies outside the track"),
+            ("600R,500L,700R,400", {"speed_mps": 1e308}, "lies outside the track"),
+        ],
+    )
+    def test_cue_the_pipeline_cannot_read_back_rejected(self, legs, settings, message):
+        plan = simple_plan(legs=parse_legs(legs), **settings)
+        with pytest.raises(ValueError, match=message):
+            generate_instructions(plan, "distance-heavy")
+
+    @pytest.mark.parametrize("legs", ["60R", "600R,500L,400", "100R,400"])
+    def test_each_cue_reads_back_as_one_segment(self, legs):
+        corpus = generate_instructions(simple_plan(legs=parse_legs(legs)), "distance-heavy")
+        parsed = parse_transcript(write_transcript_json(corpus), "segment-json")
+        assert [s.text for s in parsed.segments] == [
+            e.text for e in corpus.ground_truth.instructions
+        ]
+
     def test_classifier_agrees_with_ground_truth(self):
         for style in STYLES:
             for seed in range(10):
