@@ -109,9 +109,9 @@ _TOKEN = re.compile(r"(?:[^\W_]|['’-])+")  # [^\W_] is exactly str.isalnum
 
 def _fold(word: str) -> str:
     """The one spelling rule for text tokens and lexicon words."""
-    # Letters lower one by one: whole-string lower() turns a final "Σ" into
-    # "ς", and CPython special-cases no other letter ("ΟΔΟΣ" -> "οδοσ").
-    return word.replace("’", "'").replace("Σ", "σ").lower()
+    # Both small sigmas read as "σ": whole-string lower() turns a final "Σ"
+    # into "ς", and text may spell a word either way ("ΟΔΟΣ", "οδος").
+    return word.replace("’", "'").lower().replace("ς", "σ")
 
 
 def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:

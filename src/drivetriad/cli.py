@@ -25,8 +25,8 @@ from typing import Iterable
 from ._version import __version__
 from .classifier import classify, load_lexicon
 from .core import DEFAULT_TOLERANCE_MS, parse_float, parse_int
-from .errors import DataError, EmptyInstruction, InternalError, IoError, ParseError
-from .emitter import labels_fragment, read_triads
+from .errors import DataError, EmptyInstruction, InternalError, ParseError
+from .emitter import labels_fragment, read_triads, write_text
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
 from .stats import corpus_stats, render_report
@@ -77,13 +77,21 @@ class _Options:
         config_path = getattr(args, "config", None)
         if config_path is not None:
             raw = Path(config_path).read_bytes()
+            # Every key as written, duplicates included: the outermost
+            # object is the last one json closes.
+            pairs: list = []
+
+            def keep_pairs(object_pairs: list) -> dict:
+                pairs[:] = object_pairs
+                return dict(object_pairs)
+
             try:
-                doc = json.loads(raw.decode("utf-8"))
+                doc = json.loads(raw.decode("utf-8"), object_pairs_hook=keep_pairs)
             except (ValueError, RecursionError) as exc:
                 raise ParseError(f"{config_path}: not valid JSON: {exc}") from exc
             if not isinstance(doc, dict):
                 raise ParseError(f"{config_path}: config must be a JSON object")
-            for key, value in doc.items():
+            for key, value in pairs:
                 name = str(key).replace("-", "_")
                 if name in self._file:
                     parser.error(f"{config_path}: config key {name!r} given twice")
@@ -303,10 +311,7 @@ def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
     if out_path is None:
         sys.stdout.write(report)
     else:
-        try:
-            Path(out_path).write_text(report, encoding="utf-8", newline="")
-        except OSError as exc:
-            raise IoError(f"cannot write {out_path}: {exc}") from exc
+        write_text(out_path, report)
     return EXIT_OK
 
 

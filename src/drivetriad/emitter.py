@@ -155,11 +155,20 @@ def export_triads(triads: Sequence[VlaTriad], out_dir: Path | str) -> Path:
                 f"triads out of time order at events "
                 f"{previous.event.id} -> {current.event.id}"
             )
-    target = Path(out_dir) / TRIADS_FILENAME
-    body = "".join(serialize_triad(t) + "\n" for t in triads)
+    return write_text(
+        Path(out_dir) / TRIADS_FILENAME,
+        "".join(serialize_triad(t) + "\n" for t in triads),
+    )
+
+
+def write_text(target: Path | str, text: str) -> Path:
+    """Write one artifact as UTF-8 with its newlines untranslated: the one
+    writer of every output file but synth's corpus. A failure raises IoError
+    naming the file."""
+    target = Path(target)
     try:
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            handle.write(body)
+            handle.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {target}: {exc}") from exc
     return target
@@ -308,11 +317,10 @@ def build_manifest(
     }
 
 
+def json_document(doc: object) -> str:
+    """A whole JSON file: indent 2, ASCII only, one final LF."""
+    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
 def write_manifest(manifest: dict, out_dir: Path | str) -> Path:
-    target = Path(out_dir) / MANIFEST_FILENAME
-    try:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            handle.write(json.dumps(manifest, indent=2, ensure_ascii=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {target}: {exc}") from exc
-    return target
+    return write_text(Path(out_dir) / MANIFEST_FILENAME, json_document(manifest))

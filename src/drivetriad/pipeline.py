@@ -28,6 +28,7 @@ from .emitter import (
     make_triads,
     manifest_input,
     write_manifest,
+    write_text,
 )
 from .errors import InvalidAnchor, IoError
 from .ingest import TRANSCRIPT_FORMATS, parse_gpx, parse_transcript, parse_video_meta
@@ -212,13 +213,8 @@ def run_pipeline(
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
     triads_path = export_triads(triads, out_dir)
     manifest_path = write_manifest(manifest, out_dir)
-    report_path = out_dir / REPORT_FILENAME
-    mismatches_path = out_dir / MISMATCHES_FILENAME
-    try:
-        report_path.write_text(report, encoding="utf-8", newline="")
-        mismatches_path.write_text(mismatch_lines, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoError(f"cannot write report files: {exc}") from exc
+    report_path = write_text(out_dir / REPORT_FILENAME, report)
+    mismatches_path = write_text(out_dir / MISMATCHES_FILENAME, mismatch_lines)
 
     return PipelineResult(
         out_dir=out_dir,

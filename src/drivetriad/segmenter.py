@@ -15,12 +15,11 @@ the data-quality signal worth surfacing.
 from __future__ import annotations
 
 import enum
-import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .classifier import CommandClass
+from .classifier import CommandClass, tokenize
 from .core import (
     GeoPoint,
     TrackLog,
@@ -157,14 +156,15 @@ def segment_actions(
                 f"events {previous.id} and {current.id} are out of time order"
             )
     times = track.times
+    # Window i runs from bounds[i] to bounds[i + 1]: each event's instant
+    # clamped into the track span, then the track's end.
+    bounds = [min(max(e.t_ms, track.start_ms), track.end_ms) for e in events]
+    bounds.append(track.end_ms)
 
     segments: list[ActionSegment] = []
     warnings: list[str] = []
     for i, event in enumerate(events):
-        raw_start = event.t_ms
-        raw_end = events[i + 1].t_ms if i + 1 < len(events) else track.end_ms
-        t_start = min(max(raw_start, track.start_ms), track.end_ms)
-        t_end = min(max(raw_end, track.start_ms), track.end_ms)
+        t_start, t_end = bounds[i], bounds[i + 1]
         if t_start >= t_end:
             warnings.append(
                 f"event {event.id}: action window is empty after clamping to "
@@ -217,7 +217,6 @@ def segment_actions(
 
 
 _SIDE_WORDS = frozenset({"left", "right"})
-_WORD_RE = re.compile(r"[a-z-]+")
 
 _OBSERVED_SIDE = {
     Maneuver.LEFT_TURN: "left",
@@ -230,17 +229,18 @@ def consistency_check(
 ) -> Mismatch | None:
     """Flag events whose stated turn direction opposes the driven one.
 
-    Only fires when the text states exactly one side (left or right) and
-    the observed maneuver is the opposite turn. Straight, UTurn, Unknown,
-    and ambiguous texts never mismatch.
+    Only fires when the text states exactly one side (a Turn evidence token
+    that is exactly left or right) and the observed maneuver is the
+    opposite turn. Straight, UTurn, Unknown, and ambiguous texts never
+    mismatch.
     """
-    stated_sides = set()
-    for evidence in event.evidence:
-        if evidence.command_class is not CommandClass.TURN:
-            continue
-        for word in _WORD_RE.findall(evidence.matched.lower()):
-            if word in _SIDE_WORDS:
-                stated_sides.add(word)
+    stated_sides = {
+        token
+        for evidence in event.evidence
+        if evidence.command_class is CommandClass.TURN
+        for token in tokenize(evidence.matched)[0]
+        if token in _SIDE_WORDS
+    }
     if len(stated_sides) != 1:
         return None
     stated = next(iter(stated_sides))

@@ -100,19 +100,22 @@ def build_events(
     transcript's own embedded anchor is used. ``audio_offset_ms`` moves
     every segment; ``track`` and ``video`` must already be on that clock.
     Returns the events sorted by time with ids 0..n-1, plus warnings: one
-    per dropped segment, then the ``event N:`` notes (no heading, no video
-    frame) in id order. Raises NoUsableEvents when nothing survives.
+    per dropped segment in time order, then the ``event N:`` notes (no
+    heading, no video frame) in id order. Raises NoUsableEvents when
+    nothing survives.
     """
     anchor = audio_start_ms if audio_start_ms is not None else transcript.audio_start_ms
     if anchor is None:
         raise InvalidAnchor(
             "transcript has relative times but no audio start anchor was given"
         )
+    # Events are numbered as they are placed, so place them in time order;
+    # the sort is stable, so equal instants keep their input order.
     timed = absolutize(transcript, anchor, audio_offset_ms)
+    timed.sort(key=lambda pair: pair[0])
     warnings: list[str] = []
-    # Each placed segment's fields and notes, held until the time sort
-    # assigns ids.
-    placed: list[tuple[dict, list[str]]] = []
+    notes: list[str] = []
+    events: list[InstructionEvent] = []
     for t_ms, text in timed:
         try:
             labeled = classify(text, lex)
@@ -130,33 +133,26 @@ def build_events(
                 f"span (tolerance {tolerance_ms} ms); dropped"
             )
             continue
-        notes: list[str] = []
+        event_id = len(events)
         try:
             heading = heading_at(track, t_ms, tolerance_ms)
         except DegenerateBearing:
             heading = None
-            notes.append("heading undefined: track is degenerate here")
+            notes.append(f"event {event_id}: heading undefined: track is degenerate here")
         frame: int | None = None
         if video is not None:
             try:
                 frame = frame_index_at(video, t_ms)
             except (BeforeVideoStart, AfterVideoEnd) as exc:
-                notes.append(f"no video frame: {exc}")
-        fields = dict(
-            t_ms=t_ms,
-            text=text,
-            classes=labeled.classes,
-            evidence=labeled.evidence,
-            geo=geo,
-            heading_deg=heading,
-            frame_index=frame,
+                notes.append(f"event {event_id}: no video frame: {exc}")
+        events.append(
+            InstructionEvent(
+                event_id, t_ms, text, labeled.classes, labeled.evidence, geo,
+                heading, frame,
+            )
         )
-        placed.append((fields, notes))
-    if not placed:
+    if not events:
         raise NoUsableEvents(
             "no transcript segment could be placed on the track timeline"
         )
-    placed.sort(key=lambda item: item[0]["t_ms"])
-    events = [InstructionEvent(id=i, **fields) for i, (fields, _) in enumerate(placed)]
-    warnings += [f"event {i}: {n}" for i, (_, notes) in enumerate(placed) for n in notes]
-    return events, warnings
+    return events, warnings + notes

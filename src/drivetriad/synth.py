@@ -19,7 +19,6 @@ round-trip oracle.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import sys
@@ -37,6 +36,7 @@ from .core import (
     normalize_bearing,
     parse_float,
 )
+from .emitter import json_document
 from .errors import IoError
 from .ingest import Transcript, TranscriptSegment
 from .segmenter import Maneuver
@@ -412,7 +412,7 @@ def write_transcript_json(corpus: StyledCorpus) -> bytes:
             for s in corpus.transcript.segments
         ],
     }
-    return (json.dumps(document, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
+    return json_document(document).encode("utf-8")
 
 
 def write_video_meta(track: TrackLog) -> bytes:
@@ -423,7 +423,7 @@ def write_video_meta(track: TrackLog) -> bytes:
         "fps": _VIDEO_FPS,
         "frame_count": frame_count,
     }
-    return (json.dumps(document, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
+    return json_document(document).encode("utf-8")
 
 
 def write_ground_truth(ground_truth: GroundTruth) -> bytes:
@@ -442,7 +442,7 @@ def write_ground_truth(ground_truth: GroundTruth) -> bytes:
         ],
         "expected_maneuvers": [m.value for m in ground_truth.expected_maneuvers],
     }
-    return (json.dumps(document, indent=2, ensure_ascii=True) + "\n").encode("utf-8")
+    return json_document(document).encode("utf-8")
 
 
 def write_corpus(corpus: StyledCorpus, out_dir: Path | str) -> dict[str, Path]:

@@ -88,3 +88,41 @@ def test_every_traced_attribute_resolves():
         assert callable(getattr(importlib.import_module(module), attribute, None)), (
             f"{module}.{attribute}"
         )
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call is ``open()`` in a write mode, ``Path.write_text`` or
+    ``Path.write_bytes``; a mode that is not a literal counts as writing."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return True
+    is_method = isinstance(func, ast.Attribute)
+    if (func.attr if is_method else getattr(func, "id", None)) != "open":
+        return False
+    # open(path, mode) and Path.open(mode)
+    position = 0 if is_method else 1
+    mode = call.args[position] if len(call.args) > position else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None
+    )
+    if mode is None:
+        return False
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def test_only_the_two_writers_write_files():
+    # Encoding, newlines and the IoError naming the file live in
+    # emitter.write_text; synth.write_corpus writes the corpus bytes.
+    writers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.partition('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _writes_a_file(child):
+                writers.add(owner)
+            visit(child, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
+    assert writers == {"emitter.write_text", "synth.write_corpus"}

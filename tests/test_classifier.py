@@ -64,8 +64,8 @@ PROTOTYPES = [
 
 def ref_normalize(text):
     """The per-character normalizer tokenize replaced, kept as its reference:
-    the normalized string (lowercased, punctuation to single spaces) and the
-    original index of each of its characters."""
+    the normalized string (lowercased, final sigma folded to "σ", punctuation
+    to single spaces) and the original index of each of its characters."""
     if not text.strip():
         raise EmptyInstruction("instruction text is empty")
     chars = []
@@ -74,7 +74,7 @@ def ref_normalize(text):
         if ch == "’":
             ch_norm = "'"
         elif ch.isalnum() or ch in "'-":
-            ch_norm = ch.lower()
+            ch_norm = ch.lower().replace("ς", "σ")
         else:
             ch_norm = " "
         for out in ch_norm:
@@ -396,9 +396,12 @@ class TestLexicon:
             load_lexicon(data)
 
     def test_words_lower_like_the_text(self):
-        # Whole-string lower() spells a final capital sigma "ς"; the text's
-        # tokens lower letter by letter to "σ".
+        # Whole-string lower() spells a final capital sigma "ς"; words and
+        # text tokens read both small sigmas as "σ", in either direction.
         assert classes_of("ΟΔΟΣ", lexicon({"Road": ["ΟΔΟΣ"]})) == {"Road"}
+        for text in ("οδος", "Οδος", "οδοσ"):
+            assert classes_of(text, lexicon({"Road": ["ΟΔΟΣ"]})) == {"Road"}
+        assert classes_of("ΟΔΟΣ", lexicon({"Road": ["οδος"]})) == {"Road"}
         lex = lexicon({"distance_units": ["ΣΤΑΔΙΟΣ"]})
         assert "Distance" in classes_of("In 5 ΣΤΑΔΙΟΣ turn", lex)
 

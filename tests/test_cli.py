@@ -248,6 +248,22 @@ class TestPipelineCommand:
         assert code == EXIT_OK
         assert "events: 2\n" in out
 
+    @pytest.mark.parametrize(
+        "name", ["triads.jsonl", "manifest.json", "report.txt", "mismatches.txt"]
+    )
+    def test_unwritable_artifact_is_io_error_naming_it(self, tmp_path, capsys, name):
+        corpus = make_corpus(tmp_path, capsys)
+        out_dir = tmp_path / "dataset"
+        (out_dir / name).mkdir(parents=True)
+        code, _, err = run(
+            ["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript",
+             str(corpus / "transcript.json"), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == EXIT_INTERNAL
+        assert f"internal error: IoError: cannot write {out_dir / name}" in err
+        assert "Traceback" not in err
+
     def test_missing_gpx_flag_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
             ["pipeline", "--transcript", "x.json", "--out", str(tmp_path)], capsys
@@ -922,18 +938,22 @@ class TestHostileInput:
             (["stats", "t.jsonl"], {"sources": ["a"]}, "sources"),
             (["synth"], {"noise": 1.0}, "noise"),
             (["pipeline"], {"tolerance-ms": 100, "tolerance_ms": 9000}, "tolerance_ms"),
+            # Raw JSON text: json.dumps cannot write a key twice.
+            (["pipeline", "--gpx", "a.gpx", "--transcript", "t.json", "--out", "o"],
+             '{"tolerance_ms": -5, "tolerance_ms": 100}',
+             "config key 'tolerance_ms' given twice"),
         ],
         ids=[
             "classify-lexicon-int", "classify-transcript-int", "stats-out-int",
             "synth-out-int", "synth-out-list", "pipeline-misspelt-key",
             "pipeline-field-name-key", "classify-unknown-key", "stats-sources-key",
-            "synth-unknown-key", "pipeline-key-twice",
+            "synth-unknown-key", "pipeline-key-twice", "pipeline-exact-key-twice",
         ],
     )
     def test_bad_config_key_is_usage_error(self, tmp_path, capsys, argv, settings, key):
         # Checked before any input file is opened, so the paths need not exist.
         config = tmp_path / "c.json"
-        config.write_text(json.dumps(settings))
+        config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
         code, _, err = run([*argv, "--config", str(config)], capsys)
         assert code == EXIT_USAGE
         assert key in err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from drivetriad import (
@@ -10,6 +12,7 @@ from drivetriad import (
     build_events,
     classify,
     haversine_distance,
+    load_lexicon,
     make_triads,
     segment_actions,
 )
@@ -26,8 +29,8 @@ from drivetriad.sync import InstructionEvent
 from helpers import straight_north_track, track_from
 
 
-def event(id, t_ms, text="Turn left."):
-    labeled = classify(text)
+def event(id, t_ms, text="Turn left.", lex=None):
+    labeled = classify(text, lex)
     return InstructionEvent(
         id=id,
         t_ms=t_ms,
@@ -245,8 +248,8 @@ class TestSegmentActions:
 
 
 class TestConsistency:
-    def _pair(self, text, maneuver, net=90.0):
-        ev = event(0, 0, text)
+    def _pair(self, text, maneuver, net=90.0, lex=None):
+        ev = event(0, 0, text, lex)
         seg = ActionSegment(
             event_id=0,
             t_start_ms=0,
@@ -301,6 +304,21 @@ class TestConsistency:
         mismatch = consistency_check(ev, seg)
         assert mismatch is not None
         assert mismatch.stated == "left"
+
+    @pytest.mark.parametrize(
+        "text, stated",
+        [("Turn left way.", "left"), ("Turn left's way.", None)],
+        ids=["side-token", "side-word-inside-a-token"],
+    )
+    def test_stated_side_is_a_whole_classifier_token(self, text, stated):
+        # A "*" gap carries any token into TURN evidence; only a token the
+        # classifier reads as exactly "left" or "right" states a side.
+        lex = load_lexicon(json.dumps({"Turn": ["turn * way"]}).encode())
+        ev, seg = self._pair(text, Maneuver.RIGHT_TURN, lex=lex)
+        turn_evidence = [e.matched for e in ev.evidence if e.command_class.value == "Turn"]
+        assert turn_evidence == [text.rstrip(".")]
+        mismatch = consistency_check(ev, seg)
+        assert (mismatch and mismatch.stated) == stated
 
     def test_collect_mismatches(self):
         ev1, seg1 = self._pair("Turn left.", Maneuver.RIGHT_TURN)

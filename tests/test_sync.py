@@ -244,3 +244,30 @@ class TestBuildEvents:
         assert [e.id for e in events] == [0, 1]
         assert events[0].text == "Turn left."
         assert events[0].t_ms < events[1].t_ms
+
+    def test_unsorted_segments_are_placed_and_warned_in_time_order(self):
+        # Drops are reported in time order, then the notes in id order; equal
+        # instants keep their input order.
+        video = VideoIndex(start_ms=1_010_000, fps=30.0, frame_count=10_000)
+        events, warnings = build_events(
+            transcript(
+                (500.0, 501.0, "Turn right."),
+                (20.0, 21.0, "Keep left."),
+                (10.0, 11.0, "..."),
+                (5.0, 6.0, "Bear right."),
+                (20.0, 21.0, "Turn left."),
+            ),
+            self._track(),
+            video=video,
+            audio_start_ms=1_000_000,
+        )
+        assert [(e.id, e.text) for e in events] == [
+            (0, "Bear right."), (1, "Keep left."), (2, "Turn left.")
+        ]
+        assert [w.split(" ")[0:3] for w in warnings] == [
+            ["segment", "at", "1970-01-01T00:16:50.000Z"],
+            ["segment", "at", "1970-01-01T00:25:00.000Z"],
+            ["event", "0:", "no"],
+        ]
+        assert "no classifiable text" in warnings[0]
+        assert "outside the track span" in warnings[1]
