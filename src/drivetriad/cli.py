@@ -25,7 +25,7 @@ from typing import Iterable
 from ._version import __version__
 from .classifier import classify, load_lexicon
 from .core import DEFAULT_TOLERANCE_MS, parse_float, parse_int
-from .errors import DataError, EmptyInstruction, InternalError, ParseError
+from .errors import DataError, EmptyInstruction, InternalError, IoError, ParseError
 from .emitter import labels_fragment, read_triads, write_text
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
@@ -263,17 +263,29 @@ def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
         transcript = parse_transcript(data, fmt)
     except DataError as exc:
         raise type(exc)(f"{transcript_path}: {exc}") from exc
+    # Navigation prompts are templated, so a text comes back many times in
+    # one transcript: each distinct text is labelled and rendered once, and
+    # None marks a text with no words.
+    lines: dict[str, str | None] = {}
     for segment in transcript.segments:
-        try:
-            result = classify(segment.text, lexicon)
-        except EmptyInstruction:
+        text = segment.text
+        if text not in lines:
+            try:
+                result = classify(text, lexicon)
+            except EmptyInstruction:
+                lines[text] = None
+            else:
+                fragment = labels_fragment(text, result.classes, result.evidence)
+                lines[text] = "{" + fragment + "}\n"
+        line = lines[text]
+        if line is None:
             print(
                 f"warning: {transcript_path}: segment at {segment.start_s:.3f} s "
-                f"has no classifiable text ({segment.text!r}); dropped",
+                f"has no classifiable text ({text!r}); dropped",
                 file=sys.stderr,
             )
-            continue
-        print("{" + labels_fragment(segment.text, result.classes, result.evidence) + "}")
+        else:
+            _write_stdout(line)
     return EXIT_OK
 
 
@@ -289,11 +301,13 @@ def _run_pipeline(args: argparse.Namespace, parser: _Parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     result = run_pipeline(config)
-    print(f"events: {result.event_count}")
-    print(f"segments: {result.segment_count}")
-    print(f"warnings: {result.warning_count}")
-    print(f"mismatches: {result.mismatch_count}")
-    print(f"wrote: {result.out_dir}")
+    _write_stdout(
+        f"events: {result.event_count}\n"
+        f"segments: {result.segment_count}\n"
+        f"warnings: {result.warning_count}\n"
+        f"mismatches: {result.mismatch_count}\n"
+        f"wrote: {result.out_dir}\n"
+    )
     return EXIT_OK
 
 
@@ -309,7 +323,7 @@ def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
         all_stats.append(corpus_stats(label, [t.event for t in triads]))
     report = render_report(all_stats)
     if out_path is None:
-        sys.stdout.write(report)
+        _write_stdout(report)
     else:
         write_text(out_path, report)
     return EXIT_OK
@@ -328,11 +342,34 @@ def _run_synth(args: argparse.Namespace, parser: _Parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     files = write_corpus(corpus, out_dir)
-    print(f"wrote {len(files)} files to {out_dir}")
+    _write_stdout(f"wrote {len(files)} files to {out_dir}\n")
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+def _write_stdout(text: str) -> None:
+    """Write command output; a failed write raises IoError (exit 70)."""
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _stdout_failed(exc) from exc
+
+
+def _stdout_failed(exc: OSError) -> IoError:
+    """The error for a failed write or flush of standard output.
+
+    The broken stream is dropped with what it still buffers, so the
+    interpreter's own flush at exit cannot fail and report it a second time.
+    """
+    sys.stdout = None
+    return IoError(f"cannot write standard output: {exc}")
+
+
+def _internal_error(exc: InternalError) -> int:
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -352,8 +389,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
     except InternalError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _internal_error(exc)
+
+
+def main(argv: list[str] | None = None) -> int:
+    code = _dispatch(argv)
+    # Output is buffered, so a full disk or a closed pipe may only show at
+    # this flush; after a failed write the stream is already gone.
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            return _internal_error(_stdout_failed(exc))
+    return code
 
 
 def entry() -> None:

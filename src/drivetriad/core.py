@@ -39,6 +39,7 @@ MAX_INSTANT_MS = 253_402_300_799_999
 """9999-12-31T23:59:59.999Z, the last instant format_iso8601_ms can render."""
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def parse_iso8601_ms(text: str) -> int:
@@ -57,7 +58,7 @@ def parse_iso8601_ms(text: str) -> int:
         raise ParseError(f"bad ISO-8601 timestamp: {text!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    micros = (dt - _EPOCH) // timedelta(microseconds=1)
+    micros = (dt - _EPOCH) // _MICROSECOND
     if micros < 0:
         raise ParseError(f"timestamp before the epoch: {text!r}")
     t_ms = (micros + 500) // 1000

@@ -13,6 +13,7 @@ raised along the way.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -172,6 +173,14 @@ def write_text(target: Path | str, text: str) -> Path:
     except OSError as exc:
         raise IoError(f"cannot write {target}: {exc}") from exc
     return target
+
+
+def remove_files(paths: Iterable[Path]) -> None:
+    """Remove the files a run wrote before one of its writes failed, so no
+    partial output looks complete. A file that cannot be removed stays."""
+    for path in paths:
+        with contextlib.suppress(OSError):
+            path.unlink()
 
 
 # --- reading back -----------------------------------------------------------

@@ -8,8 +8,10 @@ and writes four artifacts into the output directory:
 * report.txt      — class and combination frequency tables
 * mismatches.txt  — stated-vs-observed turn direction contradictions
 
-Everything is computed before anything is written, so a hard error never
-leaves a partial triads file behind. Warnings never abort; they are
+Everything is computed before anything is written, so a data error never
+leaves a file behind. A failed write raises IoError and removes the
+artifacts the run had already written; the file being written when it
+failed may keep part of its content. Warnings never abort; they are
 collected into the manifest.
 """
 
@@ -27,6 +29,7 @@ from .emitter import (
     export_triads,
     make_triads,
     manifest_input,
+    remove_files,
     write_manifest,
     write_text,
 )
@@ -211,10 +214,16 @@ def run_pipeline(
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-    triads_path = export_triads(triads, out_dir)
-    manifest_path = write_manifest(manifest, out_dir)
-    report_path = write_text(out_dir / REPORT_FILENAME, report)
-    mismatches_path = write_text(out_dir / MISMATCHES_FILENAME, mismatch_lines)
+    written: list[Path] = []
+    try:
+        written.append(export_triads(triads, out_dir))
+        written.append(write_manifest(manifest, out_dir))
+        written.append(write_text(out_dir / REPORT_FILENAME, report))
+        written.append(write_text(out_dir / MISMATCHES_FILENAME, mismatch_lines))
+    except IoError:
+        remove_files(written)
+        raise
+    triads_path, manifest_path, report_path, mismatches_path = written
 
     return PipelineResult(
         out_dir=out_dir,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classifier import CommandClass, Evidence, Lexicon, classify
+from .classifier import Classification, CommandClass, Evidence, Lexicon, classify
 from .core import (
     DEFAULT_TOLERANCE_MS,
     GeoPoint,
@@ -116,10 +116,17 @@ def build_events(
     warnings: list[str] = []
     notes: list[str] = []
     events: list[InstructionEvent] = []
+    # Navigation prompts are templated, so a text comes back many times in
+    # one drive: each distinct text is classified once (None: no words).
+    labels: dict[str, Classification | None] = {}
     for t_ms, text in timed:
-        try:
-            labeled = classify(text, lex)
-        except EmptyInstruction:
+        if text not in labels:
+            try:
+                labels[text] = classify(text, lex)
+            except EmptyInstruction:
+                labels[text] = None
+        labeled = labels[text]
+        if labeled is None:
             warnings.append(
                 f"segment at {format_iso8601_ms(t_ms)} has no classifiable "
                 f"text ({text!r}); dropped"

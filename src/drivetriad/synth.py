@@ -36,7 +36,7 @@ from .core import (
     normalize_bearing,
     parse_float,
 )
-from .emitter import json_document
+from .emitter import json_document, remove_files
 from .errors import IoError
 from .ingest import Transcript, TranscriptSegment
 from .segmenter import Maneuver
@@ -446,7 +446,10 @@ def write_ground_truth(ground_truth: GroundTruth) -> bytes:
 
 
 def write_corpus(corpus: StyledCorpus, out_dir: Path | str) -> dict[str, Path]:
-    """Write the four corpus files; byte-identical for identical plans."""
+    """Write the four corpus files; byte-identical for identical plans.
+
+    A failed write raises IoError and removes the files written before it.
+    """
     out = Path(out_dir)
     files = {
         "track.gpx": write_gpx(corpus.track, f"synth-{corpus.ground_truth.seed}"),
@@ -462,5 +465,6 @@ def write_corpus(corpus: StyledCorpus, out_dir: Path | str) -> dict[str, Path]:
             target.write_bytes(data)
             written[name] = target
     except OSError as exc:
+        remove_files(written.values())
         raise IoError(f"cannot write corpus to {out}: {exc}") from exc
     return written

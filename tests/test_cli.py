@@ -7,12 +7,16 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import drivetriad
+import drivetriad.cli
+from drivetriad import classify
+from drivetriad.emitter import labels_fragment
 from drivetriad.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -38,6 +42,31 @@ def make_corpus(tmp_path, capsys, seed=7, extra=()):
     return corpus_dir
 
 
+def child_env(unbuffered=True):
+    """The environment for a child CLI process: it must import the same
+    package as this process, which may come from the checkout's src/
+    rather than an installed copy."""
+    package_root = str(Path(drivetriad.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def write_srt(path, texts):
+    """One cue per text, cue i from i s to i.5 s."""
+    path.write_text("".join(
+        f"{i}\n00:{i // 60:02d}:{i % 60:02d},000 --> 00:{i // 60:02d}:{i % 60:02d},500\n"
+        f"{text}\n\n"
+        for i, text in enumerate(texts, start=1)
+    ))
+    return path
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, err = run([], capsys)
@@ -49,18 +78,11 @@ class TestTopLevel:
         assert code == EXIT_USAGE
 
     def test_version_via_subprocess(self):
-        # The child must import the same package as this process, which may
-        # come from the checkout's src/ rather than an installed copy.
-        package_root = str(Path(drivetriad.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [package_root, env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "drivetriad.cli", "--version"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("drivetriad ")
@@ -148,6 +170,36 @@ class TestClassifyCommand:
             ["classify", "--transcript", "/nonexistent/words.json"], capsys
         )
         assert code == EXIT_NOINPUT
+
+    def test_repeated_text_is_labelled_once(self, tmp_path, capsys, monkeypatch):
+        texts = ["Turn left.", "...", "In 500 feet, turn right onto Main Street.",
+                 "Turn left.", "...", "Turn left."]
+        srt = write_srt(tmp_path / "voice.srt", texts)
+        calls = Counter()
+
+        def counted(text, lex=None):
+            calls[text] += 1
+            return classify(text, lex)
+
+        monkeypatch.setattr(drivetriad.cli, "classify", counted)
+        code, out, err = run(
+            ["classify", "--transcript", str(srt), "--transcript-format", "srt"], capsys
+        )
+        assert code == EXIT_OK
+        assert calls == {text: 1 for text in texts}
+        # The bytes per-segment labelling gives, in transcript order.
+        expected = ""
+        for text in texts:
+            if text != "...":
+                labeled = classify(text)
+                fragment = labels_fragment(text, labeled.classes, labeled.evidence)
+                expected += "{" + fragment + "}\n"
+        assert out == expected
+        assert err.splitlines() == [
+            f"warning: {srt}: segment at {start} s has no classifiable text "
+            "('...'); dropped"
+            for start in ("2.000", "5.000")
+        ]
 
     def test_empty_transcript_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -263,6 +315,8 @@ class TestPipelineCommand:
         assert code == EXIT_INTERNAL
         assert f"internal error: IoError: cannot write {out_dir / name}" in err
         assert "Traceback" not in err
+        # The artifacts written before the failure are removed again.
+        assert [p.name for p in out_dir.iterdir()] == [name]
 
     def test_missing_gpx_flag_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -958,6 +1012,62 @@ class TestHostileInput:
         assert code == EXIT_USAGE
         assert key in err
         assert "Traceback" not in err
+
+
+class TestStdoutFailure:
+    """A failed write to standard output is exit 70 with one stderr line."""
+
+    ONE_LINE = re.compile(
+        r"internal error: IoError: cannot write standard output: \[Errno \d+\] .+\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        corpus = tmp_path_factory.mktemp("stdout") / "corpus"
+        assert main(["synth", "--seed", "3", "--legs", "200R,200", "--out", str(corpus)]) == EXIT_OK
+        assert main(["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript",
+                     str(corpus / "transcript.json"), "--out", str(corpus / "d")]) == EXIT_OK
+        return corpus
+
+    def _commands(self, corpus):
+        return {
+            "classify": ["classify", "--transcript", str(corpus / "transcript.json")],
+            "pipeline": ["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript",
+                         str(corpus / "transcript.json"), "--out", str(corpus / "again")],
+            "stats": ["stats", str(corpus / "d" / "triads.jsonl")],
+            "synth": ["synth", "--seed", "4", "--out", str(corpus / "synth")],
+        }
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["classify", "pipeline", "stats", "synth"])
+    def test_full_device(self, corpus, command, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "drivetriad.cli", *self._commands(corpus)[command]],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=child_env(unbuffered),
+            )
+        assert proc.returncode == EXIT_INTERNAL
+        assert self.ONE_LINE.fullmatch(proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_reader_closes_early(self, tmp_path, unbuffered):
+        # Far more output than a pipe or a stdout buffer holds, so writes
+        # fail inside the print loop as well as at the final flush.
+        srt = write_srt(tmp_path / "voice.srt", [f"Turn left onto Road {i}." for i in range(2000)])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "drivetriad.cli", "classify", "--transcript", str(srt),
+             "--transcript-format", "srt"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=child_env(unbuffered),
+        )
+        with proc:
+            proc.stdout.close()  # before the child has written anything
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_INTERNAL
+        assert self.ONE_LINE.fullmatch(err), err
+        assert "Broken pipe" in err
 
 
 # --- fuzzing: every input file ends in a defined exit code ------------------

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import Phase, given, settings as hsettings, strategies as st
 
+import drivetriad.sync
 from drivetriad import (
     GeoPoint,
     Maneuver,
     TrackLog,
+    classify,
     parse_gpx,
     parse_video_meta,
     PipelineConfig,
@@ -21,7 +24,8 @@ from drivetriad import (
     run_pipeline,
     write_corpus,
 )
-from drivetriad.core import format_iso8601_ms
+from drivetriad.core import format_iso8601_ms, parse_iso8601_ms
+from drivetriad.emitter import labels_fragment
 from drivetriad.synth import write_gpx, write_video_meta
 from pathlib import Path
 
@@ -167,6 +171,39 @@ class TestRunPipeline:
             result.mismatches_path.read_text()
             == "event 0: stated left, observed right\n"
         )
+
+    def test_repeated_text_is_classified_once(self, tmp_path, monkeypatch):
+        files, _ = generated(tmp_path)
+        # Every cue spoken twice, 5 s apart, and a wordless cue twice.
+        doc = json.loads(files["transcript.json"].read_text())
+        doc["segments"] += [
+            dict(segment, start=segment["start"] + 5, end=segment["end"] + 5)
+            for segment in doc["segments"]
+        ] + [{"start": 10, "end": 11, "text": "..."}, {"start": 50, "end": 51, "text": "..."}]
+        files["transcript.json"].write_text(json.dumps(doc))
+        calls = Counter()
+
+        def counted(text, lex=None):
+            calls[text] += 1
+            return classify(text, lex)
+
+        monkeypatch.setattr(drivetriad.sync, "classify", counted)
+        result = run_pipeline(config_for(files, tmp_path / "out"))
+        assert calls == {segment["text"]: 1 for segment in doc["segments"]}
+        assert result.event_count == len(doc["segments"]) - 2
+        # Each line holds the labels its own text gets from classify.
+        for line in result.triads_path.read_text().splitlines():
+            text = json.loads(line)["text"]
+            labeled = classify(text)
+            fragment = labels_fragment(text, labeled.classes, labeled.evidence)
+            assert line.startswith('{"id": ') and f", {fragment}, " in line
+        warnings = json.loads(result.manifest_path.read_text())["warnings"]
+        anchor_ms = parse_iso8601_ms(doc["audio_start_utc"])
+        assert [w for w in warnings if "'...'" in w] == [
+            f"segment at {format_iso8601_ms(anchor_ms + start_ms)} has no "
+            "classifiable text ('...'); dropped"
+            for start_ms in (10_000, 50_000)
+        ]
 
     def test_clean_run_has_empty_mismatches_file(self, tmp_path):
         files, _ = generated(tmp_path)

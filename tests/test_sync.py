@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import drivetriad.sync
 from drivetriad import (
     Transcript,
     TranscriptSegment,
     VideoIndex,
     build_events,
+    classify,
     frame_index_at,
 )
 from drivetriad.errors import (
@@ -271,3 +275,34 @@ class TestBuildEvents:
         ]
         assert "no classifiable text" in warnings[0]
         assert "outside the track span" in warnings[1]
+
+    def test_repeated_text_is_classified_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(text, lex=None):
+            calls[text] += 1
+            return classify(text, lex)
+
+        monkeypatch.setattr(drivetriad.sync, "classify", counted)
+        rows = [
+            (5.0, 6.0, "Turn left."), (10.0, 11.0, "..."),
+            (15.0, 16.0, "In 500 feet, turn right."), (20.0, 21.0, "Turn left."),
+            (25.0, 26.0, "..."), (30.0, 31.0, "Turn left."),
+        ]
+        events, warnings = build_events(
+            transcript(*rows), self._track(), audio_start_ms=1_000_000
+        )
+        assert calls == {"Turn left.": 1, "...": 1, "In 500 feet, turn right.": 1}
+        # Each event carries what classifying its own text gives.
+        for event in events:
+            labeled = classify(event.text)
+            assert (event.classes, event.evidence) == (labeled.classes, labeled.evidence)
+        lefts = [e for e in events if e.text == "Turn left."]
+        assert len(lefts) == 3
+        assert all(e.classes is lefts[0].classes for e in lefts)
+        assert all(e.evidence is lefts[0].evidence for e in lefts)
+        # Every occurrence of the wordless text is dropped with its own time.
+        assert warnings == [
+            "segment at 1970-01-01T00:16:50.000Z has no classifiable text ('...'); dropped",
+            "segment at 1970-01-01T00:17:05.000Z has no classifiable text ('...'); dropped",
+        ]

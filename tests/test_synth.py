@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from drivetriad import (
     parse_transcript,
     write_corpus,
 )
+from drivetriad.errors import IoError
 from drivetriad.segmenter import net_bearing_change
 from drivetriad.synth import (
     MAX_SAMPLES,
@@ -320,6 +322,16 @@ class TestWriters:
         ]
         for p in paths.values():
             assert p.exists() and p.stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "name", ["track.gpx", "transcript.json", "video_meta.json", "ground_truth.json"]
+    )
+    def test_failed_write_removes_written_files(self, tmp_path, name):
+        corpus = generate_instructions(simple_plan(), "distance-heavy")
+        (tmp_path / name).mkdir()
+        with pytest.raises(IoError, match=re.escape(f"cannot write corpus to {tmp_path}")):
+            write_corpus(corpus, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_write_corpus_deterministic(self, tmp_path):
         corpus = generate_instructions(simple_plan(noise_sigma_m=1.5), "distance-heavy")
