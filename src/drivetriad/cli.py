@@ -53,12 +53,20 @@ _OPTION_NAMES = dict(
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's usage failures exit 2; this project promises 64."""
+    """argparse's usage failures exit 2; this project promises 64. Its
+    --help and --version text is command output, so a failed write is
+    exit 70 where argparse would ignore it."""
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def _print_message(self, message: str, file=None) -> None:  # argparse hook
+        if message and file is sys.stdout:
+            _write_stdout(message)
+        else:
+            super()._print_message(message, file)
 
 
 class _Options:

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
-from .core import GeoPoint, check_value, format_iso8601_ms
+from .core import GeoPoint, check_value
 from .errors import EncodingError, InternalError, InternalOrderingError, IoError, ParseError
 from .segmenter import ActionSegment, Maneuver
 from .sync import InstructionEvent
@@ -44,22 +44,11 @@ class VlaTriad:
 def make_triads(
     events: Sequence[InstructionEvent],
     segments: Sequence[ActionSegment],
-) -> tuple[list[VlaTriad], list[str]]:
-    """Pair events with their segments; events without one are dropped
-    (each drop is reported in the returned warning list)."""
+) -> list[VlaTriad]:
+    """Pair events with their segments; an event without one has no triad
+    (segment_actions has already warned about its empty window)."""
     by_event = {segment.event_id: segment for segment in segments}
-    triads: list[VlaTriad] = []
-    warnings: list[str] = []
-    for event in events:
-        segment = by_event.get(event.id)
-        if segment is None:
-            warnings.append(
-                f"event {event.id} at {format_iso8601_ms(event.t_ms)} has no "
-                f"action segment; excluded from triads"
-            )
-            continue
-        triads.append(VlaTriad(event, segment))
-    return triads, warnings
+    return [VlaTriad(e, by_event[e.id]) for e in events if e.id in by_event]
 
 
 # --- serialization ----------------------------------------------------------

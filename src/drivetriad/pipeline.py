@@ -187,8 +187,7 @@ def run_pipeline(
         config.uturn_threshold_deg,
     )
     warnings += segment_warnings
-    triads, triad_warnings = make_triads(events, segments)
-    warnings += triad_warnings
+    triads = make_triads(events, segments)
     mismatches = collect_mismatches(triads)
 
     label = config.source_label or config.gpx_path.stem

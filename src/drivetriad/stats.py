@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .classifier import CommandClass, sort_classes
 
@@ -55,31 +55,30 @@ def combo_label(combo: frozenset[CommandClass]) -> str:
     return ", ".join(cls.label for cls in sort_classes(combo))
 
 
-def _render_table(
+def _ranked_table(
     title: str,
     key_header: str,
-    row_labels: Sequence[str],
     columns: Sequence[str],
-    cells: Sequence[Sequence[int]],
+    counts: Sequence[Mapping],
+    keys: Iterable,
+    row_label: Callable[..., str],
+    tie_break: Callable,
 ) -> list[str]:
-    headers = [key_header, *columns]
+    """One source column per mapping in ``counts`` plus a Total column;
+    rows ranked by descending total, then by ``tie_break``."""
+    totals = {key: sum(c.get(key, 0) for c in counts) for key in keys}
     rows = [
-        [label, *(str(value) for value in row)]
-        for label, row in zip(row_labels, cells)
+        [row_label(key), *(str(c.get(key, 0)) for c in counts), str(totals[key])]
+        for key in sorted(totals, key=lambda k: (-totals[k], tie_break(k)))
     ]
-    widths = [
-        max(len(headers[j]), *(len(r[j]) for r in rows)) if rows else len(headers[j])
-        for j in range(len(headers))
-    ]
+    table = [[key_header, *columns, "Total"], *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    table.insert(1, ["-" * width for width in widths])
     lines = [title, ""]
-    lines.append(
-        "| " + " | ".join(h.ljust(widths[j]) for j, h in enumerate(headers)) + " |"
-    )
-    lines.append("| " + " | ".join("-" * w for w in widths) + " |")
-    for row in rows:
-        cells_text = [row[0].ljust(widths[0])]
-        cells_text += [row[j].rjust(widths[j]) for j in range(1, len(row))]
-        lines.append("| " + " | ".join(cells_text) + " |")
+    for n, cells in enumerate(table):
+        pad = str.rjust if n else str.ljust  # the header row is left-aligned
+        padded = [cells[0].ljust(widths[0]), *map(pad, cells[1:], widths[1:])]
+        lines.append("| " + " | ".join(padded) + " |")
     return lines
 
 
@@ -90,43 +89,26 @@ def render_report(stats: Sequence[CorpusStats]) -> str:
     """
     if not stats:
         raise ValueError("render_report needs at least one source")
-    columns = [s.source_label for s in stats] + ["Total"]
-
-    class_totals = {
-        cls: sum(s.class_counts.get(cls, 0) for s in stats) for cls in CommandClass
-    }
-    class_order = sorted(
-        CommandClass, key=lambda c: (-class_totals[c], c.label)
-    )
-    class_cells = [
-        [s.class_counts.get(cls, 0) for s in stats] + [class_totals[cls]]
-        for cls in class_order
-    ]
-    lines = _render_table(
+    columns = [s.source_label for s in stats]
+    combo_counts = [s.combo_counts for s in stats]
+    lines = _ranked_table(
         "Per-class instruction counts",
         "Class",
-        [cls.label for cls in class_order],
         columns,
-        class_cells,
+        [s.class_counts for s in stats],
+        CommandClass,
+        lambda cls: cls.label,
+        lambda cls: cls.label,
     )
-
-    combo_totals: Counter[frozenset[CommandClass]] = Counter()
-    for s in stats:
-        combo_totals.update(s.combo_counts)
-    combo_order = sorted(
-        combo_totals, key=lambda c: (-combo_totals[c], _combo_key(c))
-    )
-    combo_cells = [
-        [s.combo_counts.get(combo, 0) for s in stats] + [combo_totals[combo]]
-        for combo in combo_order
-    ]
     lines.append("")
-    lines += _render_table(
+    lines += _ranked_table(
         "Multi-attribute combination counts",
         "Classes",
-        [combo_label(combo) for combo in combo_order],
         columns,
-        combo_cells,
+        combo_counts,
+        set().union(*combo_counts),
+        combo_label,
+        _combo_key,
     )
     lines.append("")
     lines.append(f"Total events: {sum(s.total_events for s in stats)}")

@@ -1036,11 +1036,18 @@ class TestStdoutFailure:
                          str(corpus / "transcript.json"), "--out", str(corpus / "again")],
             "stats": ["stats", str(corpus / "d" / "triads.jsonl")],
             "synth": ["synth", "--seed", "4", "--out", str(corpus / "synth")],
+            # argparse writes these itself and ignores a failed write.
+            "version": ["--version"],
+            "help": ["--help"],
+            "synth-help": ["synth", "--help"],
         }
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-    @pytest.mark.parametrize("command", ["classify", "pipeline", "stats", "synth"])
+    @pytest.mark.parametrize(
+        "command",
+        ["classify", "pipeline", "stats", "synth", "version", "help", "synth-help"],
+    )
     def test_full_device(self, corpus, command, unbuffered):
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(

@@ -77,18 +77,17 @@ class TestStructures:
     def test_make_triads_pairs_by_id(self):
         events = [make_event(0), make_event(1, 1_030_000)]
         segments = [make_segment(0), make_segment(1, 1_030_000, 1_060_000)]
-        triads, warnings = make_triads(events, segments)
-        assert warnings == []
+        triads = make_triads(events, segments)
         assert [t.event.id for t in triads] == [0, 1]
         assert [t.action for t in triads] == segments
 
-    def test_make_triads_warns_on_missing_segment(self):
-        events = [make_event(0), make_event(1, 1_030_000)]
-        triads, warnings = make_triads(events, [make_segment(0)])
-        assert len(triads) == 1
-        assert len(warnings) == 1
-        assert "event 1" in warnings[0]
-        assert "no action segment" in warnings[0]
+    def test_make_triads_skips_event_without_segment(self):
+        # segment_actions warns about the empty window; pairing adds nothing.
+        events = [make_event(0), make_event(1, 1_030_000), make_event(2, 1_060_000)]
+        segments = [make_segment(0), make_segment(2, 1_060_000, 1_090_000)]
+        triads = make_triads(events, segments)
+        assert [t.event.id for t in triads] == [0, 2]
+        assert [t.action for t in triads] == segments
 
 
 class TestSerializeTriad:

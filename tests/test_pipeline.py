@@ -24,6 +24,7 @@ from drivetriad import (
     run_pipeline,
     write_corpus,
 )
+from drivetriad.cli import main
 from drivetriad.core import format_iso8601_ms, parse_iso8601_ms
 from drivetriad.emitter import labels_fragment
 from drivetriad.synth import write_gpx, write_video_meta
@@ -410,3 +411,67 @@ class TestMirrorSwapsSides:
                 assert b.net_bearing_change_deg == pytest.approx(
                     -a.net_bearing_change_deg, abs=1e-6
                 )
+
+
+class TestOneWarningPerLostInstruction:
+    """Each transcript segment that yields no triad leaves exactly one
+    manifest warning, from the stage that lost it."""
+
+    @hsettings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        legs=st.sampled_from(["300R,300", "400L,300R,300", "300R,400L,300L,300"]),
+        wordless=st.lists(st.integers(0, 99), max_size=3),
+        out_of_span=st.integers(0, 3),
+        zero_length=st.lists(st.integers(0, 99), max_size=3),
+    )
+    def test_lost_segments_are_counted_once(
+        self, tmp_path_factory, seed, legs, wordless, out_of_span, zero_length
+    ):
+        root = tmp_path_factory.mktemp("lost")
+        files, _ = generated(root, seed=seed, legs=legs)
+        doc = json.loads(files["transcript.json"].read_text())
+        cues = doc["segments"]
+        # Overlapping segments are merged into one, so each wordless one
+        # gets its own slot in the gap after a cue.
+        after = [cues[i % len(cues)]["end"] + 0.25 * (j + 1) for j, i in enumerate(wordless)]
+        # A zero-length segment at a cue's start ends its window where the
+        # cue's own begins, so one of the two has an empty window.
+        starts = [cues[i % len(cues)]["start"] for i in zero_length]
+        planted = (
+            [{"start": s, "end": s + 0.1, "text": "..."} for s in after]
+            + [{"start": 1e5 + i, "end": 1e5 + i, "text": "Turn left."}
+               for i in range(out_of_span)]
+            + [{"start": s, "end": s, "text": "Keep going."} for s in starts]
+        )
+        doc["segments"] = planted + cues
+        files["transcript.json"].write_text(json.dumps(doc))
+        result = run_pipeline(
+            config_for(files, root / "out", video_meta_path=None), created_at_ms=0
+        )
+        warnings = json.loads(result.manifest_path.read_text())["warnings"]
+        a, b, c = len(wordless), out_of_span, len(zero_length)
+        assert len(warnings) == result.warning_count == a + b + c, warnings
+        assert sum("has no classifiable text" in w for w in warnings) == a
+        assert sum("is outside the track span" in w for w in warnings) == b
+        assert sum("action window is empty" in w for w in warnings) == c
+        assert result.event_count == len(doc["segments"]) - a - b
+        assert result.segment_count == result.event_count - c
+        assert len(result.triads_path.read_text().splitlines()) == result.segment_count
+
+    def test_empty_window_warns_once(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--seed", "1", "--out", str(corpus)]) == 0
+        doc = json.loads((corpus / "transcript.json").read_text())
+        first = doc["segments"][0]
+        doc["segments"].insert(0, dict(first, end=first["start"]))
+        (corpus / "transcript.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript",
+                     str(corpus / "transcript.json"), "--out", str(tmp_path / "d")]) == 0
+        assert "warnings: 1\n" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "event 0: action window is empty after clamping to the track span; "
+            "no segment emitted"
+        ]

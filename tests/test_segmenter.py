@@ -334,6 +334,6 @@ class TestConsistency:
             frame_start=None,
             frame_end=None,
         )
-        triads, _ = make_triads([ev1, ev2], [seg1, seg2])
+        triads = make_triads([ev1, ev2], [seg1, seg2])
         found = collect_mismatches(triads)
         assert [m.event_id for m in found] == [0]

@@ -177,3 +177,39 @@ class TestRenderReport:
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError):
             render_report([])
+
+
+class TestRankedTables:
+    """Both report tables come from one builder: per-source cells, a Total
+    that sums them, rows by descending total and then a tie-break."""
+
+    @given(st.lists(class_set_lists(), min_size=1, max_size=3))
+    def test_both_tables(self, sources):
+        labels = [f"src{i}" for i in range(len(sources))]
+        text = render_report(
+            [corpus_stats(label, sets) for label, sets in zip(labels, sources)]
+        )
+        by_label = {cls.label: cls for cls in CommandClass}
+        seen = {combo for sets in sources for combo in sets}
+        combo_by_label = {combo_label(combo): combo for combo in seen}
+        tables = [
+            ("Per-class instruction counts", by_label,
+             lambda cls, sets: sum(cls in s for s in sets),
+             lambda cls: cls.label),
+            ("Multi-attribute combination counts", combo_by_label,
+             lambda combo, sets: sets.count(combo),
+             lambda combo: tuple(sorted(cls.value for cls in combo))),
+        ]
+        for title, keys, count, tie_break in tables:
+            rows = _table_rows(text, title)
+            # The class table lists all nine classes, the combination table
+            # exactly the combinations seen.
+            assert sorted(row[0] for row in rows) == sorted(keys)
+            ranks = []
+            for row in rows:
+                key = keys[row[0]]
+                cells = [int(cell) for cell in row[1:]]
+                assert cells[:-1] == [count(key, sets) for sets in sources]
+                assert cells[-1] == sum(cells[:-1])
+                ranks.append((-cells[-1], tie_break(key)))
+            assert ranks == sorted(ranks)
