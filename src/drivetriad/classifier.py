@@ -48,6 +48,7 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
 
+from .core import unique_keys
 from .errors import EmptyInstruction, LexiconError
 
 
@@ -112,6 +113,11 @@ def _fold(word: str) -> str:
     # Both small sigmas read as "σ": whole-string lower() turns a final "Σ"
     # into "ς", and text may spell a word either way ("ΟΔΟΣ", "οδος").
     return word.replace("’", "'").lower().replace("ς", "σ")
+
+
+def has_word(text: str) -> bool:
+    """Whether ``text`` holds a token, so that ``tokenize`` accepts it."""
+    return _TOKEN.search(text) is not None
 
 
 def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
@@ -279,7 +285,7 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
     if data is None:
         return DEFAULT_LEXICON
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise LexiconError(f"lexicon override is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -86,6 +86,17 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` object hook: a key given twice raises ValueError
+    naming it, where ``json`` would keep the last value."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} given twice")
+        doc[key] = value
+    return doc
+
+
 # Kind -> (accepted types, what a bad value is told, type it is stored as).
 # A kind is a field annotation, or the JSON type a triads field must have.
 _FIELD_KINDS = {

@@ -16,7 +16,10 @@ import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
-from .core import MAX_INSTANT_MS, GeoPoint, TrackLog, parse_float, parse_iso8601_ms
+from .classifier import has_word
+from .core import (
+    MAX_INSTANT_MS, GeoPoint, TrackLog, parse_float, parse_iso8601_ms, unique_keys,
+)
 from .errors import (
     DataError,
     EmptyTrack,
@@ -43,7 +46,10 @@ class TranscriptSegment:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered, non-overlapping transcript segments plus an optional anchor."""
+    """Transcript segments in start order plus an optional anchor.
+
+    Segments that hold a word never overlap; a wordless one may overlap any.
+    """
 
     segments: tuple[TranscriptSegment, ...]
     audio_start_ms: int | None = None
@@ -217,7 +223,7 @@ def _parse_srt(text: str) -> list[TranscriptSegment]:
 
 def _parse_segment_json(text: str) -> tuple[list[TranscriptSegment], int | None]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
@@ -273,21 +279,27 @@ def _parse_plain_lines(text: str) -> list[TranscriptSegment]:
 
 
 def _merge_overlaps(segments: list[TranscriptSegment]) -> tuple[TranscriptSegment, ...]:
-    """Sort by start and merge overlapping segments.
+    """Sort by start and merge overlapping segments that hold a word.
 
     Speech-to-text tools occasionally emit overlaps; merging keeps the event
     timeline simple. Text concatenates with a single space, the merged
     segment keeps the min start and max end. Touching segments stay separate.
+    A segment with no word (by the classifier's token rule) is never merged,
+    so it stays its own segment and is dropped later with a warning.
     """
     ordered = sorted(segments, key=lambda s: (s.start_s, s.end_s))
     merged: list[TranscriptSegment] = []
+    last = -1  # index in merged of the latest segment with a word
     for seg in ordered:
-        if merged and seg.start_s < merged[-1].end_s:
-            prev = merged[-1]
-            merged[-1] = TranscriptSegment(
+        if not has_word(seg.text):
+            merged.append(seg)
+        elif last >= 0 and seg.start_s < merged[last].end_s:
+            prev = merged[last]
+            merged[last] = TranscriptSegment(
                 prev.start_s, max(prev.end_s, seg.end_s), prev.text + " " + seg.text
             )
         else:
+            last = len(merged)
             merged.append(seg)
     return tuple(merged)
 
@@ -296,9 +308,9 @@ def parse_transcript(data: bytes, format: str) -> Transcript:
     """Parse transcript bytes in one of TRANSCRIPT_FORMATS.
 
     Whatever the source format, the result is sorted by start time with
-    overlaps merged, and empty-text segments dropped. An input with no
-    usable segments raises EmptyTranscript. Only segment-json may carry
-    its own wall-clock anchor ("audio_start_utc").
+    overlapping segments that hold a word merged, and empty-text segments
+    dropped. An input with no usable segments raises EmptyTranscript. Only
+    segment-json may carry its own wall-clock anchor ("audio_start_utc").
     """
     text = _decode(data)
     anchor_ms = None
@@ -319,7 +331,7 @@ def parse_video_meta(data: bytes) -> VideoIndex:
     """Parse the video sidecar: {"start_time": ISO-8601, "fps": n, "frame_count": n}."""
     text = _decode(data)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON sidecar: {exc}") from exc
     if not isinstance(doc, dict):

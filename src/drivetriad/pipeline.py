@@ -5,7 +5,7 @@ and writes four artifacts into the output directory:
 
 * triads.jsonl    — the vision-language-action records
 * manifest.json   — provenance (input digests, config digest, warnings)
-* report.txt      — class and combination frequency tables
+* report.txt      — class and combination frequency tables over the triads
 * mismatches.txt  — stated-vs-observed turn direction contradictions
 
 Everything is computed before anything is written, so a data error never
@@ -35,13 +35,7 @@ from .emitter import (
 )
 from .errors import InvalidAnchor, IoError
 from .ingest import TRANSCRIPT_FORMATS, parse_gpx, parse_transcript, parse_video_meta
-from .segmenter import (
-    DEFAULT_JITTER_FLOOR_M,
-    DEFAULT_STRAIGHT_THRESHOLD_DEG,
-    DEFAULT_UTURN_THRESHOLD_DEG,
-    collect_mismatches,
-    segment_actions,
-)
+from .segmenter import MANEUVER_RULE, collect_mismatches, segment_actions
 from .stats import corpus_stats, render_report
 from .sync import build_events
 
@@ -54,8 +48,7 @@ class PipelineConfig:
     """Everything one pipeline run needs; paths stay untouched on disk.
 
     The one home of each setting's default, type and range: a bad value
-    raises ValueError naming the field. Thresholds are stored as floats, so
-    equal settings give the same config digest.
+    raises ValueError naming the field.
     """
 
     gpx_path: Path
@@ -69,9 +62,6 @@ class PipelineConfig:
     video_offset_ms: int = 0
     lexicon_path: Path | None = None
     tolerance_ms: int = DEFAULT_TOLERANCE_MS
-    jitter_floor_m: float = DEFAULT_JITTER_FLOOR_M
-    straight_threshold_deg: float = DEFAULT_STRAIGHT_THRESHOLD_DEG
-    uturn_threshold_deg: float = DEFAULT_UTURN_THRESHOLD_DEG
     source_label: str | None = None
     relativize: bool = False
 
@@ -82,14 +72,8 @@ class PipelineConfig:
                 f"transcript_format must be one of {', '.join(TRANSCRIPT_FORMATS)}"
                 f", got {self.transcript_format!r}"
             )
-        for name in ("tolerance_ms", "jitter_floor_m"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not 0 <= self.straight_threshold_deg <= self.uturn_threshold_deg:
-            raise ValueError(
-                "need 0 <= straight_threshold_deg <= uturn_threshold_deg, got "
-                f"{self.straight_threshold_deg} and {self.uturn_threshold_deg}"
-            )
+        if self.tolerance_ms < 0:
+            raise ValueError(f"tolerance_ms must be >= 0, got {self.tolerance_ms}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +102,7 @@ def _effective_config(config: PipelineConfig, lexicon_version: str) -> dict:
         for f in fields(config)
         if "Path" not in f.type
     }
-    return {**knobs, "lexicon_version": lexicon_version}
+    return {**knobs, **MANEUVER_RULE, "lexicon_version": lexicon_version}
 
 
 def run_pipeline(
@@ -178,20 +162,15 @@ def run_pipeline(
         config.tolerance_ms,
         config.audio_offset_ms,
     )
-    segments, segment_warnings = segment_actions(
-        events,
-        track,
-        video,
-        config.jitter_floor_m,
-        config.straight_threshold_deg,
-        config.uturn_threshold_deg,
-    )
+    segments, segment_warnings = segment_actions(events, track, video)
     warnings += segment_warnings
     triads = make_triads(events, segments)
     mismatches = collect_mismatches(triads)
 
     label = config.source_label or config.gpx_path.stem
-    report = render_report([corpus_stats(label, events)])
+    # The report counts what triads.jsonl holds, so that ``stats`` over
+    # the run's own triads prints the same report.
+    report = render_report([corpus_stats(label, [t.event for t in triads])])
     mismatch_lines = "".join(
         f"event {m.event_id}: stated {m.stated}, observed {m.observed}\n"
         for m in mismatches

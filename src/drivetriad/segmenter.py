@@ -41,9 +41,16 @@ from .sync import InstructionEvent, frame_index_at
 if TYPE_CHECKING:
     from .emitter import VlaTriad
 
-DEFAULT_JITTER_FLOOR_M = 1.0
-DEFAULT_STRAIGHT_THRESHOLD_DEG = 30.0
-DEFAULT_UTURN_THRESHOLD_DEG = 150.0
+# The maneuver rule, the same for every drive. The manifest's config digest
+# records it as MANEUVER_RULE, so a change to the rule changes the digest.
+JITTER_FLOOR_M = 1.0
+STRAIGHT_THRESHOLD_DEG = 30.0
+UTURN_THRESHOLD_DEG = 150.0
+MANEUVER_RULE = {
+    "jitter_floor_m": JITTER_FLOOR_M,
+    "straight_threshold_deg": STRAIGHT_THRESHOLD_DEG,
+    "uturn_threshold_deg": UTURN_THRESHOLD_DEG,
+}
 
 
 class Maneuver(enum.Enum):
@@ -84,10 +91,7 @@ class Mismatch:
     observed: str
 
 
-def net_bearing_change(
-    waypoints: Sequence[GeoPoint],
-    jitter_floor_m: float = DEFAULT_JITTER_FLOOR_M,
-) -> float:
+def net_bearing_change(waypoints: Sequence[GeoPoint]) -> float:
     """Sum of signed heading deltas along the polyline, in degrees.
 
     Steps shorter than the jitter floor are folded into their successor so
@@ -100,12 +104,12 @@ def net_bearing_change(
         raise InsufficientGeometry("no waypoints")
     kept = [points[0]]
     for point in points[1:]:
-        if haversine_distance(kept[-1], point) >= jitter_floor_m:
+        if haversine_distance(kept[-1], point) >= JITTER_FLOOR_M:
             kept.append(point)
     if len(kept) < 3:
         raise InsufficientGeometry(
             f"only {len(kept)} waypoint(s) span more than the jitter floor "
-            f"({jitter_floor_m} m); need 3"
+            f"({JITTER_FLOOR_M} m); need 3"
         )
     bearings = [initial_bearing(kept[i], kept[i + 1]) for i in range(len(kept) - 1)]
     return sum(
@@ -114,16 +118,12 @@ def net_bearing_change(
     )
 
 
-def classify_maneuver(
-    net_change_deg: float,
-    straight_threshold_deg: float = DEFAULT_STRAIGHT_THRESHOLD_DEG,
-    uturn_threshold_deg: float = DEFAULT_UTURN_THRESHOLD_DEG,
-) -> Maneuver:
+def classify_maneuver(net_change_deg: float) -> Maneuver:
     """Bucket a net bearing change into a maneuver label."""
     magnitude = abs(net_change_deg)
-    if magnitude >= uturn_threshold_deg:
+    if magnitude >= UTURN_THRESHOLD_DEG:
         return Maneuver.UTURN
-    if magnitude < straight_threshold_deg:
+    if magnitude < STRAIGHT_THRESHOLD_DEG:
         return Maneuver.STRAIGHT
     return Maneuver.RIGHT_TURN if net_change_deg > 0 else Maneuver.LEFT_TURN
 
@@ -132,9 +132,6 @@ def segment_actions(
     events: Sequence[InstructionEvent],
     track: TrackLog,
     video: VideoIndex | None = None,
-    jitter_floor_m: float = DEFAULT_JITTER_FLOOR_M,
-    straight_threshold_deg: float = DEFAULT_STRAIGHT_THRESHOLD_DEG,
-    uturn_threshold_deg: float = DEFAULT_UTURN_THRESHOLD_DEG,
 ) -> tuple[list[ActionSegment], list[str]]:
     """Build one action segment per event window, plus warnings.
 
@@ -182,10 +179,8 @@ def segment_actions(
             for j in range(len(waypoints) - 1)
         )
         try:
-            net_change = net_bearing_change(waypoints, jitter_floor_m)
-            maneuver = classify_maneuver(
-                net_change, straight_threshold_deg, uturn_threshold_deg
-            )
+            net_change = net_bearing_change(waypoints)
+            maneuver = classify_maneuver(net_change)
         except (InsufficientGeometry, DegenerateBearing):
             net_change = 0.0
             maneuver = Maneuver.UNKNOWN

@@ -654,20 +654,16 @@ class TestHostileInput:
     @pytest.mark.parametrize(
         "settings, field",
         [
-            ({"jitter_floor_m": "abc"}, "jitter_floor_m"),
+            ({"jitter_floor_m": 1.0}, "unknown config key 'jitter_floor_m'"),
             ({"gps_offset_ms": "abc"}, "gps_offset_ms"),
             ({"source_label": 5}, "source_label"),
             ({"audio_start": 5}, "audio_start"),
             ({"gpx": 5}, "gpx_path"),
-            ({"jitter_floor_m": "nan"}, "jitter_floor_m"),
+            ({"audio_offset_ms": 0.5}, "audio_offset_ms"),
             ({"relativize": "false"}, "relativize"),
             ({"tolerance_ms": True}, "tolerance_ms"),
             ({"tolerance_ms": 1.9}, "tolerance_ms"),
             ({"tolerance_ms": "5000"}, "tolerance_ms"),
-            (
-                {"straight_threshold_deg": 170, "uturn_threshold_deg": 10},
-                "straight_threshold_deg",
-            ),
         ],
     )
     def test_bad_pipeline_setting_is_usage_error(self, tmp_path, capsys, settings, field):
@@ -731,6 +727,36 @@ class TestHostileInput:
         code, _, err = run(args, capsys)
         assert code == EXIT_DATA
         assert ("LexiconError" if flag == "--lexicon" else "ParseError") in err
+
+    @pytest.mark.parametrize(
+        "flag, old, new, key",
+        [
+            ("--video-meta", '"fps": 30.0', '"fps": 30.0, "fps": 25', "fps"),
+            ("--transcript", '"text": ', '"text": "Turn left.", "text": ', "text"),
+            ("--lexicon", "", '{"version": "a", "version": "b"}', "version"),
+        ],
+        ids=["video-meta", "transcript", "lexicon"],
+    )
+    def test_repeated_key_is_data_error(self, tmp_path, capsys, flag, old, new, key):
+        # json keeps a repeated key's last value; every input document
+        # refuses it instead, naming the key.
+        corpus = make_corpus(tmp_path, capsys)
+        paths = {
+            "--gpx": corpus / "track.gpx",
+            "--transcript": corpus / "transcript.json",
+            "--video-meta": corpus / "video_meta.json",
+            "--lexicon": tmp_path / "lexicon.json",
+        }
+        paths["--lexicon"].write_text("{}")
+        edited = paths[flag]
+        edited.write_text(edited.read_text().replace(old, new, 1) if old else new)
+        args = ["pipeline", "--out", str(tmp_path / "d")]
+        for name, path in paths.items():
+            args += [name, str(path)]
+        code, _, err = run(args, capsys)
+        assert code == EXIT_DATA
+        assert f"key {key!r} given twice" in err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "flags, field",

@@ -57,6 +57,21 @@ class TestTimestamps:
         assert parse_iso8601_ms("1970-01-01T00:00:00.001500Z") == 2
         assert parse_iso8601_ms("1970-01-01T00:00:00.000400Z") == 0
 
+    @pytest.mark.parametrize(
+        "text, t_ms",
+        [
+            ("2024-06-01T12:00:00.5Z", 1_717_243_200_500),
+            ("20240601T120000Z", 1_717_243_200_000),
+            ("2024-06-01T12:00:00,25Z", 1_717_243_200_250),
+            ("2024-W22-6T12:00:00Z", 1_717_243_200_000),
+        ],
+        ids=["one-digit-fraction", "basic-format", "comma-fraction", "week-date"],
+    )
+    def test_parse_iso_spellings_of_python_3_11(self, text, t_ms):
+        # datetime.fromisoformat takes these from Python 3.11 on, the
+        # oldest version the package supports.
+        assert parse_iso8601_ms(text) == t_ms
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_iso8601_ms("yesterday at noon")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from collections import Counter
 
@@ -27,6 +29,7 @@ from drivetriad import (
 from drivetriad.cli import main
 from drivetriad.core import format_iso8601_ms, parse_iso8601_ms
 from drivetriad.emitter import labels_fragment
+from drivetriad.segmenter import MANEUVER_RULE
 from drivetriad.synth import write_gpx, write_video_meta
 from pathlib import Path
 
@@ -52,19 +55,22 @@ def config_for(files, out_dir, **overrides):
 
 class TestPipelineConfig:
     def test_paths_and_thresholds_are_normalized(self):
-        config = PipelineConfig("drive.gpx", "voice.json", "out", jitter_floor_m=2)
+        config = PipelineConfig("drive.gpx", "voice.json", "out")
         assert config.gpx_path == Path("drive.gpx")
         assert config.out_dir == Path("out")
-        assert config.jitter_floor_m == 2.0 and type(config.jitter_floor_m) is float
+        # The maneuver rule is fixed: no run can set its thresholds.
+        for name in MANEUVER_RULE:
+            with pytest.raises(TypeError, match=name):
+                PipelineConfig("drive.gpx", "voice.json", "out", **{name: 1.0})
 
     @pytest.mark.parametrize(
         "settings, field",
         [
             ({"gps_offset_ms": 1.0}, "gps_offset_ms"),
             ({"tolerance_ms": -1}, "tolerance_ms"),
-            ({"jitter_floor_m": -0.5}, "jitter_floor_m"),
-            ({"straight_threshold_deg": -1.0}, "straight_threshold_deg"),
-            ({"uturn_threshold_deg": float("inf")}, "uturn_threshold_deg"),
+            ({"audio_offset_ms": 0.5}, "audio_offset_ms"),
+            ({"video_offset_ms": "1"}, "video_offset_ms"),
+            ({"source_label": 5}, "source_label"),
             ({"transcript_format": "vtt"}, "transcript_format"),
             ({"lexicon_path": 3}, "lexicon_path"),
             ({"relativize": 1}, "relativize"),
@@ -271,7 +277,7 @@ class TestRunPipeline:
         [
             ({}, "f2a17ffe7b9da4d69f43daba00f84bbb6f062e46130aaf9acaaeaeec794693db"),
             (
-                {"jitter_floor_m": 1, "tolerance_ms": 4000, "relativize": True},
+                {"tolerance_ms": 4000, "relativize": True},
                 "cf3db07a0731b37f74af3792f70c70694dbbed40524afb4b6b68edddf0b73c52",
             ),
         ],
@@ -413,6 +419,51 @@ class TestMirrorSwapsSides:
                 )
 
 
+class TestReportCountsTriads:
+    """report.txt counts what triads.jsonl holds, so ``stats`` over a run's
+    own triads prints that run's report."""
+
+    @hsettings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        legs=st.sampled_from(["300R,300", "400L,300R,300", "300R,400L,300L,300"]),
+        zero_length=st.lists(
+            st.tuples(
+                st.integers(0, 99),
+                st.sampled_from(
+                    ["Keep left at the stop sign.", "Turn right.", "Head north."]
+                ),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_stats_over_triads_prints_the_report(
+        self, tmp_path_factory, seed, legs, zero_length
+    ):
+        root = tmp_path_factory.mktemp("report")
+        files, _ = generated(root, seed=seed, legs=legs)
+        doc = json.loads(files["transcript.json"].read_text())
+        cues = doc["segments"]
+        # Each planted segment takes a cue's instant, so one of the two
+        # events there has an empty window and no triad.
+        doc["segments"] = cues + [
+            {"start": cues[i % len(cues)]["start"],
+             "end": cues[i % len(cues)]["start"], "text": text}
+            for i, text in zero_length
+        ]
+        files["transcript.json"].write_text(json.dumps(doc))
+        out = root / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(["pipeline", "--gpx", str(files["track.gpx"]),
+                         "--transcript", str(files["transcript.json"]),
+                         "--out", str(out), "--source-label", "SRC"]) == 0
+            start = stdout.tell()
+            assert main(["stats", f"SRC={out / 'triads.jsonl'}"]) == 0
+        assert stdout.getvalue()[start:] == (out / "report.txt").read_text()
+
+
 class TestOneWarningPerLostInstruction:
     """Each transcript segment that yields no triad leaves exactly one
     manifest warning, from the stage that lost it."""
@@ -421,7 +472,12 @@ class TestOneWarningPerLostInstruction:
     @given(
         seed=st.integers(0, 1000),
         legs=st.sampled_from(["300R,300", "400L,300R,300", "300R,400L,300L,300"]),
-        wordless=st.lists(st.integers(0, 99), max_size=3),
+        # (cue, start relative to the cue's start, length): cues last 2 s,
+        # so a wordless segment may fall before, inside or after one.
+        wordless=st.lists(
+            st.tuples(st.integers(0, 99), st.floats(-1, 3), st.floats(0, 2)),
+            max_size=3,
+        ),
         out_of_span=st.integers(0, 3),
         zero_length=st.lists(st.integers(0, 99), max_size=3),
     )
@@ -432,14 +488,13 @@ class TestOneWarningPerLostInstruction:
         files, _ = generated(root, seed=seed, legs=legs)
         doc = json.loads(files["transcript.json"].read_text())
         cues = doc["segments"]
-        # Overlapping segments are merged into one, so each wordless one
-        # gets its own slot in the gap after a cue.
-        after = [cues[i % len(cues)]["end"] + 0.25 * (j + 1) for j, i in enumerate(wordless)]
+        # A wordless segment is never merged, even into a cue it overlaps.
+        spans = [(cues[i % len(cues)]["start"] + at, n) for i, at, n in wordless]
         # A zero-length segment at a cue's start ends its window where the
         # cue's own begins, so one of the two has an empty window.
         starts = [cues[i % len(cues)]["start"] for i in zero_length]
         planted = (
-            [{"start": s, "end": s + 0.1, "text": "..."} for s in after]
+            [{"start": s, "end": s + n, "text": "..."} for s, n in spans]
             + [{"start": 1e5 + i, "end": 1e5 + i, "text": "Turn left."}
                for i in range(out_of_span)]
             + [{"start": s, "end": s, "text": "Keep going."} for s in starts]
@@ -458,6 +513,23 @@ class TestOneWarningPerLostInstruction:
         assert result.event_count == len(doc["segments"]) - a - b
         assert result.segment_count == result.event_count - c
         assert len(result.triads_path.read_text().splitlines()) == result.segment_count
+
+    def test_wordless_segment_inside_a_cue_is_not_merged(self, tmp_path):
+        files, _ = generated(tmp_path, seed=0, legs="300R,300")
+        doc = json.loads(files["transcript.json"].read_text())
+        cue = doc["segments"][0]
+        assert (cue["start"], cue["end"]) == (10.0, 12.0)
+        doc["segments"].append({"start": 10, "end": 11, "text": "..."})
+        files["transcript.json"].write_text(json.dumps(doc))
+        result = run_pipeline(
+            config_for(files, tmp_path / "out", video_meta_path=None), created_at_ms=0
+        )
+        assert json.loads(result.manifest_path.read_text())["warnings"] == [
+            "segment at 2024-06-01T12:00:10.000Z has no classifiable text ('...'); "
+            "dropped"
+        ]
+        first = json.loads(result.triads_path.read_text().splitlines()[0])
+        assert first["text"] == cue["text"]
 
     def test_empty_window_warns_once(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

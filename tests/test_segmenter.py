@@ -99,14 +99,7 @@ class TestNetBearingChange:
             GeoPoint(eps * (i % 2), 0.0, i * 1000) for i in range(6)
         ]
         with pytest.raises(InsufficientGeometry):
-            net_bearing_change(parked, jitter_floor_m=1.0)
-
-    def test_jitter_floor_zero_keeps_everything(self):
-        eps = 0.000005
-        parked = [GeoPoint(eps * (i % 2), 0.0, i * 1000) for i in range(4)]
-        # With no floor the zigzag is legal geometry (bearing flips 180).
-        value = net_bearing_change(parked, jitter_floor_m=0.0)
-        assert abs(value) == pytest.approx(360.0, abs=1e-6)
+            net_bearing_change(parked)
 
 
 class TestClassifyManeuver:
@@ -130,10 +123,6 @@ class TestClassifyManeuver:
     )
     def test_thresholds(self, net, expected):
         assert classify_maneuver(net) is expected
-
-    def test_custom_thresholds(self):
-        assert classify_maneuver(25.0, straight_threshold_deg=20.0) is Maneuver.RIGHT_TURN
-        assert classify_maneuver(160.0, uturn_threshold_deg=170.0) is Maneuver.RIGHT_TURN
 
 
 class TestSegmentActions:
