@@ -285,7 +285,7 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
     if data is None:
         return DEFAULT_LEXICON
     try:
-        doc = json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+        doc = json.loads(data.decode("utf-8-sig"), object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise LexiconError(f"lexicon override is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -18,14 +18,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import Iterable
 
 from ._version import __version__
 from .classifier import classify, load_lexicon
-from .core import DEFAULT_TOLERANCE_MS, parse_float, parse_int
-from .errors import DataError, EmptyInstruction, InternalError, IoError, ParseError
+from .core import DEFAULT_TOLERANCE_MS, parse_float, parse_int, unique_keys
+from .errors import (
+    DataError, EmptyInstruction, InternalError, IoError, ParseError, parse_input,
+)
 from .emitter import labels_fragment, read_triads, write_text
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
@@ -50,6 +50,8 @@ _OPTION_NAMES = dict(
     gpx_path="gpx", transcript_path="transcript", out_dir="out",
     video_meta_path="video_meta", lexicon_path="lexicon",
 )
+# The synth options that set the RoutePlan field of the same name.
+_PLAN_OPTIONS = ("speed_mps", "sample_hz", "noise_sigma_m", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,89 +71,69 @@ class _Parser(argparse.ArgumentParser):
             super()._print_message(message, file)
 
 
-class _Options:
-    """Merged view over parsed flags and the optional config file.
+def _read_config(path: str, parser: _Parser) -> dict:
+    """The config file's keys, dashes read as underscores; a key given
+    twice is a usage error naming it."""
+    # Each object's keys as written, repeats included; json closes the
+    # outermost object last.
+    objects: list = []
+    try:
+        doc = json.loads(
+            Path(path).read_bytes().decode("utf-8-sig"),
+            object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs),
+        )
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: config must be a JSON object")
+    try:
+        return unique_keys([(key.replace("-", "_"), value) for key, value in objects[-1]])
+    except ValueError as exc:
+        parser.error(f"{path}: config {exc}")
 
-    A config key must name one of the subcommand's flags or one of
-    ``extra_keys``; anything else is a usage error naming the key.
+
+def _settings(args: argparse.Namespace, parser: _Parser) -> dict:
+    """Each set option of the subcommand, by name: the flag's value if
+    given, otherwise the config file's, where null means unset.
+
+    A config key must name one of the subcommand's options; anything else
+    is a usage error naming the key.
     """
-
-    def __init__(
-        self, args: argparse.Namespace, parser: _Parser, extra_keys: Iterable[str] = ()
-    ) -> None:
-        self._args = args
-        self._parser = parser
-        self._file: dict = {}
-        config_path = getattr(args, "config", None)
-        if config_path is not None:
-            raw = Path(config_path).read_bytes()
-            # Every key as written, duplicates included: the outermost
-            # object is the last one json closes.
-            pairs: list = []
-
-            def keep_pairs(object_pairs: list) -> dict:
-                pairs[:] = object_pairs
-                return dict(object_pairs)
-
-            try:
-                doc = json.loads(raw.decode("utf-8"), object_pairs_hook=keep_pairs)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"{config_path}: not valid JSON: {exc}") from exc
-            if not isinstance(doc, dict):
-                raise ParseError(f"{config_path}: config must be a JSON object")
-            for key, value in pairs:
-                name = str(key).replace("-", "_")
-                if name in self._file:
-                    parser.error(f"{config_path}: config key {name!r} given twice")
-                self._file[name] = value
-            known = set(vars(args)).union(extra_keys)
-            known -= {"command", "func", "config", "sources"}
-            for key in sorted(self._file.keys() - known):
-                parser.error(f"{config_path}: unknown config key {key!r}")
-
-    def get(self, name: str, default=None):
-        flag_value = getattr(self._args, name, None)
-        if flag_value is not None:
-            return flag_value
-        if name in self._file and self._file[name] is not None:
-            return self._file[name]
-        return default
-
-    def given(self, names: Iterable[str]) -> dict:
-        """Each set option among the config fields ``names``, keyed by field."""
-        values = {name: self.get(_OPTION_NAMES.get(name, name)) for name in names}
-        return {name: value for name, value in values.items() if value is not None}
-
-    def require(self, name: str):
-        value = self.get(name)
-        if value is None:
-            self._parser.error(f"--{name} is required (flag or config file)")
-        return value
-
-    def path(self, name: str, required: bool = False) -> str | None:
-        """A path option, which a config file must give as a string."""
-        value = self.require(name) if required else self.get(name)
-        if value is not None and not isinstance(value, str):
-            self._parser.error(f"{name} must be a path string, got {value!r}")
-        return value
-
-    def choice(self, name: str, flag: str, allowed, default):
-        value = self.get(name, default)
-        if value not in allowed:
-            self._parser.error(
-                f"{flag}: invalid value {value!r} (choose from "
-                f"{', '.join(allowed)})"
-            )
-        return value
+    flags = {
+        name: value for name, value in vars(args).items()
+        if name not in ("command", "func", "config")
+    }
+    config = _read_config(args.config, parser) if args.config is not None else {}
+    # The stats sources are positional only.
+    for key in sorted(config.keys() - (flags.keys() - {"sources"})):
+        parser.error(f"{args.config}: unknown config key {key!r}")
+    settings = {name: value for name, value in config.items() if value is not None}
+    settings.update((name, value) for name, value in flags.items() if value is not None)
+    return settings
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config",
-        metavar="JSON",
-        help="JSON file supplying any of this subcommand's options; "
-        "flags override it",
-    )
+def _require(settings: dict, name: str, parser: _Parser):
+    if name not in settings:
+        parser.error(f"--{name} is required (flag or config file)")
+    return settings[name]
+
+
+def _path(settings: dict, name: str, parser: _Parser, required: bool = False):
+    """A path option, which a config file must give as a string."""
+    value = _require(settings, name, parser) if required else settings.get(name)
+    if value is not None and not isinstance(value, str):
+        parser.error(f"{name} must be a path string, got {value!r}")
+    return value
+
+
+def _choice(settings: dict, name: str, allowed, default, parser: _Parser):
+    value = settings.get(name, default)
+    if value not in allowed:
+        parser.error(
+            f"--{name.replace('_', '-')}: invalid value {value!r} (choose from "
+            f"{', '.join(allowed)})"
+        )
+    return value
 
 
 def _add_transcript_flags(parser: argparse.ArgumentParser) -> None:
@@ -166,7 +148,7 @@ def _add_transcript_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(
         prog="drivetriad",
         description="Turn drive recordings (GPS track, navigation-voice "
@@ -182,7 +164,6 @@ def _build_parser() -> _Parser:
         "classify", help="label each transcript segment (JSON lines on stdout)"
     )
     _add_transcript_flags(p_classify)
-    _add_config_flag(p_classify)
     p_classify.set_defaults(func=_run_classify)
 
     p_pipeline = commands.add_parser(
@@ -218,7 +199,6 @@ def _build_parser() -> _Parser:
         const=True,
         help="record only basenames in the manifest",
     )
-    _add_config_flag(p_pipeline)
     p_pipeline.set_defaults(func=_run_pipeline)
 
     p_stats = commands.add_parser(
@@ -232,7 +212,6 @@ def _build_parser() -> _Parser:
     )
     p_stats.add_argument("--out", metavar="PATH", help="write report here "
                          "instead of stdout")
-    _add_config_flag(p_stats)
     p_stats.set_defaults(func=_run_stats)
 
     p_synth = commands.add_parser(
@@ -249,28 +228,31 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--speed-mps", type=parse_float, metavar="M_PER_S")
     p_synth.add_argument("--sample-hz", type=parse_float, metavar="HZ")
     p_synth.add_argument("--out", metavar="DIR", help="output directory")
-    _add_config_flag(p_synth)
     p_synth.set_defaults(func=_run_synth)
 
-    return parser
+    for command in commands.choices.values():
+        command.add_argument(
+            "--config",
+            metavar="JSON",
+            help="JSON file supplying any of this subcommand's options; "
+            "flags override it",
+        )
+    return parser, commands.choices
 
 
-def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
-    options = _Options(args, parser)
-    transcript_path = options.path("transcript", required=True)
-    fmt = options.choice(
-        "transcript_format", "--transcript-format", TRANSCRIPT_FORMATS,
-        PipelineConfig.transcript_format,
+def _run_classify(settings: dict, parser: _Parser) -> int:
+    transcript_path = _path(settings, "transcript", parser, required=True)
+    fmt = _choice(
+        settings, "transcript_format", TRANSCRIPT_FORMATS,
+        PipelineConfig.transcript_format, parser,
     )
-    lexicon_path = options.path("lexicon")
-    lexicon = load_lexicon(
-        Path(lexicon_path).read_bytes() if lexicon_path else None
+    lexicon_path = _path(settings, "lexicon", parser)
+    lexicon = parse_input(
+        lexicon_path, load_lexicon,
+        Path(lexicon_path).read_bytes() if lexicon_path else None,
     )
     data = Path(transcript_path).read_bytes()
-    try:
-        transcript = parse_transcript(data, fmt)
-    except DataError as exc:
-        raise type(exc)(f"{transcript_path}: {exc}") from exc
+    transcript = parse_input(transcript_path, parse_transcript, data, fmt)
     # Navigation prompts are templated, so a text comes back many times in
     # one transcript: each distinct text is labelled and rendered once, and
     # None marks a text with no words.
@@ -297,15 +279,14 @@ def _run_classify(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(args: argparse.Namespace, parser: _Parser) -> int:
-    config_fields = [f.name for f in fields(PipelineConfig)]
-    options = _Options(
-        args, parser, (_OPTION_NAMES.get(name, name) for name in config_fields)
-    )
+def _run_pipeline(settings: dict, parser: _Parser) -> int:
     for name in ("gpx", "transcript", "out"):
-        options.require(name)
+        _require(settings, name, parser)
+    field_names = {option: name for name, option in _OPTION_NAMES.items()}
     try:
-        config = PipelineConfig(**options.given(config_fields))
+        config = PipelineConfig(
+            **{field_names.get(name, name): value for name, value in settings.items()}
+        )
     except ValueError as exc:
         parser.error(str(exc))
     result = run_pipeline(config)
@@ -319,10 +300,10 @@ def _run_pipeline(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
-    out_path = _Options(args, parser).path("out")
+def _run_stats(settings: dict, parser: _Parser) -> int:
+    out_path = _path(settings, "out", parser)
     all_stats = []
-    for item in args.sources:
+    for item in settings["sources"]:
         label, sep, path_text = item.partition("=")
         if not sep:
             path_text, label = item, Path(item).stem
@@ -337,14 +318,13 @@ def _run_stats(args: argparse.Namespace, parser: _Parser) -> int:
     return EXIT_OK
 
 
-def _run_synth(args: argparse.Namespace, parser: _Parser) -> int:
-    options = _Options(args, parser)
-    out_dir = options.path("out", required=True)
-    style = options.choice("style", "--style", STYLES, "distance-heavy")
+def _run_synth(settings: dict, parser: _Parser) -> int:
+    out_dir = _path(settings, "out", parser, required=True)
+    style = _choice(settings, "style", STYLES, "distance-heavy", parser)
     try:
         plan = RoutePlan(
-            legs=parse_legs(options.get("legs", DEFAULT_LEGS)),
-            **options.given(("speed_mps", "sample_hz", "noise_sigma_m", "seed")),
+            legs=parse_legs(settings.get("legs", DEFAULT_LEGS)),
+            **{name: settings[name] for name in _PLAN_OPTIONS if name in settings},
         )
         corpus = generate_instructions(plan, style)
     except ValueError as exc:
@@ -378,19 +358,19 @@ def _internal_error(exc: InternalError) -> int:
 
 
 def _dispatch(argv: list[str] | None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        if args.command is None:
             parser.error("a subcommand is required")
-        return args.func(args, parser)
+        # A usage error found by a subcommand prints that subcommand's usage.
+        command = commands[args.command]
+        return args.func(_settings(args, command), command)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return EXIT_OK
-        return EXIT_USAGE if code == 2 else int(code)
+        return EXIT_OK if exc.code is None else exc.code
     except DataError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        where = "" if exc.path is None else f"{exc.path}: "
+        print(f"error: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (FileNotFoundError, PermissionError, IsADirectoryError,
             NotADirectoryError) as exc:

@@ -6,13 +6,22 @@ side (exit code 70). Missing input files surface as the interpreter's own
 ``FileNotFoundError`` and map to exit code 66.
 """
 
+import os
+from typing import Callable
+
 
 class DriveTriadError(Exception):
     """Base class for all errors raised by this package."""
 
 
 class DataError(DriveTriadError):
-    """Input data is malformed, inconsistent, or unusable."""
+    """Input data is malformed, inconsistent, or unusable.
+
+    ``path`` names the input file at fault when one file is; the CLI puts
+    it in front of the error line.
+    """
+
+    path: str | os.PathLike | None = None
 
 
 class InternalError(DriveTriadError):
@@ -99,3 +108,13 @@ class InternalOrderingError(InternalError):
 
 class IoError(InternalError):
     """Filesystem write failed."""
+
+
+def parse_input(path: str | os.PathLike | None, parse: Callable, *args):
+    """``parse(*args)``, with a DataError it raises marked as coming from
+    the input file ``path``."""
+    try:
+        return parse(*args)
+    except DataError as exc:
+        exc.path = path
+        raise

@@ -181,8 +181,9 @@ def parse_gpx(data: bytes) -> TrackLog:
 
 
 def _decode(data: bytes) -> str:
+    # Windows subtitle and speech-to-text tools often start with a BOM.
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
 

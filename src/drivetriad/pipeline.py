@@ -33,7 +33,7 @@ from .emitter import (
     write_manifest,
     write_text,
 )
-from .errors import InvalidAnchor, IoError
+from .errors import InvalidAnchor, IoError, ParseError, parse_input
 from .ingest import TRANSCRIPT_FORMATS, parse_gpx, parse_transcript, parse_video_meta
 from .segmenter import MANEUVER_RULE, collect_mismatches, segment_actions
 from .stats import corpus_stats, render_report
@@ -74,6 +74,11 @@ class PipelineConfig:
             )
         if self.tolerance_ms < 0:
             raise ValueError(f"tolerance_ms must be >= 0, got {self.tolerance_ms}")
+        if self.audio_start is not None:
+            try:
+                parse_iso8601_ms(self.audio_start)
+            except ParseError as exc:
+                raise ValueError(f"audio_start: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -86,8 +91,6 @@ class PipelineResult:
     warning_count: int
     mismatch_count: int
     triads_path: Path
-    manifest_path: Path
-    report_path: Path
     mismatches_path: Path
 
 
@@ -128,10 +131,17 @@ def run_pipeline(
             raw[role] = path.read_bytes()
             inputs.append(manifest_input(path, role, raw[role], config.relativize))
 
-    lexicon = load_lexicon(raw.get("lexicon"))
-    track = parse_gpx(raw.pop("track"))
-    transcript = parse_transcript(raw["transcript"], config.transcript_format)
-    video = parse_video_meta(raw["video-meta"]) if "video-meta" in raw else None
+    lexicon = parse_input(config.lexicon_path, load_lexicon, raw.get("lexicon"))
+    track = parse_input(config.gpx_path, parse_gpx, raw.pop("track"))
+    transcript = parse_input(
+        config.transcript_path, parse_transcript, raw["transcript"],
+        config.transcript_format,
+    )
+    video = (
+        parse_input(config.video_meta_path, parse_video_meta, raw["video-meta"])
+        if "video-meta" in raw
+        else None
+    )
     audio_start_ms = (
         parse_iso8601_ms(config.audio_start)
         if config.audio_start is not None
@@ -201,7 +211,7 @@ def run_pipeline(
     except IoError:
         remove_files(written)
         raise
-    triads_path, manifest_path, report_path, mismatches_path = written
+    triads_path, _, _, mismatches_path = written
 
     return PipelineResult(
         out_dir=out_dir,
@@ -210,7 +220,5 @@ def run_pipeline(
         warning_count=len(warnings),
         mismatch_count=len(mismatches),
         triads_path=triads_path,
-        manifest_path=manifest_path,
-        report_path=report_path,
         mismatches_path=mismatches_path,
     )

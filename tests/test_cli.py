@@ -664,6 +664,9 @@ class TestHostileInput:
             ({"tolerance_ms": True}, "tolerance_ms"),
             ({"tolerance_ms": 1.9}, "tolerance_ms"),
             ({"tolerance_ms": "5000"}, "tolerance_ms"),
+            ({"audio_start": "garbage"}, "audio_start: bad ISO-8601 timestamp"),
+            ({"audio_start": "1969-01-01T00:00:00Z"}, "audio_start: timestamp before"),
+            ({"audio_start": "9999-12-31T23:59:59.9999Z"}, "audio_start: timestamp after"),
         ],
     )
     def test_bad_pipeline_setting_is_usage_error(self, tmp_path, capsys, settings, field):
@@ -1038,6 +1041,137 @@ class TestHostileInput:
         assert code == EXIT_USAGE
         assert key in err
         assert "Traceback" not in err
+
+
+def _segments_as(fmt, doc):
+    """The segments of a segment-json document in the text format ``fmt``."""
+
+    def srt_time(seconds):
+        ms = round(seconds * 1000)
+        h, m, s = ms // 3_600_000, ms // 60_000 % 60, ms // 1000 % 60
+        return f"{h:02d}:{m:02d}:{s:02d},{ms % 1000:03d}"
+
+    if fmt == "srt":
+        return "".join(
+            f"{i}\n{srt_time(seg['start'])} --> {srt_time(seg['end'])}\n{seg['text']}\n\n"
+            for i, seg in enumerate(doc["segments"], start=1)
+        )
+    return "".join(f"{seg['start']}\t{seg['end']}\t{seg['text']}\n" for seg in doc["segments"])
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark in front of a text input changes nothing."""
+
+    @pytest.mark.parametrize(
+        "role", ["segment-json", "srt", "plain-lines", "video-meta", "lexicon", "config"]
+    )
+    def test_output_equals_the_run_without_it(self, tmp_path, capsys, role):
+        corpus = make_corpus(tmp_path, capsys)
+        doc = json.loads((corpus / "transcript.json").read_text())
+        fmt = role if role in ("srt", "plain-lines") else "segment-json"
+        transcript = tmp_path / "transcript.txt"
+        transcript.write_text(
+            json.dumps(doc) if fmt == "segment-json" else _segments_as(fmt, doc)
+        )
+        lexicon = tmp_path / "lexicon.json"
+        lexicon.write_text(json.dumps({"road_suffixes": ["motorway"]}))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"source-label": "drive", "tolerance_ms": 4000}))
+        inputs = {
+            "--gpx": corpus / "track.gpx",
+            "--transcript": transcript,
+            "--video-meta": corpus / "video_meta.json",
+            "--lexicon": lexicon,
+            "--config": config,
+        }
+        args = ["pipeline", "--transcript-format", fmt, "--audio-start", doc["audio_start_utc"]]
+        for flag, path in inputs.items():
+            args += [flag, str(path)]
+        code, _, err = run([*args, "--out", str(tmp_path / "plain")], capsys)
+        assert code == EXIT_OK, err
+        marked = {"video-meta": inputs["--video-meta"], "lexicon": lexicon,
+                  "config": config}.get(role, transcript)
+        marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        code, _, err = run([*args, "--out", str(tmp_path / "marked")], capsys)
+        assert code == EXIT_OK, err
+        for name in ("triads.jsonl", "report.txt", "mismatches.txt"):
+            assert (tmp_path / "marked" / name).read_bytes() == (
+                tmp_path / "plain" / name
+            ).read_bytes()
+
+
+class TestSubcommandUsage:
+    """A usage error found after parsing prints the subcommand's own usage."""
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["classify"], None, "--transcript is required (flag or config file)"),
+            (["pipeline", "--out", "q"], None, "--gpx is required (flag or config file)"),
+            (["stats", "t.jsonl"], {"sources": ["a"]}, "unknown config key 'sources'"),
+            (["synth", "--legs", "100X", "--out", "s"], None, "bad leg length '100X'"),
+        ],
+        ids=["classify", "pipeline", "stats", "synth"],
+    )
+    def test_error_lines_name_the_subcommand(self, tmp_path, capsys, argv, config, message):
+        if config is not None:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+            message = f"{path}: {message}"
+        code, _, err = run(argv, capsys)
+        assert code == EXIT_USAGE
+        lines = err.splitlines()
+        assert lines[0].startswith(f"usage: drivetriad {argv[0]} [-h]")
+        assert lines[-1].startswith(f"drivetriad {argv[0]}: error: {message}")
+
+
+class TestErrorsNameTheFile:
+    """A data error from parsing one input file names that file first."""
+
+    @pytest.mark.parametrize(
+        "flag, content, error",
+        [
+            ("--gpx", b"\xff", "ParseError"),
+            ("--transcript", b"\xff", "EncodingError"),
+            ("--video-meta", b"\xff", "EncodingError"),
+            ("--video-meta", b'{"start_time": "2024-06-01T12:00:00Z", "fps": "30", '
+             b'"frame_count": 10}', "ParseError: fps must be a number"),
+            ("--lexicon", b"\xff", "LexiconError"),
+        ],
+        ids=["gpx", "transcript", "video-meta-encoding", "video-meta-fps", "lexicon"],
+    )
+    def test_pipeline_input(self, tmp_path, capsys, flag, content, error):
+        corpus = make_corpus(tmp_path, capsys)
+        bad = tmp_path / "bad.input"
+        bad.write_bytes(content)
+        inputs = {
+            "--gpx": corpus / "track.gpx",
+            "--transcript": corpus / "transcript.json",
+            "--video-meta": corpus / "video_meta.json",
+            flag: bad,
+        }
+        args = ["pipeline", "--out", str(tmp_path / "d")]
+        for name, path in inputs.items():
+            args += [name, str(path)]
+        code, _, err = run(args, capsys)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {bad}: {error}"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("flag", ["--transcript", "--lexicon"])
+    def test_classify_input(self, tmp_path, capsys, flag):
+        corpus = make_corpus(tmp_path, capsys)
+        bad = tmp_path / "bad.input"
+        bad.write_bytes(b"[]")
+        inputs = {"--transcript": corpus / "transcript.json", flag: bad}
+        args = ["classify"]
+        for name, path in inputs.items():
+            args += [name, str(path)]
+        code, _, err = run(args, capsys)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {bad}: "), err
 
 
 class TestStdoutFailure:

@@ -33,7 +33,7 @@ from drivetriad.segmenter import MANEUVER_RULE
 from drivetriad.synth import write_gpx, write_video_meta
 from pathlib import Path
 
-from drivetriad.errors import NoUsableEvents
+from drivetriad.errors import DataError, NoUsableEvents
 
 
 def generated(tmp_path, seed=7, style="distance-heavy", legs="600R,500L,700U,400", **plan_kw):
@@ -74,6 +74,8 @@ class TestPipelineConfig:
             ({"transcript_format": "vtt"}, "transcript_format"),
             ({"lexicon_path": 3}, "lexicon_path"),
             ({"relativize": 1}, "relativize"),
+            ({"audio_start": "garbage"}, "audio_start"),
+            ({"audio_start": "1969-01-01T00:00:00Z"}, "audio_start"),
         ],
     )
     def test_bad_value_names_the_field(self, settings, field):
@@ -88,13 +90,8 @@ class TestRunPipeline:
         assert result.event_count == len(corpus.ground_truth.instructions)
         assert result.segment_count == result.event_count
         assert result.mismatch_count == 0
-        for path in (
-            result.triads_path,
-            result.manifest_path,
-            result.report_path,
-            result.mismatches_path,
-        ):
-            assert path.exists()
+        for name in ("triads.jsonl", "manifest.json", "report.txt", "mismatches.txt"):
+            assert (result.out_dir / name).exists()
 
     def test_recovers_planted_maneuvers(self, tmp_path):
         files, corpus = generated(tmp_path)
@@ -139,25 +136,25 @@ class TestRunPipeline:
         files, _ = generated(tmp_path)
         r1 = run_pipeline(config_for(files, tmp_path / "a"), created_at_ms=1_000)
         r2 = run_pipeline(config_for(files, tmp_path / "b"), created_at_ms=1_000)
-        for name in ("triads_path", "manifest_path", "report_path", "mismatches_path"):
-            assert getattr(r1, name).read_bytes() == getattr(r2, name).read_bytes()
+        for name in ("triads.jsonl", "manifest.json", "report.txt", "mismatches.txt"):
+            assert (r1.out_dir / name).read_bytes() == (r2.out_dir / name).read_bytes()
 
     def test_report_label_defaults_to_gpx_stem(self, tmp_path):
         files, _ = generated(tmp_path)
         result = run_pipeline(config_for(files, tmp_path / "out"))
-        assert "| track" in result.report_path.read_text()
+        assert "| track" in (result.out_dir / "report.txt").read_text()
 
     def test_report_label_override(self, tmp_path):
         files, _ = generated(tmp_path)
         result = run_pipeline(
             config_for(files, tmp_path / "out", source_label="morning-drive")
         )
-        assert "morning-drive" in result.report_path.read_text()
+        assert "morning-drive" in (result.out_dir / "report.txt").read_text()
 
     def test_manifest_records_inputs_and_counts(self, tmp_path):
         files, _ = generated(tmp_path)
         result = run_pipeline(config_for(files, tmp_path / "out"))
-        manifest = json.loads(result.manifest_path.read_text())
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
         roles = [i["role"] for i in manifest["inputs"]]
         assert roles == ["track", "transcript", "video-meta"]
         assert manifest["event_count"] == result.event_count
@@ -204,7 +201,7 @@ class TestRunPipeline:
             labeled = classify(text)
             fragment = labels_fragment(text, labeled.classes, labeled.evidence)
             assert line.startswith('{"id": ') and f", {fragment}, " in line
-        warnings = json.loads(result.manifest_path.read_text())["warnings"]
+        warnings = json.loads((result.out_dir / "manifest.json").read_text())["warnings"]
         anchor_ms = parse_iso8601_ms(doc["audio_start_utc"])
         assert [w for w in warnings if "'...'" in w] == [
             f"segment at {format_iso8601_ms(anchor_ms + start_ms)} has no "
@@ -224,7 +221,7 @@ class TestRunPipeline:
         meta["frame_count"] = 1
         files["video_meta.json"].write_text(json.dumps(meta))
         result = run_pipeline(config_for(files, tmp_path / "out"))
-        manifest = json.loads(result.manifest_path.read_text())
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
         assert result.warning_count > 0
         assert any("no video frame" in w for w in manifest["warnings"])
 
@@ -272,6 +269,21 @@ class TestRunPipeline:
                 )
             )
 
+    @pytest.mark.parametrize("name", ["track.gpx", "transcript.json", "video_meta.json"])
+    def test_data_error_names_its_input(self, tmp_path, name):
+        files, _ = generated(tmp_path)
+        files[name].write_bytes(b"\xff")
+        with pytest.raises(DataError) as caught:
+            run_pipeline(config_for(files, tmp_path / "out"))
+        assert caught.value.path == files[name]
+
+    def test_error_of_no_one_input_names_none(self, tmp_path):
+        files, _ = generated(tmp_path)
+        with pytest.raises(NoUsableEvents) as caught:
+            run_pipeline(config_for(files, tmp_path / "out", gps_offset_ms=3_600_000,
+                                    tolerance_ms=100))
+        assert caught.value.path is None
+
     @pytest.mark.parametrize(
         "settings, digest",
         [
@@ -288,7 +300,7 @@ class TestRunPipeline:
         # added, renamed or stored with another type shows up here.
         files, _ = generated(tmp_path)
         result = run_pipeline(config_for(files, tmp_path / "out", **settings))
-        manifest = json.loads(result.manifest_path.read_text())
+        manifest = json.loads((result.out_dir / "manifest.json").read_text())
         assert manifest["config_sha256"] == digest
 
     def test_audio_start_override(self, tmp_path):
@@ -365,7 +377,8 @@ class TestShiftInvariance:
         assert len(shifted_lines) == len(base_lines) > 0
         for before, after in zip(base_lines, shifted_lines):
             assert _unshift(json.loads(after), delta) == json.loads(before)
-        assert shifted.report_path.read_bytes() == base.report_path.read_bytes()
+        report = "report.txt"
+        assert (shifted.out_dir / report).read_bytes() == (base.out_dir / report).read_bytes()
         assert shifted.mismatches_path.read_bytes() == base.mismatches_path.read_bytes()
 
 
@@ -504,7 +517,7 @@ class TestOneWarningPerLostInstruction:
         result = run_pipeline(
             config_for(files, root / "out", video_meta_path=None), created_at_ms=0
         )
-        warnings = json.loads(result.manifest_path.read_text())["warnings"]
+        warnings = json.loads((result.out_dir / "manifest.json").read_text())["warnings"]
         a, b, c = len(wordless), out_of_span, len(zero_length)
         assert len(warnings) == result.warning_count == a + b + c, warnings
         assert sum("has no classifiable text" in w for w in warnings) == a
@@ -524,7 +537,7 @@ class TestOneWarningPerLostInstruction:
         result = run_pipeline(
             config_for(files, tmp_path / "out", video_meta_path=None), created_at_ms=0
         )
-        assert json.loads(result.manifest_path.read_text())["warnings"] == [
+        assert json.loads((result.out_dir / "manifest.json").read_text())["warnings"] == [
             "segment at 2024-06-01T12:00:10.000Z has no classifiable text ('...'); "
             "dropped"
         ]
