@@ -70,13 +70,6 @@ class CommandClass(enum.Enum):
         """The report form: "StaticObject" reads "Static Object"."""
         return re.sub(r"(?<=[a-z])(?=[A-Z])", " ", self.value)
 
-    @classmethod
-    def from_name(cls, name: str) -> "CommandClass":
-        try:
-            return cls(name)
-        except ValueError:
-            raise KeyError(name) from None
-
 
 def sort_classes(classes: Iterable[CommandClass]) -> list[CommandClass]:
     """Canonical ordering: alphabetical by class name."""
@@ -305,8 +298,8 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
             _extend_unique(key, target, value)
         else:
             try:
-                cls = CommandClass.from_name(key)
-            except KeyError:
+                cls = CommandClass(key)
+            except ValueError:
                 valid = ", ".join(c.value for c in CommandClass)
                 raise LexiconError(
                     f"{key}: not a class name (expected one of {valid}, "

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .classifier import classify, load_lexicon
-from .core import DEFAULT_TOLERANCE_MS, parse_float, parse_int, unique_keys
+from .core import DEFAULT_TOLERANCE_MS, check_value, parse_float, parse_int, unique_keys
 from .errors import (
     DataError, EmptyInstruction, InternalError, IoError, ParseError, parse_input,
 )
@@ -74,6 +74,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_config(path: str, parser: _Parser) -> dict:
     """The config file's keys, dashes read as underscores; a key given
     twice is a usage error naming it."""
+    _check_path("config", path, parser)
     # Each object's keys as written, repeats included; json closes the
     # outermost object last.
     objects: list = []
@@ -121,9 +122,17 @@ def _require(settings: dict, name: str, parser: _Parser):
 def _path(settings: dict, name: str, parser: _Parser, required: bool = False):
     """A path option, which a config file must give as a string."""
     value = _require(settings, name, parser) if required else settings.get(name)
-    if value is not None and not isinstance(value, str):
-        parser.error(f"{name} must be a path string, got {value!r}")
+    if value is not None:
+        _check_path(name, value, parser)
     return value
+
+
+def _check_path(name: str, value: object, parser: _Parser) -> None:
+    """PipelineConfig's rule for a path, a usage error when broken."""
+    try:
+        check_value(name, "Path", value)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _choice(settings: dict, name: str, allowed, default, parser: _Parser):
@@ -302,11 +311,15 @@ def _run_pipeline(settings: dict, parser: _Parser) -> int:
 
 def _run_stats(settings: dict, parser: _Parser) -> int:
     out_path = _path(settings, "out", parser)
-    all_stats = []
+    sources = []
     for item in settings["sources"]:
         label, sep, path_text = item.partition("=")
         if not sep:
             path_text, label = item, Path(item).stem
+        _check_path(f"source {item!r}", path_text, parser)
+        sources.append((label, path_text))
+    all_stats = []
+    for label, path_text in sources:
         data = Path(path_text).read_bytes()
         triads = read_triads(data, source=path_text)
         all_stats.append(corpus_stats(label, [t.event for t in triads]))

@@ -116,11 +116,13 @@ def check_value(name: str, kind: str, value: object) -> object:
     """
     types, expected, store = _FIELD_KINDS[kind]
     # A bool is no number; the range test rejects NaN, the infinities
-    # and ints too large to become a float.
+    # and ints too large to become a float. An empty string is no path,
+    # though Path("") would read it as the current directory.
     if (
         not isinstance(value, types)
         or (isinstance(value, bool) and kind != "bool")
         or (kind == "float" and not abs(value) <= sys.float_info.max)
+        or (kind == "Path" and value == "")
     ):
         raise ValueError(f"{name} must be {expected}, got {value!r}")
     return value if store is None else store(value)

@@ -14,6 +14,7 @@ raised along the way.
 from __future__ import annotations
 
 import contextlib
+import enum
 import hashlib
 import json
 import math
@@ -75,14 +76,11 @@ def _string(value: str) -> str:
     return json.dumps(value, ensure_ascii=True)
 
 
-def _geo_point(point: GeoPoint, with_time: bool) -> str:
-    fields = []
-    if with_time:
-        fields.append(f'"t_ms": {point.t_ms}')
-    fields.append(f'"lat": {_float6(point.lat_deg)}')
-    fields.append(f'"lon": {_float6(point.lon_deg)}')
-    fields.append(f'"ele": {_opt_float6(point.ele_m)}')
-    return "{" + ", ".join(fields) + "}"
+def _geo_members(point: GeoPoint) -> str:
+    """The lat, lon and ele members of a point, for a waypoint and a geo."""
+    return '"lat": %s, "lon": %s, "ele": %s' % (
+        _float6(point.lat_deg), _float6(point.lon_deg), _opt_float6(point.ele_m)
+    )
 
 
 def labels_fragment(
@@ -105,7 +103,8 @@ def serialize_triad(triad: VlaTriad) -> str:
     """One JSON line; fixed key order, 6-decimal floats, ASCII only."""
     event, action = triad.event, triad.action
     waypoints = ", ".join(
-        _geo_point(point, with_time=True) for point in action.waypoints
+        '{"t_ms": %d, %s}' % (point.t_ms, _geo_members(point))
+        for point in action.waypoints
     )
     action_json = (
         '{"t_start_ms": %d, "t_end_ms": %d, "maneuver": %s, '
@@ -123,13 +122,13 @@ def serialize_triad(triad: VlaTriad) -> str:
         )
     )
     return (
-        '{"id": %d, "t_utc_ms": %d, %s, "geo": %s, "heading_deg": %s, '
+        '{"id": %d, "t_utc_ms": %d, %s, "geo": {%s}, "heading_deg": %s, '
         '"frame_index": %s, "action": %s}'
         % (
             event.id,
             event.t_ms,
             labels_fragment(event.text, event.classes, event.evidence),
-            _geo_point(event.geo, with_time=False),
+            _geo_members(event.geo),
             _opt_float6(event.heading_deg),
             _opt_int(event.frame_index),
             action_json,
@@ -191,7 +190,7 @@ def read_triads(data: bytes, source: str = TRIADS_FILENAME) -> list[VlaTriad]:
             continue
         try:
             triads.append(_triad_from_json(line))
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"{source}:{line_no}: {exc}") from exc
     return triads
 
@@ -200,8 +199,16 @@ def _req(obj: object, key: str) -> object:
     if not isinstance(obj, dict):
         raise TypeError(f"expected an object holding {key!r}")
     if key not in obj:
-        raise KeyError(f"missing field {key!r}")
+        raise ValueError(f"missing field {key!r}")
     return obj[key]
+
+
+def _member(kind: type[enum.Enum], what: str, name: object) -> enum.Enum:
+    """The member of ``kind`` whose value is ``name``."""
+    try:
+        return kind(name)
+    except ValueError:
+        raise ValueError(f"unknown {what} {name!r}") from None
 
 
 def _get(obj: object, key: str, kind: str, nullable: bool = False) -> object:
@@ -227,11 +234,11 @@ def _triad_from_json(line: str) -> VlaTriad:
     event_id = _get(obj, "id", "int")
     t_ms = _get(obj, "t_utc_ms", "int")
     classes = frozenset(
-        CommandClass.from_name(name) for name in _get(obj, "classes", "list")
+        _member(CommandClass, "class", name) for name in _get(obj, "classes", "list")
     )
     evidence = tuple(
         Evidence(
-            CommandClass.from_name(_get(ev, "class", "str")),
+            _member(CommandClass, "class", _get(ev, "class", "str")),
             _get(ev, "start", "int"),
             _get(ev, "end", "int"),
             _get(ev, "matched", "str"),
@@ -253,11 +260,7 @@ def _triad_from_json(line: str) -> VlaTriad:
         _geo_from(wp, _get(wp, "t_ms", "int"))
         for wp in _get(raw_action, "waypoints", "list")
     )
-    maneuver_name = _get(raw_action, "maneuver", "str")
-    try:
-        maneuver = Maneuver(maneuver_name)
-    except ValueError:
-        raise ValueError(f"unknown maneuver {maneuver_name!r}") from None
+    maneuver = _member(Maneuver, "maneuver", _get(raw_action, "maneuver", "str"))
     action = ActionSegment(
         event_id=event_id,
         t_start_ms=_get(raw_action, "t_start_ms", "int"),

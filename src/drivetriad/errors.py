@@ -69,13 +69,16 @@ class InvalidFps(DataError):
 
 
 class InvalidAnchor(DataError):
-    """Absolutized timestamp would be negative."""
+    """A stream cannot be placed on the UTC timeline: relative times with no
+    anchor, or an anchor or offset that moves an instant before the epoch or
+    past 9999-12-31T23:59:59.999Z."""
 
 
 # --- classification ---------------------------------------------------------
 
 class EmptyInstruction(DataError):
-    """Instruction text is empty or whitespace-only."""
+    """Instruction text has no words: empty, whitespace or punctuation
+    only, such as "..."."""
 
 
 class LexiconError(DataError):
@@ -93,7 +96,8 @@ class AfterVideoEnd(DataError):
 
 
 class NoUsableEvents(DataError):
-    """Every instruction fell outside the usable time range."""
+    """No instruction event to work on: every segment fell outside the
+    usable time range or had no words, or segment_actions got no events."""
 
 
 class InsufficientGeometry(DataError):
@@ -103,11 +107,12 @@ class InsufficientGeometry(DataError):
 # --- emission ---------------------------------------------------------------
 
 class InternalOrderingError(InternalError):
-    """Records handed to the emitter were not sorted by event time."""
+    """Events handed to segment_actions, or records handed to the emitter,
+    were not sorted by event time."""
 
 
 class IoError(InternalError):
-    """Filesystem write failed."""
+    """A write to a file, a directory or standard output failed."""
 
 
 def parse_input(path: str | os.PathLike | None, parse: Callable, *args):

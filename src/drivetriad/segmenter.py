@@ -28,13 +28,7 @@ from .core import (
     interpolate_position,
     signed_bearing_delta,
 )
-from .errors import (
-    AfterVideoEnd,
-    DegenerateBearing,
-    InsufficientGeometry,
-    InternalOrderingError,
-    NoUsableEvents,
-)
+from .errors import InsufficientGeometry, InternalOrderingError, NoUsableEvents
 from .ingest import VideoIndex
 from .sync import InstructionEvent, frame_index_at
 
@@ -97,13 +91,13 @@ def net_bearing_change(waypoints: Sequence[GeoPoint]) -> float:
     Steps shorter than the jitter floor are folded into their successor so
     GPS noise while stopped does not masquerade as motion. Positive means
     net clockwise (a right turn). Raises InsufficientGeometry when fewer
-    than three points survive the floor.
+    than three points survive the floor. The deltas are added left to
+    right, so the total does not depend on how the Python version sums.
     """
-    points = list(waypoints)
-    if not points:
+    if not waypoints:
         raise InsufficientGeometry("no waypoints")
-    kept = [points[0]]
-    for point in points[1:]:
+    kept = [waypoints[0]]
+    for point in waypoints[1:]:
         if haversine_distance(kept[-1], point) >= JITTER_FLOOR_M:
             kept.append(point)
     if len(kept) < 3:
@@ -111,11 +105,12 @@ def net_bearing_change(waypoints: Sequence[GeoPoint]) -> float:
             f"only {len(kept)} waypoint(s) span more than the jitter floor "
             f"({JITTER_FLOOR_M} m); need 3"
         )
-    bearings = [initial_bearing(kept[i], kept[i + 1]) for i in range(len(kept) - 1)]
-    return sum(
-        signed_bearing_delta(bearings[i], bearings[i + 1])
-        for i in range(len(bearings) - 1)
-    )
+    # Kept points lie at least the jitter floor apart, so each has a bearing.
+    bearings = [initial_bearing(a, b) for a, b in zip(kept, kept[1:])]
+    total = 0.0
+    for before, after in zip(bearings, bearings[1:]):
+        total += signed_bearing_delta(before, after)
+    return total
 
 
 def classify_maneuver(net_change_deg: float) -> Maneuver:
@@ -154,9 +149,15 @@ def segment_actions(
             )
     times = track.times
     # Window i runs from bounds[i] to bounds[i + 1]: each event's instant
-    # clamped into the track span, then the track's end.
+    # clamped into the track span, then the track's end. Each bound's point
+    # and frame serve the windows on both sides of it.
     bounds = [min(max(e.t_ms, track.start_ms), track.end_ms) for e in events]
     bounds.append(track.end_ms)
+    points = [interpolate_position(track, t) for t in bounds]
+    # A clamped frame exists unless the video has no frames at all.
+    frames = [None] * len(bounds)
+    if video is not None and video.frame_count:
+        frames = [frame_index_at(video, t, clamp=True) for t in bounds]
 
     segments: list[ActionSegment] = []
     warnings: list[str] = []
@@ -168,33 +169,24 @@ def segment_actions(
                 f"the track span; no segment emitted"
             )
             continue
-        start_point = interpolate_position(track, t_start)
-        end_point = interpolate_position(track, t_end)
         interior = track.points[
             bisect_right(times, t_start):bisect_left(times, t_end)
         ]
-        waypoints = (start_point, *interior, end_point)
-        distance = sum(
-            haversine_distance(waypoints[j], waypoints[j + 1])
-            for j in range(len(waypoints) - 1)
-        )
+        waypoints = (points[i], *interior, points[i + 1])
+        # Added left to right, as for the bearing change.
+        distance = 0.0
+        for a, b in zip(waypoints, waypoints[1:]):
+            distance += haversine_distance(a, b)
         try:
             net_change = net_bearing_change(waypoints)
             maneuver = classify_maneuver(net_change)
-        except (InsufficientGeometry, DegenerateBearing):
+        except InsufficientGeometry:
             net_change = 0.0
             maneuver = Maneuver.UNKNOWN
             warnings.append(
                 f"event {event.id}: too little usable motion in the window "
                 f"to classify a maneuver"
             )
-        frame_start = frame_end = None
-        if video is not None:
-            try:
-                frame_start = frame_index_at(video, t_start, clamp=True)
-                frame_end = frame_index_at(video, t_end, clamp=True)
-            except AfterVideoEnd:  # clamped, so only a zero-frame video
-                frame_start = frame_end = None
         segments.append(
             ActionSegment(
                 event_id=event.id,
@@ -204,8 +196,8 @@ def segment_actions(
                 net_bearing_change_deg=net_change,
                 distance_m=distance,
                 maneuver=maneuver,
-                frame_start=frame_start,
-                frame_end=frame_end,
+                frame_start=frames[i],
+                frame_end=frames[i + 1],
             )
         )
     return segments, warnings

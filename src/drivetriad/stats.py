@@ -44,10 +44,6 @@ def corpus_stats(source_label: str, events: Iterable) -> CorpusStats:
     )
 
 
-def _combo_key(combo: frozenset[CommandClass]) -> tuple[str, ...]:
-    return tuple(cls.value for cls in sort_classes(combo))
-
-
 def combo_label(combo: frozenset[CommandClass]) -> str:
     """Display name for a class set: sorted labels, or (none)."""
     if not combo:
@@ -62,14 +58,13 @@ def _ranked_table(
     counts: Sequence[Mapping],
     keys: Iterable,
     row_label: Callable[..., str],
-    tie_break: Callable,
 ) -> list[str]:
     """One source column per mapping in ``counts`` plus a Total column;
-    rows ranked by descending total, then by ``tie_break``."""
+    rows ranked by descending total, then by row label."""
     totals = {key: sum(c.get(key, 0) for c in counts) for key in keys}
     rows = [
         [row_label(key), *(str(c.get(key, 0)) for c in counts), str(totals[key])]
-        for key in sorted(totals, key=lambda k: (-totals[k], tie_break(k)))
+        for key in sorted(totals, key=lambda k: (-totals[k], row_label(k)))
     ]
     table = [[key_header, *columns, "Total"], *rows]
     widths = [max(map(len, column)) for column in zip(*table)]
@@ -98,7 +93,6 @@ def render_report(stats: Sequence[CorpusStats]) -> str:
         [s.class_counts for s in stats],
         CommandClass,
         lambda cls: cls.label,
-        lambda cls: cls.label,
     )
     lines.append("")
     lines += _ranked_table(
@@ -108,7 +102,6 @@ def render_report(stats: Sequence[CorpusStats]) -> str:
         combo_counts,
         set().union(*combo_counts),
         combo_label,
-        _combo_key,
     )
     lines.append("")
     lines.append(f"Total events: {sum(s.total_events for s in stats)}")

@@ -306,9 +306,6 @@ class TestSortClasses:
         assert C.STATIC_OBJECT.label == "Static Object"
         assert C.LANE_INFORMATION.label == "Lane Information"
         assert C.ROAD.label == "Road"
-        assert C.from_name("LightInformation") is C.LIGHT_INFORMATION
-        with pytest.raises(KeyError):
-            C.from_name("Sideways")
 
 
 class TestLexicon:

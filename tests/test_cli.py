@@ -598,7 +598,21 @@ class TestStatsCommand:
         # The writer always writes these keys, null or not.
         code, err, bad = self._stats_on_edited_record(tmp_path, capsys, path)
         assert code == EXIT_DATA
-        assert f"{bad}:1: \"missing field {path[-1]!r}\"" in err
+        assert f"{bad}:1: missing field {path[-1]!r}\n" in err
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("classes",), ["Foo"], "unknown class 'Foo'"),
+            (("evidence", 0, "class"), "Foo", "unknown class 'Foo'"),
+            (("action", "maneuver"), "Spin", "unknown maneuver 'Spin'"),
+        ],
+        ids=["classes", "evidence-class", "maneuver"],
+    )
+    def test_unknown_name_is_data_error(self, tmp_path, capsys, path, value, message):
+        code, err, bad = self._stats_on_edited_record(tmp_path, capsys, path, value)
+        assert code == EXIT_DATA
+        assert f"{bad}:1: {message}\n" in err
 
     def _stats_on_edited_record(self, tmp_path, capsys, path, *value):
         """Run stats on the first triad with the field at ``path`` set to
@@ -687,6 +701,76 @@ class TestHostileInput:
         assert code == EXIT_USAGE
         assert field in err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, option, field",
+        [
+            ("pipeline", "out", "out_dir"),
+            ("pipeline", "gpx", "gpx_path"),
+            ("pipeline", "transcript", "transcript_path"),
+            ("pipeline", "video_meta", "video_meta_path"),
+            ("pipeline", "lexicon", "lexicon_path"),
+            ("classify", "transcript", "transcript"),
+            ("classify", "lexicon", "lexicon"),
+            ("stats", "out", "out"),
+            ("synth", "out", "out"),
+        ],
+    )
+    def test_empty_path_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, option, field, via
+    ):
+        # Path("") reads as the current directory; an empty string is no
+        # path, so nothing is read or written there.
+        corpus = make_corpus(tmp_path, capsys)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        settings = {
+            "pipeline": {"gpx": corpus / "track.gpx", "out": tmp_path / "d",
+                         "transcript": corpus / "transcript.json"},
+            "classify": {"transcript": corpus / "transcript.json"},
+            "stats": {},
+            "synth": {"out": tmp_path / "s"},
+        }[command]
+        settings = {name: str(path) for name, path in settings.items()}
+        settings[option] = ""
+        args = [command, *([str(empty)] if command == "stats" else [])]
+        if via == "config":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(settings))
+            args += ["--config", str(config)]
+        else:
+            for name, value in settings.items():
+                args += ["--" + name.replace("_", "-"), value]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code, out, err = run(args, capsys)
+        assert code == EXIT_USAGE
+        assert f"{field} must be a path, got ''" in err
+        assert out == ""
+        assert list(cwd.iterdir()) == []
+        assert not (tmp_path / "d").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["stats", ""], "source ''"),
+            (["stats", "{empty}", "drive="], "source 'drive='"),
+            (["classify", "--config", ""], "config"),
+        ],
+        ids=["stats-bare", "stats-labelled", "config"],
+    )
+    def test_empty_positional_or_config_path_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, args, name
+    ):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([a.format(empty=empty) for a in args], capsys)
+        assert code == EXIT_USAGE
+        assert f"{name} must be a path, got ''" in err
+        assert out == ""
 
     @pytest.mark.parametrize("flag", ["--gps-offset-ms", "--video-offset-ms"])
     def test_offset_before_epoch_is_data_error(self, tmp_path, capsys, flag):

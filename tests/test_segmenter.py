@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -16,8 +17,10 @@ from drivetriad import (
     make_triads,
     segment_actions,
 )
+from drivetriad.core import initial_bearing, signed_bearing_delta
 from drivetriad.errors import InsufficientGeometry, InternalOrderingError, NoUsableEvents
 from drivetriad.segmenter import (
+    JITTER_FLOOR_M,
     ActionSegment,
     classify_maneuver,
     collect_mismatches,
@@ -25,6 +28,7 @@ from drivetriad.segmenter import (
     net_bearing_change,
 )
 from drivetriad.sync import InstructionEvent
+from drivetriad.synth import RoutePlan, generate_route, parse_legs
 
 from helpers import straight_north_track, track_from
 
@@ -234,6 +238,49 @@ class TestSegmentActions:
         # Window end (10 s -> frame 300) is past the 250-frame video;
         # clamps to the last frame.
         assert segments[0].frame_end == 249
+
+    def test_zero_frame_video_leaves_frames_unset(self):
+        from drivetriad import VideoIndex
+
+        track = straight_north_track(n=11, start_ms=0)
+        video = VideoIndex(start_ms=0, fps=30.0, frame_count=0)
+        segments, _ = segment_actions([event(0, 0), event(1, 5_000)], track, video=video)
+        assert [(s.frame_start, s.frame_end) for s in segments] == [(None, None)] * 2
+
+    def test_window_totals_add_left_to_right(self):
+        # From Python 3.12 on, sum() of floats is compensated; the totals
+        # must not depend on that, so they are added left to right. A noisy
+        # 10 Hz drive has windows where the two ways of adding differ.
+        plan = RoutePlan(parse_legs("400R,300L,500R,400"), sample_hz=10.0,
+                         noise_sigma_m=3.0, seed=5)
+        track = generate_route(plan)
+        times = range(track.start_ms, track.end_ms, 20_000)
+        events = [event(i, t) for i, t in enumerate(times)]
+        segments, _ = segment_actions(events, track)
+
+        def left_to_right(values):
+            total = 0.0
+            for value in values:
+                total += value
+            return total
+
+        compensated_differs = set()
+        for segment in segments:
+            points = segment.waypoints
+            steps = [haversine_distance(a, b) for a, b in zip(points, points[1:])]
+            kept = [points[0]]
+            for point in points[1:]:
+                if haversine_distance(kept[-1], point) >= JITTER_FLOOR_M:
+                    kept.append(point)
+            bearings = [initial_bearing(a, b) for a, b in zip(kept, kept[1:])]
+            deltas = [signed_bearing_delta(a, b) for a, b in zip(bearings, bearings[1:])]
+            assert segment.distance_m == left_to_right(steps)
+            assert segment.net_bearing_change_deg == left_to_right(deltas)
+            if math.fsum(steps) != left_to_right(steps):
+                compensated_differs.add("distance")
+            if math.fsum(deltas) != left_to_right(deltas):
+                compensated_differs.add("bearing")
+        assert compensated_differs == {"distance", "bearing"}
 
 
 class TestConsistency:
