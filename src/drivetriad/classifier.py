@@ -41,14 +41,13 @@ a road, not a heading).
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
 
-from .core import unique_keys
+from .core import read_object
 from .errors import EmptyInstruction, LexiconError
 
 
@@ -264,8 +263,6 @@ DEFAULT_LEXICON = Lexicon(
     distance_units=DEFAULT_DISTANCE_UNITS,
 )
 
-_OVERRIDE_LIST_KEYS = ("road_suffixes", "distance_units")
-
 
 def load_lexicon(data: bytes | None = None) -> Lexicon:
     """Build the default lexicon, optionally merged with a JSON override.
@@ -277,26 +274,20 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
     """
     if data is None:
         return DEFAULT_LEXICON
-    try:
-        doc = json.loads(data.decode("utf-8-sig"), object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as exc:
-        raise LexiconError(f"lexicon override is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise LexiconError("lexicon override must be a JSON object")
-
+    doc = read_object(data)
     patterns = dict(DEFAULT_PATTERNS)
     suffixes = list(DEFAULT_ROAD_SUFFIXES)
     units = list(DEFAULT_DISTANCE_UNITS)
+    word_lists = {"road_suffixes": suffixes, "distance_units": units}
     version = None
     for key, value in doc.items():
         if key == "version":
             if not isinstance(value, str):
                 raise LexiconError("version: must be a string")
             version = value
-        elif key in _OVERRIDE_LIST_KEYS:
-            target = suffixes if key == "road_suffixes" else units
-            _extend_unique(key, target, value)
-        else:
+            continue
+        target = word_lists.get(key)
+        if target is None:
             try:
                 cls = CommandClass(key)
             except ValueError:
@@ -305,27 +296,20 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
                     f"{key}: not a class name (expected one of {valid}, "
                     f"road_suffixes, distance_units, version)"
                 ) from None
-            patterns[cls] = _pattern_list(key, value)
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise LexiconError(f"{key}: must be a list of strings")
+        if target is None:
+            patterns[cls] = tuple(value)
+            continue
+        for word in value:
+            cleaned = _fold(word.strip())
+            if cleaned and cleaned not in target:
+                target.append(cleaned)
     if version is None:
         version = DEFAULT_LEXICON.version + "+override"
     lex = Lexicon(version, patterns, tuple(suffixes), tuple(units))
     lex._compiled  # validate every pattern now, not at first classify
     return lex
-
-
-def _extend_unique(key: str, target: list[str], value: object) -> None:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise LexiconError(f"{key}: must be a list of strings")
-    for word in value:
-        cleaned = _fold(word.strip())
-        if cleaned and cleaned not in target:
-            target.append(cleaned)
-
-
-def _pattern_list(key: str, value: object) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise LexiconError(f"{key}: must be a list of pattern strings")
-    return tuple(value)
 
 
 # --- pattern compilation and matching ---------------------------------------

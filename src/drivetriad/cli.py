@@ -16,16 +16,15 @@ files; nothing ever touches the network.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from ._version import __version__
 from .classifier import classify, load_lexicon
-from .core import DEFAULT_TOLERANCE_MS, check_value, parse_float, parse_int, unique_keys
-from .errors import (
-    DataError, EmptyInstruction, InternalError, IoError, ParseError, parse_input,
+from .core import (
+    DEFAULT_TOLERANCE_MS, check_value, parse_float, parse_int, read_object, unique_keys,
 )
+from .errors import DataError, EmptyInstruction, InternalError, IoError, parse_input
 from .emitter import labels_fragment, read_triads, write_text
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
@@ -78,15 +77,10 @@ def _read_config(path: str, parser: _Parser) -> dict:
     # Each object's keys as written, repeats included; json closes the
     # outermost object last.
     objects: list = []
-    try:
-        doc = json.loads(
-            Path(path).read_bytes().decode("utf-8-sig"),
-            object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs),
-        )
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
+    parse_input(
+        path, read_object, Path(path).read_bytes(),
+        lambda pairs: objects.append(pairs) or dict(pairs),
+    )
     try:
         return unique_keys([(key.replace("-", "_"), value) for key, value in objects[-1]])
     except ValueError as exc:
@@ -317,11 +311,12 @@ def _run_stats(settings: dict, parser: _Parser) -> int:
         if not sep:
             path_text, label = item, Path(item).stem
         _check_path(f"source {item!r}", path_text, parser)
+        if not label:
+            parser.error(f"source {item!r}: label must be a non-empty string, got ''")
         sources.append((label, path_text))
     all_stats = []
     for label, path_text in sources:
-        data = Path(path_text).read_bytes()
-        triads = read_triads(data, source=path_text)
+        triads = parse_input(path_text, read_triads, Path(path_text).read_bytes())
         all_stats.append(corpus_stats(label, [t.event for t in triads]))
     report = render_report(all_stats)
     if out_path is None:

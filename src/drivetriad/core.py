@@ -19,6 +19,7 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
@@ -26,8 +27,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import Callable
 
-from .errors import DegenerateBearing, NonMonotoneTrack, OutOfTrackSpan, ParseError
+from .errors import (
+    DegenerateBearing, EncodingError, NonMonotoneTrack, OutOfTrackSpan, ParseError,
+)
 
 EARTH_RADIUS_M = 6_371_008.8
 """Mean Earth radius in meters (arithmetic mean of the ellipsoid axes)."""
@@ -94,6 +98,34 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         if key in doc:
             raise ValueError(f"key {key!r} given twice")
         doc[key] = value
+    return doc
+
+
+def read_text(data: bytes) -> str:
+    """The one reading of a text input's bytes: UTF-8, a leading byte-order
+    mark ignored, and CRLF and CR line ends turned into LF, so that a line
+    ends at "\\n" and nowhere else. Other bytes raise EncodingError."""
+    # Windows subtitle and speech-to-text tools often start with a BOM.
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_object(data: bytes, hook: Callable = unique_keys) -> dict:
+    """A JSON document that must be one object, from ``read_text``'s text.
+
+    ``hook`` builds each object from its key/value pairs. Bad syntax or
+    nesting too deep to read raises ParseError("not valid JSON: …"), and a
+    document that is not an object ParseError("not a JSON object").
+    """
+    try:
+        doc = json.loads(read_text(data), object_pairs_hook=hook)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("not a JSON object")
     return doc
 
 

@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
-from .core import GeoPoint, check_value
-from .errors import EncodingError, InternalError, InternalOrderingError, IoError, ParseError
+from .core import GeoPoint, check_value, read_text
+from .errors import InternalError, InternalOrderingError, IoError, ParseError
 from .segmenter import ActionSegment, Maneuver
 from .sync import InstructionEvent
 
@@ -174,24 +174,19 @@ def remove_files(paths: Iterable[Path]) -> None:
 # --- reading back -----------------------------------------------------------
 
 
-def read_triads(data: bytes, source: str = TRIADS_FILENAME) -> list[VlaTriad]:
-    """Parse a triads.jsonl byte stream back into triad objects.
-
-    Schema violations raise ParseError naming the source and line number;
-    bytes that are not UTF-8 raise EncodingError naming the source.
+def read_triads(data: bytes) -> list[VlaTriad]:
+    """Parse a triads.jsonl byte stream, read by ``core.read_text``, back
+    into triad objects. A schema violation raises ParseError naming the
+    line number.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"{source}: not valid UTF-8: {exc}") from exc
     triads = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(read_text(data).split("\n"), start=1):
         if not line.strip():
             continue
         try:
             triads.append(_triad_from_json(line))
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ParseError(f"{source}:{line_no}: {exc}") from exc
+            raise ParseError(f"line {line_no}: {exc}") from exc
     return triads
 
 

@@ -57,7 +57,8 @@ class ParseError(DataError):
 
 
 class EncodingError(DataError):
-    """Input bytes are not valid UTF-8."""
+    """A text input's bytes are not valid UTF-8 (a leading byte-order mark
+    is allowed)."""
 
 
 class EmptyTranscript(DataError):
@@ -82,7 +83,9 @@ class EmptyInstruction(DataError):
 
 
 class LexiconError(DataError):
-    """Lexicon override document is malformed."""
+    """A lexicon override is a JSON object but no lexicon: a key that names
+    nothing, a value of the wrong type, or a pattern that does not compile.
+    Bytes that are not a JSON object raise EncodingError or ParseError."""
 
 
 # --- synchronization / segmentation ----------------------------------------

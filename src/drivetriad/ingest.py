@@ -10,21 +10,21 @@ Parsers are pure functions of their byte input.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from typing import Iterator
 
 from .classifier import has_word
 from .core import (
-    MAX_INSTANT_MS, GeoPoint, TrackLog, parse_float, parse_iso8601_ms, unique_keys,
+    MAX_INSTANT_MS, GeoPoint, TrackLog, parse_float, parse_iso8601_ms, read_object,
+    read_text,
 )
 from .errors import (
     DataError,
     EmptyTrack,
     EmptyTranscript,
-    EncodingError,
     InvalidAnchor,
     InvalidFps,
     MissingTimestamp,
@@ -180,29 +180,25 @@ def parse_gpx(data: bytes) -> TrackLog:
     return TrackLog(tuple(points))
 
 
-def _decode(data: bytes) -> str:
-    # Windows subtitle and speech-to-text tools often start with a BOM.
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
-
-
 _SRT_TIME = re.compile(
     r"(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})\s*-->\s*(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})",
     re.ASCII,
 )
+
+# One segment as a format's parser yields it: (where, start, end, text), with
+# "where" naming the block, line or segment for an error message. Rows come
+# in file order as they are read, so the first bad segment is the one named.
+_Row = tuple[str, float, float, str]
 
 
 def _srt_seconds(h: str, m: str, s: str, ms: str) -> float:
     return int(h) * 3600 + int(m) * 60 + int(s) + int(ms.ljust(3, "0")) / 1000.0
 
 
-def _parse_srt(text: str) -> list[TranscriptSegment]:
-    segments = []
+def _parse_srt(text: str) -> Iterator[_Row]:
     blocks = re.split(r"\n\s*\n", text.strip())
     for block_no, block in enumerate(blocks, start=1):
-        lines = [line.strip() for line in block.splitlines() if line.strip()]
+        lines = [line.strip() for line in block.split("\n") if line.strip()]
         if not lines:
             continue
         if lines[0].isascii() and lines[0].isdigit():
@@ -212,22 +208,18 @@ def _parse_srt(text: str) -> list[TranscriptSegment]:
         match = _SRT_TIME.fullmatch(lines[0])
         if match is None:
             raise ParseError(f"srt block {block_no}: bad timing line {lines[0]!r}")
-        start_s = _srt_seconds(*match.groups()[:4])
-        end_s = _srt_seconds(*match.groups()[4:])
-        if end_s < start_s:
-            raise ParseError(f"srt block {block_no}: end before start")
-        body = " ".join(lines[1:]).strip()
-        if body:
-            segments.append(TranscriptSegment(start_s, end_s, body))
-    return segments
+        yield (
+            f"srt block {block_no}",
+            _srt_seconds(*match.groups()[:4]),
+            _srt_seconds(*match.groups()[4:]),
+            " ".join(lines[1:]),
+        )
 
 
-def _parse_segment_json(text: str) -> tuple[list[TranscriptSegment], int | None]:
-    try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
+def _parse_segment_json(data: bytes) -> tuple[Iterator[_Row], int | None]:
+    """The segment rows, each read as it is iterated, and the anchor."""
+    doc = read_object(data)
+    if not isinstance(doc.get("segments"), list):
         raise ParseError('expected an object with a "segments" array')
     anchor_ms = None
     anchor_text = doc.get("audio_start_utc")
@@ -235,31 +227,25 @@ def _parse_segment_json(text: str) -> tuple[list[TranscriptSegment], int | None]
         if not isinstance(anchor_text, str):
             raise ParseError("audio_start_utc must be an ISO-8601 string")
         anchor_ms = parse_iso8601_ms(anchor_text)
-    segments = []
-    for i, raw in enumerate(doc["segments"]):
-        if not isinstance(raw, dict):
-            raise ParseError(f"segment {i}: not an object")
-        start = raw.get("start")
-        end = raw.get("end")
-        seg_text = raw.get("text")
-        # JSON numbers load as exactly int or float; a bool is neither.
-        if type(start) not in (int, float) or type(end) not in (int, float):
-            raise ParseError(f"segment {i}: start/end must be numbers")
-        if not isinstance(seg_text, str):
-            raise ParseError(f"segment {i}: text must be a string")
-        # One chained comparison also rejects NaN, the infinities and ints
-        # too large to become a float.
-        if not 0 <= start <= end <= sys.float_info.max:
-            raise ParseError(f"segment {i}: bad timing [{start}, {end}]")
-        body = seg_text.strip()
-        if body:
-            segments.append(TranscriptSegment(float(start), float(end), body))
-    return segments, anchor_ms
+    return (_segment_row(i, raw) for i, raw in enumerate(doc["segments"])), anchor_ms
 
 
-def _parse_plain_lines(text: str) -> list[TranscriptSegment]:
-    segments = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+def _segment_row(i: int, raw: object) -> _Row:
+    if not isinstance(raw, dict):
+        raise ParseError(f"segment {i}: not an object")
+    start = raw.get("start")
+    end = raw.get("end")
+    text = raw.get("text")
+    # JSON numbers load as exactly int or float; a bool is neither.
+    if type(start) not in (int, float) or type(end) not in (int, float):
+        raise ParseError(f"segment {i}: start/end must be numbers")
+    if not isinstance(text, str):
+        raise ParseError(f"segment {i}: text must be a string")
+    return f"segment {i}", start, end, text
+
+
+def _parse_plain_lines(text: str) -> Iterator[_Row]:
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -271,12 +257,7 @@ def _parse_plain_lines(text: str) -> list[TranscriptSegment]:
             end_s = parse_float(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {line_no}: bad timing {parts[:2]!r}") from exc
-        if not 0 <= start_s <= end_s <= sys.float_info.max:
-            raise ParseError(f"line {line_no}: bad timing [{start_s}, {end_s}]")
-        body = parts[2].strip()
-        if body:
-            segments.append(TranscriptSegment(start_s, end_s, body))
-    return segments
+        yield f"line {line_no}", start_s, end_s, parts[2]
 
 
 def _merge_overlaps(segments: list[TranscriptSegment]) -> tuple[TranscriptSegment, ...]:
@@ -308,21 +289,31 @@ def _merge_overlaps(segments: list[TranscriptSegment]) -> tuple[TranscriptSegmen
 def parse_transcript(data: bytes, format: str) -> Transcript:
     """Parse transcript bytes in one of TRANSCRIPT_FORMATS.
 
-    Whatever the source format, the result is sorted by start time with
-    overlapping segments that hold a word merged, and empty-text segments
-    dropped. An input with no usable segments raises EmptyTranscript. Only
-    segment-json may carry its own wall-clock anchor ("audio_start_utc").
+    Whatever the source format, every segment must have
+    ``0 <= start <= end <= the largest float``, and the result is sorted by
+    start time with overlapping segments that hold a word merged, and
+    empty-text segments dropped. An input with no usable segments raises
+    EmptyTranscript. Only segment-json may carry its own wall-clock anchor
+    ("audio_start_utc").
     """
-    text = _decode(data)
     anchor_ms = None
     if format == "segment-json":
-        segments, anchor_ms = _parse_segment_json(text)
+        rows, anchor_ms = _parse_segment_json(data)
     elif format == "srt":
-        segments = _parse_srt(text)
+        rows = _parse_srt(read_text(data))
     elif format == "plain-lines":
-        segments = _parse_plain_lines(text)
+        rows = _parse_plain_lines(read_text(data))
     else:
         raise ValueError(f"unknown transcript format: {format!r}")
+    segments = []
+    for where, start, end, text in rows:
+        # One chained comparison also rejects NaN, the infinities and ints
+        # too large to become a float.
+        if not 0 <= start <= end <= sys.float_info.max:
+            raise ParseError(f"{where}: bad timing [{start}, {end}]")
+        body = text.strip()
+        if body:
+            segments.append(TranscriptSegment(float(start), float(end), body))
     if not segments:
         raise EmptyTranscript("no usable transcript segments")
     return Transcript(_merge_overlaps(segments), anchor_ms)
@@ -330,13 +321,7 @@ def parse_transcript(data: bytes, format: str) -> Transcript:
 
 def parse_video_meta(data: bytes) -> VideoIndex:
     """Parse the video sidecar: {"start_time": ISO-8601, "fps": n, "frame_count": n}."""
-    text = _decode(data)
-    try:
-        doc = json.loads(text, object_pairs_hook=unique_keys)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"bad JSON sidecar: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("sidecar must be a JSON object")
+    doc = read_object(data)
     for fieldname in ("start_time", "fps", "frame_count"):
         if fieldname not in doc:
             raise ParseError(f"sidecar is missing the {fieldname!r} field")

@@ -72,6 +72,8 @@ class PipelineConfig:
                 f"transcript_format must be one of {', '.join(TRANSCRIPT_FORMATS)}"
                 f", got {self.transcript_format!r}"
             )
+        if self.source_label == "":
+            raise ValueError("source_label must be a non-empty string, got ''")
         if self.tolerance_ms < 0:
             raise ValueError(f"tolerance_ms must be >= 0, got {self.tolerance_ms}")
         if self.audio_start is not None:
@@ -177,7 +179,7 @@ def run_pipeline(
     triads = make_triads(events, segments)
     mismatches = collect_mismatches(triads)
 
-    label = config.source_label or config.gpx_path.stem
+    label = config.gpx_path.stem if config.source_label is None else config.source_label
     # The report counts what triads.jsonl holds, so that ``stats`` over
     # the run's own triads prints the same report.
     report = render_report([corpus_stats(label, [t.event for t in triads])])

@@ -18,7 +18,7 @@ from drivetriad.classifier import (
     sort_classes,
     tokenize,
 )
-from drivetriad.errors import EmptyInstruction, LexiconError
+from drivetriad.errors import EmptyInstruction, LexiconError, ParseError
 
 C = CommandClass
 
@@ -376,11 +376,11 @@ class TestLexicon:
             load_lexicon(json.dumps({"Turn": "not-a-list"}).encode())
 
     def test_non_object_document_rejected(self):
-        with pytest.raises(LexiconError):
+        with pytest.raises(ParseError, match="^not a JSON object$"):
             load_lexicon(b"[1, 2]")
 
     def test_invalid_json_rejected(self):
-        with pytest.raises(LexiconError):
+        with pytest.raises(ParseError, match="^not valid JSON: "):
             load_lexicon(b"{not json")
 
     @pytest.mark.parametrize(
@@ -389,7 +389,7 @@ class TestLexicon:
         ids=["long-integer", "deep-nesting"],
     )
     def test_json_limits_rejected(self, data):
-        with pytest.raises(LexiconError, match="not valid JSON"):
+        with pytest.raises(ParseError, match="^not valid JSON: "):
             load_lexicon(data)
 
     def test_words_lower_like_the_text(self):

@@ -548,7 +548,7 @@ class TestStatsCommand:
         code, _, err = run(["stats", str(bad)], capsys)
         assert code == EXIT_DATA
         last_line = len(data.splitlines())
-        assert f":{last_line}" in err
+        assert f"error: {bad}: ParseError: line {last_line}: " in err
 
     def test_non_finite_elevation_is_data_error_with_line(self, tmp_path, capsys):
         triads = self._dataset(tmp_path, capsys)
@@ -560,7 +560,7 @@ class TestStatsCommand:
         bad.write_bytes(b"".join(lines))
         code, _, err = run(["stats", str(bad)], capsys)
         assert code == EXIT_DATA
-        assert ":2: ele must be a finite number, got nan" in err
+        assert f"error: {bad}: ParseError: line 2: ele must be a finite number, got nan" in err
 
     @pytest.mark.parametrize(
         "path, value, expected",
@@ -588,7 +588,7 @@ class TestStatsCommand:
     ):
         code, err, bad = self._stats_on_edited_record(tmp_path, capsys, path, value)
         assert code == EXIT_DATA
-        assert f"{bad}:1: {path[-1]} must be {expected}" in err
+        assert f"error: {bad}: ParseError: line 1: {path[-1]} must be {expected}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -598,7 +598,7 @@ class TestStatsCommand:
         # The writer always writes these keys, null or not.
         code, err, bad = self._stats_on_edited_record(tmp_path, capsys, path)
         assert code == EXIT_DATA
-        assert f"{bad}:1: missing field {path[-1]!r}\n" in err
+        assert f"error: {bad}: ParseError: line 1: missing field {path[-1]!r}\n" in err
 
     @pytest.mark.parametrize(
         "path, value, message",
@@ -612,7 +612,7 @@ class TestStatsCommand:
     def test_unknown_name_is_data_error(self, tmp_path, capsys, path, value, message):
         code, err, bad = self._stats_on_edited_record(tmp_path, capsys, path, value)
         assert code == EXIT_DATA
-        assert f"{bad}:1: {message}\n" in err
+        assert f"error: {bad}: ParseError: line 1: {message}\n" in err
 
     def _stats_on_edited_record(self, tmp_path, capsys, path, *value):
         """Run stats on the first triad with the field at ``path`` set to
@@ -639,7 +639,7 @@ class TestStatsCommand:
         bad.write_text(json.dumps(record) + "\n")
         code, _, err = run(["stats", str(bad)], capsys)
         assert code == EXIT_DATA
-        assert ":1: frame range inverted: [50, 10]" in err
+        assert f"error: {bad}: ParseError: line 1: frame range inverted: [50, 10]" in err
 
     def test_missing_file_is_noinput(self, capsys):
         code, _, _ = run(["stats", "/nope/triads.jsonl"], capsys)
@@ -681,6 +681,7 @@ class TestHostileInput:
             ({"audio_start": "garbage"}, "audio_start: bad ISO-8601 timestamp"),
             ({"audio_start": "1969-01-01T00:00:00Z"}, "audio_start: timestamp before"),
             ({"audio_start": "9999-12-31T23:59:59.9999Z"}, "audio_start: timestamp after"),
+            ({"source_label": ""}, "source_label must be a non-empty string, got ''"),
         ],
     )
     def test_bad_pipeline_setting_is_usage_error(self, tmp_path, capsys, settings, field):
@@ -772,6 +773,27 @@ class TestHostileInput:
         assert f"{name} must be a path, got ''" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["pipeline", "--gpx", "{dir}/track.gpx", "--transcript",
+              "{dir}/transcript.json", "--out", "{dir}/d", "--source-label", ""],
+             "source_label must be a non-empty string, got ''"),
+            (["stats", "={dir}/empty.jsonl"],
+             "source '={dir}/empty.jsonl': label must be a non-empty string, got ''"),
+        ],
+        ids=["pipeline-flag", "stats-source"],
+    )
+    def test_empty_label_is_usage_error(self, tmp_path, capsys, args, message):
+        # An empty label would head an empty report column.
+        corpus = make_corpus(tmp_path, capsys)
+        (corpus / "empty.jsonl").write_bytes(b"")
+        code, out, err = run([arg.format(dir=corpus) for arg in args], capsys)
+        assert code == EXIT_USAGE
+        assert message.format(dir=corpus) in err
+        assert out == ""
+        assert not (corpus / "d").exists()
+
     @pytest.mark.parametrize("flag", ["--gps-offset-ms", "--video-offset-ms"])
     def test_offset_before_epoch_is_data_error(self, tmp_path, capsys, flag):
         corpus = make_corpus(tmp_path, capsys)
@@ -813,7 +835,7 @@ class TestHostileInput:
             args += [name, str(path)]
         code, _, err = run(args, capsys)
         assert code == EXIT_DATA
-        assert ("LexiconError" if flag == "--lexicon" else "ParseError") in err
+        assert f"error: {bad}: ParseError: not valid JSON: " in err
 
     @pytest.mark.parametrize(
         "flag, old, new, key",
@@ -1089,7 +1111,7 @@ class TestHostileInput:
         bad.write_bytes(b"\xff\xfe")
         code, _, err = run(["stats", str(bad)], capsys)
         assert code == EXIT_DATA
-        assert f"EncodingError: {bad}" in err
+        assert f"error: {bad}: EncodingError: input is not valid UTF-8: " in err
 
     @pytest.mark.parametrize(
         "argv, settings, key",
@@ -1143,45 +1165,85 @@ def _segments_as(fmt, doc):
     return "".join(f"{seg['start']}\t{seg['end']}\t{seg['text']}\n" for seg in doc["segments"])
 
 
+# Every text input of the CLI, by the role _outputs_with_input_edited gives it.
+_TEXT_INPUTS = [
+    "segment-json", "srt", "plain-lines", "video-meta", "lexicon", "config", "triads",
+]
+
+
+def _outputs_with_input_edited(tmp_path, capsys, role, edit):
+    """The outputs of two runs on a synth corpus, the second with the text
+    input ``role`` rewritten by ``edit``: pipeline's artifacts, or for
+    "triads" the reports of ``stats`` on the first run's triads.jsonl."""
+    corpus = make_corpus(tmp_path, capsys)
+    doc = json.loads((corpus / "transcript.json").read_text())
+    fmt = role if role in ("srt", "plain-lines") else "segment-json"
+    transcript = tmp_path / "transcript.txt"
+    # Indented, so that every JSON input has line ends to rewrite.
+    transcript.write_text(
+        json.dumps(doc, indent=2) if fmt == "segment-json" else _segments_as(fmt, doc)
+    )
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"road_suffixes": ["motorway"]}, indent=2))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"source-label": "drive", "tolerance_ms": 4000}, indent=2))
+    inputs = {
+        "--gpx": corpus / "track.gpx",
+        "--transcript": transcript,
+        "--video-meta": corpus / "video_meta.json",
+        "--lexicon": lexicon,
+        "--config": config,
+    }
+    args = ["pipeline", "--transcript-format", fmt, "--audio-start", doc["audio_start_utc"]]
+    for flag, path in inputs.items():
+        args += [flag, str(path)]
+
+    def outputs(argv):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_OK, err
+        return out
+
+    def artifacts(name):
+        outputs([*args, "--out", str(tmp_path / name)])
+        return [
+            (tmp_path / name / artifact).read_bytes()
+            for artifact in ("triads.jsonl", "report.txt", "mismatches.txt")
+        ]
+
+    plain = artifacts("plain")
+    target = {"video-meta": inputs["--video-meta"], "lexicon": lexicon, "config": config,
+              "triads": tmp_path / "plain" / "triads.jsonl"}.get(role, transcript)
+    data = target.read_bytes()
+    assert edit(data) != data
+    if role == "triads":
+        edited = tmp_path / "edited.jsonl"
+        edited.write_bytes(edit(data))
+        return outputs(["stats", f"drive={target}"]), outputs(["stats", f"drive={edited}"])
+    target.write_bytes(edit(data))
+    return plain, artifacts("edited")
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark in front of a text input changes nothing."""
 
-    @pytest.mark.parametrize(
-        "role", ["segment-json", "srt", "plain-lines", "video-meta", "lexicon", "config"]
-    )
+    @pytest.mark.parametrize("role", _TEXT_INPUTS)
     def test_output_equals_the_run_without_it(self, tmp_path, capsys, role):
-        corpus = make_corpus(tmp_path, capsys)
-        doc = json.loads((corpus / "transcript.json").read_text())
-        fmt = role if role in ("srt", "plain-lines") else "segment-json"
-        transcript = tmp_path / "transcript.txt"
-        transcript.write_text(
-            json.dumps(doc) if fmt == "segment-json" else _segments_as(fmt, doc)
+        plain, marked = _outputs_with_input_edited(
+            tmp_path, capsys, role, lambda data: b"\xef\xbb\xbf" + data
         )
-        lexicon = tmp_path / "lexicon.json"
-        lexicon.write_text(json.dumps({"road_suffixes": ["motorway"]}))
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"source-label": "drive", "tolerance_ms": 4000}))
-        inputs = {
-            "--gpx": corpus / "track.gpx",
-            "--transcript": transcript,
-            "--video-meta": corpus / "video_meta.json",
-            "--lexicon": lexicon,
-            "--config": config,
-        }
-        args = ["pipeline", "--transcript-format", fmt, "--audio-start", doc["audio_start_utc"]]
-        for flag, path in inputs.items():
-            args += [flag, str(path)]
-        code, _, err = run([*args, "--out", str(tmp_path / "plain")], capsys)
-        assert code == EXIT_OK, err
-        marked = {"video-meta": inputs["--video-meta"], "lexicon": lexicon,
-                  "config": config}.get(role, transcript)
-        marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
-        code, _, err = run([*args, "--out", str(tmp_path / "marked")], capsys)
-        assert code == EXIT_OK, err
-        for name in ("triads.jsonl", "report.txt", "mismatches.txt"):
-            assert (tmp_path / "marked" / name).read_bytes() == (
-                tmp_path / "plain" / name
-            ).read_bytes()
+        assert marked == plain
+
+
+class TestLineEnds:
+    """CRLF and CR line ends in a text input read as LF."""
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("role", _TEXT_INPUTS)
+    def test_output_equals_the_lf_run(self, tmp_path, capsys, role, end):
+        lf, edited = _outputs_with_input_edited(
+            tmp_path, capsys, role, lambda data: data.replace(b"\n", end)
+        )
+        assert edited == lf
 
 
 class TestSubcommandUsage:
@@ -1221,7 +1283,7 @@ class TestErrorsNameTheFile:
             ("--video-meta", b"\xff", "EncodingError"),
             ("--video-meta", b'{"start_time": "2024-06-01T12:00:00Z", "fps": "30", '
              b'"frame_count": 10}', "ParseError: fps must be a number"),
-            ("--lexicon", b"\xff", "LexiconError"),
+            ("--lexicon", b"\xff", "EncodingError"),
         ],
         ids=["gpx", "transcript", "video-meta-encoding", "video-meta-fps", "lexicon"],
     )
@@ -1243,6 +1305,26 @@ class TestErrorsNameTheFile:
         assert err.startswith(f"error: {bad}: {error}"), err
         assert err.count("\n") == 1
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [(b"\xff", "EncodingError: input is not valid UTF-8: "),
+         (b"{broken", "ParseError: ")],
+        ids=["non-utf8", "bad-json"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats", "{bad}"], ["classify", "--config", "{bad}"]],
+        ids=["stats-source", "config"],
+    )
+    def test_other_input(self, tmp_path, capsys, argv, content, error):
+        bad = tmp_path / "bad.input"
+        bad.write_bytes(content)
+        code, out, err = run([arg.format(bad=bad) for arg in argv], capsys)
+        assert code == EXIT_DATA
+        assert err.startswith(f"error: {bad}: {error}"), err
+        assert err.count("\n") == 1
+        assert out == ""
 
     @pytest.mark.parametrize("flag", ["--transcript", "--lexicon"])
     def test_classify_input(self, tmp_path, capsys, flag):

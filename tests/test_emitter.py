@@ -29,6 +29,7 @@ from drivetriad.errors import (
     InternalOrderingError,
     IoError,
     ParseError,
+    parse_input,
 )
 from drivetriad.segmenter import ActionSegment
 from drivetriad.sync import InstructionEvent
@@ -249,16 +250,26 @@ class TestReadTriads:
     def test_corrupt_line_names_location(self, tmp_path):
         data = export_triads([make_triad()], tmp_path).read_bytes()
         corrupted = data + b'{"id": 1, "nope": true}\n'
-        with pytest.raises(ParseError, match=r"triads\.jsonl:2"):
+        with pytest.raises(ParseError, match="^line 2: "):
             read_triads(corrupted)
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_only_a_line_end_ends_a_record(self, tmp_path, separator):
+        # JSON strings may hold these raw; str.splitlines() would break there.
+        record = json.loads(export_triads([make_triad()], tmp_path).read_bytes())
+        record["text"] = f"Turn left{separator}now."
+        data = json.dumps(record, ensure_ascii=False).encode() + b"\n"
+        [triad] = read_triads(data)
+        assert triad.event.text == f"Turn left{separator}now."
+
     def test_non_json_rejected(self):
-        with pytest.raises(ParseError, match=":1"):
+        with pytest.raises(ParseError, match="^line 1: "):
             read_triads(b"not json at all\n")
 
     def test_non_utf8_names_source(self):
-        with pytest.raises(EncodingError, match="^run1.jsonl: not valid UTF-8"):
-            read_triads(b"\xff\xfe", source="run1.jsonl")
+        with pytest.raises(EncodingError, match="^input is not valid UTF-8") as info:
+            parse_input("run1.jsonl", read_triads, b"\xff\xfe")
+        assert info.value.path == "run1.jsonl"
 
     @pytest.mark.parametrize(
         "old, new",
@@ -274,13 +285,13 @@ class TestReadTriads:
     def test_malformed_values_name_the_line(self, tmp_path, old, new):
         data = export_triads([make_triad()], tmp_path).read_bytes()
         assert old in data
-        with pytest.raises(ParseError, match=":1: "):
+        with pytest.raises(ParseError, match="^line 1: "):
             read_triads(data.replace(old, new, 1))
 
     def test_inverted_frame_range_rejected(self, tmp_path):
         data = export_triads([make_triad()], tmp_path).read_bytes()
         inverted = data.replace(b'"frame_start": 0', b'"frame_start": 900')
-        with pytest.raises(ParseError, match=r":1: frame range inverted: \[900, 899\]"):
+        with pytest.raises(ParseError, match=r"^line 1: frame range inverted: \[900, 899\]"):
             read_triads(inverted)
 
     @pytest.mark.parametrize(
@@ -289,7 +300,7 @@ class TestReadTriads:
         ids=["long-integer", "deep-nesting"],
     )
     def test_json_limits_are_parse_errors(self, line):
-        with pytest.raises(ParseError, match=":1:"):
+        with pytest.raises(ParseError, match="^line 1: "):
             read_triads(line + b"\n")
 
 

@@ -345,7 +345,7 @@ for two miles.
             parse_transcript(b"1\nJust some words\n", "srt")
 
     def test_end_before_start_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=r"^srt block 1: bad timing \[5\.0, 1\.0\]$"):
             parse_transcript(
                 b"1\n00:00:05,000 --> 00:00:01,000\nBackwards.\n", "srt"
             )
@@ -442,6 +442,17 @@ class TestParsePlainLines:
     def test_missing_column_rejected(self):
         with pytest.raises(ParseError):
             parse_transcript(b"0.0\tno text column\n", "plain-lines")
+
+    @pytest.mark.parametrize(
+        "separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_a_line_end_ends_a_line(self, separator):
+        # str.splitlines() also breaks at these; a line ends at LF, CRLF or CR.
+        data = f"0.0\t1.0\tTurn left{separator}onto Oak Street.\n2.0\t3.0\tStop.\n"
+        t = parse_transcript(data.encode(), "plain-lines")
+        assert [s.text for s in t.segments] == [
+            f"Turn left{separator}onto Oak Street.", "Stop."
+        ]
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
