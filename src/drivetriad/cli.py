@@ -305,7 +305,7 @@ def _run_pipeline(settings: dict, parser: _Parser) -> int:
 
 def _run_stats(settings: dict, parser: _Parser) -> int:
     out_path = _path(settings, "out", parser)
-    sources = []
+    sources = {}  # label -> path, in the order given
     for item in settings["sources"]:
         label, sep, path_text = item.partition("=")
         if not sep:
@@ -313,9 +313,11 @@ def _run_stats(settings: dict, parser: _Parser) -> int:
         _check_path(f"source {item!r}", path_text, parser)
         if not label:
             parser.error(f"source {item!r}: label must be a non-empty string, got ''")
-        sources.append((label, path_text))
+        if label in sources:
+            parser.error(f"source {item!r}: label {label!r} given twice")
+        sources[label] = path_text
     all_stats = []
-    for label, path_text in sources:
+    for label, path_text in sources.items():
         triads = parse_input(path_text, read_triads, Path(path_text).read_bytes())
         all_stats.append(corpus_stats(label, [t.event for t in triads]))
     report = render_report(all_stats)

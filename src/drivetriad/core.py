@@ -130,14 +130,17 @@ def read_object(data: bytes, hook: Callable = unique_keys) -> dict:
 
 
 # Kind -> (accepted types, what a bad value is told, type it is stored as).
-# A kind is a field annotation, or the JSON type a triads field must have.
+# A kind is a field annotation, or the JSON type a member of an input must
+# have; a "number" is left to its reader's own range test.
 _FIELD_KINDS = {
     "int": (int, "an integer", None),
     "float": ((int, float), "a finite number", float),
+    "number": ((int, float), "a number", None),
     "bool": (bool, "true or false", None),
     "str": (str, "a string", None),
     "Path": ((str, os.PathLike), "a path", Path),
     "list": (list, "an array", None),
+    "object": (dict, "an object", None),
 }
 
 
@@ -158,6 +161,23 @@ def check_value(name: str, kind: str, value: object) -> object:
     ):
         raise ValueError(f"{name} must be {expected}, got {value!r}")
     return value if store is None else store(value)
+
+
+def member(obj: object, key: str, kind: str, nullable: bool = False) -> object:
+    """``obj[key]`` held to ``check_value``'s ``kind``, as stored: how the
+    transcript, sidecar and triads readers read each member.
+
+    ``obj`` must be an object holding ``key``, and only a nullable key may
+    hold null; a bad member raises ValueError naming ``key``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object holding {key!r}")
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    value = obj[key]
+    if value is None and nullable:
+        return None
+    return check_value(key, kind, value)
 
 
 def check_fields(obj: object) -> None:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
-from .core import GeoPoint, check_value, read_text
+from .core import GeoPoint, member, read_text
 from .errors import InternalError, InternalOrderingError, IoError, ParseError
 from .segmenter import ActionSegment, Maneuver
 from .sync import InstructionEvent
@@ -190,15 +190,7 @@ def read_triads(data: bytes) -> list[VlaTriad]:
     return triads
 
 
-def _req(obj: object, key: str) -> object:
-    if not isinstance(obj, dict):
-        raise TypeError(f"expected an object holding {key!r}")
-    if key not in obj:
-        raise ValueError(f"missing field {key!r}")
-    return obj[key]
-
-
-def _member(kind: type[enum.Enum], what: str, name: object) -> enum.Enum:
+def _enum(kind: type[enum.Enum], what: str, name: object) -> enum.Enum:
     """The member of ``kind`` whose value is ``name``."""
     try:
         return kind(name)
@@ -206,66 +198,55 @@ def _member(kind: type[enum.Enum], what: str, name: object) -> enum.Enum:
         raise ValueError(f"unknown {what} {name!r}") from None
 
 
-def _get(obj: object, key: str, kind: str, nullable: bool = False) -> object:
-    """``obj[key]`` held to the JSON type serialize_triad writes there;
-    only a nullable key may hold null."""
-    value = _req(obj, key)
-    if value is None and nullable:
-        return None
-    return check_value(key, kind, value)
-
-
 def _geo_from(obj: object, t_ms: int) -> GeoPoint:
     return GeoPoint(
-        _get(obj, "lat", "float"), _get(obj, "lon", "float"), t_ms,
-        _get(obj, "ele", "float", nullable=True),
+        member(obj, "lat", "float"), member(obj, "lon", "float"), t_ms,
+        member(obj, "ele", "float", nullable=True),
     )
 
 
 def _triad_from_json(line: str) -> VlaTriad:
     obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("record is not an object")
-    event_id = _get(obj, "id", "int")
-    t_ms = _get(obj, "t_utc_ms", "int")
+    event_id = member(obj, "id", "int")
+    t_ms = member(obj, "t_utc_ms", "int")
     classes = frozenset(
-        _member(CommandClass, "class", name) for name in _get(obj, "classes", "list")
+        _enum(CommandClass, "class", name) for name in member(obj, "classes", "list")
     )
     evidence = tuple(
         Evidence(
-            _member(CommandClass, "class", _get(ev, "class", "str")),
-            _get(ev, "start", "int"),
-            _get(ev, "end", "int"),
-            _get(ev, "matched", "str"),
+            _enum(CommandClass, "class", member(ev, "class", "str")),
+            member(ev, "start", "int"),
+            member(ev, "end", "int"),
+            member(ev, "matched", "str"),
         )
-        for ev in _get(obj, "evidence", "list")
+        for ev in member(obj, "evidence", "list")
     )
     event = InstructionEvent(
         id=event_id,
         t_ms=t_ms,
-        text=_get(obj, "text", "str"),
+        text=member(obj, "text", "str"),
         classes=classes,
         evidence=evidence,
-        geo=_geo_from(_req(obj, "geo"), t_ms),
-        heading_deg=_get(obj, "heading_deg", "float", nullable=True),
-        frame_index=_get(obj, "frame_index", "int", nullable=True),
+        geo=_geo_from(member(obj, "geo", "object"), t_ms),
+        heading_deg=member(obj, "heading_deg", "float", nullable=True),
+        frame_index=member(obj, "frame_index", "int", nullable=True),
     )
-    raw_action = _req(obj, "action")
+    raw_action = member(obj, "action", "object")
     waypoints = tuple(
-        _geo_from(wp, _get(wp, "t_ms", "int"))
-        for wp in _get(raw_action, "waypoints", "list")
+        _geo_from(wp, member(wp, "t_ms", "int"))
+        for wp in member(raw_action, "waypoints", "list")
     )
-    maneuver = _member(Maneuver, "maneuver", _get(raw_action, "maneuver", "str"))
+    maneuver = _enum(Maneuver, "maneuver", member(raw_action, "maneuver", "str"))
     action = ActionSegment(
         event_id=event_id,
-        t_start_ms=_get(raw_action, "t_start_ms", "int"),
-        t_end_ms=_get(raw_action, "t_end_ms", "int"),
+        t_start_ms=member(raw_action, "t_start_ms", "int"),
+        t_end_ms=member(raw_action, "t_end_ms", "int"),
         waypoints=waypoints,
-        net_bearing_change_deg=_get(raw_action, "net_bearing_change_deg", "float"),
-        distance_m=_get(raw_action, "distance_m", "float"),
+        net_bearing_change_deg=member(raw_action, "net_bearing_change_deg", "float"),
+        distance_m=member(raw_action, "distance_m", "float"),
         maneuver=maneuver,
-        frame_start=_get(raw_action, "frame_start", "int", nullable=True),
-        frame_end=_get(raw_action, "frame_end", "int", nullable=True),
+        frame_start=member(raw_action, "frame_start", "int", nullable=True),
+        frame_end=member(raw_action, "frame_end", "int", nullable=True),
     )
     start, end = action.frame_start, action.frame_end
     if start is not None and end is not None and start > end:

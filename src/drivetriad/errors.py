@@ -62,7 +62,8 @@ class EncodingError(DataError):
 
 
 class EmptyTranscript(DataError):
-    """Transcript contained no usable segments."""
+    """Transcript contained no segments at all; one with only wordless
+    segments is read, and each of them is dropped with a warning."""
 
 
 class InvalidFps(DataError):

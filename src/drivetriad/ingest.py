@@ -18,8 +18,8 @@ from typing import Iterator
 
 from .classifier import has_word
 from .core import (
-    MAX_INSTANT_MS, GeoPoint, TrackLog, parse_float, parse_iso8601_ms, read_object,
-    read_text,
+    MAX_INSTANT_MS, GeoPoint, TrackLog, member, parse_float, parse_iso8601_ms,
+    read_object, read_text,
 )
 from .errors import (
     DataError,
@@ -219,29 +219,23 @@ def _parse_srt(text: str) -> Iterator[_Row]:
 def _parse_segment_json(data: bytes) -> tuple[Iterator[_Row], int | None]:
     """The segment rows, each read as it is iterated, and the anchor."""
     doc = read_object(data)
-    if not isinstance(doc.get("segments"), list):
-        raise ParseError('expected an object with a "segments" array')
-    anchor_ms = None
-    anchor_text = doc.get("audio_start_utc")
-    if anchor_text is not None:
-        if not isinstance(anchor_text, str):
-            raise ParseError("audio_start_utc must be an ISO-8601 string")
-        anchor_ms = parse_iso8601_ms(anchor_text)
-    return (_segment_row(i, raw) for i, raw in enumerate(doc["segments"])), anchor_ms
+    try:
+        segments = member(doc, "segments", "list")
+        # The anchor is optional, and null means absent.
+        anchor_ms = None
+        if doc.get("audio_start_utc") is not None:
+            anchor_ms = parse_iso8601_ms(member(doc, "audio_start_utc", "str"))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    return (_segment_row(i, raw) for i, raw in enumerate(segments)), anchor_ms
 
 
 def _segment_row(i: int, raw: object) -> _Row:
-    if not isinstance(raw, dict):
-        raise ParseError(f"segment {i}: not an object")
-    start = raw.get("start")
-    end = raw.get("end")
-    text = raw.get("text")
-    # JSON numbers load as exactly int or float; a bool is neither.
-    if type(start) not in (int, float) or type(end) not in (int, float):
-        raise ParseError(f"segment {i}: start/end must be numbers")
-    if not isinstance(text, str):
-        raise ParseError(f"segment {i}: text must be a string")
-    return f"segment {i}", start, end, text
+    try:
+        start, end = member(raw, "start", "number"), member(raw, "end", "number")
+        return f"segment {i}", start, end, member(raw, "text", "str")
+    except ValueError as exc:
+        raise ParseError(f"segment {i}: {exc}") from exc
 
 
 def _parse_plain_lines(text: str) -> Iterator[_Row]:
@@ -291,10 +285,11 @@ def parse_transcript(data: bytes, format: str) -> Transcript:
 
     Whatever the source format, every segment must have
     ``0 <= start <= end <= the largest float``, and the result is sorted by
-    start time with overlapping segments that hold a word merged, and
-    empty-text segments dropped. An input with no usable segments raises
-    EmptyTranscript. Only segment-json may carry its own wall-clock anchor
-    ("audio_start_utc").
+    start time with each text stripped and overlapping segments that hold a
+    word merged. A segment with no words, blank ones too, is kept, so that
+    the stage that labels it drops it with a warning. An input with no
+    segments at all raises EmptyTranscript. Only segment-json may carry its
+    own wall-clock anchor ("audio_start_utc").
     """
     anchor_ms = None
     if format == "segment-json":
@@ -311,33 +306,27 @@ def parse_transcript(data: bytes, format: str) -> Transcript:
         # too large to become a float.
         if not 0 <= start <= end <= sys.float_info.max:
             raise ParseError(f"{where}: bad timing [{start}, {end}]")
-        body = text.strip()
-        if body:
-            segments.append(TranscriptSegment(float(start), float(end), body))
+        segments.append(TranscriptSegment(float(start), float(end), text.strip()))
     if not segments:
-        raise EmptyTranscript("no usable transcript segments")
+        raise EmptyTranscript("no transcript segments")
     return Transcript(_merge_overlaps(segments), anchor_ms)
 
 
 def parse_video_meta(data: bytes) -> VideoIndex:
     """Parse the video sidecar: {"start_time": ISO-8601, "fps": n, "frame_count": n}."""
     doc = read_object(data)
-    for fieldname in ("start_time", "fps", "frame_count"):
-        if fieldname not in doc:
-            raise ParseError(f"sidecar is missing the {fieldname!r} field")
-    if not isinstance(doc["start_time"], str):
-        raise ParseError("start_time must be an ISO-8601 string")
-    start_ms = parse_iso8601_ms(doc["start_time"])
-    fps = doc["fps"]
-    if not isinstance(fps, (int, float)) or isinstance(fps, bool):
-        raise ParseError("fps must be a number")
-    # One comparison rejects zero, negatives, NaN, the infinities and ints
-    # too large to become a float.
-    if not 0 < fps <= sys.float_info.max:
-        raise InvalidFps(f"fps must be positive and finite, got {fps}")
-    frame_count = doc["frame_count"]
-    if not isinstance(frame_count, int) or isinstance(frame_count, bool) or frame_count < 0:
-        raise ParseError("frame_count must be a non-negative integer")
+    try:
+        start_ms = parse_iso8601_ms(member(doc, "start_time", "str"))
+        fps = member(doc, "fps", "number")
+        # One comparison rejects zero, negatives, NaN, the infinities and
+        # ints too large to become a float.
+        if not 0 < fps <= sys.float_info.max:
+            raise InvalidFps(f"fps must be positive and finite, got {fps}")
+        frame_count = member(doc, "frame_count", "int")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    if frame_count < 0:
+        raise ParseError(f"frame_count must be non-negative, got {frame_count}")
     return VideoIndex(start_ms, float(fps), frame_count)
 
 

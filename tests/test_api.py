@@ -109,20 +109,41 @@ def _writes_a_file(call: ast.Call) -> bool:
     return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
 
 
-def test_only_the_two_writers_write_files():
-    # Encoding, newlines and the IoError naming the file live in
-    # emitter.write_text; synth.write_corpus writes the corpus bytes.
-    writers = set()
+def _callers(is_call) -> set[str]:
+    """Every ``module.function`` under src/ that makes a call for which
+    ``is_call`` holds; a call outside any function is ``module.<module>``."""
+    callers = set()
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{owner.partition('.')[0]}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and _writes_a_file(child):
-                writers.add(owner)
+            if isinstance(child, ast.Call) and is_call(child):
+                callers.add(owner)
             visit(child, owner)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.<module>")
-    assert writers == {"emitter.write_text", "synth.write_corpus"}
+    return callers
+
+
+def _calls(name: str):
+    """Whether a call is to a function or method named ``name``."""
+    return lambda call: name in (
+        getattr(call.func, "attr", None), getattr(call.func, "id", None)
+    )
+
+
+def test_only_the_two_writers_write_files():
+    # Encoding, newlines and the IoError naming the file live in
+    # emitter.write_text; synth.write_corpus writes the corpus bytes.
+    assert _callers(_writes_a_file) == {"emitter.write_text", "synth.write_corpus"}
+
+
+def test_only_the_input_readers_decode_bytes_or_json():
+    # core.read_text is the one decoder of input bytes. core.read_object
+    # reads a whole JSON document and emitter._triad_from_json one triads
+    # line; every other reader of JSON goes through one of them.
+    assert _callers(_calls("decode")) == {"core.read_text"}
+    assert _callers(_calls("loads")) == {"core.read_object", "emitter._triad_from_json"}

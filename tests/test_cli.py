@@ -165,6 +165,38 @@ class TestClassifyCommand:
             f"warning: {srt}: segment at 3.500 s has no classifiable text ('...'); dropped"
         ]
 
+    def test_blank_segment_is_dropped_with_a_warning(self, tmp_path, capsys):
+        # A cue with no text lines, and one whose only line is blank.
+        srt = tmp_path / "blank.srt"
+        srt.write_text(
+            "1\n00:00:01,000 --> 00:00:02,000\nTurn left.\n\n"
+            "2\n00:00:03,500 --> 00:00:04,000\n   \n\n"
+            "3\n00:00:05,000 --> 00:00:06,000\n\n"
+            "4\n00:00:07,000 --> 00:00:08,000\nStop.\n"
+        )
+        code, out, err = run(
+            ["classify", "--transcript", str(srt), "--transcript-format", "srt"], capsys
+        )
+        assert code == EXIT_OK
+        assert [json.loads(line)["text"] for line in out.splitlines()] == [
+            "Turn left.", "Stop.",
+        ]
+        assert err.splitlines() == [
+            f"warning: {srt}: segment at {start} s has no classifiable text (''); dropped"
+            for start in ("3.500", "5.000")
+        ]
+
+    def test_only_blank_segments_warn_each(self, tmp_path, capsys):
+        blank = tmp_path / "blank.json"
+        blank.write_text('{"segments": [{"start": 1, "end": 2, "text": " "}, '
+                         '{"start": 3, "end": 4, "text": ""}]}')
+        code, out, err = run(["classify", "--transcript", str(blank)], capsys)
+        assert (code, out) == (EXIT_OK, "")
+        assert err.splitlines() == [
+            f"warning: {blank}: segment at {start} s has no classifiable text (''); dropped"
+            for start in ("1.000", "3.000")
+        ]
+
     def test_missing_file_is_noinput(self, capsys):
         code, _, _ = run(
             ["classify", "--transcript", "/nonexistent/words.json"], capsys
@@ -1082,16 +1114,24 @@ class TestHostileInput:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "start, end", [("true", "true"), ("true", "2"), ("0", "false")]
+        "start, end, message",
+        [
+            ("true", "true", "start must be a number, got True"),
+            ("true", "2", "start must be a number, got True"),
+            ("0", "false", "end must be a number, got False"),
+        ],
+        ids=["true-true", "true-2", "0-false"],
     )
-    def test_boolean_segment_time_is_data_error(self, tmp_path, capsys, start, end):
+    def test_boolean_segment_time_is_data_error(
+        self, tmp_path, capsys, start, end, message
+    ):
         bad = tmp_path / "bad.json"
         bad.write_text(
             f'{{"segments": [{{"start": {start}, "end": {end}, "text": "Turn left"}}]}}'
         )
         code, _, err = run(["classify", "--transcript", str(bad)], capsys)
         assert code == EXIT_DATA
-        assert "segment 0: start/end must be numbers" in err
+        assert f"segment 0: {message}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -1106,12 +1146,89 @@ class TestHostileInput:
         assert f"internal error: IoError: cannot write {out}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "sources, item, label",
+        [
+            (["r1/triads.jsonl", "r2/triads.jsonl"], "r2/triads.jsonl", "triads"),
+            (["a=r1/triads.jsonl", "a=r2/triads.jsonl"], "a=r2/triads.jsonl", "a"),
+        ],
+        ids=["bare-paths", "labelled"],
+    )
+    def test_stats_label_given_twice_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, sources, item, label
+    ):
+        # Two columns under one label could not be told apart; the check
+        # comes before any source is read, so the files need not exist.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["stats", *sources], capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == (
+            f"drivetriad stats: error: source {item!r}: label {label!r} given twice"
+        )
+
     def test_non_utf8_triads_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_bytes(b"\xff\xfe")
         code, _, err = run(["stats", str(bad)], capsys)
         assert code == EXIT_DATA
         assert f"error: {bad}: EncodingError: input is not valid UTF-8: " in err
+
+    @pytest.mark.parametrize(
+        "role, key, wrong, kind",
+        [
+            ("video-meta", "start_time", 5, "a string"),
+            ("video-meta", "fps", "30", "a number"),
+            ("video-meta", "frame_count", 1.5, "an integer"),
+            ("segment-json", "segments", {}, "an array"),
+            ("segment-json", "audio_start_utc", 5, "a string"),
+            ("segment-json", "start", "0", "a number"),
+            ("segment-json", "end", [], "a number"),
+            ("segment-json", "text", 5, "a string"),
+            ("triads", "geo", [], "an object"),
+            ("triads", "frame_start", "0", "an integer"),
+        ],
+    )
+    def test_json_member_is_held_to_its_type(
+        self, tmp_path, capsys, member_inputs, role, key, wrong, kind
+    ):
+        # Each JSON input's members are read by one rule, so a missing or
+        # mistyped member reads the same in every input.
+        bad = tmp_path / "bad.json"
+        source, prefix, args = {
+            "video-meta": ("video_meta.json", "", [
+                "pipeline", "--gpx", str(member_inputs / "track.gpx"),
+                "--transcript", str(member_inputs / "transcript.json"),
+                "--video-meta", str(bad), "--out", str(tmp_path / "d"),
+            ]),
+            "segment-json": ("transcript.json", "", ["classify", "--transcript", str(bad)]),
+            "triads": ("out/triads.jsonl", "line 1: ", ["stats", str(bad)]),
+        }[role]
+        text = (member_inputs / source).read_text()
+        # A triads record is one line; the other inputs are whole documents.
+        first, _, rest = text.partition("\n") if role == "triads" else (text, "", "")
+        doc = json.loads(first)
+        if key in ("start", "end", "text"):
+            holder, prefix = doc["segments"][0], "segment 0: "
+        else:
+            holder = doc["action"] if key == "frame_start" else doc
+
+        del holder[key]
+        bad.write_text(json.dumps(doc) + "\n" + rest)
+        code, _, err = run(args, capsys)
+        if key == "audio_start_utc":
+            # The one optional member: classify needs no anchor.
+            assert code == EXIT_OK, err
+        else:
+            assert (code, err) == (
+                EXIT_DATA, f"error: {bad}: ParseError: {prefix}missing field {key!r}\n"
+            )
+        holder[key] = wrong
+        bad.write_text(json.dumps(doc) + "\n" + rest)
+        code, _, err = run(args, capsys)
+        assert (code, err) == (
+            EXIT_DATA,
+            f"error: {bad}: ParseError: {prefix}{key} must be {kind}, got {wrong!r}\n",
+        )
 
     @pytest.mark.parametrize(
         "argv, settings, key",
@@ -1430,6 +1547,18 @@ _LEXICON_ELEMENTS = st.one_of(
     ),
 )
 _LEXICON_LISTS = ["road_suffixes", "distance_units"]
+
+
+@pytest.fixture(scope="module")
+def member_inputs(tmp_path_factory):
+    """A synth corpus and, in out/, the pipeline's artifacts for it."""
+    corpus = tmp_path_factory.mktemp("members") / "corpus"
+    assert main(["synth", "--seed", "3", "--legs", "200R,200", "--out", str(corpus)]) == EXIT_OK
+    assert main(["pipeline", "--gpx", str(corpus / "track.gpx"),
+                 "--transcript", str(corpus / "transcript.json"),
+                 "--video-meta", str(corpus / "video_meta.json"),
+                 "--out", str(corpus / "out")]) == EXIT_OK
+    return corpus
 
 
 @pytest.fixture(scope="module")

@@ -515,7 +515,7 @@ class TestParseVideoMeta:
 
     def test_missing_field_named_in_error(self):
         data = json.dumps({"start_time": "2024-06-01T12:00:00Z", "fps": 30}).encode()
-        with pytest.raises(ParseError, match="missing the 'frame_count' field"):
+        with pytest.raises(ParseError, match="^missing field 'frame_count'$"):
             parse_video_meta(data)
 
     @pytest.mark.parametrize(

@@ -544,6 +544,29 @@ class TestOneWarningPerLostInstruction:
         first = json.loads(result.triads_path.read_text().splitlines()[0])
         assert first["text"] == cue["text"]
 
+    @pytest.mark.parametrize("text", ["", "   ", "\t"])
+    def test_blank_segment_warns_like_a_wordless_one(self, tmp_path, text):
+        files, _ = generated(tmp_path, seed=0, legs="300R,300")
+        doc = json.loads(files["transcript.json"].read_text())
+        doc["segments"].append({"start": 10, "end": 11, "text": text})
+        files["transcript.json"].write_text(json.dumps(doc))
+        result = run_pipeline(
+            config_for(files, tmp_path / "out", video_meta_path=None), created_at_ms=0
+        )
+        assert json.loads((result.out_dir / "manifest.json").read_text())["warnings"] == [
+            "segment at 2024-06-01T12:00:10.000Z has no classifiable text (''); dropped"
+        ]
+        assert result.event_count == len(doc["segments"]) - 1
+
+    def test_only_blank_segments_is_no_usable_events(self, tmp_path):
+        files, _ = generated(tmp_path)
+        doc = json.loads(files["transcript.json"].read_text())
+        for segment in doc["segments"]:
+            segment["text"] = " "
+        files["transcript.json"].write_text(json.dumps(doc))
+        with pytest.raises(NoUsableEvents):
+            run_pipeline(config_for(files, tmp_path / "out"))
+
     def test_empty_window_warns_once(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert main(["synth", "--seed", "1", "--out", str(corpus)]) == 0
