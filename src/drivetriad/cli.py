@@ -31,6 +31,7 @@ from .pipeline import PipelineConfig, run_pipeline
 from .stats import corpus_stats, render_report
 from .synth import (
     DEFAULT_LEGS,
+    DEFAULT_STYLE,
     RoutePlan,
     STYLES,
     generate_instructions,
@@ -107,17 +108,13 @@ def _settings(args: argparse.Namespace, parser: _Parser) -> dict:
     return settings
 
 
-def _require(settings: dict, name: str, parser: _Parser):
-    if name not in settings:
-        parser.error(f"--{name} is required (flag or config file)")
-    return settings[name]
-
-
 def _path(settings: dict, name: str, parser: _Parser, required: bool = False):
     """A path option, which a config file must give as a string."""
-    value = _require(settings, name, parser) if required else settings.get(name)
+    value = settings.get(name)
     if value is not None:
         _check_path(name, value, parser)
+    elif required:
+        parser.error(f"--{name} is required (flag or config file)")
     return value
 
 
@@ -220,16 +217,21 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_synth = commands.add_parser(
         "synth", help="generate a synthetic corpus with ground truth"
     )
-    p_synth.add_argument("--seed", type=parse_int, metavar="N")
+    p_synth.add_argument("--seed", type=parse_int, metavar="N",
+                         help=f"random seed (default {RoutePlan.seed})")
     p_synth.add_argument(
         "--legs",
         metavar="SPEC",
         help=f'route legs like "400R,300L,250" (default {DEFAULT_LEGS})',
     )
-    p_synth.add_argument("--style", choices=STYLES, help="instruction style")
-    p_synth.add_argument("--noise-sigma-m", type=parse_float, metavar="M")
-    p_synth.add_argument("--speed-mps", type=parse_float, metavar="M_PER_S")
-    p_synth.add_argument("--sample-hz", type=parse_float, metavar="HZ")
+    p_synth.add_argument("--style", choices=STYLES,
+                         help=f"instruction style (default {DEFAULT_STYLE})")
+    p_synth.add_argument("--noise-sigma-m", type=parse_float, metavar="M",
+                         help=f"GPS noise sigma (default {RoutePlan.noise_sigma_m})")
+    p_synth.add_argument("--speed-mps", type=parse_float, metavar="M_PER_S",
+                         help=f"driving speed (default {RoutePlan.speed_mps})")
+    p_synth.add_argument("--sample-hz", type=parse_float, metavar="HZ",
+                         help=f"GPS sample rate (default {RoutePlan.sample_hz})")
     p_synth.add_argument("--out", metavar="DIR", help="output directory")
     p_synth.set_defaults(func=_run_synth)
 
@@ -283,8 +285,8 @@ def _run_classify(settings: dict, parser: _Parser) -> int:
 
 
 def _run_pipeline(settings: dict, parser: _Parser) -> int:
-    for name in ("gpx", "transcript", "out"):
-        _require(settings, name, parser)
+    for name in _OPTION_NAMES.values():
+        _path(settings, name, parser, required=name in ("gpx", "transcript", "out"))
     field_names = {option: name for name, option in _OPTION_NAMES.items()}
     try:
         config = PipelineConfig(
@@ -330,7 +332,7 @@ def _run_stats(settings: dict, parser: _Parser) -> int:
 
 def _run_synth(settings: dict, parser: _Parser) -> int:
     out_dir = _path(settings, "out", parser, required=True)
-    style = _choice(settings, "style", STYLES, "distance-heavy", parser)
+    style = _choice(settings, "style", STYLES, DEFAULT_STYLE, parser)
     try:
         plan = RoutePlan(
             legs=parse_legs(settings.get("legs", DEFAULT_LEGS)),

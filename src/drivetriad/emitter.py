@@ -14,6 +14,7 @@ raised along the way.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import enum
 import hashlib
 import json
@@ -21,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
@@ -150,25 +151,54 @@ def export_triads(triads: Sequence[VlaTriad], out_dir: Path | str) -> Path:
     )
 
 
+# The list of files written so far inside the current output_dir block, or
+# None outside one; a context variable, so each thread collects its own.
+_written = contextvars.ContextVar("written", default=None)
+
+
 def write_text(target: Path | str, text: str) -> Path:
     """Write one artifact as UTF-8 with its newlines untranslated: the one
-    writer of every output file but synth's corpus. A failure raises IoError
-    naming the file."""
+    writer of every output file. A failure raises IoError naming the file;
+    a file it opened is removed rather than left half written, and one it
+    could not open stays as it was."""
     target = Path(target)
+    opened = False
     try:
         with open(target, "w", encoding="utf-8", newline="") as handle:
+            opened = True
             handle.write(text)
     except OSError as exc:
+        if opened:
+            with contextlib.suppress(OSError):
+                target.unlink()
         raise IoError(f"cannot write {target}: {exc}") from exc
+    written = _written.get()
+    if written is not None:
+        written.append(target)
     return target
 
 
-def remove_files(paths: Iterable[Path]) -> None:
-    """Remove the files a run wrote before one of its writes failed, so no
-    partial output looks complete. A file that cannot be removed stays."""
-    for path in paths:
-        with contextlib.suppress(OSError):
-            path.unlink()
+@contextlib.contextmanager
+def output_dir(path: Path | str) -> Iterator[Path]:
+    """Create the directory a run writes into and yield it. An IoError in
+    the block removes the files the block wrote, so no partial output
+    looks complete; a file that cannot be removed stays."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {out}: {exc}") from exc
+    written: list[Path] = []
+    token = _written.set(written)
+    try:
+        yield out
+    except IoError:
+        for done in written:
+            with contextlib.suppress(OSError):
+                done.unlink()
+        raise
+    finally:
+        _written.reset(token)
 
 
 # --- reading back -----------------------------------------------------------
@@ -248,9 +278,19 @@ def _triad_from_json(line: str) -> VlaTriad:
         frame_start=member(raw_action, "frame_start", "int", nullable=True),
         frame_end=member(raw_action, "frame_end", "int", nullable=True),
     )
-    start, end = action.frame_start, action.frame_end
-    if start is not None and end is not None and start > end:
-        raise ValueError(f"frame range inverted: [{start}, {end}]")
+    for what, start, end in (
+        ("window", action.t_start_ms, action.t_end_ms),
+        ("frame range", action.frame_start, action.frame_end),
+    ):
+        if start is not None and end is not None and start > end:
+            raise ValueError(f"{what} inverted: [{start}, {end}]")
+    # Each evidence item is what Evidence documents: a span of the text.
+    for ev in evidence:
+        if not (0 <= ev.start <= ev.end <= len(event.text)
+                and event.text[ev.start:ev.end] == ev.matched):
+            raise ValueError(
+                f"evidence [{ev.start}, {ev.end}] is not {ev.matched!r} in the text"
+            )
     return VlaTriad(event, action)
 
 

@@ -9,10 +9,9 @@ and writes four artifacts into the output directory:
 * mismatches.txt  — stated-vs-observed turn direction contradictions
 
 Everything is computed before anything is written, so a data error never
-leaves a file behind. A failed write raises IoError and removes the
-artifacts the run had already written; the file being written when it
-failed may keep part of its content. Warnings never abort; they are
-collected into the manifest.
+leaves a file behind. A failed write raises IoError and removes every
+artifact the run wrote. Warnings never abort; they are collected into
+the manifest.
 """
 
 from __future__ import annotations
@@ -29,11 +28,11 @@ from .emitter import (
     export_triads,
     make_triads,
     manifest_input,
-    remove_files,
+    output_dir,
     write_manifest,
     write_text,
 )
-from .errors import InvalidAnchor, IoError, ParseError, parse_input
+from .errors import InvalidAnchor, ParseError, parse_input
 from .ingest import TRANSCRIPT_FORMATS, parse_gpx, parse_transcript, parse_video_meta
 from .segmenter import MANEUVER_RULE, collect_mismatches, segment_actions
 from .stats import corpus_stats, render_report
@@ -199,21 +198,11 @@ def run_pipeline(
         ),
     )
 
-    out_dir = config.out_dir
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
-    written: list[Path] = []
-    try:
-        written.append(export_triads(triads, out_dir))
-        written.append(write_manifest(manifest, out_dir))
-        written.append(write_text(out_dir / REPORT_FILENAME, report))
-        written.append(write_text(out_dir / MISMATCHES_FILENAME, mismatch_lines))
-    except IoError:
-        remove_files(written)
-        raise
-    triads_path, _, _, mismatches_path = written
+    with output_dir(config.out_dir) as out_dir:
+        triads_path = export_triads(triads, out_dir)
+        write_manifest(manifest, out_dir)
+        write_text(out_dir / REPORT_FILENAME, report)
+        mismatches_path = write_text(out_dir / MISMATCHES_FILENAME, mismatch_lines)
 
     return PipelineResult(
         out_dir=out_dir,

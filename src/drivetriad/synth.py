@@ -36,8 +36,7 @@ from .core import (
     normalize_bearing,
     parse_float,
 )
-from .emitter import json_document, remove_files
-from .errors import IoError
+from .emitter import json_document, output_dir, write_text
 from .ingest import Transcript, TranscriptSegment
 from .segmenter import Maneuver
 
@@ -47,6 +46,7 @@ _BASE_UTC_MS = 1_717_243_200_000  # 2024-06-01T12:00:00Z
 DEFAULT_ORIGIN = GeoPoint(40.0, -105.0, _BASE_UTC_MS)
 DEFAULT_LEAD_M = 150.0
 DEFAULT_LEGS = "600R,500L,700R,400"
+DEFAULT_STYLE = "distance-heavy"
 MAX_SAMPLES = 1_000_000
 _SPEECH_SECONDS = 2.0
 _VIDEO_FPS = 30.0
@@ -386,7 +386,7 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
 # --- writers (the formats ingest reads) -------------------------------------
 
 
-def write_gpx(track: TrackLog, name: str) -> bytes:
+def write_gpx(track: TrackLog, name: str) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<gpx version="1.1" creator="drivetriad-synth" '
@@ -401,10 +401,10 @@ def write_gpx(track: TrackLog, name: str) -> bytes:
             f"<time>{format_iso8601_ms(point.t_ms)}</time></trkpt>"
         )
     lines += ["    </trkseg>", "  </trk>", "</gpx>", ""]
-    return "\n".join(lines).encode("utf-8")
+    return "\n".join(lines)
 
 
-def write_transcript_json(corpus: StyledCorpus) -> bytes:
+def write_transcript_json(corpus: StyledCorpus) -> str:
     document = {
         "audio_start_utc": format_iso8601_ms(corpus.ground_truth.audio_start_ms),
         "segments": [
@@ -412,10 +412,10 @@ def write_transcript_json(corpus: StyledCorpus) -> bytes:
             for s in corpus.transcript.segments
         ],
     }
-    return json_document(document).encode("utf-8")
+    return json_document(document)
 
 
-def write_video_meta(track: TrackLog) -> bytes:
+def write_video_meta(track: TrackLog) -> str:
     duration_ms = track.end_ms - track.start_ms
     frame_count = int(duration_ms * _VIDEO_FPS) // 1000 + 1
     document = {
@@ -423,10 +423,10 @@ def write_video_meta(track: TrackLog) -> bytes:
         "fps": _VIDEO_FPS,
         "frame_count": frame_count,
     }
-    return json_document(document).encode("utf-8")
+    return json_document(document)
 
 
-def write_ground_truth(ground_truth: GroundTruth) -> bytes:
+def write_ground_truth(ground_truth: GroundTruth) -> str:
     document = {
         "style": ground_truth.style,
         "seed": ground_truth.seed,
@@ -442,29 +442,20 @@ def write_ground_truth(ground_truth: GroundTruth) -> bytes:
         ],
         "expected_maneuvers": [m.value for m in ground_truth.expected_maneuvers],
     }
-    return json_document(document).encode("utf-8")
+    return json_document(document)
 
 
 def write_corpus(corpus: StyledCorpus, out_dir: Path | str) -> dict[str, Path]:
     """Write the four corpus files; byte-identical for identical plans.
 
-    A failed write raises IoError and removes the files written before it.
+    A failed write raises IoError naming the file and removes the files
+    written before it.
     """
-    out = Path(out_dir)
     files = {
         "track.gpx": write_gpx(corpus.track, f"synth-{corpus.ground_truth.seed}"),
         "transcript.json": write_transcript_json(corpus),
         "video_meta.json": write_video_meta(corpus.track),
         "ground_truth.json": write_ground_truth(corpus.ground_truth),
     }
-    written = {}
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name, data in files.items():
-            target = out / name
-            target.write_bytes(data)
-            written[name] = target
-    except OSError as exc:
-        remove_files(written.values())
-        raise IoError(f"cannot write corpus to {out}: {exc}") from exc
-    return written
+    with output_dir(out_dir) as out:
+        return {name: write_text(out / name, text) for name, text in files.items()}

@@ -135,10 +135,17 @@ def _calls(name: str):
     )
 
 
-def test_only_the_two_writers_write_files():
-    # Encoding, newlines and the IoError naming the file live in
-    # emitter.write_text; synth.write_corpus writes the corpus bytes.
-    assert _callers(_writes_a_file) == {"emitter.write_text", "synth.write_corpus"}
+def test_only_write_text_writes_files():
+    # Encoding, newlines, the IoError naming the file and the removal of a
+    # partly written file live in emitter.write_text.
+    assert _callers(_writes_a_file) == {"emitter.write_text"}
+
+
+def test_only_the_output_rule_makes_directories_or_removes_files():
+    # emitter.output_dir makes the output directory and removes what a
+    # failed run wrote; write_text removes the file it failed to finish.
+    assert _callers(_calls("mkdir")) == {"emitter.output_dir"}
+    assert _callers(_calls("unlink")) == {"emitter.output_dir", "emitter.write_text"}
 
 
 def test_only_the_input_readers_decode_bytes_or_json():

@@ -25,6 +25,7 @@ from drivetriad.cli import (
     EXIT_USAGE,
     main,
 )
+from drivetriad.synth import DEFAULT_LEGS, DEFAULT_STYLE, RoutePlan
 
 
 def run(args, capsys):
@@ -98,6 +99,22 @@ class TestSynthCommand:
         a = make_corpus(tmp_path / "a", capsys, seed=5)
         b = make_corpus(tmp_path / "b", capsys, seed=5)
         assert (a / "track.gpx").read_bytes() == (b / "track.gpx").read_bytes()
+
+    def test_help_states_each_default(self, capsys):
+        code, out, _ = run(["synth", "--help"], capsys)
+        assert code == EXIT_OK
+        # The option list, rewrapped onto one line.
+        options = " ".join(out.partition("options:")[2].split())
+        for flag, default in [
+            ("--seed", RoutePlan.seed),
+            ("--legs", DEFAULT_LEGS),
+            ("--style", DEFAULT_STYLE),
+            ("--noise-sigma-m", RoutePlan.noise_sigma_m),
+            ("--speed-mps", RoutePlan.speed_mps),
+            ("--sample-hz", RoutePlan.sample_hz),
+        ]:
+            pattern = rf"{flag} [^(]*\(default {re.escape(str(default))}\)"
+            assert re.search(pattern, options), flag
 
     def test_bad_legs_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(
@@ -349,6 +366,25 @@ class TestPipelineCommand:
         assert "Traceback" not in err
         # The artifacts written before the failure are removed again.
         assert [p.name for p in out_dir.iterdir()] == [name]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("name", ["triads.jsonl", "manifest.json", "report.txt"])
+    def test_full_disk_leaves_no_artifact(self, tmp_path, capsys, name):
+        # The open succeeds and the write fails, so the file being written
+        # goes too, with every artifact written before it. (This drive has
+        # no mismatches, and an empty write to /dev/full succeeds.)
+        corpus = make_corpus(tmp_path, capsys)
+        out_dir = tmp_path / "dataset"
+        out_dir.mkdir()
+        (out_dir / name).symlink_to("/dev/full")
+        code, _, err = run(
+            ["pipeline", "--gpx", str(corpus / "track.gpx"), "--transcript",
+             str(corpus / "transcript.json"), "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == EXIT_INTERNAL
+        assert f"internal error: IoError: cannot write {out_dir / name}: " in err
+        assert list(out_dir.iterdir()) == []
 
     def test_missing_gpx_flag_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -704,7 +740,7 @@ class TestHostileInput:
             ({"gps_offset_ms": "abc"}, "gps_offset_ms"),
             ({"source_label": 5}, "source_label"),
             ({"audio_start": 5}, "audio_start"),
-            ({"gpx": 5}, "gpx_path"),
+            ({"gpx": 5}, "gpx must be"),
             ({"audio_offset_ms": 0.5}, "audio_offset_ms"),
             ({"relativize": "false"}, "relativize"),
             ({"tolerance_ms": True}, "tolerance_ms"),
@@ -736,6 +772,8 @@ class TestHostileInput:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("via", ["flag", "config"])
+    # field: the PipelineConfig field a pipeline option sets, which the
+    # message must not name in place of the option.
     @pytest.mark.parametrize(
         "command, option, field",
         [
@@ -780,7 +818,8 @@ class TestHostileInput:
         monkeypatch.chdir(cwd)
         code, out, err = run(args, capsys)
         assert code == EXIT_USAGE
-        assert f"{field} must be a path, got ''" in err
+        assert f"{option} must be a path, got ''" in err
+        assert field == option or field not in err
         assert out == ""
         assert list(cwd.iterdir()) == []
         assert not (tmp_path / "d").exists() and not (tmp_path / "s").exists()
@@ -1146,6 +1185,17 @@ class TestHostileInput:
         assert f"internal error: IoError: cannot write {out}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_leaves_no_stats_out(self, tmp_path, capsys):
+        triads = tmp_path / "empty.jsonl"
+        triads.write_bytes(b"")
+        out = tmp_path / "r.txt"
+        out.symlink_to("/dev/full")
+        code, _, err = run(["stats", str(triads), "--out", str(out)], capsys)
+        assert code == EXIT_INTERNAL
+        assert f"internal error: IoError: cannot write {out}: " in err
+        assert not os.path.lexists(out)
+
     @pytest.mark.parametrize(
         "sources, item, label",
         [
@@ -1172,6 +1222,37 @@ class TestHostileInput:
         code, _, err = run(["stats", str(bad)], capsys)
         assert code == EXIT_DATA
         assert f"error: {bad}: EncodingError: input is not valid UTF-8: " in err
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({("action", "t_start_ms"): 2_000, ("action", "t_end_ms"): 1_000},
+             "window inverted: [2000, 1000]"),
+            ({("evidence", 0, "start"): -3}, "evidence [-3, 11] is not '492 feet' in the text"),
+            ({("evidence", 0, "end"): 1_000_000},
+             "evidence [3, 1000000] is not '492 feet' in the text"),
+            ({("evidence", 0, "matched"): "492 yards"},
+             "evidence [3, 11] is not '492 yards' in the text"),
+        ],
+        ids=["window-inverted", "evidence-before-text", "evidence-past-text",
+             "evidence-other-text"],
+    )
+    def test_record_no_run_writes_is_data_error(
+        self, tmp_path, capsys, member_inputs, edits, message
+    ):
+        # The first record reads "In 492 feet turn right onto Granite Court."
+        # and its first evidence item spans [3, 11].
+        first, _, rest = (member_inputs / "out" / "triads.jsonl").read_text().partition("\n")
+        record = json.loads(first)
+        for (*path, key), value in edits.items():
+            holder = record
+            for step in path:
+                holder = holder[step]
+            holder[key] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n" + rest)
+        code, _, err = run(["stats", str(bad)], capsys)
+        assert (code, err) == (EXIT_DATA, f"error: {bad}: ParseError: line 1: {message}\n")
 
     @pytest.mark.parametrize(
         "role, key, wrong, kind",

@@ -16,6 +16,7 @@ from drivetriad import (
     read_triads,
 )
 from drivetriad.emitter import (
+    TRIADS_FILENAME,
     VlaTriad,
     build_manifest,
     config_digest,
@@ -218,6 +219,16 @@ class TestExportTriads:
         with pytest.raises(IoError):
             export_triads([make_triad()], blocker)
 
+    def test_file_that_cannot_be_opened_stays(self, tmp_path):
+        # Only a file the write opened is removed after a failure: this link
+        # could be unlinked, but open fails, so it is not the run's file.
+        link = tmp_path / TRIADS_FILENAME
+        link.symlink_to(tmp_path / "missing" / "triads.jsonl")
+        with pytest.raises(IoError) as info:
+            export_triads([make_triad()], tmp_path)
+        assert str(info.value).startswith(f"cannot write {link}: ")
+        assert link.is_symlink()
+
 
 class TestReadTriads:
     def test_roundtrip(self, tmp_path):
@@ -257,10 +268,12 @@ class TestReadTriads:
     def test_only_a_line_end_ends_a_record(self, tmp_path, separator):
         # JSON strings may hold these raw; str.splitlines() would break there.
         record = json.loads(export_triads([make_triad()], tmp_path).read_bytes())
-        record["text"] = f"Turn left{separator}now."
+        # Appended, so every evidence span still reads its match.
+        text = record["text"] + f"{separator}now."
+        record["text"] = text
         data = json.dumps(record, ensure_ascii=False).encode() + b"\n"
         [triad] = read_triads(data)
-        assert triad.event.text == f"Turn left{separator}now."
+        assert triad.event.text == text
 
     def test_non_json_rejected(self):
         with pytest.raises(ParseError, match="^line 1: "):

@@ -298,7 +298,7 @@ class TestStreamingParse:
         corpus = generate_instructions(
             RoutePlan(legs=parse_legs("2000R,2000L"), sample_hz=10.0), "distance-heavy"
         )
-        data = write_gpx(corpus.track, "memory")
+        data = write_gpx(corpus.track, "memory").encode()
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:

@@ -240,7 +240,7 @@ class TestRunPipeline:
         track = parse_gpx(files["track.gpx"].read_bytes()).shifted(1500)
         moved = tmp_path / "moved"
         moved.mkdir()
-        (moved / "track.gpx").write_bytes(write_gpx(track, "gpx"))
+        (moved / "track.gpx").write_bytes(write_gpx(track, "gpx").encode())
         meta = json.loads(files["video_meta.json"].read_text())
         video = parse_video_meta(files["video_meta.json"].read_bytes()).shifted(2300)
         meta["start_time"] = format_iso8601_ms(video.start_ms)
@@ -355,8 +355,8 @@ class TestShiftInvariance:
         moved = root / "moved"
         moved.mkdir()
         track = corpus.track.shifted(delta)
-        (moved / "track.gpx").write_bytes(write_gpx(track, f"synth-{seed}"))
-        (moved / "video_meta.json").write_bytes(write_video_meta(track))
+        (moved / "track.gpx").write_bytes(write_gpx(track, f"synth-{seed}").encode())
+        (moved / "video_meta.json").write_bytes(write_video_meta(track).encode())
         # The drive turns right first, but the voice says left, so the
         # mismatches file has a line to keep.
         doc = json.loads(files["transcript.json"].read_text())
@@ -413,7 +413,7 @@ class TestMirrorSwapsSides:
             for p in corpus.track.points
         ))
         gpx = root / "mirrored.gpx"
-        gpx.write_bytes(write_gpx(mirrored, f"synth-{seed}"))
+        gpx.write_bytes(write_gpx(mirrored, f"synth-{seed}").encode())
         base = run_pipeline(config_for(files, root / "a"), created_at_ms=0)
         flipped = run_pipeline(config_for(files, root / "b", gpx_path=gpx), created_at_ms=0)
         before = [t.action for t in read_triads(base.triads_path.read_bytes())]

@@ -244,7 +244,7 @@ class TestGenerateInstructions:
     @pytest.mark.parametrize("legs", ["60R", "600R,500L,400", "100R,400"])
     def test_each_cue_reads_back_as_one_segment(self, legs):
         corpus = generate_instructions(simple_plan(legs=parse_legs(legs)), "distance-heavy")
-        parsed = parse_transcript(write_transcript_json(corpus), "segment-json")
+        parsed = parse_transcript(write_transcript_json(corpus).encode(), "segment-json")
         assert [s.text for s in parsed.segments] == [
             e.text for e in corpus.ground_truth.instructions
         ]
@@ -270,12 +270,12 @@ class TestGenerateInstructions:
 class TestWriters:
     def test_gpx_roundtrip_is_exact(self):
         corpus = generate_instructions(simple_plan(noise_sigma_m=2.0), "distance-heavy")
-        parsed = parse_gpx(write_gpx(corpus.track, "drive"))
+        parsed = parse_gpx(write_gpx(corpus.track, "drive").encode())
         assert parsed.points == corpus.track.points
 
     def test_transcript_roundtrip(self):
         corpus = generate_instructions(simple_plan(), "distance-heavy")
-        parsed = parse_transcript(write_transcript_json(corpus), "segment-json")
+        parsed = parse_transcript(write_transcript_json(corpus).encode(), "segment-json")
         assert parsed.audio_start_ms == corpus.ground_truth.audio_start_ms
         assert [s.text for s in parsed.segments] == [
             e.text for e in corpus.ground_truth.instructions
@@ -329,7 +329,7 @@ class TestWriters:
     def test_failed_write_removes_written_files(self, tmp_path, name):
         corpus = generate_instructions(simple_plan(), "distance-heavy")
         (tmp_path / name).mkdir()
-        with pytest.raises(IoError, match=re.escape(f"cannot write corpus to {tmp_path}")):
+        with pytest.raises(IoError, match=re.escape(f"cannot write {tmp_path / name}: ")):
             write_corpus(corpus, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
