@@ -28,7 +28,7 @@ from .errors import DataError, EmptyInstruction, InternalError, IoError, parse_i
 from .emitter import labels_fragment, read_triads, write_text
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
-from .stats import corpus_stats, render_report
+from .stats import check_label, corpus_stats, render_report
 from .synth import (
     DEFAULT_LEGS,
     DEFAULT_STYLE,
@@ -310,11 +310,15 @@ def _run_stats(settings: dict, parser: _Parser) -> int:
     sources = {}  # label -> path, in the order given
     for item in settings["sources"]:
         label, sep, path_text = item.partition("=")
+        name = f"source {item!r}: label"
         if not sep:
             path_text, label = item, Path(item).stem
+            name += " (by default the file stem; set one with LABEL=PATH)"
         _check_path(f"source {item!r}", path_text, parser)
-        if not label:
-            parser.error(f"source {item!r}: label must be a non-empty string, got ''")
+        try:
+            check_label(name, label)
+        except ValueError as exc:
+            parser.error(str(exc))
         if label in sources:
             parser.error(f"source {item!r}: label {label!r} given twice")
         sources[label] = path_text

@@ -100,13 +100,34 @@ def labels_fragment(
     )
 
 
+# A waypoint whose members are floats, in one format step: the bulk of a
+# triads file.
+_WAYPOINT = '{"t_ms": %d, "lat": %.6f, "lon": %.6f, "ele": %.6f}'
+_WAYPOINT_NO_ELE = '{"t_ms": %d, "lat": %.6f, "lon": %.6f, "ele": null}'
+
+
+def _waypoint(point: GeoPoint) -> str:
+    """One waypoint object, the same bytes as ``_geo_members`` writes.
+
+    Float members are formatted in one step; another type, and a value
+    that renders as -0, inf or nan, take ``_geo_members``' checked route.
+    """
+    lat, lon, ele = point.lat_deg, point.lon_deg, point.ele_m
+    if type(lat) is float and type(lon) is float and (ele is None or type(ele) is float):
+        text = (
+            _WAYPOINT_NO_ELE % (point.t_ms, lat, lon)
+            if ele is None
+            else _WAYPOINT % (point.t_ms, lat, lon, ele)
+        )
+        if "-0.000000" not in text and "inf" not in text and "nan" not in text:
+            return text
+    return '{"t_ms": %d, %s}' % (point.t_ms, _geo_members(point))
+
+
 def serialize_triad(triad: VlaTriad) -> str:
     """One JSON line; fixed key order, 6-decimal floats, ASCII only."""
     event, action = triad.event, triad.action
-    waypoints = ", ".join(
-        '{"t_ms": %d, %s}' % (point.t_ms, _geo_members(point))
-        for point in action.waypoints
-    )
+    waypoints = ", ".join(map(_waypoint, action.waypoints))
     action_json = (
         '{"t_start_ms": %d, "t_end_ms": %d, "maneuver": %s, '
         '"net_bearing_change_deg": %s, "distance_m": %s, "waypoints": [%s], '
@@ -235,6 +256,23 @@ def _geo_from(obj: object, t_ms: int) -> GeoPoint:
     )
 
 
+def _waypoint_from(obj: object) -> GeoPoint:
+    """A waypoint object as a point: the point, or the error, that reading
+    each member through ``member`` gives. A well-formed waypoint (an int
+    time and float coordinates that make a valid point) is read in one
+    step; anything else is read member by member, for that route's wording."""
+    try:
+        t_ms, lat, lon, ele = obj["t_ms"], obj["lat"], obj["lon"], obj["ele"]
+        if (
+            type(t_ms) is int and type(lat) is float and type(lon) is float
+            and (ele is None or type(ele) is float)
+        ):
+            return GeoPoint(lat, lon, t_ms, ele)
+    except (KeyError, TypeError, ValueError):
+        pass
+    return _geo_from(obj, member(obj, "t_ms", "int"))
+
+
 def _triad_from_json(line: str) -> VlaTriad:
     obj = json.loads(line)
     event_id = member(obj, "id", "int")
@@ -262,10 +300,7 @@ def _triad_from_json(line: str) -> VlaTriad:
         frame_index=member(obj, "frame_index", "int", nullable=True),
     )
     raw_action = member(obj, "action", "object")
-    waypoints = tuple(
-        _geo_from(wp, member(wp, "t_ms", "int"))
-        for wp in member(raw_action, "waypoints", "list")
-    )
+    waypoints = tuple(map(_waypoint_from, member(raw_action, "waypoints", "list")))
     maneuver = _enum(Maneuver, "maneuver", member(raw_action, "maneuver", "str"))
     action = ActionSegment(
         event_id=event_id,

@@ -35,7 +35,7 @@ from .emitter import (
 from .errors import InvalidAnchor, ParseError, parse_input
 from .ingest import TRANSCRIPT_FORMATS, parse_gpx, parse_transcript, parse_video_meta
 from .segmenter import MANEUVER_RULE, collect_mismatches, segment_actions
-from .stats import corpus_stats, render_report
+from .stats import check_label, corpus_stats, render_report
 from .sync import build_events
 
 REPORT_FILENAME = "report.txt"
@@ -71,8 +71,14 @@ class PipelineConfig:
                 f"transcript_format must be one of {', '.join(TRANSCRIPT_FORMATS)}"
                 f", got {self.transcript_format!r}"
             )
-        if self.source_label == "":
-            raise ValueError("source_label must be a non-empty string, got ''")
+        # The report label is source_label, else the GPX file stem. Only a
+        # directory has no stem, and reading it is refused later.
+        if self.source_label is not None:
+            check_label("source_label", self.source_label)
+        elif self.gpx_path.stem:
+            check_label(
+                "source_label (by default the GPX file stem)", self.gpx_path.stem
+            )
         if self.tolerance_ms < 0:
             raise ValueError(f"tolerance_ms must be >= 0, got {self.tolerance_ms}")
         if self.audio_start is not None:

@@ -85,7 +85,14 @@ class Mismatch:
     observed: str
 
 
-def net_bearing_change(waypoints: Sequence[GeoPoint]) -> float:
+def _step_lengths(waypoints: Sequence[GeoPoint]) -> list[float]:
+    """The haversine length of each step of the polyline, in order."""
+    return [haversine_distance(a, b) for a, b in zip(waypoints, waypoints[1:])]
+
+
+def net_bearing_change(
+    waypoints: Sequence[GeoPoint], steps: Sequence[float] | None = None
+) -> float:
     """Sum of signed heading deltas along the polyline, in degrees.
 
     Steps shorter than the jitter floor are folded into their successor so
@@ -93,12 +100,22 @@ def net_bearing_change(waypoints: Sequence[GeoPoint]) -> float:
     net clockwise (a right turn). Raises InsufficientGeometry when fewer
     than three points survive the floor. The deltas are added left to
     right, so the total does not depend on how the Python version sums.
+
+    ``steps``, when the caller has measured them, are the haversine
+    lengths of the polyline's steps in order. A point whose predecessor
+    was kept is measured from it by its step; only a point after a folded
+    one needs a haversine of its own.
     """
     if not waypoints:
         raise InsufficientGeometry("no waypoints")
+    if steps is None:
+        steps = _step_lengths(waypoints)
     kept = [waypoints[0]]
-    for point in waypoints[1:]:
-        if haversine_distance(kept[-1], point) >= JITTER_FLOOR_M:
+    previous_kept = True
+    for point, step in zip(waypoints[1:], steps):
+        gap = step if previous_kept else haversine_distance(kept[-1], point)
+        previous_kept = gap >= JITTER_FLOOR_M
+        if previous_kept:
             kept.append(point)
     if len(kept) < 3:
         raise InsufficientGeometry(
@@ -173,12 +190,13 @@ def segment_actions(
             bisect_right(times, t_start):bisect_left(times, t_end)
         ]
         waypoints = (points[i], *interior, points[i + 1])
+        steps = _step_lengths(waypoints)
         # Added left to right, as for the bearing change.
         distance = 0.0
-        for a, b in zip(waypoints, waypoints[1:]):
-            distance += haversine_distance(a, b)
+        for step in steps:
+            distance += step
         try:
-            net_change = net_bearing_change(waypoints)
+            net_change = net_bearing_change(waypoints, steps)
             maneuver = classify_maneuver(net_change)
         except InsufficientGeometry:
             net_change = 0.0

@@ -28,6 +28,20 @@ class CorpusStats:
     total_events: int
 
 
+def check_label(name: str, label: str) -> None:
+    """Hold a report column label to its rule: a non-empty string that
+    encodes as UTF-8. A label read from a command line or a file name can
+    hold a lone surrogate (Python's reading of a byte that is not UTF-8),
+    which no output file can store. A bad label raises ValueError naming
+    ``name``."""
+    if label == "":
+        raise ValueError(f"{name} must be a non-empty string, got ''")
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{name} must be valid UTF-8, got {label!r}") from None
+
+
 def corpus_stats(source_label: str, events: Iterable) -> CorpusStats:
     """Count each distinct class set, and each class from those counts.
 

@@ -73,9 +73,8 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == {}
 
 
-def test_every_traced_attribute_resolves():
-    # The perfbench tracer wraps these module attributes by name, and only on
-    # a traced run, so a rename under src/ would break tracing unnoticed.
+def traced_targets() -> list[tuple[str, str, str]]:
+    """The perfbench tracer's (module, attribute, span name) triples."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
     (targets,) = [
         ast.literal_eval(node.value)
@@ -84,10 +83,49 @@ def test_every_traced_attribute_resolves():
         and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
     ]
     assert targets
-    for module, attribute, _ in targets:
+    return targets
+
+
+def test_every_traced_attribute_resolves():
+    # The perfbench tracer wraps these module attributes by name, and only on
+    # a traced run, so a rename under src/ would break tracing unnoticed.
+    for module, attribute, _ in traced_targets():
         assert callable(getattr(importlib.import_module(module), attribute, None)), (
             f"{module}.{attribute}"
         )
+
+
+def _calls_in(paths) -> list[ast.Call]:
+    return [
+        node
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_every_traced_attribute_is_called_by_name():
+    # A wrapper sees only the calls that look the attribute up in the
+    # module at call time: a direct call, or the function handed on as an
+    # argument (parse_input(path, parse_gpx, data)). Code that routes around
+    # it, say through a fused helper, would read 0 s for that span. The
+    # benchmark calls synth's two functions through the module instead
+    # (synth.write_corpus(...)).
+    benchmark_calls = _calls_in(sorted((ROOT / "perfbench").glob("*.py")))
+    for module, attribute, _ in traced_targets():
+        path = Path(importlib.import_module(module).__file__)
+        by_name = any(
+            isinstance(name, ast.Name) and name.id == attribute
+            for call in _calls_in([path])
+            for name in (call.func, *call.args)
+        )
+        through_module = any(
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr == attribute
+            and getattr(call.func.value, "id", None) == module.rpartition(".")[2]
+            for call in benchmark_calls
+        )
+        assert by_name or through_module, f"{module} never calls {attribute} by name"
 
 
 def _writes_a_file(call: ast.Call) -> bool:

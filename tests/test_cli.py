@@ -865,6 +865,58 @@ class TestHostileInput:
         assert out == ""
         assert not (corpus / "d").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["pipeline", "--gpx", "{dir}/track.gpx", "--transcript",
+              "{dir}/transcript.json", "--out", "{dir}/d", "--source-label", "\udcff"],
+             "source_label must be valid UTF-8, got '\\udcff'"),
+            (["pipeline", "--gpx", "{dir}/track.gpx", "--transcript",
+              "{dir}/transcript.json", "--out", "{dir}/d", "--config", "{dir}/label.json"],
+             "source_label must be valid UTF-8, got '\\udcff'"),
+            (["pipeline", "--gpx", "{dir}/\udcff.gpx", "--transcript",
+              "{dir}/transcript.json", "--out", "{dir}/d"],
+             "source_label (by default the GPX file stem) must be valid UTF-8, "
+             "got '\\udcff'"),
+            (["stats", "\udcff={dir}/empty.jsonl", "--out", "{dir}/d"],
+             "source '\\udcff={dir}/empty.jsonl': label must be valid UTF-8, "
+             "got '\\udcff'"),
+            (["stats", "{dir}/\udcff.jsonl", "--out", "{dir}/d"],
+             "source '{dir}/\\udcff.jsonl': label (by default the file stem; set "
+             "one with LABEL=PATH) must be valid UTF-8, got '\\udcff'"),
+        ],
+        ids=["pipeline-flag", "pipeline-config", "pipeline-gpx-stem",
+             "stats-label", "stats-path-stem"],
+    )
+    def test_label_not_utf8_is_usage_error(self, tmp_path, capsys, args, message):
+        # Python reads the argv byte 0xff as the lone surrogate U+DCFF,
+        # which report.txt, as UTF-8, cannot hold.
+        corpus = make_corpus(tmp_path, capsys)
+        (corpus / "empty.jsonl").write_bytes(b"")
+        (corpus / "\udcff.jsonl").write_bytes(b"")
+        (corpus / "\udcff.gpx").write_bytes((corpus / "track.gpx").read_bytes())
+        (corpus / "label.json").write_text('{"source_label": "\\udcff"}')
+        code, out, err = run([arg.format(dir=corpus) for arg in args], capsys)
+        assert code == EXIT_USAGE
+        assert message.format(dir=corpus) in err
+        assert out == ""
+        assert not (corpus / "d").exists()
+
+    def test_label_not_utf8_in_a_real_argv(self, tmp_path, capsys):
+        # Only a real process decodes its argv bytes, with surrogateescape.
+        corpus = make_corpus(tmp_path, capsys)
+        proc = subprocess.run(
+            [sys.executable, "-m", "drivetriad.cli", "pipeline",
+             "--gpx", str(corpus / "track.gpx"),
+             "--transcript", str(corpus / "transcript.json"),
+             "--out", str(tmp_path / "d"), "--source-label", b"\xff"],
+            capture_output=True,
+            env=child_env(),
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert b"source_label must be valid UTF-8, got '\\udcff'" in proc.stderr
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("flag", ["--gps-offset-ms", "--video-offset-ms"])
     def test_offset_before_epoch_is_data_error(self, tmp_path, capsys, flag):
         corpus = make_corpus(tmp_path, capsys)

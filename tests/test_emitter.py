@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from drivetriad import (
     GeoPoint,
@@ -15,9 +18,13 @@ from drivetriad import (
     make_triads,
     read_triads,
 )
+from drivetriad.core import member
 from drivetriad.emitter import (
     TRIADS_FILENAME,
     VlaTriad,
+    _geo_from,
+    _geo_members,
+    _waypoint,
     build_manifest,
     config_digest,
     manifest_input,
@@ -73,6 +80,61 @@ def make_triad(id=0, t_ms=1_000_000):
     event = make_event(id, t_ms)
     segment = make_segment(id, t_ms, t_ms + 30_000)
     return VlaTriad(event, segment)
+
+
+def outcome(function, *args):
+    """What ``function`` returns, or the type and text of what it raises."""
+    try:
+        return function(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+# Waypoint member values at the edges of the one-step writer and reader:
+# -4e-7 renders as -0.000000, which is written 0.000000; an int renders as
+# a float would; 180 folds to -180; a bool, a string, a list, null and the
+# non-finite values are refused.
+EDGE_VALUES = [
+    -0.0, 0.0, -4e-7, 4e-7, -5e-7, 5e-7, 1.5, 0, 7, 2**70, True, False, "1",
+    None, [], 180.0, 180, -180.0, 90.5, -90.5, -1, math.nan, math.inf, -math.inf,
+]
+_EDGES = st.sampled_from(EDGE_VALUES)
+_DROP = object()  # an edit that removes the member
+
+
+def written_by_members(point) -> str:
+    """A waypoint as written before the one-step writer."""
+    return '{"t_ms": %d, %s}' % (point.t_ms, _geo_members(point))
+
+
+def check_waypoint_written(**members) -> None:
+    # A stand-in, so that values no GeoPoint holds reach the writer.
+    point = SimpleNamespace(
+        **{"lat_deg": 1.5, "lon_deg": 2.5, "t_ms": 3, "ele_m": 4.5, **members}
+    )
+    assert outcome(_waypoint, point) == outcome(written_by_members, point)
+
+
+def check_waypoint_read(waypoint) -> None:
+    """read_triads gives the point, or the ParseError, that reading each
+    member of the first waypoint through member() gives."""
+    expected = outcome(lambda w: _geo_from(w, member(w, "t_ms", "int")), waypoint)
+    record = json.loads(serialize_triad(make_triad()))
+    record["action"]["waypoints"][0] = waypoint
+    got = outcome(read_triads, json.dumps(record).encode())
+    if isinstance(expected, GeoPoint):
+        assert repr(got[0].action.waypoints[0]) == repr(expected)
+    else:
+        assert got == (ParseError, f"line 1: {expected[1]}")
+
+
+def edited(waypoint: dict, key: str, value) -> dict:
+    copy = dict(waypoint)
+    if value is _DROP:
+        copy.pop(key, None)
+    else:
+        copy[key] = value
+    return copy
 
 
 class TestStructures:
@@ -188,6 +250,27 @@ class TestSerializeTriad:
         with pytest.raises(InternalError):
             serialize_triad(VlaTriad(make_event(), seg))
 
+    def test_waypoint_writer_matches_geo_members_on_every_edge(self):
+        for name in ("lat_deg", "lon_deg", "ele_m"):
+            for value in EDGE_VALUES:
+                check_waypoint_written(**{name: value})
+
+    @given(
+        t_ms=st.integers(0, 2**53),
+        lat=st.one_of(_EDGES, st.floats(-90, 90), st.floats(), st.integers()),
+        lon=st.one_of(_EDGES, st.floats(-180, 180), st.floats(), st.integers()),
+        ele=st.one_of(_EDGES, st.floats(), st.integers()),
+    )
+    def test_waypoint_writer_matches_geo_members(self, t_ms, lat, lon, ele):
+        check_waypoint_written(lat_deg=lat, lon_deg=lon, t_ms=t_ms, ele_m=ele)
+
+    @pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "1"])
+    @pytest.mark.parametrize("name", ["lat_deg", "lon_deg", "ele_m"])
+    def test_waypoint_writer_rejects_a_non_number(self, name, value):
+        members = {"lat_deg": 1.0, "lon_deg": 2.0, "t_ms": 3, "ele_m": 4.0, name: value}
+        with pytest.raises(InternalError):
+            _waypoint(SimpleNamespace(**members))
+
 
 class TestExportTriads:
     def test_writes_lf_jsonl(self, tmp_path):
@@ -300,6 +383,32 @@ class TestReadTriads:
         assert old in data
         with pytest.raises(ParseError, match="^line 1: "):
             read_triads(data.replace(old, new, 1))
+
+    def test_waypoint_reader_matches_member_route_on_every_edit(self):
+        waypoint = {"t_ms": 5, "lat": 1.5, "lon": 2.5, "ele": 3.5}
+        check_waypoint_read(waypoint)
+        for key in (*waypoint, "extra"):
+            for value in (_DROP, *EDGE_VALUES):
+                check_waypoint_read(edited(waypoint, key, value))
+        for value in EDGE_VALUES:
+            check_waypoint_read(value)
+
+    @given(
+        st.fixed_dictionaries({
+            "t_ms": st.integers(0, 2**45),
+            "lat": st.floats(-90, 90) | st.floats(),
+            "lon": st.floats(-180, 180) | st.floats(),
+            "ele": st.none() | st.floats(),
+        }),
+        st.lists(st.tuples(
+            st.sampled_from(["t_ms", "lat", "lon", "ele", "extra"]),
+            st.one_of(st.just(_DROP), _EDGES, st.floats(), st.integers()),
+        ), max_size=2),
+    )
+    def test_waypoint_reader_matches_member_route(self, waypoint, edits):
+        for key, value in edits:
+            waypoint = edited(waypoint, key, value)
+        check_waypoint_read(waypoint)
 
     def test_inverted_frame_range_rejected(self, tmp_path):
         data = export_triads([make_triad()], tmp_path).read_bytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -35,6 +36,49 @@ from helpers import oracle_bearing, oracle_distance, circular_diff_deg, track_fr
 
 def P(lat, lon, t=0, ele=None):
     return GeoPoint(lat, lon, t, ele)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferencePoint:
+    """GeoPoint as a plain frozen dataclass checked in __post_init__."""
+
+    lat_deg: float
+    lon_deg: float
+    t_ms: int
+    ele_m: float | None = None
+
+    def __post_init__(self) -> None:
+        if not -90.0 <= self.lat_deg <= 90.0:
+            raise ValueError(f"latitude out of range: {self.lat_deg}")
+        if self.lon_deg == 180.0:
+            object.__setattr__(self, "lon_deg", -180.0)
+        if not -180.0 <= self.lon_deg < 180.0:
+            raise ValueError(f"longitude out of range: {self.lon_deg}")
+        if self.t_ms < 0:
+            raise ValueError(f"negative timestamp: {self.t_ms}")
+        if self.ele_m is not None and not math.isfinite(self.ele_m):
+            raise ValueError(f"elevation is not finite: {self.ele_m}")
+
+
+def _outcome(cls, args):
+    """The point ``cls`` builds from ``args``, or its ValueError's text."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Few distinct values, so that two drawn points are often equal.
+_EDGES = st.sampled_from([
+    0, 1, -0.0, 0.0, 1.5, 90, -90.0, 180, 180.0, -180.0, 200.0,
+    math.nan, math.inf, -math.inf,
+])
+_POINT_ARGS = st.tuples(
+    st.one_of(_EDGES, st.floats(-100, 100), st.integers(-100, 100)),
+    st.one_of(_EDGES, st.floats(-200, 200), st.integers(-200, 200)),
+    st.sampled_from([-1, 0, 0, 5, 5]),
+    st.one_of(st.none(), _EDGES, st.floats()),
+)
 
 
 class TestTimestamps:
@@ -123,6 +167,34 @@ class TestGeoPoint:
 
     def test_missing_elevation_allowed(self):
         assert GeoPoint(0, 0, 0).ele_m is None
+
+    def test_frozen_value_type(self):
+        point = GeoPoint(1.0, 2.0, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.lat_deg = 0.0
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(point)] == [
+            (f.name, f.type, f.default) for f in dataclasses.fields(_ReferencePoint)
+        ]
+        assert dataclasses.replace(point, ele_m=5.0) == GeoPoint(1.0, 2.0, 3, 5.0)
+        assert GeoPoint(lat_deg=1.0, lon_deg=2.0, t_ms=3) == point
+        # A point is no tuple, though it holds the same values.
+        assert point != (1.0, 2.0, 3, None)
+
+    @given(st.lists(_POINT_ARGS, min_size=2, max_size=2))
+    def test_matches_frozen_dataclass_reference(self, pair):
+        # The slotted class with its own constructor behaves as the plain
+        # frozen dataclass with a __post_init__ check that it replaced.
+        built = [(_outcome(GeoPoint, args), _outcome(_ReferencePoint, args))
+                 for args in pair]
+        for new, ref in built:
+            if isinstance(ref, str):
+                assert new == ref
+            else:
+                assert repr(new) == repr(ref).replace("_ReferencePoint", "GeoPoint")
+                assert hash(new) == hash(ref)
+        (new_a, ref_a), (new_b, ref_b) = built
+        if not isinstance(ref_a, str) and not isinstance(ref_b, str):
+            assert (new_a == new_b) == (ref_a == ref_b)
 
 
 class TestTrackLog:

@@ -6,6 +6,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from drivetriad import (
     GeoPoint,
@@ -104,6 +105,65 @@ class TestNetBearingChange:
         ]
         with pytest.raises(InsufficientGeometry):
             net_bearing_change(parked)
+
+
+def reference_bearing_change(waypoints):
+    """net_bearing_change as it measured each point from the last kept one
+    with a haversine of its own, whatever the step before it."""
+    kept = [waypoints[0]]
+    for point in waypoints[1:]:
+        if haversine_distance(kept[-1], point) >= JITTER_FLOOR_M:
+            kept.append(point)
+    if len(kept) < 3:
+        return InsufficientGeometry
+    bearings = [initial_bearing(a, b) for a, b in zip(kept, kept[1:])]
+    total = 0.0
+    for before, after in zip(bearings, bearings[1:]):
+        total += signed_bearing_delta(before, after)
+    return total
+
+
+# Steps of up to about 2 m, a third of them under the 1 m jitter floor, so
+# that runs of folded points are common.
+_CRAWL = st.lists(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)), min_size=1, max_size=40
+)
+
+
+class TestStepReuse:
+    @given(_CRAWL)
+    def test_matches_a_haversine_per_point(self, offsets):
+        # A step is reused only where the point before was kept; after a
+        # folded point the distance is measured from the last kept one.
+        waypoints = [GeoPoint(40.0, -105.0, 0)]
+        for i, (dlat, dlon) in enumerate(offsets, start=1):
+            last = waypoints[-1]
+            waypoints.append(GeoPoint(
+                last.lat_deg + dlat * 1e-6, last.lon_deg + dlon * 1e-6, i * 100
+            ))
+        expected = reference_bearing_change(waypoints)
+        steps = [haversine_distance(a, b) for a, b in zip(waypoints, waypoints[1:])]
+        for given_steps in (None, steps):
+            try:
+                got = net_bearing_change(waypoints, given_steps)
+            except InsufficientGeometry:
+                got = InsufficientGeometry
+            assert got == expected
+
+    def test_window_bearing_changes_match_on_a_crawl(self):
+        # 1 m/s at 2 Hz with 0.3 m noise: most steps fall under the floor.
+        plan = RoutePlan(parse_legs("60R,40L,60"), speed_mps=1.0, sample_hz=2.0,
+                         noise_sigma_m=0.3, seed=3)
+        track = generate_route(plan)
+        times = range(track.start_ms, track.end_ms, 15_000)
+        segments, _ = segment_actions([event(i, t) for i, t in enumerate(times)], track)
+        assert len(segments) > 5
+        for segment in segments:
+            expected = reference_bearing_change(segment.waypoints)
+            if expected is InsufficientGeometry:
+                assert segment.maneuver is Maneuver.UNKNOWN
+            else:
+                assert segment.net_bearing_change_deg == expected
 
 
 class TestClassifyManeuver:
