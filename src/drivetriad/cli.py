@@ -351,9 +351,20 @@ def _run_synth(settings: dict, parser: _Parser) -> int:
 
 
 def _write_stdout(text: str) -> None:
-    """Write command output; a failed write raises IoError (exit 70)."""
+    """Write command output; a failed write raises IoError (exit 70).
+
+    A character the stream cannot encode, such as the lone surrogate that
+    stands for a path byte that is not UTF-8, is written as the
+    backslashreplace escape that standard error also uses. Only this text
+    is escaped: the stream's own settings are left as they are.
+    """
     try:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError:
+            escaped = text.encode(sys.stdout.encoding, "backslashreplace")
+            sys.stdout.flush()
+            sys.stdout.buffer.write(escaped)
     except OSError as exc:
         raise _stdout_failed(exc) from exc
 

@@ -110,6 +110,9 @@ def read_text(data: bytes) -> str:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
+    # A search for "\r\n" is slow, and most inputs hold no "\r" at all.
+    if "\r" not in text:
+        return text
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

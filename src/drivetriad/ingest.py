@@ -10,6 +10,7 @@ Parsers are pure functions of their byte input.
 
 from __future__ import annotations
 
+import pyexpat
 import re
 import sys
 import xml.etree.ElementTree as ET
@@ -25,6 +26,7 @@ from .errors import (
     DataError,
     EmptyTrack,
     EmptyTranscript,
+    EncodingError,
     InvalidAnchor,
     InvalidFps,
     MissingTimestamp,
@@ -144,16 +146,105 @@ def _build_point(
         raise ParseError(f"trkpt {index}: {exc}") from exc
 
 
+# What follows "<trkpt" in a plain trkpt: lat and lon, in that order and
+# in double quotes, an optional ele, then the time, whitespace allowed
+# between tags. A number holds only [-+.0-9eE], which float reads as
+# parse_float does, and an instant only [-+.:0-9TZ], so no text needs an
+# entity or a strip.
+_PLAIN_BODY = (
+    r'\s+lat="([-+.0-9eE]+)"\s+lon="([-+.0-9eE]+)"\s*>\s*'
+    r"(?:<ele>([-+.0-9eE]+)</ele>\s*)?"
+    r"<time>([-+.:0-9TZ]+)</time>\s*</trkpt>"
+)
+_PLAIN_TRKPT = re.compile("<trkpt" + _PLAIN_BODY, re.ASCII)
+_OTHER_TRKPT = re.compile(f"<trkpt(?!{_PLAIN_BODY})", re.ASCII)
+# A UTF-8 byte-order mark and an XML declaration that names UTF-8 or no
+# encoding; any other declaration is left in place for the "<?" check.
+_UTF8_PROLOG = re.compile(
+    rb"(?:\xef\xbb\xbf)?"
+    rb"(?:<\?xml\s+version=([\"'])1\.[0-9]+\1"
+    rb"(?:\s+encoding=([\"'])(?i:utf-8)\2)?"
+    rb"(?:\s+standalone=([\"'])(?:yes|no)\3)?\s*\?>)?"
+)
+_EXPAT_SLICE = 1 << 16
+
+
+def _is_well_formed(data: bytes) -> bool:
+    """Whether expat, with the namespace handling ElementTree uses, reads
+    ``data`` without error; the bytes are fed in slices, so expat never
+    holds a copy of the whole document."""
+    parser = pyexpat.ParserCreate(namespace_separator="}")
+    view = memoryview(data)
+    try:
+        for start in range(0, len(view), _EXPAT_SLICE):
+            parser.Parse(view[start:start + _EXPAT_SLICE], False)
+        parser.Parse(b"", True)
+    except pyexpat.ExpatError:
+        return False
+    return True
+
+
+def _scan_plain_gpx(data: bytes) -> TrackLog | None:
+    """``parse_gpx``'s result for a plain document, read by regex, or None
+    where the streaming parser must read it.
+
+    A plain document is well-formed UTF-8 with no comment, CDATA section,
+    DOCTYPE or processing instruction, none of which could then hide or
+    invent a trkpt, and every "trkpt" in its text belongs to a
+    ``_PLAIN_TRKPT`` match. Every other shape, and every document the
+    stream would refuse, is declined, so the stream owns every error. A
+    "<trkpt" that is not plain is looked for before any point is built,
+    and expat checks only a document the scan has read whole.
+    """
+    prolog_end = _UTF8_PROLOG.match(data).end()
+    # "!" and "?" are rare, so these one-byte searches clear most documents
+    # much faster than a search for "<!" or "<?". A NUL byte is never
+    # well-formed UTF-8 XML, but to expat a document that opens with one is
+    # UTF-16, in which ASCII bytes spell other characters.
+    if (
+        (b"!" in data and b"<!" in data)
+        or (data.find(b"?", prolog_end) >= 0 and data.find(b"<?", prolog_end) >= 0)
+        or b"\0" in data
+    ):
+        return None
+    try:
+        text = read_text(data)
+    except EncodingError:
+        return None
+    if _OTHER_TRKPT.search(text):
+        return None
+    try:
+        points = [
+            GeoPoint(
+                float(lat), float(lon), parse_iso8601_ms(stamp),
+                None if ele is None else float(ele),
+            )
+            for lat, lon, ele, stamp in map(re.Match.groups, _PLAIN_TRKPT.finditer(text))
+        ]
+        # A match holds the word twice, in its start and its end tag.
+        if not points or 2 * len(points) != text.count("trkpt"):
+            return None
+        track = TrackLog(tuple(points))
+    except (ValueError, DataError):
+        return None
+    return track if _is_well_formed(data) else None
+
+
 def parse_gpx(data: bytes) -> TrackLog:
     """Parse GPX bytes into a TrackLog.
 
     Collects every trkpt across all trk/trkseg elements in document order.
     Each point must carry lat/lon attributes and a time child; a point
     without time is a hard error rather than a silent gap, because gaps
-    corrupt interpolation downstream. The document is read as a stream of
-    parser events and no tree is built, so beyond the input bytes memory
-    grows with the number of fixes, not with the number of elements.
+    corrupt interpolation downstream. A plain document is read by one
+    regex scan (``_scan_plain_gpx``); any other is read as a stream of
+    parser events. Neither builds a tree, so beyond the input bytes and
+    their text memory grows with the number of fixes, not with the number
+    of elements.
     """
+    track = _scan_plain_gpx(data)
+    if track is not None:
+        return track
     target = _TrackTarget()
     parser = ET.XMLParser(target=target)
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -1617,6 +1618,41 @@ class TestStdoutFailure:
             "help": ["--help"],
             "synth-help": ["synth", "--help"],
         }
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "command, files",
+        [
+            ("synth", ["ground_truth.json", "track.gpx", "transcript.json", "video_meta.json"]),
+            ("pipeline", ["manifest.json", "mismatches.txt", "report.txt", "triads.jsonl"]),
+        ],
+    )
+    def test_out_dir_not_utf8_on_strict_stdout(self, corpus, tmp_path, command, files, unbuffered):
+        # The argv byte 0xff reads as U+DCFF, which a strict UTF-8 standard
+        # output cannot encode; the path is printed escaped, as on stderr.
+        out = os.fsencode(tmp_path) + b"/\xff"
+        args = [*self._commands(corpus)[command][:-1], out]
+        proc = subprocess.run(
+            [sys.executable, "-m", "drivetriad.cli", *args],
+            capture_output=True,
+            env={**child_env(unbuffered), "PYTHONIOENCODING": "utf-8"},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == b""
+        assert proc.stdout.endswith(b"/\\udcff\n")
+        assert sorted(os.listdir(out)) == [name.encode() for name in files]
+
+    def test_escape_leaves_the_stream_as_it_was(self, monkeypatch):
+        # Output that follows in the same process, in-process callers
+        # included, keeps the stream's strict error handler.
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stream)
+        drivetriad.cli._write_stdout("a\n")
+        drivetriad.cli._write_stdout("wrote: /\udcff/\u00e9\n")
+        drivetriad.cli._write_stdout("b\n")
+        stream.flush()
+        assert stream.buffer.getvalue() == b"a\nwrote: /\\udcff/\\xe9\nb\n"
+        assert stream.errors == "strict"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])

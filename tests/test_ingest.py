@@ -22,6 +22,7 @@ from drivetriad import (
     parse_video_meta,
 )
 from drivetriad.core import MAX_INSTANT_MS, parse_float, parse_iso8601_ms
+from drivetriad import ingest
 from drivetriad.ingest import absolutize
 from drivetriad.synth import write_gpx
 from drivetriad.errors import (
@@ -232,8 +233,84 @@ def _trkpt(draw, p, depth=0):
     return f"<{p}trkpt{attrs}>{body}</{p}trkpt>"
 
 
+# Values for the scan's shape. A track that draws the later stamp, or the
+# last one, before another goes backwards.
+_PLAIN_NUMBERS = ["1.5", "-0.25", "+2e1", "40.000012902383396"] * 8 + ["95", "1e999", "-", "1_0"]
+_PLAIN_STAMPS = ["2024-01-01T00:00:05.5Z"] * 12 + [
+    "2024-01-01T00:00:06.000Z",
+    "2024-13-01T00:00:00Z",
+    "2024-01-01T00:00:00Z",
+]
+_GAPS = ["", " ", "\n      "]
+_PLAIN_POINT = '<trkpt lat="1.5" lon="2"><time>2024-01-01T00:00:00Z</time></trkpt>'
+# Each near-miss turns a plain document into one a step off the scan's
+# shape, or hides a plain trkpt where it is not an element.
+_NEAR_MISSES = {
+    "single-quotes": lambda d: d.replace('lat="1.5"', "lat='1.5'", 1),
+    "swapped-attributes": lambda d: d.replace('lat="1.5" lon="2"', 'lon="2" lat="1.5"', 1),
+    "extra-attribute": lambda d: d.replace('lon="2">', 'lon="2" hdop="1">', 1),
+    "amp-in-time": lambda d: d.replace("Z</time>", "Z&amp;</time>", 1),
+    "char-ref-in-time": lambda d: d.replace("00Z</time>", "0&#48;Z</time>", 1),
+    "crlf-and-bom": lambda d: "\ufeff" + d.replace("\n", "\r\n"),
+    "latin-1-declaration": lambda d: d.replace('encoding="UTF-8"', 'encoding="ISO-8859-1"'),
+    "lowercase-utf-8": lambda d: d.replace('encoding="UTF-8"', 'encoding="utf-8"'),
+    "comment": lambda d: d.replace("<trkseg>", f"<trkseg><!--{_PLAIN_POINT}-->"),
+    "cdata": lambda d: d.replace("<trkseg>", f"<trkseg><![CDATA[{_PLAIN_POINT}]]>"),
+    "pi": lambda d: d.replace("<trkseg>", f"<trkseg><?keep {_PLAIN_POINT}?>"),
+    "trkpt-in-name": lambda d: d.replace("<name>synth</name>", "<name>trkpt</name>"),
+    "g-prefix": lambda d: d.replace("<trkpt", '<g:trkpt xmlns:g="urn:g"', 1).replace(
+        "</trkpt>", "</g:trkpt>", 1
+    ),
+    "empty-ele": lambda d: d.replace("<time>", "<ele></ele><time>", 1),
+    "blank-ele": lambda d: d.replace("<time>", "<ele> </ele><time>", 1),
+    "backwards": lambda d: d.replace("T00:00:00Z", "T00:00:09Z", 1),
+    "truncated": lambda d: d[:-20],
+    "underscore-in-number": lambda d: d.replace('lat="1.5"', 'lat="1_5"', 1),
+    "unbound-prefix": lambda d: d.replace("</trkseg>", "<g:x/></trkseg>"),
+    "extensions": lambda d: d.replace("</time></trkpt>", "</time><extensions/></trkpt>"),
+    "extensions-on-last": lambda d: "</time><extensions/></trkpt>".join(
+        d.rsplit("</time></trkpt>", 1)
+    ),
+}
+
+
+def _plain_gpx(points):
+    """A document in the scan's shape, laid out as synth writes one."""
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<gpx version="1.1" xmlns="http://www.topografix.com/GPX/1/1">\n'
+        "  <trk>\n    <name>synth</name>\n    <trkseg>\n"
+        + "".join(f"      {point}\n" for point in points)
+        + "    </trkseg>\n  </trk>\n</gpx>\n"
+    )
+
+
 @st.composite
-def _gpx_documents(draw):
+def _plain_trkpt(draw):
+    lat, lon = draw(st.sampled_from(_PLAIN_NUMBERS)), draw(st.sampled_from(_PLAIN_NUMBERS))
+    ele = draw(st.sampled_from([None] * 12 + _PLAIN_NUMBERS[:8] + ["1e999", "e"]))
+    stamp = draw(st.sampled_from(_PLAIN_STAMPS))
+    gaps = [draw(st.sampled_from(_GAPS)) for _ in range(3)]
+    ele_tag = "" if ele is None else f"<ele>{ele}</ele>{gaps[1]}"
+    return (
+        f'<trkpt lat="{lat}" lon="{lon}">{gaps[0]}{ele_tag}'
+        f"<time>{stamp}</time>{gaps[2]}</trkpt>"
+    )
+
+
+@st.composite
+def _plain_document(draw):
+    points = draw(st.lists(_plain_trkpt(), max_size=4))
+    doc = _plain_gpx([_PLAIN_POINT, *points])
+    if draw(st.integers(0, 2)) == 0:
+        doc = draw(st.sampled_from(list(_NEAR_MISSES.values())))(doc)
+    return doc.encode("utf-8")
+
+
+@st.composite
+def _markup_documents(draw):
+    """Documents that vary the markup around each trkpt: prefixes, a
+    default namespace and every trkpt body ``_trkpt`` draws."""
     p, declaration = draw(
         st.sampled_from([
             ("", ""),
@@ -243,16 +320,33 @@ def _gpx_documents(draw):
     )
     points = "".join(draw(st.lists(_trkpt(p), max_size=4)))
     doc = f"<{p}gpx{declaration}><{p}trk><{p}trkseg>{points}</{p}trkseg></{p}trk></{p}gpx>"
-    data = doc.encode("utf-8")
-    return data[: len(data) - draw(st.sampled_from([0] * 12 + [1, 9, 60]))]
+    return doc.encode("utf-8")
+
+
+def _truncated(documents):
+    return st.tuples(documents, st.sampled_from([0] * 12 + [1, 9, 60])).map(
+        lambda drawn: drawn[0][: len(drawn[0]) - drawn[1]]
+    )
+
+
+# About half of the documents have the scan's shape or are a near miss of it.
+_gpx_documents = _truncated(st.one_of(_plain_document(), _markup_documents()))
 
 
 class TestStreamingParse:
-    """parse_gpx reads parser events; it must equal the tree-based reference."""
+    """parse_gpx reads parser events, or scans a plain document; either way
+    it must equal the tree-based reference."""
 
-    @settings(max_examples=300)
-    @given(data=_gpx_documents())
+    @settings(max_examples=400)
+    @given(data=_gpx_documents)
     def test_equals_tree_reference(self, data):
+        assert outcome(parse_gpx, data) == outcome(reference_parse_gpx, data)
+
+    # The stream reads every document the scan declines, so the markup
+    # variants keep their own run at full strength.
+    @settings(max_examples=300)
+    @given(data=_truncated(_markup_documents()))
+    def test_markup_variants_equal_tree_reference(self, data):
         assert outcome(parse_gpx, data) == outcome(reference_parse_gpx, data)
 
     @pytest.mark.parametrize(
@@ -311,6 +405,125 @@ class TestStreamingParse:
                 tracemalloc.stop()
         assert len(track) == 2667
         assert peak - base <= 3 * (kept - base)
+
+
+def _synth_gpx(sample_hz):
+    corpus = generate_instructions(
+        RoutePlan(legs=parse_legs("2000R,2000L"), sample_hz=sample_hz), "distance-heavy"
+    )
+    return write_gpx(corpus.track, "synth").encode()
+
+
+def _traced_peak(parse, data):
+    """The tracemalloc peak of ``parse(data)`` above what was held before."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        parse(data)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class _StreamUsed(Exception):
+    pass
+
+
+class _RaisingTarget:
+    def __init__(self):
+        raise _StreamUsed
+
+
+# Two plain trkpts, the second with an ele, in the layout synth writes.
+_TABLE_GPX = _plain_gpx([
+    _PLAIN_POINT,
+    '<trkpt lat="1.6" lon="2"><ele>12.5</ele><time>2024-01-01T00:00:05Z</time></trkpt>',
+])
+
+
+class TestPlainScan:
+    """A plain document is read by the regex scan; every other shape, and
+    every error, is left to the streaming parser."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [_synth_gpx(1.0), _synth_gpx(10.0), GPX_11],
+        ids=["synth-1hz", "synth-10hz", "gpx-11-with-elevation"],
+    )
+    def test_plain_document_takes_the_scan(self, data, monkeypatch):
+        expected = reference_parse_gpx(data)
+        monkeypatch.setattr(ingest, "_TrackTarget", _RaisingTarget)
+        assert parse_gpx(data) == expected
+
+    def test_declined_document_takes_the_stream(self, monkeypatch):
+        data = _NEAR_MISSES["comment"](_TABLE_GPX).encode()
+        monkeypatch.setattr(ingest, "_TrackTarget", _RaisingTarget)
+        with pytest.raises(_StreamUsed):
+            parse_gpx(data)
+
+    @pytest.mark.parametrize("odd", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_trkpt_not_plain_declines_before_any_point(self, odd, monkeypatch):
+        # Wherever the trkpt that is not plain stands, no point is built
+        # and expat never reads the document.
+        points = [
+            f'<trkpt lat="1.5" lon="2"><time>2024-01-01T00:00:0{i}Z</time></trkpt>'
+            for i in range(3)
+        ]
+        points[odd] = points[odd].replace("</time>", "</time><extensions/>")
+        data = _plain_gpx(points).encode()
+        monkeypatch.setattr(ingest, "GeoPoint", _RaisingTarget)
+        monkeypatch.setattr(ingest, "_is_well_formed", _RaisingTarget)
+        assert ingest._scan_plain_gpx(data) is None
+
+    def test_utf16_text_is_not_markup(self):
+        # expat reads a document that opens with "<" and a NUL byte as
+        # UTF-16, where the ASCII bytes of a plain trkpt are only text.
+        hidden = _PLAIN_POINT + " " * (len(_PLAIN_POINT) % 2)
+        data = "<g>".encode("utf-16-le") + hidden.encode() + "</g>".encode("utf-16-le")
+        assert outcome(parse_gpx, data) == outcome(reference_parse_gpx, data) == (
+            EmptyTrack, "GPX contains no trkpt elements"
+        )
+
+    @pytest.mark.parametrize(
+        "near_miss, taken",
+        [
+            ("single-quotes", False),
+            ("swapped-attributes", False),
+            ("extra-attribute", False),
+            ("amp-in-time", False),
+            ("char-ref-in-time", False),
+            ("crlf-and-bom", True),
+            ("latin-1-declaration", False),
+            ("lowercase-utf-8", True),
+            ("comment", False),
+            ("cdata", False),
+            ("pi", False),
+            ("trkpt-in-name", False),
+            ("g-prefix", False),
+            ("empty-ele", False),
+            ("blank-ele", False),
+            ("backwards", False),
+            ("truncated", False),
+            ("underscore-in-number", False),
+            ("unbound-prefix", False),
+            ("extensions", False),
+            ("extensions-on-last", False),
+        ],
+        ids=lambda value: value if isinstance(value, str) else ("scan" if value else "stream"),
+    )
+    def test_near_miss_equals_reference(self, near_miss, taken):
+        data = _NEAR_MISSES[near_miss](_TABLE_GPX).encode()
+        assert outcome(parse_gpx, data) == outcome(reference_parse_gpx, data)
+        assert (ingest._scan_plain_gpx(data) is not None) == taken
+
+    def test_scan_peak_is_no_higher_than_the_stream(self, monkeypatch):
+        data = _synth_gpx(10.0)
+        scan_peak = _traced_peak(parse_gpx, data)
+        monkeypatch.setattr(ingest, "_scan_plain_gpx", lambda data: None)
+        assert scan_peak <= _traced_peak(parse_gpx, data)
 
 
 class TestParseSrt:
