@@ -8,18 +8,21 @@ the character span of the match in the original text, so automatic labels
 stay auditable against raw transcripts.
 
 The text is read once, as tokens: runs of letters, digits, apostrophes
-and hyphens, lowercased, each with its span in the original text. Patterns
-match on the tokens joined by single spaces, every match becomes a range of
-tokens, and its evidence runs from the first token's start to the last
-token's end.
+and hyphens, lowercased, each with its span in the original text; a ``.``
+or ``,`` between two decimal digits stays inside its token, so "0.3" and
+"1,000" are one token each. Patterns match on the tokens joined by single
+spaces, every match becomes a range of tokens, and its evidence runs from
+the first token's start to the last token's end.
 
-Patterns are plain strings of space-separated elements, each compiled
-once to a ``re`` pattern that yields the first match from every token:
+Patterns are plain strings of space-separated elements, each read into
+a ``re`` pattern that yields the first match from every token, and compiled
+the first time a text triggers it:
 
 * a bare word matches that token exactly ("turn", "u-turn");
 * ``*`` matches a gap of up to three arbitrary tokens, shortest first,
   and a pattern needs at least one element other than ``*``;
-* ``<num>`` matches a token of decimal digits (``\\d``, so not "²"),
+* ``<num>`` matches a number token: runs of decimal digits (``\\d``, so
+  not "²") joined by single ``.`` or ``,`` ("3", "0.3", "1,000"), and
   ``<frac>`` a fraction word (half/quarter/third);
 * ``<unit>`` matches a distance unit, ``<suffix>`` a road-type suffix
   (both lists live on the lexicon);
@@ -97,7 +100,8 @@ class Classification:
     evidence: tuple[Evidence, ...]
 
 
-_TOKEN = re.compile(r"(?:[^\W_]|['’-])+")  # [^\W_] is exactly str.isalnum
+# [^\W_] is exactly str.isalnum; a "." or "," joins two decimal digits.
+_TOKEN = re.compile(r"(?:[^\W_]|['’-]|(?<=\d)[.,](?=\d))+")
 
 
 def _fold(word: str) -> str:
@@ -115,9 +119,9 @@ def has_word(text: str) -> bool:
 def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Split text into folded tokens and their ``(start, end)`` in ``text``.
 
-    A token is a run of letters, digits, apostrophes and hyphens; every
-    other character separates tokens. Text with no token raises
-    EmptyInstruction.
+    A token is a run of letters, digits, apostrophes and hyphens, and of a
+    ``.`` or ``,`` between two decimal digits; every other character
+    separates tokens. Text with no token raises EmptyInstruction.
     """
     tokens = []
     spans = []
@@ -308,7 +312,7 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
     if version is None:
         version = DEFAULT_LEXICON.version + "+override"
     lex = Lexicon(version, patterns, tuple(suffixes), tuple(units))
-    lex._compiled  # validate every pattern now, not at first classify
+    lex._compiled  # check every pattern now, not at first classify
     return lex
 
 
@@ -331,10 +335,11 @@ def _words(words: Iterable[str]) -> str:
     return "(?:" + "|".join(map(re.escape, kept)) + ") "
 
 
-def _compile_pattern(
+def _pattern_source(
     owner: str, index: int, pattern: str, vocab: Mapping[str, str | frozenset[str]]
-) -> tuple[re.Pattern[str], frozenset[str] | None]:
-    """One regex whose group 1 is the first match from each token start.
+) -> tuple[str, frozenset[str] | None]:
+    """The source of one regex whose group 1 is the first match from each
+    token start.
 
     ``vocab`` maps each element to its regex, or to the word set that both
     builds its regex and says which tokens it can consume. The second result
@@ -360,7 +365,7 @@ def _compile_pattern(
     if all(part == _GAP for part in parts):
         raise LexiconError(f"{owner}[{index}]: needs an element other than '*'")
     trigger = min(triggers, key=len, default=None)
-    return re.compile(f"(?<![^ ])(?=({''.join(parts)}))"), trigger
+    return f"(?<![^ ])(?=({''.join(parts)}))", trigger
 
 
 class _CompiledLexicon:
@@ -370,7 +375,7 @@ class _CompiledLexicon:
         not_name = _words(STRUCTURE_WORDS | self.suffixes | units)
         vocab: dict[str, str | frozenset[str]] = {
             "*": _GAP,
-            "<num>": r"\d+ ",
+            "<num>": r"\d+(?:[.,]\d+)* ",
             "<name+>": f"(?:(?!{not_name})[^ ]+ )+",
             "<frac>": FRACTION_WORDS,
             "<unit>": units,
@@ -381,19 +386,29 @@ class _CompiledLexicon:
         # The "arrived at" name reach stops at these words but flows
         # through road suffixes.
         self.name_stops = STRUCTURE_WORDS | units
-        # Every pattern in class order, the patterns without a trigger, and
-        # for each trigger word the patterns it triggers.
-        self.patterns: list[tuple[CommandClass, re.Pattern[str]]] = []
+        # Every pattern in class order with its regex source, each regex
+        # once compiled, the patterns without a trigger, and for each
+        # trigger word the patterns it triggers.
+        self.patterns: list[tuple[CommandClass, str]] = []
+        self.regexes: list[re.Pattern[str] | None] = []
         self.always: list[int] = []
         self.index: dict[str, list[int]] = {}
         for cls in CommandClass:
             for i, pattern in enumerate(lex.patterns.get(cls, ())):
-                regex, trigger = _compile_pattern(cls.value, i, pattern, vocab)
+                source, trigger = _pattern_source(cls.value, i, pattern, vocab)
                 if trigger is None:
                     self.always.append(len(self.patterns))
                 for word in trigger or ():
                     self.index.setdefault(word, []).append(len(self.patterns))
-                self.patterns.append((cls, regex))
+                self.patterns.append((cls, source))
+                self.regexes.append(None)
+
+    def regex(self, index: int) -> re.Pattern[str]:
+        """The regex of ``patterns[index]``, compiled on its first use."""
+        regex = self.regexes[index]
+        if regex is None:
+            regex = self.regexes[index] = re.compile(self.patterns[index][1])
+        return regex
 
     def triggered(self, tokens: Iterable[str]) -> set[int]:
         """Indices into ``patterns`` of every pattern that ``tokens`` can match."""
@@ -478,7 +493,7 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
         spans = [
             (token_at[m.start(1)], token_at[m.end(1)])
             for i in indices
-            for m in patterns[i][1].finditer(padded)
+            for m in comp.regex(i).finditer(padded)
         ]
         if not spans:
             continue

@@ -52,6 +52,8 @@ _OPTION_NAMES = dict(
 )
 # The synth options that set the RoutePlan field of the same name.
 _PLAN_OPTIONS = ("speed_mps", "sample_hz", "noise_sigma_m", "seed")
+# classify writes its output lines in blocks of this many, one write each.
+_BLOCK_LINES = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,6 +264,7 @@ def _run_classify(settings: dict, parser: _Parser) -> int:
     # one transcript: each distinct text is labelled and rendered once, and
     # None marks a text with no words.
     lines: dict[str, str | None] = {}
+    block: list[str] = []  # lines not yet written, at most _BLOCK_LINES
     for segment in transcript.segments:
         text = segment.text
         if text not in lines:
@@ -274,14 +277,26 @@ def _run_classify(settings: dict, parser: _Parser) -> int:
                 lines[text] = "{" + fragment + "}\n"
         line = lines[text]
         if line is None:
+            # The lines before a warning are written before it.
+            _write_block(block)
             print(
                 f"warning: {transcript_path}: segment at {segment.start_s:.3f} s "
                 f"has no classifiable text ({text!r}); dropped",
                 file=sys.stderr,
             )
         else:
-            _write_stdout(line)
+            block.append(line)
+            if len(block) == _BLOCK_LINES:
+                _write_block(block)
+    _write_block(block)
     return EXIT_OK
+
+
+def _write_block(block: list[str]) -> None:
+    """Write the lines of ``block`` in one write, and empty it."""
+    if block:
+        _write_stdout("".join(block))
+        block.clear()
 
 
 def _run_pipeline(settings: dict, parser: _Parser) -> int:

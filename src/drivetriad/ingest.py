@@ -15,6 +15,7 @@ import re
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator
 
 from .classifier import has_word
@@ -282,27 +283,24 @@ _SRT_TIME = re.compile(
 _Row = tuple[str, float, float, str]
 
 
-def _srt_seconds(h: str, m: str, s: str, ms: str) -> float:
-    return int(h) * 3600 + int(m) * 60 + int(s) + int(ms.ljust(3, "0")) / 1000.0
-
-
 def _parse_srt(text: str) -> Iterator[_Row]:
     blocks = re.split(r"\n\s*\n", text.strip())
     for block_no, block in enumerate(blocks, start=1):
-        lines = [line.strip() for line in block.split("\n") if line.strip()]
+        lines = [stripped for line in block.split("\n") if (stripped := line.strip())]
         if not lines:
             continue
         if lines[0].isascii() and lines[0].isdigit():
-            lines = lines[1:]
+            del lines[0]
         if not lines:
             raise ParseError(f"srt block {block_no}: no timing line")
         match = _SRT_TIME.fullmatch(lines[0])
         if match is None:
             raise ParseError(f"srt block {block_no}: bad timing line {lines[0]!r}")
+        h, m, s, ms, h2, m2, s2, ms2 = match.groups()
         yield (
             f"srt block {block_no}",
-            _srt_seconds(*match.groups()[:4]),
-            _srt_seconds(*match.groups()[4:]),
+            int(h) * 3600 + int(m) * 60 + int(s) + int(ms.ljust(3, "0")) / 1000.0,
+            int(h2) * 3600 + int(m2) * 60 + int(s2) + int(ms2.ljust(3, "0")) / 1000.0,
             " ".join(lines[1:]),
         )
 
@@ -354,11 +352,12 @@ def _merge_overlaps(segments: list[TranscriptSegment]) -> tuple[TranscriptSegmen
     A segment with no word (by the classifier's token rule) is never merged,
     so it stays its own segment and is dropped later with a warning.
     """
-    ordered = sorted(segments, key=lambda s: (s.start_s, s.end_s))
+    ordered = sorted(segments, key=attrgetter("start_s", "end_s"))
+    wordless = {text for text in {seg.text for seg in segments} if not has_word(text)}
     merged: list[TranscriptSegment] = []
     last = -1  # index in merged of the latest segment with a word
     for seg in ordered:
-        if not has_word(seg.text):
+        if seg.text in wordless:
             merged.append(seg)
         elif last >= 0 and seg.start_s < merged[last].end_s:
             prev = merged[last]

@@ -19,6 +19,8 @@ from drivetriad.classifier import (
     tokenize,
 )
 from drivetriad.errors import EmptyInstruction, LexiconError, ParseError
+from drivetriad.synth import STYLES, RoutePlan, generate_instructions, parse_legs
+from test_acceptance import APP_SENTENCES, PROTOTYPES as ACCEPTANCE_PROTOTYPES
 
 C = CommandClass
 
@@ -65,7 +67,8 @@ PROTOTYPES = [
 def ref_normalize(text):
     """The per-character normalizer tokenize replaced, kept as its reference:
     the normalized string (lowercased, final sigma folded to "σ", punctuation
-    to single spaces) and the original index of each of its characters."""
+    to single spaces, but a "." or "," between two decimal digits kept) and
+    the original index of each of its characters."""
     if not text.strip():
         raise EmptyInstruction("instruction text is empty")
     chars = []
@@ -73,6 +76,10 @@ def ref_normalize(text):
     for i, ch in enumerate(text):
         if ch == "’":
             ch_norm = "'"
+        elif ch in ".," and 0 < i < len(text) - 1 and (
+            text[i - 1].isdecimal() and text[i + 1].isdecimal()
+        ):
+            ch_norm = ch
         elif ch.isalnum() or ch in "'-":
             ch_norm = ch.lower().replace("ς", "σ")
         else:
@@ -93,6 +100,21 @@ def ref_normalize(text):
 def ref_to_original(origins, start, end):
     """The original span of normalized characters [start, end)."""
     return origins[start], origins[end - 1] + 1
+
+
+def assert_tokenize_matches_reference(text):
+    try:
+        normalized, origins = ref_normalize(text)
+    except EmptyInstruction:
+        with pytest.raises(EmptyInstruction):
+            tokenize(text)
+        return
+    tokens, spans = tokenize(text)
+    assert " ".join(tokens) == normalized
+    start = 0
+    for token, span in zip(tokens, spans):
+        assert span == ref_to_original(origins, start, start + len(token))
+        start += len(token) + 1
 
 
 class TestNormalizeText:
@@ -129,18 +151,28 @@ class TestNormalizeText:
         )
     )
     def test_matches_per_character_reference(self, text):
-        try:
-            normalized, origins = ref_normalize(text)
-        except EmptyInstruction:
-            with pytest.raises(EmptyInstruction):
-                tokenize(text)
-            return
-        tokens, spans = tokenize(text)
-        assert " ".join(tokens) == normalized
-        start = 0
-        for token, span in zip(tokens, spans):
-            assert span == ref_to_original(origins, start, start + len(token))
-            start += len(token) + 1
+        assert_tokenize_matches_reference(text)
+
+    @given(text=st.text(st.sampled_from("7٣²a.,- _"), max_size=12))
+    def test_number_tokens_match_per_character_reference(self, text):
+        assert_tokenize_matches_reference(text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("In 0.3 miles", ["in", "0.3", "miles"]),
+            ("In 1,000 feet", ["in", "1,000", "feet"]),
+            ("1,234.5", ["1,234.5"]),
+            ("٣.٥ km", ["٣.٥", "km"]),
+            # One "." or "," between two decimal digits, and nothing else.
+            ("1..5 1.,5 1. 5 .5 5.", ["1", "5", "1", "5", "1", "5", "5", "5"]),
+            ("a.5 5.a", ["a", "5", "5", "a"]),
+            ("².5 2.²", ["²", "5", "2", "²"]),
+            ("Exit 12.Turn left", ["exit", "12", "turn", "left"]),
+        ],
+    )
+    def test_number_token(self, text, expected):
+        assert tokenize(text)[0] == expected
 
 
 class TestMixedSentences:
@@ -477,6 +509,31 @@ class TestPatternSemantics:
         # "²" is a digit to str.isdigit but not a decimal digit.
         assert "Distance" not in classes_of("In ² feet, turn left.")
 
+    @pytest.mark.parametrize(
+        "text, evidence",
+        [
+            ("In 0.3 miles, turn left.", "0.3 miles"),
+            ("In 1.5 kilometers keep right.", "1.5 kilometers"),
+            ("In 1,000 feet, turn right.", "1,000 feet"),
+        ],
+    )
+    def test_distance_evidence_holds_the_whole_number(self, text, evidence):
+        assert matched(text, C.DISTANCE) == [evidence]
+
+    @pytest.mark.parametrize("unit", DEFAULT_LEXICON.distance_units)
+    @given(
+        whole=st.integers(0, 10**7),
+        fraction=st.one_of(st.none(), st.text("0123456789", min_size=1, max_size=3)),
+        marks=st.sampled_from([("", "."), (",", "."), (".", ","), ("", ",")]),
+    )
+    def test_decimal_and_grouped_quantities(self, unit, whole, fraction, marks):
+        group, point = marks
+        number = f"{whole:,}".replace(",", group) if group else str(whole)
+        if fraction is not None:
+            number += point + fraction
+        text = f"In {number} {unit}, turn left."
+        assert matched(text, C.DISTANCE) == [f"{number} {unit}"]
+
 
 # --- token-level reference matcher -------------------------------------------
 
@@ -485,7 +542,7 @@ _CARDINALS = {"north", "south", "east", "west"}
 
 def ref_accepts(elem, token, lex):
     if elem == "<num>":
-        return token.isdecimal()
+        return all(part.isdecimal() for part in re.split("[.,]", token))
     if elem == "<frac>":
         return token in FRACTION_WORDS
     if elem == "<unit>":
@@ -599,7 +656,7 @@ _VOCAB = sorted(
     | set(DEFAULT_LEXICON.distance_units)
     | _CARDINALS
     | {"northbound", "south-bound", "plaza", "per", "hour", "clicks", "main", "oak",
-       "15th", "2", "1000", "²", "o'neil's", "u", "pretty", "good"}
+       "15th", "2", "1000", "0.3", "1,000", "²", "o'neil's", "u", "pretty", "good"}
 )
 _TEXTS = st.lists(
     st.tuples(
@@ -619,6 +676,83 @@ class TestAgainstReference:
         assert [(e.start, e.end, e.command_class.value) for e in got.evidence] == (
             ref_evidence(text, lex)
         )
+
+
+# --- patterns compiled on first use -----------------------------------------
+
+
+def fresh_lexicon(lex=DEFAULT_LEXICON):
+    """A lexicon equal to ``lex`` with none of its patterns compiled yet."""
+    return Lexicon(lex.version, lex.patterns, lex.road_suffixes, lex.distance_units)
+
+
+def compiled_indices(lex):
+    return {i for i, regex in enumerate(lex._compiled.regexes) if regex is not None}
+
+
+def synth_texts():
+    """The instruction texts of one synth drive in each style."""
+    plan = RoutePlan(legs=parse_legs("600R,500L,700U,400R,120L,90R,300"), seed=5)
+    return [
+        entry.text
+        for style in STYLES
+        for entry in generate_instructions(plan, style).ground_truth.instructions
+    ]
+
+
+class TestCompileOnDemand:
+    def test_classify_compiles_only_the_patterns_its_tokens_trigger(self):
+        lex = fresh_lexicon()
+        comp = lex._compiled
+        assert compiled_indices(lex) == set()
+        text = "In 500 feet turn left onto Oak Street."
+        classify(text, lex)
+        first = comp.triggered(tokenize(text)[0])
+        assert compiled_indices(lex) == first and len(first) == 6
+        classify("Head north.", lex)
+        assert compiled_indices(lex) == first | comp.triggered(["head", "north"])
+        for i in compiled_indices(lex):
+            assert comp.regexes[i].pattern == comp.patterns[i][1]
+            assert comp.regex(i) is comp.regexes[i]
+
+    def test_load_lexicon_checks_every_override_pattern_without_compiling(self):
+        lex = load_lexicon(json.dumps({"road_suffixes": ["via"]}).encode())
+        assert "_compiled" in vars(lex)
+        assert len(lex._compiled.patterns) == 59 and compiled_indices(lex) == set()
+        assert load_lexicon(None) is DEFAULT_LEXICON
+
+    @pytest.mark.parametrize(
+        "pattern, message",
+        [
+            ("<bogus> token", "Turn[0]: unknown element '<bogus>'"),
+            ("", "Turn[0]: empty pattern"),
+            ("* *", "Turn[0]: needs an element other than '*'"),
+        ],
+    )
+    def test_bad_pattern_raises_before_any_text(self, pattern, message):
+        with pytest.raises(LexiconError) as raised:
+            load_lexicon(json.dumps({"Turn": [pattern]}).encode())
+        assert str(raised.value) == message
+        # A pattern no text could trigger is checked all the same.
+        lex = Lexicon("x", {C.TURN: (pattern,)}, (), ())
+        with pytest.raises(LexiconError) as raised:
+            lex._compiled
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("lex", [DEFAULT_LEXICON, _GAPPY], ids=["default", "gaps"])
+    def test_labels_equal_with_every_pattern_compiled_first(self, lex):
+        texts = (
+            [text for text, _, _ in APP_SENTENCES]
+            + [text for text, _ in ACCEPTANCE_PROTOTYPES]
+            + synth_texts()
+        )
+        eager = fresh_lexicon(lex)
+        for i in range(len(eager._compiled.patterns)):
+            eager._compiled.regex(i)
+        lazy = fresh_lexicon(lex)
+        for text in texts:
+            assert classify(text, lazy) == classify(text, eager), text
+        assert compiled_indices(lazy) < compiled_indices(eager)
 
 
 # --- trigger index -------------------------------------------------------------

@@ -1670,6 +1670,89 @@ class TestStdoutFailure:
         assert proc.returncode == EXIT_INTERNAL
         assert self.ONE_LINE.fullmatch(proc.stderr), proc.stderr
 
+    # A classify transcript of several output blocks; with wordless cues, a
+    # "..." in every hundred, each dropped with a warning.
+    LONG = 700
+
+    def _long_srt(self, tmp_path, wordless):
+        """The transcript, and per segment its stdout line or its warning."""
+        texts = [
+            "..." if wordless and i % 100 == 50 else f"Turn left onto Road {i}."
+            for i in range(self.LONG)
+        ]
+        srt = write_srt(tmp_path / "voice.srt", texts)
+        outputs = []
+        for i, text in enumerate(texts):
+            if text == "...":
+                outputs.append(("err", f"warning: {srt}: segment at {i + 1}.000 s has no "
+                                       "classifiable text ('...'); dropped\n"))
+            else:
+                got = classify(text)
+                outputs.append(("out", "{" + labels_fragment(text, got.classes, got.evidence)
+                                + "}\n"))
+        return srt, outputs
+
+    @staticmethod
+    def _stream(outputs, name):
+        return [line for stream, line in outputs if stream == name]
+
+    def _assert_failed(self, err, outputs):
+        """One error line, after the warnings of the segments read before
+        the failed write, each once and in segment order."""
+        *before, last = err.splitlines(keepends=True)
+        assert self.ONE_LINE.fullmatch(last), err
+        assert before == self._stream(outputs, "err")[:len(before)]
+
+    def _classify(self, srt):
+        return [sys.executable, "-m", "drivetriad.cli", "classify", "--transcript", str(srt),
+                "--transcript-format", "srt"]
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("wordless", [False, True], ids=["words", "wordless"])
+    def test_classify_in_blocks(self, tmp_path, wordless, unbuffered):
+        srt, outputs = self._long_srt(tmp_path, wordless)
+        proc = subprocess.run(self._classify(srt), capture_output=True, text=True,
+                              env=child_env(unbuffered))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "".join(self._stream(outputs, "out"))
+        assert proc.stderr == "".join(self._stream(outputs, "err"))
+        assert len(self._stream(outputs, "err")) == (7 if wordless else 0)
+
+    def test_warnings_keep_their_place_among_lines(self, tmp_path):
+        # Unbuffered, into one pipe: each warning follows the lines of the
+        # segments before it, as when every line was written on its own.
+        srt, outputs = self._long_srt(tmp_path, wordless=True)
+        proc = subprocess.run(self._classify(srt), stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True, env=child_env(True))
+        assert proc.returncode == EXIT_OK
+        assert proc.stdout == "".join(line for _, line in outputs)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("wordless", [False, True], ids=["words", "wordless"])
+    def test_classify_blocks_on_full_device(self, tmp_path, wordless, unbuffered):
+        srt, outputs = self._long_srt(tmp_path, wordless)
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(self._classify(srt), stdout=full, stderr=subprocess.PIPE,
+                                  text=True, env=child_env(unbuffered))
+        assert proc.returncode == EXIT_INTERNAL
+        self._assert_failed(proc.stderr, outputs)
+        if not wordless:
+            assert self.ONE_LINE.fullmatch(proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("wordless", [False, True], ids=["words", "wordless"])
+    def test_classify_blocks_to_closed_pipe(self, tmp_path, wordless, unbuffered):
+        srt, outputs = self._long_srt(tmp_path, wordless)
+        proc = subprocess.Popen(self._classify(srt), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=child_env(unbuffered))
+        with proc:
+            proc.stdout.close()  # before the child has written anything
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_INTERNAL
+        self._assert_failed(err, outputs)
+        assert "Broken pipe" in err
+
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_reader_closes_early(self, tmp_path, unbuffered):
         # Far more output than a pipe or a stdout buffer holds, so writes

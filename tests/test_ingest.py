@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -21,7 +23,8 @@ from drivetriad import (
     parse_transcript,
     parse_video_meta,
 )
-from drivetriad.core import MAX_INSTANT_MS, parse_float, parse_iso8601_ms
+from drivetriad.classifier import has_word
+from drivetriad.core import MAX_INSTANT_MS, parse_float, parse_iso8601_ms, read_text
 from drivetriad import ingest
 from drivetriad.ingest import absolutize
 from drivetriad.synth import write_gpx
@@ -562,6 +565,157 @@ for two miles.
             parse_transcript(
                 b"1\n00:00:05,000 --> 00:00:01,000\nBackwards.\n", "srt"
             )
+
+
+
+# --- the SRT reader before each cue was read in one pass, as reference -------
+
+_REF_SRT_TIME = re.compile(
+    r"(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})\s*-->\s*(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})",
+    re.ASCII,
+)
+
+
+def _ref_srt_seconds(h, m, s, ms):
+    return int(h) * 3600 + int(m) * 60 + int(s) + int(ms.ljust(3, "0")) / 1000.0
+
+
+def _ref_srt_rows(text):
+    blocks = re.split(r"\n\s*\n", text.strip())
+    for block_no, block in enumerate(blocks, start=1):
+        lines = [line.strip() for line in block.split("\n") if line.strip()]
+        if not lines:
+            continue
+        if lines[0].isascii() and lines[0].isdigit():
+            lines = lines[1:]
+        if not lines:
+            raise ParseError(f"srt block {block_no}: no timing line")
+        match = _REF_SRT_TIME.fullmatch(lines[0])
+        if match is None:
+            raise ParseError(f"srt block {block_no}: bad timing line {lines[0]!r}")
+        yield (
+            f"srt block {block_no}",
+            _ref_srt_seconds(*match.groups()[:4]),
+            _ref_srt_seconds(*match.groups()[4:]),
+            " ".join(lines[1:]),
+        )
+
+
+def ref_parse_srt(data):
+    """parse_transcript(data, "srt") as it read a transcript before: a
+    location string per row, every text stripped again, and has_word called
+    once per segment."""
+    segments = []
+    for where, start, end, text in _ref_srt_rows(read_text(data)):
+        if not 0 <= start <= end <= sys.float_info.max:
+            raise ParseError(f"{where}: bad timing [{start}, {end}]")
+        segments.append(TranscriptSegment(float(start), float(end), text.strip()))
+    if not segments:
+        raise EmptyTranscript("no transcript segments")
+    merged = []
+    last = -1
+    for seg in sorted(segments, key=lambda s: (s.start_s, s.end_s)):
+        if not has_word(seg.text):
+            merged.append(seg)
+        elif last >= 0 and seg.start_s < merged[last].end_s:
+            prev = merged[last]
+            merged[last] = TranscriptSegment(
+                prev.start_s, max(prev.end_s, seg.end_s), prev.text + " " + seg.text
+            )
+        else:
+            last = len(merged)
+            merged.append(seg)
+    return Transcript(tuple(merged), None)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+# Whitespace that str.strip and the regex \s both take, none of it a line
+# break to split("\n"): a blank line may hold any of it.
+_SPACES = st.text(st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000"]),
+                  max_size=3)
+
+
+@st.composite
+def _srt_timing(draw):
+    """A timing line, its end mostly no earlier than its start: 1-2 hour
+    digits, 1-3 millisecond digits after "," or ".", spaced arrows or not."""
+
+    def time(seconds):
+        hours = draw(st.sampled_from(["0", "00"]))
+        millis = draw(st.sampled_from(["0", "5", "25", "250", "007", "999"]))
+        return f"{hours}:00:{seconds:02d}{draw(st.sampled_from(',.'))}{millis}"
+
+    start = draw(st.integers(0, 8))
+    end = max(0, start + draw(st.sampled_from([1] * 8 + [2, 3, 0, -1])))
+    arrow = draw(st.sampled_from([" --> ", "-->", " \t--> "]))
+    return time(start) + arrow + time(end)
+
+
+_SRT_BAD_TIMING = st.sampled_from([
+    "00:00:01,000 -> 00:00:02,000", "0:0:01,000 --> 0:00:02,000", "00:00:01,0000 --> 00:00:02,000",
+    "00:00:01 --> 00:00:02", "100:00:01,000 --> 00:00:02,000", "00:00:01,000-->",
+    "00:00:01,000 --> 00:00:02,000 X1", "٠٠:00:01,000 --> 00:00:02,000",
+])
+_SRT_TEXT = st.sampled_from(["Turn left.", "...", "  Keep right  ", "Go\x0b", "¿?", "In 0.3 miles", "\x85"])
+
+
+@st.composite
+def _srt_block(draw):
+    lines = []
+    index = draw(st.sampled_from([None, "7", "12"] * 3 + ["١", "3a"]))
+    if index is not None:
+        lines.append(index)
+    kind = draw(st.sampled_from(["good"] * 14 + ["bad", "none"]))
+    if kind == "good":
+        lines.append(draw(_srt_timing()))
+    elif kind == "bad":
+        lines.append(draw(_SRT_BAD_TIMING))
+    lines += draw(st.lists(_SRT_TEXT, max_size=2))
+    return [draw(_SPACES) + line + draw(_SPACES) for line in lines]
+
+
+@st.composite
+def _srt_documents(draw):
+    blocks = draw(st.lists(_srt_block(), min_size=1, max_size=6))
+    parts = []
+    for block in blocks:
+        parts.append("\n".join(block))
+        # Usually a blank line between blocks, which may hold whitespace;
+        # sometimes none, so two blocks run together.
+        gap = draw(st.lists(_SPACES, min_size=0, max_size=2))
+        parts.append("\n" + "".join(line + "\n" for line in gap))
+    text = draw(_SPACES) + "".join(parts)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return text.replace("\n", newline).encode()
+
+
+class TestSrtAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(data=_srt_documents())
+    def test_same_segments_and_errors(self, data):
+        assert _outcome(lambda d: parse_transcript(d, "srt"), data) == _outcome(ref_parse_srt, data)
+
+    @pytest.mark.parametrize("blank", [" ", "\x0b", "\x85", "\xa0", "\u2028"])
+    def test_blank_line_of_whitespace_separates_cues(self, blank):
+        data = (f"1\n00:00:01,000 --> 00:00:02,000\nTurn left.\n{blank}\n"
+                f"{blank}00:00:03.5 --> 00:00:04.25\nStop.\n").encode()
+        got = parse_transcript(data, "srt")
+        assert got == ref_parse_srt(data)
+        assert [(s.start_s, s.end_s, s.text) for s in got.segments] == [
+            (1.0, 2.0, "Turn left."), (3.5, 4.25, "Stop."),
+        ]
+
+    def test_index_only_block_names_its_number(self):
+        data = b"1\n00:00:01,000 --> 00:00:02,000\nGo.\n\n2\n"
+        with pytest.raises(ParseError, match=r"^srt block 2: no timing line$"):
+            parse_transcript(data, "srt")
+        assert _outcome(ref_parse_srt, data) == (ParseError, "srt block 2: no timing line")
 
 
 class TestParseSegmentJson:
