@@ -209,7 +209,9 @@ class GeoPoint:
     """A timestamped WGS-84 position.
 
     lat_deg must lie in [-90, 90] and lon_deg in [-180, 180); a longitude of
-    exactly 180 is folded to -180. t_ms is epoch milliseconds, non-negative.
+    exactly 180 is folded to -180. Coordinates are floats (an int is taken),
+    ele_m a finite float or None, and t_ms an int from 0 to MAX_INSTANT_MS;
+    check_value, which an exact float or int skips, refuses any other type.
     A track holds one point per fix, so the class has slots and one
     validating constructor in place of the generated one.
     """
@@ -222,6 +224,12 @@ class GeoPoint:
     def __init__(
         self, lat_deg: float, lon_deg: float, t_ms: int, ele_m: float | None = None
     ) -> None:
+        if type(lat_deg) is not float:
+            lat_deg = check_value("lat_deg", "float", lat_deg)
+        if type(lon_deg) is not float:
+            lon_deg = check_value("lon_deg", "float", lon_deg)
+        if type(t_ms) is not int:
+            t_ms = check_value("t_ms", "int", t_ms)
         if not -90.0 <= lat_deg <= 90.0:
             raise ValueError(f"latitude out of range: {lat_deg}")
         if lon_deg == 180.0:
@@ -230,8 +238,13 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {lon_deg}")
         if t_ms < 0:
             raise ValueError(f"negative timestamp: {t_ms}")
-        if ele_m is not None and not math.isfinite(ele_m):
-            raise ValueError(f"elevation is not finite: {ele_m}")
+        if t_ms > MAX_INSTANT_MS:
+            raise ValueError(f"timestamp after 9999-12-31T23:59:59.999Z: {t_ms}")
+        if ele_m is not None:
+            if type(ele_m) is not float:
+                ele_m = check_value("ele_m", "float", ele_m)
+            if not math.isfinite(ele_m):
+                raise ValueError(f"elevation is not finite: {ele_m}")
         _SET_LAT(self, lat_deg)
         _SET_LON(self, lon_deg)
         _SET_T(self, t_ms)

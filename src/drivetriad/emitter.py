@@ -100,28 +100,22 @@ def labels_fragment(
     )
 
 
-# A waypoint whose members are floats, in one format step: the bulk of a
-# triads file.
+# A waypoint in one format step: the bulk of a triads file. A GeoPoint
+# holds finite float coordinates and an int time, so only a value that
+# renders as -0 needs the fold _float6 makes.
 _WAYPOINT = '{"t_ms": %d, "lat": %.6f, "lon": %.6f, "ele": %.6f}'
 _WAYPOINT_NO_ELE = '{"t_ms": %d, "lat": %.6f, "lon": %.6f, "ele": null}'
 
 
 def _waypoint(point: GeoPoint) -> str:
-    """One waypoint object, the same bytes as ``_geo_members`` writes.
-
-    Float members are formatted in one step; another type, and a value
-    that renders as -0, inf or nan, take ``_geo_members``' checked route.
-    """
-    lat, lon, ele = point.lat_deg, point.lon_deg, point.ele_m
-    if type(lat) is float and type(lon) is float and (ele is None or type(ele) is float):
-        text = (
-            _WAYPOINT_NO_ELE % (point.t_ms, lat, lon)
-            if ele is None
-            else _WAYPOINT % (point.t_ms, lat, lon, ele)
-        )
-        if "-0.000000" not in text and "inf" not in text and "nan" not in text:
-            return text
-    return '{"t_ms": %d, %s}' % (point.t_ms, _geo_members(point))
+    """One waypoint object, each member as ``_float6`` writes it."""
+    ele = point.ele_m
+    text = (
+        _WAYPOINT_NO_ELE % (point.t_ms, point.lat_deg, point.lon_deg)
+        if ele is None
+        else _WAYPOINT % (point.t_ms, point.lat_deg, point.lon_deg, ele)
+    )
+    return text.replace("-0.000000", "0.000000")
 
 
 def serialize_triad(triad: VlaTriad) -> str:
@@ -257,20 +251,12 @@ def _geo_from(obj: object, t_ms: int) -> GeoPoint:
 
 
 def _waypoint_from(obj: object) -> GeoPoint:
-    """A waypoint object as a point: the point, or the error, that reading
-    each member through ``member`` gives. A well-formed waypoint (an int
-    time and float coordinates that make a valid point) is read in one
-    step; anything else is read member by member, for that route's wording."""
+    """A waypoint object as a point, in one step; an error is worded as
+    reading each member through ``member`` words it."""
     try:
-        t_ms, lat, lon, ele = obj["t_ms"], obj["lat"], obj["lon"], obj["ele"]
-        if (
-            type(t_ms) is int and type(lat) is float and type(lon) is float
-            and (ele is None or type(ele) is float)
-        ):
-            return GeoPoint(lat, lon, t_ms, ele)
+        return GeoPoint(obj["lat"], obj["lon"], obj["t_ms"], obj["ele"])
     except (KeyError, TypeError, ValueError):
-        pass
-    return _geo_from(obj, member(obj, "t_ms", "int"))
+        return _geo_from(obj, member(obj, "t_ms", "int"))
 
 
 def _triad_from_json(line: str) -> VlaTriad:

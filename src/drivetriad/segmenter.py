@@ -90,9 +90,7 @@ def _step_lengths(waypoints: Sequence[GeoPoint]) -> list[float]:
     return [haversine_distance(a, b) for a, b in zip(waypoints, waypoints[1:])]
 
 
-def net_bearing_change(
-    waypoints: Sequence[GeoPoint], steps: Sequence[float] | None = None
-) -> float:
+def net_bearing_change(waypoints: Sequence[GeoPoint], steps: Sequence[float]) -> float:
     """Sum of signed heading deltas along the polyline, in degrees.
 
     Steps shorter than the jitter floor are folded into their successor so
@@ -101,15 +99,13 @@ def net_bearing_change(
     than three points survive the floor. The deltas are added left to
     right, so the total does not depend on how the Python version sums.
 
-    ``steps``, when the caller has measured them, are the haversine
-    lengths of the polyline's steps in order. A point whose predecessor
-    was kept is measured from it by its step; only a point after a folded
-    one needs a haversine of its own.
+    ``steps`` are the haversine lengths of the polyline's steps in order,
+    as ``_step_lengths`` measures them. A point whose predecessor was kept
+    is measured from it by its step; only a point after a folded one
+    needs a haversine of its own.
     """
     if not waypoints:
         raise InsufficientGeometry("no waypoints")
-    if steps is None:
-        steps = _step_lengths(waypoints)
     kept = [waypoints[0]]
     previous_kept = True
     for point, step in zip(waypoints[1:], steps):

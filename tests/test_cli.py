@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import drivetriad
 import drivetriad.cli
 from drivetriad import classify
+from drivetriad.core import MAX_INSTANT_MS
 from drivetriad.emitter import labels_fragment
 from drivetriad.cli import (
     EXIT_DATA,
@@ -699,6 +700,19 @@ class TestStatsCommand:
         bad.write_text(json.dumps(record) + "\n")
         code, _, err = run(["stats", str(bad)], capsys)
         return code, err, bad
+
+    @pytest.mark.parametrize(
+        "path", [("t_utc_ms",), ("action", "waypoints", 0, "t_ms")], ids=["event", "waypoint"]
+    )
+    def test_time_past_9999_is_data_error(self, tmp_path, capsys, path):
+        code, err, bad = self._stats_on_edited_record(
+            tmp_path, capsys, path, MAX_INSTANT_MS + 1
+        )
+        assert code == EXIT_DATA
+        assert (
+            f"error: {bad}: ParseError: line 1: timestamp after "
+            f"9999-12-31T23:59:59.999Z: {MAX_INSTANT_MS + 1}\n"
+        ) in err
 
     def test_inverted_frame_range_in_triads_is_data_error(self, tmp_path, capsys):
         triads = self._dataset(tmp_path, capsys)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +17,7 @@ from drivetriad import (
     make_triads,
     read_triads,
 )
-from drivetriad.core import member
+from drivetriad.core import MAX_INSTANT_MS, member
 from drivetriad.emitter import (
     TRIADS_FILENAME,
     VlaTriad,
@@ -90,9 +89,9 @@ def outcome(function, *args):
         return type(exc), str(exc)
 
 
-# Waypoint member values at the edges of the one-step writer and reader:
-# -4e-7 renders as -0.000000, which is written 0.000000; an int renders as
-# a float would; 180 folds to -180; a bool, a string, a list, null and the
+# Waypoint member values at the edges of the one-step reader: -4e-7
+# renders as -0.000000, which is written 0.000000; an int renders as a
+# float would; 180 folds to -180; a bool, a string, a list, null and the
 # non-finite values are refused.
 EDGE_VALUES = [
     -0.0, 0.0, -4e-7, 4e-7, -5e-7, 5e-7, 1.5, 0, 7, 2**70, True, False, "1",
@@ -101,18 +100,34 @@ EDGE_VALUES = [
 _EDGES = st.sampled_from(EDGE_VALUES)
 _DROP = object()  # an edit that removes the member
 
+# Values a GeoPoint holds at the edges of the one-step writer: ints, -0,
+# values either side of the -0.000000 fold (-5e-7 renders as -0.000000,
+# -5.000001e-7 as -0.000001), and ones whose text holds "0.000000" after a
+# minus sign that is not the fold's.
+_WRITER_EDGES = [
+    0, 7, -90, 90, -0.0, 0.0, -4e-7, 4e-7, -5e-7, 5e-7, -5.000001e-7, -1e-6,
+    -9e-6, -0.5, 1.5, -10.0000004, -10.0000005, 10.0000004, -1e-300,
+]
+_WRITER_LONGITUDES = [
+    *_WRITER_EDGES, -100.0000004, 180, 180.0, -180, -180.0, -179.9999996,
+]
+
 
 def written_by_members(point) -> str:
-    """A waypoint as written before the one-step writer."""
+    """A waypoint with each value written by ``_float6``, as the event's
+    geo is."""
     return '{"t_ms": %d, %s}' % (point.t_ms, _geo_members(point))
 
 
 def check_waypoint_written(**members) -> None:
-    # A stand-in, so that values no GeoPoint holds reach the writer.
-    point = SimpleNamespace(
-        **{"lat_deg": 1.5, "lon_deg": 2.5, "t_ms": 3, "ele_m": 4.5, **members}
-    )
-    assert outcome(_waypoint, point) == outcome(written_by_members, point)
+    """The point built from ``members`` is written as ``written_by_members``
+    writes it; a value no GeoPoint holds is refused when it is built."""
+    members = {"lat_deg": 1.5, "lon_deg": 2.5, "t_ms": 3, "ele_m": 4.5, **members}
+    try:
+        point = GeoPoint(**members)
+    except ValueError:
+        return
+    assert _waypoint(point) == written_by_members(point)
 
 
 def check_waypoint_read(waypoint) -> None:
@@ -252,24 +267,37 @@ class TestSerializeTriad:
 
     def test_waypoint_writer_matches_geo_members_on_every_edge(self):
         for name in ("lat_deg", "lon_deg", "ele_m"):
-            for value in EDGE_VALUES:
+            for value in (*EDGE_VALUES, *_WRITER_LONGITUDES):
                 check_waypoint_written(**{name: value})
 
     @given(
-        t_ms=st.integers(0, 2**53),
-        lat=st.one_of(_EDGES, st.floats(-90, 90), st.floats(), st.integers()),
-        lon=st.one_of(_EDGES, st.floats(-180, 180), st.floats(), st.integers()),
-        ele=st.one_of(_EDGES, st.floats(), st.integers()),
+        t_ms=st.sampled_from([0, 1, MAX_INSTANT_MS]) | st.integers(0, MAX_INSTANT_MS),
+        lat=st.sampled_from(_WRITER_EDGES) | st.floats(-90, 90) | st.integers(-90, 90),
+        lon=(st.sampled_from(_WRITER_LONGITUDES) | st.floats(-180, 180)
+             | st.integers(-180, 180)),
+        ele=(st.none() | st.sampled_from([*_WRITER_EDGES, 1e300, 2**70])
+             | st.floats(allow_nan=False, allow_infinity=False)
+             | st.integers(-10**9, 10**9)),
     )
     def test_waypoint_writer_matches_geo_members(self, t_ms, lat, lon, ele):
-        check_waypoint_written(lat_deg=lat, lon_deg=lon, t_ms=t_ms, ele_m=ele)
+        # Every value drawn here makes a point.
+        point = GeoPoint(lat, lon, t_ms, ele)
+        assert _waypoint(point) == written_by_members(point)
 
     @pytest.mark.parametrize("value", [True, math.nan, math.inf, -math.inf, "1"])
     @pytest.mark.parametrize("name", ["lat_deg", "lon_deg", "ele_m"])
     def test_waypoint_writer_rejects_a_non_number(self, name, value):
+        # No waypoint holds one: the point is refused when it is built.
         members = {"lat_deg": 1.0, "lon_deg": 2.0, "t_ms": 3, "ele_m": 4.0, name: value}
-        with pytest.raises(InternalError):
-            _waypoint(SimpleNamespace(**members))
+        with pytest.raises(ValueError):
+            GeoPoint(**members)
+
+    @pytest.mark.parametrize("value", [[], None], ids=["list", "null"])
+    @pytest.mark.parametrize("name", ["lat_deg", "lon_deg"])
+    def test_geo_point_refuses_a_list_or_null_coordinate(self, name, value):
+        members = {"lat_deg": 1.0, "lon_deg": 2.0, "t_ms": 3, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+            GeoPoint(**members)
 
 
 class TestExportTriads:

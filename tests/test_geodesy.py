@@ -40,7 +40,8 @@ def P(lat, lon, t=0, ele=None):
 
 @dataclasses.dataclass(frozen=True)
 class _ReferencePoint:
-    """GeoPoint as a plain frozen dataclass checked in __post_init__."""
+    """GeoPoint as a plain frozen dataclass checked in __post_init__: an
+    int coordinate is stored as a float."""
 
     lat_deg: float
     lon_deg: float
@@ -48,6 +49,10 @@ class _ReferencePoint:
     ele_m: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("lat_deg", "lon_deg", "ele_m"):
+            value = getattr(self, name)
+            if type(value) is int:
+                object.__setattr__(self, name, float(value))
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"latitude out of range: {self.lat_deg}")
         if self.lon_deg == 180.0:
@@ -56,6 +61,10 @@ class _ReferencePoint:
             raise ValueError(f"longitude out of range: {self.lon_deg}")
         if self.t_ms < 0:
             raise ValueError(f"negative timestamp: {self.t_ms}")
+        if self.t_ms > MAX_INSTANT_MS:
+            raise ValueError(
+                f"timestamp after 9999-12-31T23:59:59.999Z: {self.t_ms}"
+            )
         if self.ele_m is not None and not math.isfinite(self.ele_m):
             raise ValueError(f"elevation is not finite: {self.ele_m}")
 
@@ -76,7 +85,7 @@ _EDGES = st.sampled_from([
 _POINT_ARGS = st.tuples(
     st.one_of(_EDGES, st.floats(-100, 100), st.integers(-100, 100)),
     st.one_of(_EDGES, st.floats(-200, 200), st.integers(-200, 200)),
-    st.sampled_from([-1, 0, 0, 5, 5]),
+    st.sampled_from([-1, 0, 0, 5, 5, MAX_INSTANT_MS, MAX_INSTANT_MS + 1]),
     st.one_of(st.none(), _EDGES, st.floats()),
 )
 
@@ -159,6 +168,26 @@ class TestGeoPoint:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             GeoPoint(0, 0, -1)
+
+    def test_time_past_9999_rejected(self):
+        assert GeoPoint(0, 0, MAX_INSTANT_MS).t_ms == MAX_INSTANT_MS
+        with pytest.raises(ValueError, match="^timestamp after 9999-12-31"):
+            GeoPoint(0, 0, MAX_INSTANT_MS + 1)
+
+    @pytest.mark.parametrize("t_ms", [1.9, 2.0, True, "3", None])
+    def test_time_must_be_an_integer(self, t_ms):
+        with pytest.raises(ValueError, match=f"^t_ms must be an integer, got {t_ms!r}$"):
+            GeoPoint(40.0, -105.0, t_ms)
+
+    def test_bool_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="^lat_deg must be a finite number, got True$"):
+            GeoPoint(True, False, 0)
+
+    def test_int_coordinates_are_stored_as_floats(self):
+        point = GeoPoint(1, -2, 3, 4)
+        assert [type(v) for v in (point.lat_deg, point.lon_deg, point.ele_m)] == [float] * 3
+        assert repr(point) == "GeoPoint(lat_deg=1.0, lon_deg=-2.0, t_ms=3, ele_m=4.0)"
+        assert GeoPoint(0, 180, 0).lon_deg == -180.0
 
     @pytest.mark.parametrize("ele", [math.nan, math.inf, -math.inf])
     def test_non_finite_elevation_rejected(self, ele):

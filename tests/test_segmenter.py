@@ -23,6 +23,7 @@ from drivetriad.errors import InsufficientGeometry, InternalOrderingError, NoUsa
 from drivetriad.segmenter import (
     JITTER_FLOOR_M,
     ActionSegment,
+    _step_lengths,
     classify_maneuver,
     collect_mismatches,
     consistency_check,
@@ -48,10 +49,15 @@ def event(id, t_ms, text="Turn left.", lex=None):
     )
 
 
+def bearing_change(waypoints):
+    """net_bearing_change given the steps that segment_actions measures."""
+    return net_bearing_change(waypoints, _step_lengths(waypoints))
+
+
 class TestNetBearingChange:
     def test_collinear_is_zero(self):
         points = [GeoPoint(i * 0.001, 0.0, i * 1000) for i in range(5)]
-        assert net_bearing_change(points) == pytest.approx(0.0, abs=1e-9)
+        assert bearing_change(points) == pytest.approx(0.0, abs=1e-9)
 
     def test_east_then_south_is_plus_90(self):
         corner = [
@@ -59,7 +65,7 @@ class TestNetBearingChange:
             GeoPoint(0.001, 0.001, 1000),
             GeoPoint(0.0, 0.001, 2000),
         ]
-        assert net_bearing_change(corner) == pytest.approx(90.0, abs=0.01)
+        assert bearing_change(corner) == pytest.approx(90.0, abs=0.01)
 
     def test_east_then_north_is_minus_90(self):
         corner = [
@@ -67,7 +73,7 @@ class TestNetBearingChange:
             GeoPoint(0.0, 0.001, 1000),
             GeoPoint(0.001, 0.001, 2000),
         ]
-        assert net_bearing_change(corner) == pytest.approx(-90.0, abs=0.01)
+        assert bearing_change(corner) == pytest.approx(-90.0, abs=0.01)
 
     def test_telescopes_to_final_minus_initial(self):
         # Many small wiggles: net change equals last-bearing minus
@@ -84,17 +90,17 @@ class TestNetBearingChange:
 
         first = initial_bearing(zigzag[0], zigzag[1])
         last = initial_bearing(zigzag[-2], zigzag[-1])
-        assert net_bearing_change(zigzag) == pytest.approx(
+        assert bearing_change(zigzag) == pytest.approx(
             signed_bearing_delta(first, last), abs=1e-9
         )
 
     def test_empty_rejected(self):
         with pytest.raises(InsufficientGeometry):
-            net_bearing_change([])
+            bearing_change([])
 
     def test_two_points_rejected(self):
         with pytest.raises(InsufficientGeometry):
-            net_bearing_change([GeoPoint(0, 0, 0), GeoPoint(0.001, 0, 1000)])
+            bearing_change([GeoPoint(0, 0, 0), GeoPoint(0.001, 0, 1000)])
 
     def test_jitter_floor_filters_parked_noise(self):
         # ~0.55 m zigzag around a fixed spot: everything under the 1 m
@@ -104,7 +110,7 @@ class TestNetBearingChange:
             GeoPoint(eps * (i % 2), 0.0, i * 1000) for i in range(6)
         ]
         with pytest.raises(InsufficientGeometry):
-            net_bearing_change(parked)
+            bearing_change(parked)
 
 
 def reference_bearing_change(waypoints):
@@ -142,13 +148,11 @@ class TestStepReuse:
                 last.lat_deg + dlat * 1e-6, last.lon_deg + dlon * 1e-6, i * 100
             ))
         expected = reference_bearing_change(waypoints)
-        steps = [haversine_distance(a, b) for a, b in zip(waypoints, waypoints[1:])]
-        for given_steps in (None, steps):
-            try:
-                got = net_bearing_change(waypoints, given_steps)
-            except InsufficientGeometry:
-                got = InsufficientGeometry
-            assert got == expected
+        try:
+            got = bearing_change(waypoints)
+        except InsufficientGeometry:
+            got = InsufficientGeometry
+        assert got == expected
 
     def test_window_bearing_changes_match_on_a_crawl(self):
         # 1 m/s at 2 Hz with 0.3 m noise: most steps fall under the floor.

@@ -20,8 +20,9 @@ from drivetriad import (
     parse_transcript,
     write_corpus,
 )
+from drivetriad.core import MAX_INSTANT_MS
 from drivetriad.errors import IoError
-from drivetriad.segmenter import net_bearing_change
+from drivetriad.segmenter import _step_lengths, net_bearing_change
 from drivetriad.synth import (
     MAX_SAMPLES,
     Leg,
@@ -137,13 +138,14 @@ class TestGenerateRoute:
             legs=(Leg(300.0, Maneuver.RIGHT_TURN), Leg(300.0)), speed_mps=15.0
         )
         track = generate_route(plan)
-        net = net_bearing_change(track.points)
+        net = net_bearing_change(track.points, _step_lengths(track.points))
         assert net == pytest.approx(90.0, abs=2.0)
 
     def test_uturn_geometry(self):
         plan = RoutePlan(legs=(Leg(300.0, Maneuver.UTURN), Leg(300.0)))
         track = generate_route(plan)
-        assert abs(net_bearing_change(track.points)) == pytest.approx(180.0, abs=2.0)
+        net = net_bearing_change(track.points, _step_lengths(track.points))
+        assert abs(net) == pytest.approx(180.0, abs=2.0)
 
     def test_deterministic_per_seed(self):
         a = generate_route(simple_plan(noise_sigma_m=3.0))
@@ -223,6 +225,13 @@ class TestGenerateInstructions:
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
             generate_instructions(simple_plan(), "opera")
+
+    def test_route_past_9999_rejected(self):
+        # The origin is a valid point; the fix 10 s after it is not, so the
+        # plan fails here rather than when write_corpus renders the times.
+        origin = GeoPoint(40.0, -105.0, MAX_INSTANT_MS - 10_000)
+        with pytest.raises(ValueError, match="^timestamp after 9999-12-31T23:59:59.999Z: "):
+            generate_instructions(simple_plan(origin=origin), "distance-heavy")
 
     @pytest.mark.parametrize(
         "legs, settings, message",
