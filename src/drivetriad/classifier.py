@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping
 
@@ -245,79 +244,6 @@ STRUCTURE_WORDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """The configurable pattern bank driving classification."""
-
-    version: str
-    patterns: Mapping[CommandClass, tuple[str, ...]]
-    road_suffixes: tuple[str, ...]
-    distance_units: tuple[str, ...]
-
-    @cached_property
-    def _compiled(self) -> "_CompiledLexicon":
-        # Kept in the instance __dict__, which frozen allows and eq ignores.
-        return _CompiledLexicon(self)
-
-
-DEFAULT_LEXICON = Lexicon(
-    version="builtin-1",
-    patterns=dict(DEFAULT_PATTERNS),
-    road_suffixes=DEFAULT_ROAD_SUFFIXES,
-    distance_units=DEFAULT_DISTANCE_UNITS,
-)
-
-
-def load_lexicon(data: bytes | None = None) -> Lexicon:
-    """Build the default lexicon, optionally merged with a JSON override.
-
-    The override document is a single object whose keys are class names
-    (pattern lists, which replace the defaults), "road_suffixes" and
-    "distance_units" (which append unknown entries), and an optional
-    "version" tag. Anything else raises LexiconError naming the key.
-    """
-    if data is None:
-        return DEFAULT_LEXICON
-    doc = read_object(data)
-    patterns = dict(DEFAULT_PATTERNS)
-    suffixes = list(DEFAULT_ROAD_SUFFIXES)
-    units = list(DEFAULT_DISTANCE_UNITS)
-    word_lists = {"road_suffixes": suffixes, "distance_units": units}
-    version = None
-    for key, value in doc.items():
-        if key == "version":
-            if not isinstance(value, str):
-                raise LexiconError("version: must be a string")
-            version = value
-            continue
-        target = word_lists.get(key)
-        if target is None:
-            try:
-                cls = CommandClass(key)
-            except ValueError:
-                valid = ", ".join(c.value for c in CommandClass)
-                raise LexiconError(
-                    f"{key}: not a class name (expected one of {valid}, "
-                    f"road_suffixes, distance_units, version)"
-                ) from None
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise LexiconError(f"{key}: must be a list of strings")
-        if target is None:
-            patterns[cls] = tuple(value)
-            continue
-        for word in value:
-            cleaned = _fold(word.strip())
-            if cleaned and cleaned not in target:
-                target.append(cleaned)
-    if version is None:
-        version = DEFAULT_LEXICON.version + "+override"
-    lex = Lexicon(version, patterns, tuple(suffixes), tuple(units))
-    lex._compiled  # check every pattern now, not at first classify
-    return lex
-
-
-# --- pattern compilation and matching ---------------------------------------
-
 # Matching runs on the space-joined tokens plus one trailing space, so every
 # token reads "word " and each pattern element consumes whole tokens.
 _CARDINALS = frozenset({"north", "south", "east", "west"})
@@ -368,10 +294,24 @@ def _pattern_source(
     return f"(?<![^ ])(?=({''.join(parts)}))", trigger
 
 
-class _CompiledLexicon:
-    def __init__(self, lex: Lexicon) -> None:
-        self.suffixes = frozenset(lex.road_suffixes)
-        units = frozenset(lex.distance_units)
+class Lexicon:
+    """The configurable pattern bank driving classification.
+
+    Building one checks every pattern, raising LexiconError for a bad one,
+    and indexes it by its trigger; its regex compiles the first time a text
+    triggers it.
+    """
+
+    def __init__(
+        self,
+        version: str,
+        patterns: Mapping[CommandClass, Iterable[str]],
+        road_suffixes: Iterable[str],
+        distance_units: Iterable[str],
+    ) -> None:
+        self.version = version
+        self.suffixes = frozenset(road_suffixes)
+        units = frozenset(distance_units)
         not_name = _words(STRUCTURE_WORDS | self.suffixes | units)
         vocab: dict[str, str | frozenset[str]] = {
             "*": _GAP,
@@ -389,33 +329,83 @@ class _CompiledLexicon:
         # Every pattern in class order with its regex source, each regex
         # once compiled, the patterns without a trigger, and for each
         # trigger word the patterns it triggers.
-        self.patterns: list[tuple[CommandClass, str]] = []
+        self.sources: list[tuple[CommandClass, str]] = []
         self.regexes: list[re.Pattern[str] | None] = []
         self.always: list[int] = []
         self.index: dict[str, list[int]] = {}
         for cls in CommandClass:
-            for i, pattern in enumerate(lex.patterns.get(cls, ())):
+            for i, pattern in enumerate(patterns.get(cls, ())):
                 source, trigger = _pattern_source(cls.value, i, pattern, vocab)
                 if trigger is None:
-                    self.always.append(len(self.patterns))
+                    self.always.append(len(self.sources))
                 for word in trigger or ():
-                    self.index.setdefault(word, []).append(len(self.patterns))
-                self.patterns.append((cls, source))
+                    self.index.setdefault(word, []).append(len(self.sources))
+                self.sources.append((cls, source))
                 self.regexes.append(None)
 
     def regex(self, index: int) -> re.Pattern[str]:
-        """The regex of ``patterns[index]``, compiled on its first use."""
+        """The regex of ``sources[index]``, compiled on its first use."""
         regex = self.regexes[index]
         if regex is None:
-            regex = self.regexes[index] = re.compile(self.patterns[index][1])
+            regex = self.regexes[index] = re.compile(self.sources[index][1])
         return regex
 
     def triggered(self, tokens: Iterable[str]) -> set[int]:
-        """Indices into ``patterns`` of every pattern that ``tokens`` can match."""
+        """Indices into ``sources`` of every pattern that ``tokens`` can match."""
         found = set(self.always)
         for token in tokens:
             found.update(self.index.get(token, ()))
         return found
+
+
+DEFAULT_LEXICON = Lexicon(
+    "builtin-1", DEFAULT_PATTERNS, DEFAULT_ROAD_SUFFIXES, DEFAULT_DISTANCE_UNITS
+)
+
+
+def load_lexicon(data: bytes | None = None) -> Lexicon:
+    """Build the default lexicon, optionally merged with a JSON override.
+
+    The override document is a single object whose keys are class names
+    (pattern lists, which replace the defaults), "road_suffixes" and
+    "distance_units" (which add their words), and an optional "version"
+    tag. Anything else raises LexiconError naming the key, and so does a
+    bad pattern.
+    """
+    if data is None:
+        return DEFAULT_LEXICON
+    doc = read_object(data)
+    patterns = dict(DEFAULT_PATTERNS)
+    suffixes = set(DEFAULT_ROAD_SUFFIXES)
+    units = set(DEFAULT_DISTANCE_UNITS)
+    word_sets = {"road_suffixes": suffixes, "distance_units": units}
+    version = DEFAULT_LEXICON.version + "+override"
+    for key, value in doc.items():
+        if key == "version":
+            if not isinstance(value, str):
+                raise LexiconError("version: must be a string")
+            version = value
+            continue
+        target = word_sets.get(key)
+        if target is None:
+            try:
+                cls = CommandClass(key)
+            except ValueError:
+                valid = ", ".join(c.value for c in CommandClass)
+                raise LexiconError(
+                    f"{key}: not a class name (expected one of {valid}, "
+                    f"road_suffixes, distance_units, version)"
+                ) from None
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise LexiconError(f"{key}: must be a list of strings")
+        if target is None:
+            patterns[cls] = value
+        else:
+            target.update(_fold(word.strip()) for word in value)
+    return Lexicon(version, patterns, suffixes, units)
+
+
+# --- matching ---------------------------------------------------------------
 
 
 def _maximal_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -430,7 +420,7 @@ def _maximal_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def _locate_names(
     tokens: list[str],
     anchors: list[tuple[int, int]],
-    comp: _CompiledLexicon,
+    lex: Lexicon,
 ) -> list[tuple[int, int]]:
     """Extend "arrived at" anchors over the following name, rejecting roads.
 
@@ -441,9 +431,9 @@ def _locate_names(
     spans = []
     for start, anchor_end in anchors:
         end = anchor_end
-        while end < len(tokens) and tokens[end] not in comp.name_stops:
+        while end < len(tokens) and tokens[end] not in lex.name_stops:
             end += 1
-        if end > anchor_end and tokens[end - 1] not in comp.suffixes:
+        if end > anchor_end and tokens[end - 1] not in lex.suffixes:
             spans.append((start, end))
     return spans
 
@@ -469,7 +459,6 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
     """
     if lex is None:
         lex = DEFAULT_LEXICON
-    comp = lex._compiled
     tokens, token_spans = tokenize(text)
     padded = " ".join(tokens) + " "
     # Offset in ``padded`` of each token start, and of the end, -> token index.
@@ -484,16 +473,16 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
     # misses the text's tokens cannot match and is not run. Pattern indices
     # follow class order, so ROAD's spans are final before CARDINAL reads them.
     # Spans are [first, last + 1) token ranges.
-    patterns = comp.patterns
+    sources = lex.sources
     road_spans: list[tuple[int, int]] = []
     evidence = []
     for cls, indices in groupby(
-        sorted(comp.triggered(tokens)), key=lambda i: patterns[i][0]
+        sorted(lex.triggered(tokens)), key=lambda i: sources[i][0]
     ):
         spans = [
             (token_at[m.start(1)], token_at[m.end(1)])
             for i in indices
-            for m in comp.regex(i).finditer(padded)
+            for m in lex.regex(i).finditer(padded)
         ]
         if not spans:
             continue
@@ -505,7 +494,7 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
                 if not _all_cardinals_inside_roads(span, cardinals, road_spans)
             ]
         elif cls is CommandClass.LOCATION_NAME:
-            spans = _locate_names(tokens, spans, comp)
+            spans = _locate_names(tokens, spans, lex)
         spans = _maximal_spans(spans)
         if cls is CommandClass.ROAD:
             road_spans = spans

@@ -263,9 +263,8 @@ def _triad_from_json(line: str) -> VlaTriad:
     obj = json.loads(line)
     event_id = member(obj, "id", "int")
     t_ms = member(obj, "t_utc_ms", "int")
-    classes = frozenset(
-        _enum(CommandClass, "class", name) for name in member(obj, "classes", "list")
-    )
+    names = member(obj, "classes", "list")
+    classes = frozenset(_enum(CommandClass, "class", name) for name in names)
     evidence = tuple(
         Evidence(
             _enum(CommandClass, "class", member(ev, "class", "str")),
@@ -312,6 +311,9 @@ def _triad_from_json(line: str) -> VlaTriad:
             raise ValueError(
                 f"evidence [{ev.start}, {ev.end}] is not {ev.matched!r} in the text"
             )
+    # The classes are what classify gives: the evidence's classes, each once.
+    if len(names) != len(classes) or classes != {ev.command_class for ev in evidence}:
+        raise ValueError(f"classes {names!r} are not the evidence's classes, each once")
     return VlaTriad(event, action)
 
 

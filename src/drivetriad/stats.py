@@ -11,6 +11,7 @@ counts whose set contains it.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -28,18 +29,25 @@ class CorpusStats:
     total_events: int
 
 
+# A table cell may not hold the column rule or a control character (C0,
+# DEL or C1: a line end, a tab, an escape), which would break its row.
+_CELL_BREAKERS = re.compile(r"[|\x00-\x1f\x7f-\x9f]")
+
+
 def check_label(name: str, label: str) -> None:
     """Hold a report column label to its rule: a non-empty string that
-    encodes as UTF-8. A label read from a command line or a file name can
-    hold a lone surrogate (Python's reading of a byte that is not UTF-8),
-    which no output file can store. A bad label raises ValueError naming
-    ``name``."""
+    encodes as UTF-8 and holds no "|" or control character. A label read
+    from a command line or a file name can hold a lone surrogate (Python's
+    reading of a byte that is not UTF-8), which no output file can store.
+    A bad label raises ValueError naming ``name``."""
     if label == "":
         raise ValueError(f"{name} must be a non-empty string, got ''")
     try:
         label.encode("utf-8")
     except UnicodeEncodeError:
         raise ValueError(f"{name} must be valid UTF-8, got {label!r}") from None
+    if _CELL_BREAKERS.search(label):
+        raise ValueError(f"{name} must hold no '|' or control character, got {label!r}")
 
 
 def corpus_stats(source_label: str, events: Iterable) -> CorpusStats:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import given, strategies as st
 
 from drivetriad import CommandClass, classify, load_lexicon
 from drivetriad.classifier import (
+    DEFAULT_DISTANCE_UNITS,
     DEFAULT_LEXICON,
+    DEFAULT_PATTERNS,
+    DEFAULT_ROAD_SUFFIXES,
     FRACTION_WORDS,
     STRUCTURE_WORDS,
     Lexicon,
@@ -346,23 +350,21 @@ class TestLexicon:
         assert load_lexicon(None).version == "builtin-1"
 
     def test_every_class_has_patterns(self):
-        for cls in CommandClass:
-            assert DEFAULT_LEXICON.patterns[cls], cls
+        assert {cls for cls, _ in DEFAULT_LEXICON.sources} == set(CommandClass)
 
     def test_append_road_suffix(self):
         lex = load_lexicon(json.dumps({"road_suffixes": ["motorway"]}).encode())
-        assert "motorway" in lex.road_suffixes
-        assert "highway" in lex.road_suffixes
+        assert "motorway" in lex.suffixes
+        assert "highway" in lex.suffixes
         assert "Road" in classes_of("Turn onto Kings Motorway.", lex)
         # Default lexicon untouched.
-        assert "motorway" not in DEFAULT_LEXICON.road_suffixes
+        assert "motorway" not in DEFAULT_LEXICON.suffixes
 
     def test_append_is_deduplicating(self):
         lex = load_lexicon(
             json.dumps({"road_suffixes": ["street", "Motorway", "motorway "]}).encode()
         )
-        assert lex.road_suffixes.count("street") == 1
-        assert lex.road_suffixes.count("motorway") == 1
+        assert lex.suffixes == {*DEFAULT_ROAD_SUFFIXES, "motorway"}
 
     def test_append_distance_unit(self):
         lex = load_lexicon(json.dumps({"distance_units": ["yards"]}).encode())
@@ -403,6 +405,11 @@ class TestLexicon:
         with pytest.raises(LexiconError, match=r"Turn\[0\]"):
             load_lexicon(json.dumps({"Turn": ["<bogus> token"]}).encode())
 
+    def test_no_lexicon_holds_a_bad_pattern(self):
+        with pytest.raises(LexiconError) as raised:
+            Lexicon("x", {C.TURN: ("<bogus> token",)}, (), ())
+        assert str(raised.value) == "Turn[0]: unknown element '<bogus>'"
+
     def test_non_list_patterns_rejected(self):
         with pytest.raises(LexiconError):
             load_lexicon(json.dumps({"Turn": "not-a-list"}).encode())
@@ -434,12 +441,6 @@ class TestLexicon:
         lex = lexicon({"distance_units": ["ΣΤΑΔΙΟΣ"]})
         assert "Distance" in classes_of("In 5 ΣΤΑΔΙΟΣ turn", lex)
 
-    def test_compiled_patterns_are_cached_outside_equality(self):
-        lex = load_lexicon(json.dumps({"road_suffixes": ["via"]}).encode())
-        assert lex._compiled is lex._compiled
-        fresh = Lexicon(lex.version, lex.patterns, lex.road_suffixes, lex.distance_units)
-        assert fresh == lex
-
 
 class TestMonotonicity:
     # Adding a pattern that cannot interact with road-name detection must
@@ -450,9 +451,7 @@ class TestMonotonicity:
     )
     def test_extension_never_removes_classes(self, text, extra_phrase):
         base = classify(text).classes
-        defaults = [
-            p for p in DEFAULT_LEXICON.patterns[C.STATIC_OBJECT]
-        ]
+        defaults = list(DEFAULT_PATTERNS[C.STATIC_OBJECT])
         lex = load_lexicon(
             json.dumps({"StaticObject": defaults + [extra_phrase]}).encode()
         )
@@ -520,7 +519,7 @@ class TestPatternSemantics:
     def test_distance_evidence_holds_the_whole_number(self, text, evidence):
         assert matched(text, C.DISTANCE) == [evidence]
 
-    @pytest.mark.parametrize("unit", DEFAULT_LEXICON.distance_units)
+    @pytest.mark.parametrize("unit", DEFAULT_DISTANCE_UNITS)
     @given(
         whole=st.integers(0, 10**7),
         fraction=st.one_of(st.none(), st.text("0123456789", min_size=1, max_size=3)),
@@ -538,6 +537,17 @@ class TestPatternSemantics:
 # --- token-level reference matcher -------------------------------------------
 
 _CARDINALS = {"north", "south", "east", "west"}
+
+
+def inputs(override=None):
+    """The words a lexicon is built from, which the reference reads: an
+    override's class lists replace the defaults and its words add on."""
+    override = override or {}
+    return SimpleNamespace(
+        patterns={c: override.get(c.value, DEFAULT_PATTERNS[c]) for c in CommandClass},
+        road_suffixes=(*DEFAULT_ROAD_SUFFIXES, *override.get("road_suffixes", ())),
+        distance_units=(*DEFAULT_DISTANCE_UNITS, *override.get("distance_units", ())),
+    )
 
 
 def ref_accepts(elem, token, lex):
@@ -641,19 +651,18 @@ def ref_evidence(text, lex):
     return sorted(evidence)
 
 
-_GAPPY = lexicon(
-    {
-        "Turn": ["* left", "right *", "<name+> * <suffix>"],
-        "Destination": ["<name+> <name+>", "* <num> * <unit>", "arrived at * <name+>"],
-        "Cardinal": ["<name+> <cardinal> *", "* <bound>"],
-        "road_suffixes": ["plaza", "per hour"],
-        "distance_units": ["clicks"],
-    }
-)
+_GAPPY_OVERRIDE = {
+    "Turn": ["* left", "right *", "<name+> * <suffix>"],
+    "Destination": ["<name+> <name+>", "* <num> * <unit>", "arrived at * <name+>"],
+    "Cardinal": ["<name+> <cardinal> *", "* <bound>"],
+    "road_suffixes": ["plaza", "per hour"],
+    "distance_units": ["clicks"],
+}
+_GAPPY = lexicon(_GAPPY_OVERRIDE)
 _VOCAB = sorted(
     STRUCTURE_WORDS
-    | set(DEFAULT_LEXICON.road_suffixes)
-    | set(DEFAULT_LEXICON.distance_units)
+    | set(DEFAULT_ROAD_SUFFIXES)
+    | set(DEFAULT_DISTANCE_UNITS)
     | _CARDINALS
     | {"northbound", "south-bound", "plaza", "per", "hour", "clicks", "main", "oak",
        "15th", "2", "1000", "0.3", "1,000", "²", "o'neil's", "u", "pretty", "good"}
@@ -669,25 +678,29 @@ _TEXTS = st.lists(
 
 
 class TestAgainstReference:
-    @pytest.mark.parametrize("lex", [DEFAULT_LEXICON, _GAPPY], ids=["default", "gaps"])
+    @pytest.mark.parametrize(
+        "lex, words",
+        [(DEFAULT_LEXICON, inputs()), (_GAPPY, inputs(_GAPPY_OVERRIDE))],
+        ids=["default", "gaps"],
+    )
     @given(text=_TEXTS)
-    def test_classify_matches_token_reference(self, lex, text):
+    def test_classify_matches_token_reference(self, lex, words, text):
         got = classify(text, lex)
         assert [(e.start, e.end, e.command_class.value) for e in got.evidence] == (
-            ref_evidence(text, lex)
+            ref_evidence(text, words)
         )
 
 
 # --- patterns compiled on first use -----------------------------------------
 
 
-def fresh_lexicon(lex=DEFAULT_LEXICON):
-    """A lexicon equal to ``lex`` with none of its patterns compiled yet."""
-    return Lexicon(lex.version, lex.patterns, lex.road_suffixes, lex.distance_units)
+def fresh_lexicon(override=None):
+    """A new lexicon built from ``override``, none of its patterns compiled yet."""
+    return lexicon(override or {})
 
 
 def compiled_indices(lex):
-    return {i for i, regex in enumerate(lex._compiled.regexes) if regex is not None}
+    return {i for i, regex in enumerate(lex.regexes) if regex is not None}
 
 
 def synth_texts():
@@ -703,22 +716,20 @@ def synth_texts():
 class TestCompileOnDemand:
     def test_classify_compiles_only_the_patterns_its_tokens_trigger(self):
         lex = fresh_lexicon()
-        comp = lex._compiled
         assert compiled_indices(lex) == set()
         text = "In 500 feet turn left onto Oak Street."
         classify(text, lex)
-        first = comp.triggered(tokenize(text)[0])
+        first = lex.triggered(tokenize(text)[0])
         assert compiled_indices(lex) == first and len(first) == 6
         classify("Head north.", lex)
-        assert compiled_indices(lex) == first | comp.triggered(["head", "north"])
+        assert compiled_indices(lex) == first | lex.triggered(["head", "north"])
         for i in compiled_indices(lex):
-            assert comp.regexes[i].pattern == comp.patterns[i][1]
-            assert comp.regex(i) is comp.regexes[i]
+            assert lex.regexes[i].pattern == lex.sources[i][1]
+            assert lex.regex(i) is lex.regexes[i]
 
     def test_load_lexicon_checks_every_override_pattern_without_compiling(self):
         lex = load_lexicon(json.dumps({"road_suffixes": ["via"]}).encode())
-        assert "_compiled" in vars(lex)
-        assert len(lex._compiled.patterns) == 59 and compiled_indices(lex) == set()
+        assert len(lex.sources) == 59 and compiled_indices(lex) == set()
         assert load_lexicon(None) is DEFAULT_LEXICON
 
     @pytest.mark.parametrize(
@@ -734,22 +745,21 @@ class TestCompileOnDemand:
             load_lexicon(json.dumps({"Turn": [pattern]}).encode())
         assert str(raised.value) == message
         # A pattern no text could trigger is checked all the same.
-        lex = Lexicon("x", {C.TURN: (pattern,)}, (), ())
         with pytest.raises(LexiconError) as raised:
-            lex._compiled
+            Lexicon("x", {C.TURN: (pattern,)}, (), ())
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("lex", [DEFAULT_LEXICON, _GAPPY], ids=["default", "gaps"])
-    def test_labels_equal_with_every_pattern_compiled_first(self, lex):
+    @pytest.mark.parametrize("override", [None, _GAPPY_OVERRIDE], ids=["default", "gaps"])
+    def test_labels_equal_with_every_pattern_compiled_first(self, override):
         texts = (
             [text for text, _, _ in APP_SENTENCES]
             + [text for text, _ in ACCEPTANCE_PROTOTYPES]
             + synth_texts()
         )
-        eager = fresh_lexicon(lex)
-        for i in range(len(eager._compiled.patterns)):
-            eager._compiled.regex(i)
-        lazy = fresh_lexicon(lex)
+        eager = fresh_lexicon(override)
+        for i in range(len(eager.sources)):
+            eager.regex(i)
+        lazy = fresh_lexicon(override)
         for text in texts:
             assert classify(text, lazy) == classify(text, eager), text
         assert compiled_indices(lazy) < compiled_indices(eager)
@@ -757,15 +767,14 @@ class TestCompileOnDemand:
 
 # --- trigger index -------------------------------------------------------------
 
-_TRIGGERS = lexicon(
-    {
-        "Turn": ["TURN", "l.ft", "Keep * RIGHT"],
-        "Distance": ["<num> <unit>", "<num> <name+>"],
-        "Cardinal": ["<bound>", "Go <bound>", "<cardinal> ON"],
-        "Destination": ["* <num> *"],
-        "distance_units": ["per hour", "Clicks"],
-    }
-)
+_TRIGGERS_OVERRIDE = {
+    "Turn": ["TURN", "l.ft", "Keep * RIGHT"],
+    "Distance": ["<num> <unit>", "<num> <name+>"],
+    "Cardinal": ["<bound>", "Go <bound>", "<cardinal> ON"],
+    "Destination": ["* <num> *"],
+    "distance_units": ["per hour", "Clicks"],
+}
+_TRIGGERS = lexicon(_TRIGGERS_OVERRIDE)
 # Words that sit on a trigger's edge: both <bound> spellings, case, regex
 # syntax, the halves of a multi-word unit and digits <num> does or does not
 # take.
@@ -787,15 +796,16 @@ _EDGE_TEXTS = st.lists(
 def unfiltered_classify(text, lex):
     """classify with the trigger index switched off: every compiled regex of
     the lexicon runs on the text."""
-    comp = lex._compiled
-    with patch.object(comp, "triggered", return_value=range(len(comp.patterns))) as run_all:
+    with patch.object(lex, "triggered", return_value=range(len(lex.sources))) as run_all:
         result = classify(text, lex)
     run_all.assert_called_once()
     return result
 
 
-def flat_patterns(lex):
-    return [(cls, p) for cls in CommandClass for p in lex.patterns.get(cls, ())]
+def flat_patterns(override=None):
+    """Every pattern of ``lexicon(override)``, in the order of its sources."""
+    patterns = inputs(override).patterns
+    return [(cls, p) for cls in CommandClass for p in patterns[cls]]
 
 
 class TestTriggerIndex:
@@ -807,19 +817,18 @@ class TestTriggerIndex:
         assert classify(text, lex) == unfiltered_classify(text, lex)
 
     def test_no_default_pattern_runs_on_every_text(self):
-        assert DEFAULT_LEXICON._compiled.always == []
-        flat = flat_patterns(_TRIGGERS)
-        assert [flat[i] for i in _TRIGGERS._compiled.always] == [
+        assert DEFAULT_LEXICON.always == []
+        flat = flat_patterns(_TRIGGERS_OVERRIDE)
+        assert [flat[i] for i in _TRIGGERS.always] == [
             (C.DISTANCE, "<num> <name+>"),
             (C.DESTINATION, "* <num> *"),
         ]
 
     def test_sentence_triggers_exactly_its_patterns(self):
-        comp = DEFAULT_LEXICON._compiled
-        flat = flat_patterns(DEFAULT_LEXICON)
-        assert len(flat) == len(comp.patterns) == 59
+        flat = flat_patterns()
+        assert len(flat) == len(DEFAULT_LEXICON.sources) == 59
         tokens, _ = tokenize("In 500 feet turn left onto Oak Street.")
-        got = sorted(comp.triggered(tokens))
+        got = sorted(DEFAULT_LEXICON.triggered(tokens))
         assert [flat[i] for i in got] == [
             (C.ROAD, "onto <name+> <suffix>"),
             (C.ROAD, "<name+> <suffix>"),

@@ -684,6 +684,25 @@ class TestStatsCommand:
         assert code == EXIT_DATA
         assert f"error: {bad}: ParseError: line 1: {message}\n" in err
 
+    @pytest.mark.parametrize("edit", ["missing", "extra", "repeated"])
+    def test_classes_the_evidence_does_not_give_are_data_error(self, tmp_path, capsys, edit):
+        # stats reads only records pipeline could write: the classes of the
+        # evidence, each once.
+        triads = self._dataset(tmp_path, capsys)
+        classes = json.loads(triads.read_bytes().splitlines()[0])["classes"]
+        extra = next(c.value for c in drivetriad.CommandClass if c.value not in classes)
+        value = {
+            "missing": classes[1:],
+            "extra": sorted([*classes, extra]),
+            "repeated": [classes[0], *classes],
+        }[edit]
+        code, err, bad = self._stats_on_edited_record(tmp_path, capsys, ("classes",), value)
+        assert code == EXIT_DATA
+        assert (
+            f"error: {bad}: ParseError: line 1: classes {value!r} are not the "
+            "evidence's classes, each once\n"
+        ) in err
+
     def _stats_on_edited_record(self, tmp_path, capsys, path, *value):
         """Run stats on the first triad with the field at ``path`` set to
         ``value``, or deleted when no value is given."""
@@ -915,6 +934,53 @@ class TestHostileInput:
         assert code == EXIT_USAGE
         assert message.format(dir=corpus) in err
         assert out == ""
+        assert not (corpus / "d").exists()
+
+    @pytest.mark.parametrize("label", ["a|b", "a\nc"], ids=["bar", "newline"])
+    @pytest.mark.parametrize(
+        "route",
+        ["pipeline-flag", "pipeline-config", "pipeline-gpx-stem", "stats-label",
+         "stats-path-stem"],
+    )
+    def test_label_that_breaks_the_table_is_usage_error(
+        self, tmp_path, capsys, route, label
+    ):
+        # A "|" or a line end in a column label would split the report's
+        # header row and put its columns out of line.
+        corpus = make_corpus(tmp_path, capsys)
+        out = str(corpus / "d")
+        empty, stem_triads = corpus / "empty.jsonl", corpus / f"{label}.jsonl"
+        empty.write_bytes(b"")
+        stem_triads.write_bytes(b"")
+        stem_gpx = corpus / f"{label}.gpx"
+        stem_gpx.write_bytes((corpus / "track.gpx").read_bytes())
+        config = corpus / "label.json"
+        config.write_text(json.dumps({"source_label": label}))
+
+        def pipeline(gpx="track.gpx"):
+            return ["pipeline", "--gpx", str(corpus / gpx), "--transcript",
+                    str(corpus / "transcript.json"), "--out", out]
+
+        args, name = {
+            "pipeline-flag": (pipeline() + ["--source-label", label], "source_label"),
+            "pipeline-config": (pipeline() + ["--config", str(config)], "source_label"),
+            "pipeline-gpx-stem": (
+                pipeline(stem_gpx.name), "source_label (by default the GPX file stem)"
+            ),
+            "stats-label": (
+                ["stats", f"{label}={empty}", "--out", out],
+                f"source {f'{label}={empty}'!r}: label",
+            ),
+            "stats-path-stem": (
+                ["stats", str(stem_triads), "--out", out],
+                f"source {str(stem_triads)!r}: label (by default the file stem; set "
+                "one with LABEL=PATH)",
+            ),
+        }[route]
+        code, stdout, err = run(args, capsys)
+        assert code == EXIT_USAGE
+        assert f"{name} must hold no '|' or control character, got {label!r}" in err
+        assert stdout == ""
         assert not (corpus / "d").exists()
 
     def test_label_not_utf8_in_a_real_argv(self, tmp_path, capsys):

@@ -438,6 +438,23 @@ class TestReadTriads:
             waypoint = edited(waypoint, key, value)
         check_waypoint_read(waypoint)
 
+    @pytest.mark.parametrize(
+        "classes",
+        [["Road"], ["Destination", "Road", "Turn"], ["Road", "Turn", "Road"]],
+        ids=["missing", "extra", "repeated"],
+    )
+    def test_classes_must_be_the_evidence_classes_each_once(self, tmp_path, classes):
+        # The writer's classes are those of the evidence, each once.
+        data = export_triads([make_triad()], tmp_path).read_bytes()
+        old = b'"classes": ["Road", "Turn"]'
+        assert old in data
+        edited = data.replace(old, b'"classes": ' + json.dumps(classes).encode(), 1)
+        with pytest.raises(ParseError) as info:
+            read_triads(edited)
+        assert str(info.value) == (
+            f"line 1: classes {classes!r} are not the evidence's classes, each once"
+        )
+
     def test_inverted_frame_range_rejected(self, tmp_path):
         data = export_triads([make_triad()], tmp_path).read_bytes()
         inverted = data.replace(b'"frame_start": 0', b'"frame_start": 900')

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivetriad import CommandClass, corpus_stats, render_report
-from drivetriad.stats import combo_label
+from drivetriad.stats import check_label, combo_label
 
 C = CommandClass
 
@@ -88,6 +88,24 @@ class TestComboLabel:
 
     def test_empty(self):
         assert combo_label(frozenset()) == "(none)"
+
+
+class TestCheckLabel:
+    # C0 runs to "\x1f" and C1 from "\x7f" (DEL) to "\x9f"; "\xa0" is past it.
+    @pytest.mark.parametrize(
+        "label",
+        ["a|b", "|", "a\nb", "\r", "\t", "\x00", "\x1b[1m", "\x1f", "\x7f", "\x85", "\x9f"],
+    )
+    def test_what_breaks_a_table_row_is_refused(self, label):
+        with pytest.raises(ValueError) as info:
+            check_label("source_label", label)
+        assert str(info.value) == (
+            f"source_label must hold no '|' or control character, got {label!r}"
+        )
+
+    @pytest.mark.parametrize("label", ["a b", "~", "\xa0", "é", "track-1", "a=b"])
+    def test_printable_labels_pass(self, label):
+        check_label("source_label", label)
 
 
 class TestCorpusStats:
