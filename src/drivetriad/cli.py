@@ -195,12 +195,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_pipeline.add_argument(
         "--source-label", metavar="NAME", help="column label in report.txt"
     )
-    p_pipeline.add_argument(
-        "--relativize",
-        action="store_const",
-        const=True,
-        help="record only basenames in the manifest",
-    )
     p_pipeline.set_defaults(func=_run_pipeline)
 
     p_stats = commands.add_parser(

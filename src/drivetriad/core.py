@@ -139,7 +139,6 @@ _FIELD_KINDS = {
     "int": (int, "an integer", None),
     "float": ((int, float), "a finite number", float),
     "number": ((int, float), "a number", None),
-    "bool": (bool, "true or false", None),
     "str": (str, "a string", None),
     "Path": ((str, os.PathLike), "a path", Path),
     "list": (list, "an array", None),
@@ -158,7 +157,7 @@ def check_value(name: str, kind: str, value: object) -> object:
     # though Path("") would read it as the current directory.
     if (
         not isinstance(value, types)
-        or (isinstance(value, bool) and kind != "bool")
+        or isinstance(value, bool)
         or (kind == "float" and not abs(value) <= sys.float_info.max)
         or (kind == "Path" and value == "")
     ):

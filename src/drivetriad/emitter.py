@@ -19,7 +19,6 @@ import enum
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -320,13 +319,11 @@ def _triad_from_json(line: str) -> VlaTriad:
 # --- manifest ---------------------------------------------------------------
 
 
-def manifest_input(
-    path: str | Path, role: str, data: bytes, relativize: bool = False
-) -> dict[str, str]:
-    """Digest one input; --relativize keeps only the basename so digests
-    compare across machines."""
-    shown = os.path.basename(str(path)) if relativize else str(path)
-    return {"path": shown, "role": role, "sha256": hashlib.sha256(data).hexdigest()}
+def manifest_input(path: str | Path, role: str, data: bytes) -> dict[str, str]:
+    """Digest one input under its basename: the directory a run was
+    started from is no part of its provenance."""
+    sha256 = hashlib.sha256(data).hexdigest()
+    return {"path": Path(path).name, "role": role, "sha256": sha256}
 
 
 def config_digest(config: Mapping[str, object]) -> str:
@@ -343,12 +340,13 @@ def build_manifest(
     event_count: int,
     segment_count: int,
     warnings: Sequence[str],
-    created_at_ms: int,
 ) -> dict:
-    """The manifest document, keys in on-disk order."""
+    """The manifest document, keys in on-disk order. It records no clock:
+    ``created_at_utc_ms`` is always null, so two runs on the same inputs
+    write the same bytes."""
     return {
         "tool_version": __version__,
-        "created_at_utc_ms": created_at_ms,
+        "created_at_utc_ms": None,
         "inputs": list(inputs),
         "config_sha256": config_sha256,
         "event_count": event_count,

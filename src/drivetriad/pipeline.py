@@ -16,7 +16,6 @@ the manifest.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -62,7 +61,6 @@ class PipelineConfig:
     lexicon_path: Path | None = None
     tolerance_ms: int = DEFAULT_TOLERANCE_MS
     source_label: str | None = None
-    relativize: bool = False
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -115,14 +113,12 @@ def _effective_config(config: PipelineConfig, lexicon_version: str) -> dict:
     return {**knobs, **MANEUVER_RULE, "lexicon_version": lexicon_version}
 
 
-def run_pipeline(
-    config: PipelineConfig, created_at_ms: int | None = None
-) -> PipelineResult:
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run the whole flow and write the four artifacts.
 
-    ``created_at_ms`` pins the manifest timestamp (tests use this); by
-    default the current wall clock is recorded. All other output bytes
-    are pure functions of the inputs and config.
+    Every output byte is a pure function of the input bytes, the input
+    file names and the settings: the manifest records no clock and no
+    directory.
     """
     # Each input is digested as soon as it is read, so the GPX bytes can be
     # dropped once parsed: parse_gpx streams them and keeps only the fixes.
@@ -136,7 +132,7 @@ def run_pipeline(
     ):
         if path is not None:
             raw[role] = path.read_bytes()
-            inputs.append(manifest_input(path, role, raw[role], config.relativize))
+            inputs.append(manifest_input(path, role, raw[role]))
 
     lexicon = parse_input(config.lexicon_path, load_lexicon, raw.get("lexicon"))
     track = parse_input(config.gpx_path, parse_gpx, raw.pop("track"))
@@ -199,9 +195,6 @@ def run_pipeline(
         event_count=len(events),
         segment_count=len(segments),
         warnings=warnings,
-        created_at_ms=(
-            created_at_ms if created_at_ms is not None else int(time.time() * 1000)
-        ),
     )
 
     with output_dir(config.out_dir) as out_dir:

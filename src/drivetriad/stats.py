@@ -29,17 +29,19 @@ class CorpusStats:
     total_events: int
 
 
-# A table cell may not hold the column rule or a control character (C0,
-# DEL or C1: a line end, a tab, an escape), which would break its row.
-_CELL_BREAKERS = re.compile(r"[|\x00-\x1f\x7f-\x9f]")
+# A table cell may not hold the column rule, a control character (C0, DEL
+# or C1: a line end, a tab, an escape) or a line or paragraph separator:
+# each would break its row, the last two for str.splitlines().
+_CELL_BREAKERS = re.compile(r"[|\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 def check_label(name: str, label: str) -> None:
     """Hold a report column label to its rule: a non-empty string that
-    encodes as UTF-8 and holds no "|" or control character. A label read
-    from a command line or a file name can hold a lone surrogate (Python's
-    reading of a byte that is not UTF-8), which no output file can store.
-    A bad label raises ValueError naming ``name``."""
+    encodes as UTF-8 and holds no "|", control character or line
+    separator (U+2028, U+2029). A label read from a command line or a
+    file name can hold a lone surrogate (Python's reading of a byte that
+    is not UTF-8), which no output file can store. A bad label raises
+    ValueError naming ``name``."""
     if label == "":
         raise ValueError(f"{name} must be a non-empty string, got ''")
     try:
@@ -47,7 +49,9 @@ def check_label(name: str, label: str) -> None:
     except UnicodeEncodeError:
         raise ValueError(f"{name} must be valid UTF-8, got {label!r}") from None
     if _CELL_BREAKERS.search(label):
-        raise ValueError(f"{name} must hold no '|' or control character, got {label!r}")
+        raise ValueError(
+            f"{name} must hold no '|', control character or line separator, got {label!r}"
+        )
 
 
 def corpus_stats(source_label: str, events: Iterable) -> CorpusStats:
@@ -103,9 +107,12 @@ def render_report(stats: Sequence[CorpusStats]) -> str:
     """Render both tables for the given sources, column per source + Total.
 
     Pure and byte-stable: the same stats always produce the same text.
+    Each source label is held to ``check_label``.
     """
     if not stats:
         raise ValueError("render_report needs at least one source")
+    for s in stats:
+        check_label("source_label", s.source_label)
     columns = [s.source_label for s in stats]
     combo_counts = [s.combo_counts for s in stats]
     lines = _ranked_table(

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -542,7 +543,7 @@ class TestPipelineCommand:
         code, _, _ = run(["pipeline", "--config", str(config)], capsys)
         assert code == EXIT_DATA
 
-    def test_relativize_hides_directories(self, tmp_path, capsys):
+    def test_manifest_records_basenames(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, capsys)
         out_dir = tmp_path / "dataset"
         code, _, _ = run(
@@ -554,7 +555,6 @@ class TestPipelineCommand:
                 str(corpus / "transcript.json"),
                 "--out",
                 str(out_dir),
-                "--relativize",
             ],
             capsys,
         )
@@ -564,6 +564,34 @@ class TestPipelineCommand:
             "track.gpx",
             "transcript.json",
         ]
+
+    def test_runs_on_copies_elsewhere_write_the_same_bytes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The four files depend on the input bytes and names and the
+        # settings only: not on the clock, the directories or the working
+        # directory of the run.
+        corpus = make_corpus(tmp_path, capsys)
+        names = ("track.gpx", "transcript.json", "video_meta.json")
+        outs = []
+        for cwd, copy, out in (
+            (tmp_path / "a", Path("corpus"), Path("dataset")),
+            (tmp_path, tmp_path / "b" / "deep" / "copy", tmp_path / "b" / "out"),
+        ):
+            shutil.copytree(corpus, cwd / copy)
+            monkeypatch.chdir(cwd)
+            gpx, transcript, video = (str(copy / name) for name in names)
+            code, _, err = run(
+                ["pipeline", "--gpx", gpx, "--transcript", transcript,
+                 "--video-meta", video, "--out", str(out)],
+                capsys,
+            )
+            assert code == EXIT_OK, err
+            outs.append(cwd / out)
+        a, b = outs
+        for name in ("triads.jsonl", "manifest.json", "report.txt", "mismatches.txt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert json.loads((a / "manifest.json").read_text())["created_at_utc_ms"] is None
 
 
 class TestStatsCommand:
@@ -776,7 +804,7 @@ class TestHostileInput:
             ({"audio_start": 5}, "audio_start"),
             ({"gpx": 5}, "gpx must be"),
             ({"audio_offset_ms": 0.5}, "audio_offset_ms"),
-            ({"relativize": "false"}, "relativize"),
+            ({"relativize": True}, "unknown config key 'relativize'"),
             ({"tolerance_ms": True}, "tolerance_ms"),
             ({"tolerance_ms": 1.9}, "tolerance_ms"),
             ({"tolerance_ms": "5000"}, "tolerance_ms"),
@@ -936,7 +964,9 @@ class TestHostileInput:
         assert out == ""
         assert not (corpus / "d").exists()
 
-    @pytest.mark.parametrize("label", ["a|b", "a\nc"], ids=["bar", "newline"])
+    @pytest.mark.parametrize(
+        "label", ["a|b", "a\nc", "a\u2028c"], ids=["bar", "newline", "line-separator"]
+    )
     @pytest.mark.parametrize(
         "route",
         ["pipeline-flag", "pipeline-config", "pipeline-gpx-stem", "stats-label",
@@ -945,8 +975,8 @@ class TestHostileInput:
     def test_label_that_breaks_the_table_is_usage_error(
         self, tmp_path, capsys, route, label
     ):
-        # A "|" or a line end in a column label would split the report's
-        # header row and put its columns out of line.
+        # A "|" or a line end (U+2028 to str.splitlines()) in a column label
+        # would split the report's header row and put its columns out of line.
         corpus = make_corpus(tmp_path, capsys)
         out = str(corpus / "d")
         empty, stem_triads = corpus / "empty.jsonl", corpus / f"{label}.jsonl"
@@ -979,7 +1009,10 @@ class TestHostileInput:
         }[route]
         code, stdout, err = run(args, capsys)
         assert code == EXIT_USAGE
-        assert f"{name} must hold no '|' or control character, got {label!r}" in err
+        assert (
+            f"{name} must hold no '|', control character or line separator, got {label!r}"
+            in err
+        )
         assert stdout == ""
         assert not (corpus / "d").exists()
 
@@ -2018,7 +2051,7 @@ class TestFuzz:
         doc=st.dictionaries(
             st.sampled_from(
                 ["gpx", "transcript", "out", "lexicon", "video-meta", "tolerance_ms",
-                 "seed", "legs", "style", "relativize", "transcript_format", "nope"]
+                 "seed", "legs", "style", "transcript_format", "nope"]
             ),
             st.one_of(st.booleans(), st.integers(), st.floats(), st.lists(st.none())),
             min_size=1,

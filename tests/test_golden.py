@@ -2,7 +2,8 @@
 
 Three small synth drives (one per style, 3 m noise, with a video sidecar)
 go through ``classify`` under the default lexicon and one override,
-``pipeline --relativize`` and ``stats``. A hand-written SRT adds texts the
+``pipeline`` and ``stats``; each of ``pipeline``'s four files is hashed
+as written, ``manifest.json`` included. A hand-written SRT adds texts the
 synth styles never say: lanes, lights, destinations, "arrived at" a road
 and cardinals inside road names. Any change to a digest below is a change
 to the program's output bytes and must be made on purpose.
@@ -61,7 +62,7 @@ GOLDEN = {
         "b18a87aed67ef036390ce586b3c2d2a1ccdf651c3589aa4e94f9acbba81576ce"
     ),
     "cardinal-heavy/manifest.json": (
-        "f4f2774be1db5c621b32c7785e6fb4bd2637a7d59d1e9395806699983145df3f"
+        "02c1788ddf2f08573c5bf5c426fb4c846a238c114aab9dc8f03a1a0505edabcd"
     ),
     "cardinal-heavy/mismatches.txt": (
         "09e1961bf66d13fc51d00b3c8bf40d8c976409e9ec715d708d6fe0e926cfdec1"
@@ -79,7 +80,7 @@ GOLDEN = {
         "aa8315bdb3807cc40a7d5838249d49b456e3e535e468be7c28d6d9925a8bb621"
     ),
     "distance-heavy/manifest.json": (
-        "369d72cdeff227bb73802ceaabd1081815681eff5d9bba099b12d55b74a864e5"
+        "94c874fc7c2faf6c32aaded2eb1fa871da04a4f8c325a122d0ce64d49ed6a393"
     ),
     "distance-heavy/mismatches.txt": (
         "09e1961bf66d13fc51d00b3c8bf40d8c976409e9ec715d708d6fe0e926cfdec1"
@@ -103,7 +104,7 @@ GOLDEN = {
         "4a101bf839ad3b38be7f0c72b3934b9497cae4416c52980aab983c0d14a836d7"
     ),
     "static-object-heavy/manifest.json": (
-        "5bcd09ffed2bd8bcbf4677014bcd4fad4c3854c863695f93f7b6e96f6c489dcc"
+        "fc38e66db3e38da6b1b9a4e4118fed0dedaef325bf7edda568a71a0105fd2c0e"
     ),
     "static-object-heavy/mismatches.txt": (
         "09e1961bf66d13fc51d00b3c8bf40d8c976409e9ec715d708d6fe0e926cfdec1"
@@ -152,12 +153,9 @@ def digests(tmp_path_factory):
         out = root / f"{style}-out"
         _run(["pipeline", "--gpx", files["track.gpx"], "--transcript",
               files["transcript.json"], "--video-meta", files["video_meta.json"],
-              "--out", out, "--source-label", style, "--relativize"])
-        for artifact in ("triads.jsonl", "report.txt", "mismatches.txt"):
+              "--out", out, "--source-label", style])
+        for artifact in ("triads.jsonl", "manifest.json", "report.txt", "mismatches.txt"):
             found[f"{style}/{artifact}"] = _sha((out / artifact).read_bytes())
-        manifest = json.loads((out / "manifest.json").read_text())
-        del manifest["created_at_utc_ms"]
-        found[f"{style}/manifest.json"] = _sha(json.dumps(manifest).encode("utf-8"))
     for name, path, fmt in transcripts:
         base = ["classify", "--transcript", path, "--transcript-format", fmt]
         found[f"{name}/classify"] = _sha(_run(base))

@@ -73,7 +73,7 @@ class TestPipelineConfig:
             ({"source_label": 5}, "source_label"),
             ({"transcript_format": "vtt"}, "transcript_format"),
             ({"lexicon_path": 3}, "lexicon_path"),
-            ({"relativize": 1}, "relativize"),
+            ({"video_offset_ms": True}, "video_offset_ms"),
             ({"audio_start": "garbage"}, "audio_start"),
             ({"audio_start": "1969-01-01T00:00:00Z"}, "audio_start"),
         ],
@@ -134,8 +134,8 @@ class TestRunPipeline:
 
     def test_deterministic_with_pinned_timestamp(self, tmp_path):
         files, _ = generated(tmp_path)
-        r1 = run_pipeline(config_for(files, tmp_path / "a"), created_at_ms=1_000)
-        r2 = run_pipeline(config_for(files, tmp_path / "b"), created_at_ms=1_000)
+        r1 = run_pipeline(config_for(files, tmp_path / "a"))
+        r2 = run_pipeline(config_for(files, tmp_path / "b"))
         for name in ("triads.jsonl", "manifest.json", "report.txt", "mismatches.txt"):
             assert (r1.out_dir / name).read_bytes() == (r2.out_dir / name).read_bytes()
 
@@ -230,11 +230,7 @@ class TestRunPipeline:
         # inputs whose clocks were moved by hand.
         files, _ = generated(tmp_path)
         offsets = run_pipeline(
-            config_for(
-                files, tmp_path / "a", gps_offset_ms=1500, video_offset_ms=2300,
-                relativize=True,
-            ),
-            created_at_ms=0,
+            config_for(files, tmp_path / "a", gps_offset_ms=1500, video_offset_ms=2300)
         )
         triads = offsets.triads_path.read_bytes()
         track = parse_gpx(files["track.gpx"].read_bytes()).shifted(1500)
@@ -249,9 +245,8 @@ class TestRunPipeline:
             config_for(
                 {**files, "track.gpx": moved / "track.gpx",
                  "video_meta.json": moved / "video_meta.json"},
-                tmp_path / "b", relativize=True,
-            ),
-            created_at_ms=0,
+                tmp_path / "b",
+            )
         )
         assert by_hand.triads_path.read_bytes() == triads
 
@@ -287,10 +282,10 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         "settings, digest",
         [
-            ({}, "f2a17ffe7b9da4d69f43daba00f84bbb6f062e46130aaf9acaaeaeec794693db"),
+            ({}, "fe0f68d97341c798ab0e986139f55f1989af08a7f2b1513a93f7eb396779d354"),
             (
-                {"tolerance_ms": 4000, "relativize": True},
-                "cf3db07a0731b37f74af3792f70c70694dbbed40524afb4b6b68edddf0b73c52",
+                {"tolerance_ms": 4000},
+                "06090aaa3d417b57e55f729f2447631caff69d37ea1b73da8e5129029477d7b9",
             ),
         ],
         ids=["defaults", "overrides"],
@@ -367,11 +362,8 @@ class TestShiftInvariance:
             corpus.ground_truth.audio_start_ms + delta
         )
         (moved / "transcript.json").write_text(json.dumps(doc))
-        base = run_pipeline(config_for(files, root / "a"), created_at_ms=0)
-        shifted = run_pipeline(
-            config_for({name: moved / name for name in files}, root / "b"),
-            created_at_ms=0,
-        )
+        base = run_pipeline(config_for(files, root / "a"))
+        shifted = run_pipeline(config_for({name: moved / name for name in files}, root / "b"))
         base_lines = base.triads_path.read_text().splitlines()
         shifted_lines = shifted.triads_path.read_text().splitlines()
         assert len(shifted_lines) == len(base_lines) > 0
@@ -414,8 +406,8 @@ class TestMirrorSwapsSides:
         ))
         gpx = root / "mirrored.gpx"
         gpx.write_bytes(write_gpx(mirrored, f"synth-{seed}").encode())
-        base = run_pipeline(config_for(files, root / "a"), created_at_ms=0)
-        flipped = run_pipeline(config_for(files, root / "b", gpx_path=gpx), created_at_ms=0)
+        base = run_pipeline(config_for(files, root / "a"))
+        flipped = run_pipeline(config_for(files, root / "b", gpx_path=gpx))
         before = [t.action for t in read_triads(base.triads_path.read_bytes())]
         after = [t.action for t in read_triads(flipped.triads_path.read_bytes())]
         assert len(after) == len(before) > 0
@@ -514,9 +506,7 @@ class TestOneWarningPerLostInstruction:
         )
         doc["segments"] = planted + cues
         files["transcript.json"].write_text(json.dumps(doc))
-        result = run_pipeline(
-            config_for(files, root / "out", video_meta_path=None), created_at_ms=0
-        )
+        result = run_pipeline(config_for(files, root / "out", video_meta_path=None))
         warnings = json.loads((result.out_dir / "manifest.json").read_text())["warnings"]
         a, b, c = len(wordless), out_of_span, len(zero_length)
         assert len(warnings) == result.warning_count == a + b + c, warnings
@@ -534,9 +524,7 @@ class TestOneWarningPerLostInstruction:
         assert (cue["start"], cue["end"]) == (10.0, 12.0)
         doc["segments"].append({"start": 10, "end": 11, "text": "..."})
         files["transcript.json"].write_text(json.dumps(doc))
-        result = run_pipeline(
-            config_for(files, tmp_path / "out", video_meta_path=None), created_at_ms=0
-        )
+        result = run_pipeline(config_for(files, tmp_path / "out", video_meta_path=None))
         assert json.loads((result.out_dir / "manifest.json").read_text())["warnings"] == [
             "segment at 2024-06-01T12:00:10.000Z has no classifiable text ('...'); "
             "dropped"
@@ -550,9 +538,7 @@ class TestOneWarningPerLostInstruction:
         doc = json.loads(files["transcript.json"].read_text())
         doc["segments"].append({"start": 10, "end": 11, "text": text})
         files["transcript.json"].write_text(json.dumps(doc))
-        result = run_pipeline(
-            config_for(files, tmp_path / "out", video_meta_path=None), created_at_ms=0
-        )
+        result = run_pipeline(config_for(files, tmp_path / "out", video_meta_path=None))
         assert json.loads((result.out_dir / "manifest.json").read_text())["warnings"] == [
             "segment at 2024-06-01T12:00:10.000Z has no classifiable text (''); dropped"
         ]

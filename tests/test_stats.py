@@ -92,15 +92,18 @@ class TestComboLabel:
 
 class TestCheckLabel:
     # C0 runs to "\x1f" and C1 from "\x7f" (DEL) to "\x9f"; "\xa0" is past it.
+    # U+2028 and U+2029 end a line for str.splitlines().
     @pytest.mark.parametrize(
         "label",
-        ["a|b", "|", "a\nb", "\r", "\t", "\x00", "\x1b[1m", "\x1f", "\x7f", "\x85", "\x9f"],
+        ["a|b", "|", "a\nb", "\r", "\t", "\x00", "\x1b[1m", "\x1f", "\x7f", "\x85", "\x9f",
+         "a\u2028b", "\u2029"],
     )
     def test_what_breaks_a_table_row_is_refused(self, label):
         with pytest.raises(ValueError) as info:
             check_label("source_label", label)
         assert str(info.value) == (
-            f"source_label must hold no '|' or control character, got {label!r}"
+            "source_label must hold no '|', control character or line separator, "
+            f"got {label!r}"
         )
 
     @pytest.mark.parametrize("label", ["a b", "~", "\xa0", "é", "track-1", "a=b"])
@@ -195,6 +198,11 @@ class TestRenderReport:
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError):
             render_report([])
+
+    def test_label_that_breaks_the_table_rejected(self):
+        # A library caller's label is held to the rule the CLI applies.
+        with pytest.raises(ValueError, match=r"source_label must hold no .*, got 'a\|b'"):
+            render_report([corpus_stats("ok", []), corpus_stats("a|b", [])])
 
 
 class TestRankedTables:
