@@ -21,9 +21,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .classifier import classify, load_lexicon
-from .core import (
-    DEFAULT_TOLERANCE_MS, check_value, parse_float, parse_int, read_object, unique_keys,
-)
+from .core import check_value, parse_float, parse_int, read_object, unique_keys
 from .errors import DataError, EmptyInstruction, InternalError, IoError, parse_input
 from .emitter import labels_fragment, read_triads, write_text
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
@@ -184,13 +182,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p_pipeline.add_argument("--gps-offset-ms", type=parse_int, metavar="MS")
     p_pipeline.add_argument("--audio-offset-ms", type=parse_int, metavar="MS")
     p_pipeline.add_argument("--video-offset-ms", type=parse_int, metavar="MS")
-    p_pipeline.add_argument(
-        "--tolerance-ms",
-        type=parse_int,
-        metavar="MS",
-        help="max clock gap bridged when placing events "
-        f"(default {DEFAULT_TOLERANCE_MS})",
-    )
     p_pipeline.add_argument("--out", metavar="DIR", help="output directory")
     p_pipeline.add_argument(
         "--source-label", metavar="NAME", help="column label in report.txt"

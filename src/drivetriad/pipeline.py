@@ -59,7 +59,6 @@ class PipelineConfig:
     audio_offset_ms: int = 0
     video_offset_ms: int = 0
     lexicon_path: Path | None = None
-    tolerance_ms: int = DEFAULT_TOLERANCE_MS
     source_label: str | None = None
 
     def __post_init__(self) -> None:
@@ -77,8 +76,6 @@ class PipelineConfig:
             check_label(
                 "source_label (by default the GPX file stem)", self.gpx_path.stem
             )
-        if self.tolerance_ms < 0:
-            raise ValueError(f"tolerance_ms must be >= 0, got {self.tolerance_ms}")
         if self.audio_start is not None:
             try:
                 parse_iso8601_ms(self.audio_start)
@@ -100,7 +97,7 @@ class PipelineResult:
 
 
 def _effective_config(config: PipelineConfig, lexicon_version: str) -> dict:
-    """The behavior knobs that go into the manifest's config digest.
+    """The settings and the fixed rule that the manifest's config digest records.
 
     Input file content is covered by the per-input digests, so paths are
     deliberately excluded here.
@@ -110,7 +107,8 @@ def _effective_config(config: PipelineConfig, lexicon_version: str) -> dict:
         for f in fields(config)
         if "Path" not in f.type
     }
-    return {**knobs, **MANEUVER_RULE, "lexicon_version": lexicon_version}
+    return {**knobs, **MANEUVER_RULE, "tolerance_ms": DEFAULT_TOLERANCE_MS,
+            "lexicon_version": lexicon_version}
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -172,7 +170,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         video,
         lexicon,
         audio_start_ms,
-        config.tolerance_ms,
         config.audio_offset_ms,
     )
     segments, segment_warnings = segment_actions(events, track, video)

@@ -107,13 +107,16 @@ def render_report(stats: Sequence[CorpusStats]) -> str:
     """Render both tables for the given sources, column per source + Total.
 
     Pure and byte-stable: the same stats always produce the same text.
-    Each source label is held to ``check_label``.
+    Each source label is held to ``check_label`` and given once.
     """
     if not stats:
         raise ValueError("render_report needs at least one source")
+    columns: list[str] = []
     for s in stats:
         check_label("source_label", s.source_label)
-    columns = [s.source_label for s in stats]
+        if s.source_label in columns:
+            raise ValueError(f"source_label {s.source_label!r} given twice")
+        columns.append(s.source_label)
     combo_counts = [s.combo_counts for s in stats]
     lines = _ranked_table(
         "Per-class instruction counts",

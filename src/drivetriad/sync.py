@@ -6,10 +6,10 @@ video frame index at that instant. The track and video come in with their
 clock offsets applied (``run_pipeline`` shifts each stream once); the audio
 offset is added here, where the transcript is anchored.
 
-Events that cannot be placed (outside the track's time span beyond the
-interpolation tolerance, or with unusable text) are dropped, but every
-drop is reported in the returned warning list — nothing disappears
-silently.
+Events that cannot be placed (more than DEFAULT_TOLERANCE_MS, 5 s,
+outside the track's time span, or with unusable text) are dropped, but
+every drop is reported in the returned warning list — nothing disappears
+silently. The 5 s is part of the fixed rule: no caller sets it.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ def build_events(
     video: VideoIndex | None = None,
     lex: Lexicon | None = None,
     audio_start_ms: int | None = None,
-    tolerance_ms: int = DEFAULT_TOLERANCE_MS,
     audio_offset_ms: int = 0,
 ) -> tuple[list[InstructionEvent], list[str]]:
     """Classify and place every transcript segment on the shared timeline.
@@ -133,16 +132,16 @@ def build_events(
             )
             continue
         try:
-            geo = interpolate_position(track, t_ms, tolerance_ms)
+            geo = interpolate_position(track, t_ms, DEFAULT_TOLERANCE_MS)
         except OutOfTrackSpan:
             warnings.append(
                 f"segment at {format_iso8601_ms(t_ms)} is outside the track "
-                f"span (tolerance {tolerance_ms} ms); dropped"
+                f"span (tolerance {DEFAULT_TOLERANCE_MS} ms); dropped"
             )
             continue
         event_id = len(events)
         try:
-            heading = heading_at(track, t_ms, tolerance_ms)
+            heading = heading_at(track, t_ms)
         except DegenerateBearing:
             heading = None
             notes.append(f"event {event_id}: heading undefined: track is degenerate here")

@@ -805,13 +805,14 @@ class TestHostileInput:
             ({"gpx": 5}, "gpx must be"),
             ({"audio_offset_ms": 0.5}, "audio_offset_ms"),
             ({"relativize": True}, "unknown config key 'relativize'"),
-            ({"tolerance_ms": True}, "tolerance_ms"),
-            ({"tolerance_ms": 1.9}, "tolerance_ms"),
-            ({"tolerance_ms": "5000"}, "tolerance_ms"),
+            ({"tolerance_ms": 5000}, "unknown config key 'tolerance_ms'"),
+            ({"gps_offset_ms": True}, "gps_offset_ms"),
+            ({"gps_offset_ms": 1.9}, "gps_offset_ms"),
             ({"audio_start": "garbage"}, "audio_start: bad ISO-8601 timestamp"),
             ({"audio_start": "1969-01-01T00:00:00Z"}, "audio_start: timestamp before"),
             ({"audio_start": "9999-12-31T23:59:59.9999Z"}, "audio_start: timestamp after"),
             ({"source_label": ""}, "source_label must be a non-empty string, got ''"),
+            ({"gps_offset_ms": "5000"}, "gps_offset_ms"),
         ],
     )
     def test_bad_pipeline_setting_is_usage_error(self, tmp_path, capsys, settings, field):
@@ -1134,7 +1135,7 @@ class TestHostileInput:
     @pytest.mark.parametrize(
         "flag, value",
         [
-            ("--tolerance-ms", "5_000"),
+            ("--gps-offset-ms", "5_000"),
             ("--gps-offset-ms", "١"),
             ("--audio-offset-ms", "1_0"),
             ("--video-offset-ms", "٣٠"),
@@ -1150,6 +1151,18 @@ class TestHostileInput:
         )
         assert code == EXIT_USAGE
         assert f"argument {flag}" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_tolerance_flag_is_usage_error(self, tmp_path, capsys):
+        # The 5 s placement tolerance is part of the fixed rule.
+        code, _, err = run(
+            ["pipeline", "--gpx", str(tmp_path / "track.gpx"), "--transcript",
+             str(tmp_path / "transcript.json"), "--out", str(tmp_path / "d"),
+             "--tolerance-ms", "100"],
+            capsys,
+        )
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --tolerance-ms 100" in err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
@@ -1485,16 +1498,16 @@ class TestHostileInput:
             (["stats", "t.jsonl"], {"out": 5}, "out"),
             (["synth"], {"out": 5}, "out"),
             (["synth"], {"out": ["x"]}, "out"),
-            (["pipeline"], {"tolerence_ms": 1}, "tolerence_ms"),
+            (["pipeline"], {"gps_ofset_ms": 1}, "gps_ofset_ms"),
             (["pipeline"], {"gpx_path": "a.gpx"}, "gpx_path"),
             (["classify"], {"lexicon-path": "x"}, "lexicon_path"),
             (["stats", "t.jsonl"], {"sources": ["a"]}, "sources"),
             (["synth"], {"noise": 1.0}, "noise"),
-            (["pipeline"], {"tolerance-ms": 100, "tolerance_ms": 9000}, "tolerance_ms"),
+            (["pipeline"], {"gps-offset-ms": 100, "gps_offset_ms": 9000}, "gps_offset_ms"),
             # Raw JSON text: json.dumps cannot write a key twice.
             (["pipeline", "--gpx", "a.gpx", "--transcript", "t.json", "--out", "o"],
-             '{"tolerance_ms": -5, "tolerance_ms": 100}',
-             "config key 'tolerance_ms' given twice"),
+             '{"gps_offset_ms": -5, "gps_offset_ms": 100}',
+             "config key 'gps_offset_ms' given twice"),
         ],
         ids=[
             "classify-lexicon-int", "classify-transcript-int", "stats-out-int",
@@ -1550,7 +1563,7 @@ def _outputs_with_input_edited(tmp_path, capsys, role, edit):
     lexicon = tmp_path / "lexicon.json"
     lexicon.write_text(json.dumps({"road_suffixes": ["motorway"]}, indent=2))
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"source-label": "drive", "tolerance_ms": 4000}, indent=2))
+    config.write_text(json.dumps({"source-label": "drive", "gps_offset_ms": 1000}, indent=2))
     inputs = {
         "--gpx": corpus / "track.gpx",
         "--transcript": transcript,
@@ -2050,7 +2063,7 @@ class TestFuzz:
     @given(
         doc=st.dictionaries(
             st.sampled_from(
-                ["gpx", "transcript", "out", "lexicon", "video-meta", "tolerance_ms",
+                ["gpx", "transcript", "out", "lexicon", "video-meta", "gps_offset_ms",
                  "seed", "legs", "style", "transcript_format", "nope"]
             ),
             st.one_of(st.booleans(), st.integers(), st.floats(), st.lists(st.none())),

@@ -58,8 +58,9 @@ class TestPipelineConfig:
         config = PipelineConfig("drive.gpx", "voice.json", "out")
         assert config.gpx_path == Path("drive.gpx")
         assert config.out_dir == Path("out")
-        # The maneuver rule is fixed: no run can set its thresholds.
-        for name in MANEUVER_RULE:
+        # The maneuver rule and the placement tolerance are fixed: no run
+        # can set them.
+        for name in [*MANEUVER_RULE, "tolerance_ms"]:
             with pytest.raises(TypeError, match=name):
                 PipelineConfig("drive.gpx", "voice.json", "out", **{name: 1.0})
 
@@ -67,7 +68,7 @@ class TestPipelineConfig:
         "settings, field",
         [
             ({"gps_offset_ms": 1.0}, "gps_offset_ms"),
-            ({"tolerance_ms": -1}, "tolerance_ms"),
+            ({"gps_offset_ms": None}, "gps_offset_ms"),
             ({"audio_offset_ms": 0.5}, "audio_offset_ms"),
             ({"video_offset_ms": "1"}, "video_offset_ms"),
             ({"source_label": 5}, "source_label"),
@@ -252,17 +253,10 @@ class TestRunPipeline:
 
     def test_tolerance_gates_event_placement(self, tmp_path):
         files, corpus = generated(tmp_path)
-        # Shift the GPS stream far ahead of the audio: with a tight
-        # tolerance every event precedes the track span.
+        # Shift the GPS stream an hour ahead of the audio: every event
+        # precedes the track span by far more than the 5 s tolerance.
         with pytest.raises(NoUsableEvents):
-            run_pipeline(
-                config_for(
-                    files,
-                    tmp_path / "out",
-                    gps_offset_ms=3_600_000,
-                    tolerance_ms=100,
-                )
-            )
+            run_pipeline(config_for(files, tmp_path / "out", gps_offset_ms=3_600_000))
 
     @pytest.mark.parametrize("name", ["track.gpx", "transcript.json", "video_meta.json"])
     def test_data_error_names_its_input(self, tmp_path, name):
@@ -275,8 +269,7 @@ class TestRunPipeline:
     def test_error_of_no_one_input_names_none(self, tmp_path):
         files, _ = generated(tmp_path)
         with pytest.raises(NoUsableEvents) as caught:
-            run_pipeline(config_for(files, tmp_path / "out", gps_offset_ms=3_600_000,
-                                    tolerance_ms=100))
+            run_pipeline(config_for(files, tmp_path / "out", gps_offset_ms=3_600_000))
         assert caught.value.path is None
 
     @pytest.mark.parametrize(
@@ -284,8 +277,8 @@ class TestRunPipeline:
         [
             ({}, "fe0f68d97341c798ab0e986139f55f1989af08a7f2b1513a93f7eb396779d354"),
             (
-                {"tolerance_ms": 4000},
-                "06090aaa3d417b57e55f729f2447631caff69d37ea1b73da8e5129029477d7b9",
+                {"source_label": "drive"},
+                "e5cf6ff092998c635d0394686b5512be988ee7c153ba5690be84ee0b98ed43ec",
             ),
         ],
         ids=["defaults", "overrides"],

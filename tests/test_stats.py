@@ -204,6 +204,14 @@ class TestRenderReport:
         with pytest.raises(ValueError, match=r"source_label must hold no .*, got 'a\|b'"):
             render_report([corpus_stats("ok", []), corpus_stats("a|b", [])])
 
+    def test_label_given_twice_rejected(self):
+        # Two columns with one label could not be told apart; the CLI
+        # refuses the same for LABEL=PATH sources.
+        with pytest.raises(ValueError, match=r"^source_label 'a' given twice$"):
+            render_report(
+                [corpus_stats("a", []), corpus_stats("b", []), corpus_stats("a", [])]
+            )
+
 
 class TestRankedTables:
     """Both report tables come from one builder: per-source cells, a Total

@@ -155,6 +155,39 @@ class TestBuildEvents:
         assert len(warnings) == 1
         assert "outside the track span" in warnings[0]
 
+    @pytest.mark.parametrize(
+        "t_ms, fix, warning",
+        [
+            (995_000, 0, None),
+            (994_999, None, "1970-01-01T00:16:34.999Z"),
+            (1_065_000, -1, None),
+            (1_065_001, None, "1970-01-01T00:17:45.001Z"),
+        ],
+        ids=["5000-before-start", "5001-before-start", "5000-after-end", "5001-after-end"],
+    )
+    def test_tolerance_is_five_seconds(self, t_ms, fix, warning):
+        # The track spans 1_000_000..1_060_000 ms. A cue at most 5 s outside
+        # it is placed at the nearest fix; one more millisecond drops it.
+        track = self._track()
+        events, warnings = build_events(
+            transcript((t_ms / 1000, t_ms / 1000 + 1, "Turn right."),
+                       (1030.0, 1031.0, "Turn left.")),
+            track,
+            audio_start_ms=0,
+        )
+        edge = [e for e in events if e.text == "Turn right."]
+        if warning is None:
+            assert warnings == []
+            assert [(e.t_ms, e.geo.lat_deg, e.geo.lon_deg) for e in edge] == [
+                (t_ms, track.points[fix].lat_deg, track.points[fix].lon_deg)
+            ]
+        else:
+            assert edge == []
+            assert warnings == [
+                f"segment at {warning} is outside the track span "
+                "(tolerance 5000 ms); dropped"
+            ]
+
     def test_unclassifiable_text_dropped_with_warning(self):
         # "..." normalizes to nothing; it cannot be placed as an event.
         events, warnings = build_events(
