@@ -36,7 +36,7 @@ from .errors import (
 EARTH_RADIUS_M = 6_371_008.8
 """Mean Earth radius in meters (arithmetic mean of the ellipsoid axes)."""
 
-DEFAULT_TOLERANCE_MS = 5000
+TOLERANCE_MS = 5000
 """How far outside the track span a query may fall and still be clamped."""
 
 MAX_INSTANT_MS = 253_402_300_799_999
@@ -358,8 +358,8 @@ def signed_bearing_delta(from_deg: float, to_deg: float) -> float:
     return delta
 
 
-def _bracket(log: TrackLog, t_ms: int, tolerance_ms: int) -> tuple[int, int, int]:
-    """Locate t within the track, clamping into the span when within tolerance.
+def _bracket(log: TrackLog, t_ms: int) -> tuple[int, int, int]:
+    """Locate t within the track, clamping into the span within TOLERANCE_MS.
 
     Returns (clamped_t, lo_index, hi_index) where lo/hi bracket clamped_t.
     Bisects the log's cached ``times``, so a query costs O(log N) and a run
@@ -371,15 +371,15 @@ def _bracket(log: TrackLog, t_ms: int, tolerance_ms: int) -> tuple[int, int, int
         raise OutOfTrackSpan("track has fewer than 2 points")
     first, last = times[0], times[-1]
     if t_ms < first:
-        if first - t_ms > tolerance_ms:
+        if first - t_ms > TOLERANCE_MS:
             raise OutOfTrackSpan(
-                f"t={t_ms} precedes track start {first} by more than {tolerance_ms} ms"
+                f"t={t_ms} precedes track start {first} by more than {TOLERANCE_MS} ms"
             )
         return first, 0, 1
     if t_ms > last:
-        if t_ms - last > tolerance_ms:
+        if t_ms - last > TOLERANCE_MS:
             raise OutOfTrackSpan(
-                f"t={t_ms} follows track end {last} by more than {tolerance_ms} ms"
+                f"t={t_ms} follows track end {last} by more than {TOLERANCE_MS} ms"
             )
         return last, n - 2, n - 1
     i = bisect_left(times, t_ms)
@@ -389,18 +389,16 @@ def _bracket(log: TrackLog, t_ms: int, tolerance_ms: int) -> tuple[int, int, int
     return t_ms, i - 1, i
 
 
-def interpolate_position(
-    log: TrackLog, t_ms: int, tolerance_ms: int = DEFAULT_TOLERANCE_MS
-) -> GeoPoint:
+def interpolate_position(log: TrackLog, t_ms: int) -> GeoPoint:
     """Linearly interpolated position at time t.
 
-    Queries up to tolerance_ms outside the span clamp to the nearest
+    Queries up to TOLERANCE_MS (5 s) outside the span clamp to the nearest
     endpoint; further out raises OutOfTrackSpan. The returned point carries
     the query time, so callers can anchor events at the instant they asked
     about. A query at a track point's own timestamp reproduces that point
     exactly. Elevation interpolates only when both bracketing points have it.
     """
-    clamped, lo, hi = _bracket(log, t_ms, tolerance_ms)
+    clamped, lo, hi = _bracket(log, t_ms)
     a, b = log.points[lo], log.points[hi]
     if clamped == a.t_ms:
         return GeoPoint(a.lat_deg, a.lon_deg, t_ms, a.ele_m)
@@ -422,16 +420,14 @@ def interpolate_position(
     return GeoPoint(lat, lon, t_ms, ele)
 
 
-def heading_at(
-    log: TrackLog, t_ms: int, tolerance_ms: int = DEFAULT_TOLERANCE_MS
-) -> float:
+def heading_at(log: TrackLog, t_ms: int) -> float:
     """Direction of travel at time t, from the bracketing track points.
 
     If the bracketing pair is coincident (vehicle stopped), the window grows
     outward to the nearest pair with actual separation. A log whose points
     all coincide raises DegenerateBearing.
     """
-    _, lo, hi = _bracket(log, t_ms, tolerance_ms)
+    _, lo, hi = _bracket(log, t_ms)
     pts = log.points
     while True:
         a, b = pts[lo], pts[hi]

@@ -57,6 +57,11 @@ class Transcript:
     segments: tuple[TranscriptSegment, ...]
     audio_start_ms: int | None = None
 
+    def shifted(self, offset_ms: int) -> "Transcript":
+        if offset_ms == 0 or self.audio_start_ms is None:
+            return self
+        return Transcript(self.segments, self.audio_start_ms + offset_ms)
+
 
 @dataclass(frozen=True)
 class VideoIndex:
@@ -420,15 +425,18 @@ def parse_video_meta(data: bytes) -> VideoIndex:
     return VideoIndex(start_ms, float(fps), frame_count)
 
 
-def absolutize(
-    transcript: Transcript, audio_start_ms: int, offset_ms: int = 0
-) -> list[tuple[int, str]]:
+def absolutize(transcript: Transcript) -> list[tuple[int, str]]:
     """Anchor relative segment starts to wall time.
 
-    Each segment maps to (audio_start + round(start_s * 1000) + offset, text)
-    in input order. Any result before the epoch or past MAX_INSTANT_MS
-    raises InvalidAnchor.
+    Each segment maps to (audio_start + round(start_s * 1000), text) in
+    input order. A transcript with no anchor, or any result before the
+    epoch or past MAX_INSTANT_MS, raises InvalidAnchor.
     """
+    audio_start_ms = transcript.audio_start_ms
+    if audio_start_ms is None:
+        raise InvalidAnchor(
+            "transcript has relative times but no audio start anchor was given"
+        )
     events = []
     for i, seg in enumerate(transcript.segments):
         # Compare before rounding: round() takes no NaN or infinity.
@@ -437,7 +445,7 @@ def absolutize(
                 f"segment {i} lands after 9999-12-31T23:59:59.999Z: "
                 f"starts at {seg.start_s} s"
             )
-        t_ms = audio_start_ms + round(seg.start_s * 1000) + offset_ms
+        t_ms = audio_start_ms + round(seg.start_s * 1000)
         if t_ms < 0:
             raise InvalidAnchor(f"segment {i} lands before the epoch: {t_ms} ms")
         if t_ms > MAX_INSTANT_MS:

@@ -8,6 +8,8 @@ and writes four artifacts into the output directory:
 * report.txt      — class and combination frequency tables over the triads
 * mismatches.txt  — stated-vs-observed turn direction contradictions
 
+Every stream is put on the shared clock here, once: ``audio_start``
+becomes the transcript's anchor and each offset shifts its own stream.
 Everything is computed before anything is written, so a data error never
 leaves a file behind. A failed write raises IoError and removes every
 artifact the run wrote. Warnings never abort; they are collected into
@@ -20,7 +22,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import load_lexicon
-from .core import DEFAULT_TOLERANCE_MS, MAX_INSTANT_MS, check_fields, parse_iso8601_ms
+from .core import MAX_INSTANT_MS, TOLERANCE_MS, check_fields, parse_iso8601_ms
 from .emitter import (
     build_manifest,
     config_digest,
@@ -32,7 +34,7 @@ from .emitter import (
     write_text,
 )
 from .errors import InvalidAnchor, ParseError, parse_input
-from .ingest import TRANSCRIPT_FORMATS, parse_gpx, parse_transcript, parse_video_meta
+from .ingest import TRANSCRIPT_FORMATS, Transcript, parse_gpx, parse_transcript, parse_video_meta
 from .segmenter import MANEUVER_RULE, collect_mismatches, segment_actions
 from .stats import check_label, corpus_stats, render_report
 from .sync import build_events
@@ -107,7 +109,7 @@ def _effective_config(config: PipelineConfig, lexicon_version: str) -> dict:
         for f in fields(config)
         if "Path" not in f.type
     }
-    return {**knobs, **MANEUVER_RULE, "tolerance_ms": DEFAULT_TOLERANCE_MS,
+    return {**knobs, **MANEUVER_RULE, "tolerance_ms": TOLERANCE_MS,
             "lexicon_version": lexicon_version}
 
 
@@ -138,18 +140,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         config.transcript_path, parse_transcript, raw["transcript"],
         config.transcript_format,
     )
+    if config.audio_start is not None:
+        transcript = Transcript(transcript.segments, parse_iso8601_ms(config.audio_start))
     video = (
         parse_input(config.video_meta_path, parse_video_meta, raw["video-meta"])
         if "video-meta" in raw
         else None
     )
-    audio_start_ms = (
-        parse_iso8601_ms(config.audio_start)
-        if config.audio_start is not None
-        else None
-    )
-    # The gps and video clock corrections are applied here, once; sync and
-    # segmentation only ever see the shifted streams.
+    # The three clock corrections are applied here, once; sync and
+    # segmentation only ever see the shifted streams. A transcript segment
+    # moved out of range is refused by absolutize, inside build_events.
     spans = [("gps_offset_ms", track.start_ms, track.end_ms)]
     if video is not None:
         spans.append(("video_offset_ms", video.start_ms, video.start_ms))
@@ -163,15 +163,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             )
     track = track.shifted(config.gps_offset_ms)
     video = video.shifted(config.video_offset_ms) if video is not None else None
+    transcript = transcript.shifted(config.audio_offset_ms)
 
-    events, warnings = build_events(
-        transcript,
-        track,
-        video,
-        lexicon,
-        audio_start_ms,
-        config.audio_offset_ms,
-    )
+    events, warnings = build_events(transcript, track, video, lexicon)
     segments, segment_warnings = segment_actions(events, track, video)
     warnings += segment_warnings
     triads = make_triads(events, segments)

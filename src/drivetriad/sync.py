@@ -2,11 +2,11 @@
 
 Each spoken instruction becomes an InstructionEvent anchored at the
 segment's onset time, carrying the interpolated position, heading, and
-video frame index at that instant. The track and video come in with their
-clock offsets applied (``run_pipeline`` shifts each stream once); the audio
-offset is added here, where the transcript is anchored.
+video frame index at that instant. All three streams come in on the shared
+clock: ``run_pipeline`` shifts each one once, and the transcript carries
+its own anchor.
 
-Events that cannot be placed (more than DEFAULT_TOLERANCE_MS, 5 s,
+Events that cannot be placed (more than TOLERANCE_MS, 5 s,
 outside the track's time span, or with unusable text) are dropped, but
 every drop is reported in the returned warning list — nothing disappears
 silently. The 5 s is part of the fixed rule: no caller sets it.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .classifier import Classification, CommandClass, Evidence, Lexicon, classify
 from .core import (
-    DEFAULT_TOLERANCE_MS,
+    TOLERANCE_MS,
     GeoPoint,
     TrackLog,
     format_iso8601_ms,
@@ -31,7 +31,6 @@ from .errors import (
     BeforeVideoStart,
     DegenerateBearing,
     EmptyInstruction,
-    InvalidAnchor,
     NoUsableEvents,
     OutOfTrackSpan,
 )
@@ -90,27 +89,19 @@ def build_events(
     track: TrackLog,
     video: VideoIndex | None = None,
     lex: Lexicon | None = None,
-    audio_start_ms: int | None = None,
-    audio_offset_ms: int = 0,
 ) -> tuple[list[InstructionEvent], list[str]]:
     """Classify and place every transcript segment on the shared timeline.
 
-    ``audio_start_ms`` anchors relative transcript times; if omitted, the
-    transcript's own embedded anchor is used. ``audio_offset_ms`` moves
-    every segment; ``track`` and ``video`` must already be on that clock.
-    Returns the events sorted by time with ids 0..n-1, plus warnings: one
-    per dropped segment in time order, then the ``event N:`` notes (no
-    heading, no video frame) in id order. Raises NoUsableEvents when
-    nothing survives.
+    The transcript's own ``audio_start_ms`` anchors its relative times
+    (InvalidAnchor if it has none); ``track`` and ``video`` must already be
+    on that clock. Returns the events sorted by time with ids 0..n-1, plus
+    warnings: one per dropped segment in time order, then the ``event N:``
+    notes (no heading, no video frame) in id order. Raises NoUsableEvents
+    when nothing survives.
     """
-    anchor = audio_start_ms if audio_start_ms is not None else transcript.audio_start_ms
-    if anchor is None:
-        raise InvalidAnchor(
-            "transcript has relative times but no audio start anchor was given"
-        )
     # Events are numbered as they are placed, so place them in time order;
     # the sort is stable, so equal instants keep their input order.
-    timed = absolutize(transcript, anchor, audio_offset_ms)
+    timed = absolutize(transcript)
     timed.sort(key=lambda pair: pair[0])
     warnings: list[str] = []
     notes: list[str] = []
@@ -132,11 +123,11 @@ def build_events(
             )
             continue
         try:
-            geo = interpolate_position(track, t_ms, DEFAULT_TOLERANCE_MS)
+            geo = interpolate_position(track, t_ms)
         except OutOfTrackSpan:
             warnings.append(
                 f"segment at {format_iso8601_ms(t_ms)} is outside the track "
-                f"span (tolerance {DEFAULT_TOLERANCE_MS} ms); dropped"
+                f"span (tolerance {TOLERANCE_MS} ms); dropped"
             )
             continue
         event_id = len(events)

@@ -107,13 +107,11 @@ class RoutePlan:
             raise ValueError("a plan needs at least one leg")
         check_fields(self)
         if self.speed_mps <= 0:
-            raise ValueError(f"speed must be positive, got {self.speed_mps}")
+            raise ValueError(f"speed_mps must be positive, got {self.speed_mps}")
         if not 0 < self.sample_hz <= 100:
-            raise ValueError(
-                f"sample rate must be in (0, 100] Hz, got {self.sample_hz}"
-            )
+            raise ValueError(f"sample_hz must be in (0, 100], got {self.sample_hz}")
         if self.noise_sigma_m < 0:
-            raise ValueError(f"noise sigma must be >= 0, got {self.noise_sigma_m}")
+            raise ValueError(f"noise_sigma_m must be >= 0, got {self.noise_sigma_m}")
         # generate_route takes floor(steps) + 1 samples; an overflowed sum
         # of leg lengths reads inf here.
         steps = sum(leg.length_m for leg in self.legs) / self.speed_mps * self.sample_hz

@@ -1172,6 +1172,9 @@ class TestHostileInput:
             ({"seed": "3"}, "seed"),
             ({"speed_mps": "20"}, "speed_mps"),
             ({"legs": 5}, "legs"),
+            ({"speed_mps": 0}, "speed_mps must be positive, got 0.0"),
+            ({"sample_hz": 200}, "sample_hz must be in (0, 100], got 200.0"),
+            ({"noise_sigma_m": -1}, "noise_sigma_m must be >= 0, got -1.0"),
         ],
     )
     def test_bad_synth_setting_is_usage_error(self, tmp_path, capsys, settings, field):

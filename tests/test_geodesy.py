@@ -337,17 +337,17 @@ class TestInterpolation:
 
     def test_clamps_within_tolerance(self):
         log = track_from([(1.0, 2.0), (2.0, 3.0)], start_ms=10_000)
-        before = interpolate_position(log, 7_000, tolerance_ms=5000)
+        before = interpolate_position(log, 7_000)
         assert (before.lat_deg, before.lon_deg) == (1.0, 2.0)
-        after = interpolate_position(log, 14_500, tolerance_ms=5000)
+        after = interpolate_position(log, 14_500)
         assert (after.lat_deg, after.lon_deg) == (2.0, 3.0)
 
     def test_rejects_beyond_tolerance(self):
         log = track_from([(1.0, 2.0), (2.0, 3.0)], start_ms=10_000)
         with pytest.raises(OutOfTrackSpan):
-            interpolate_position(log, 1_000, tolerance_ms=5000)
+            interpolate_position(log, 1_000)
         with pytest.raises(OutOfTrackSpan):
-            interpolate_position(log, 17_000, tolerance_ms=5000)
+            interpolate_position(log, 17_000)
 
     def test_single_point_track_rejected(self):
         log = TrackLog((P(0, 0, 0),))

@@ -389,13 +389,18 @@ class TestStreamingParse:
         with pytest.raises(ParseError, match="undefined entity &foo;"):
             parse_gpx(data)
 
-    def test_peak_memory_is_bounded_by_the_fixes_kept(self):
+    @pytest.mark.parametrize("streamed", [False, True], ids=["regex-scan", "stream"])
+    def test_peak_memory_is_bounded_by_the_fixes_kept(self, streamed):
         # A 2,667-fix track: the parse may briefly hold at most three times
         # what the returned TrackLog keeps, whatever the document's size.
+        # An <extensions/> in each trkpt sends the document to the stream.
         corpus = generate_instructions(
             RoutePlan(legs=parse_legs("2000R,2000L"), sample_hz=10.0), "distance-heavy"
         )
         data = write_gpx(corpus.track, "memory").encode()
+        if streamed:
+            data = data.replace(b"</trkpt>", b"<extensions/></trkpt>")
+        assert (ingest._scan_plain_gpx(data) is None) == streamed
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -917,32 +922,58 @@ class TestParseVideoMeta:
         assert v.shifted(0) is v
 
 
+class TestTranscriptShifted:
+    SEGMENTS = (TranscriptSegment(5.0, 6.0, "Turn left."),)
+
+    def test_moves_the_anchor(self):
+        moved = Transcript(self.SEGMENTS, 1_000_000).shifted(2_000)
+        assert moved == Transcript(self.SEGMENTS, 1_002_000)
+        assert absolutize(moved) == [(1_007_000, "Turn left.")]
+
+    def test_zero_shift_is_the_same_object(self):
+        t = Transcript(self.SEGMENTS, 1_000_000)
+        assert t.shifted(0) is t
+
+    def test_no_anchor_is_the_same_object(self):
+        # A transcript with no anchor stays unplaceable; absolutize refuses it.
+        t = Transcript(self.SEGMENTS)
+        assert t.shifted(2_000) is t
+
+
 class TestAbsolutize:
-    def _transcript(self):
+    def _transcript(self, anchor=1_000_000):
         return Transcript(
             (
                 TranscriptSegment(0.5, 2.0, "Turn left."),
                 TranscriptSegment(3.25, 4.0, "Then stop."),
-            )
+            ),
+            anchor,
         )
 
     def test_anchoring_and_rounding(self):
-        rows = absolutize(self._transcript(), audio_start_ms=1_000_000)
+        rows = absolutize(self._transcript())
         assert rows == [
             (1_000_500, "Turn left."),
             (1_003_250, "Then stop."),
         ]
 
     def test_offset_applies(self):
-        rows = absolutize(self._transcript(), audio_start_ms=1_000_000, offset_ms=-200)
+        rows = absolutize(self._transcript().shifted(-200))
         assert rows[0][0] == 1_000_300
+
+    def test_no_anchor_rejected(self):
+        with pytest.raises(
+            InvalidAnchor,
+            match="^transcript has relative times but no audio start anchor was given$",
+        ):
+            absolutize(self._transcript(None))
 
     def test_pre_epoch_rejected(self):
         with pytest.raises(InvalidAnchor):
-            absolutize(self._transcript(), audio_start_ms=0, offset_ms=-1_000_000)
+            absolutize(self._transcript(0).shifted(-1_000_000))
 
     def test_last_instant_accepted(self):
-        rows = absolutize(self._transcript(), MAX_INSTANT_MS - 3_250)
+        rows = absolutize(self._transcript(MAX_INSTANT_MS - 3_250))
         assert rows[-1][0] == MAX_INSTANT_MS
 
     @pytest.mark.parametrize(
@@ -951,6 +982,6 @@ class TestAbsolutize:
         ids=["past-9999", "product-overflows", "inf", "nan", "offset"],
     )
     def test_instant_past_9999_rejected(self, start_s, offset_ms):
-        transcript = Transcript((TranscriptSegment(start_s, start_s, "Go."),))
+        transcript = Transcript((TranscriptSegment(start_s, start_s, "Go."),), 1_000_000)
         with pytest.raises(InvalidAnchor, match="segment 0 lands after 9999-12-31"):
-            absolutize(transcript, audio_start_ms=1_000_000, offset_ms=offset_ms)
+            absolutize(transcript.shifted(offset_ms))

@@ -231,7 +231,10 @@ class TestRunPipeline:
         # inputs whose clocks were moved by hand.
         files, _ = generated(tmp_path)
         offsets = run_pipeline(
-            config_for(files, tmp_path / "a", gps_offset_ms=1500, video_offset_ms=2300)
+            config_for(
+                files, tmp_path / "a",
+                gps_offset_ms=1500, audio_offset_ms=1500, video_offset_ms=2300,
+            )
         )
         triads = offsets.triads_path.read_bytes()
         track = parse_gpx(files["track.gpx"].read_bytes()).shifted(1500)
@@ -242,13 +245,12 @@ class TestRunPipeline:
         video = parse_video_meta(files["video_meta.json"].read_bytes()).shifted(2300)
         meta["start_time"] = format_iso8601_ms(video.start_ms)
         (moved / "video_meta.json").write_text(json.dumps(meta))
-        by_hand = run_pipeline(
-            config_for(
-                {**files, "track.gpx": moved / "track.gpx",
-                 "video_meta.json": moved / "video_meta.json"},
-                tmp_path / "b",
-            )
+        doc = json.loads(files["transcript.json"].read_text())
+        doc["audio_start_utc"] = format_iso8601_ms(
+            parse_iso8601_ms(doc["audio_start_utc"]) + 1500
         )
+        (moved / "transcript.json").write_text(json.dumps(doc))
+        by_hand = run_pipeline(config_for({name: moved / name for name in files}, tmp_path / "b"))
         assert by_hand.triads_path.read_bytes() == triads
 
     def test_tolerance_gates_event_placement(self, tmp_path):
@@ -301,6 +303,31 @@ class TestRunPipeline:
             config_for(files, tmp_path / "out", audio_start=anchor)
         )
         assert result.event_count == len(corpus.ground_truth.instructions)
+
+    def test_explicit_anchor_wins_over_embedded(self, tmp_path):
+        files, _ = generated(tmp_path)
+        base = run_pipeline(config_for(files, tmp_path / "a"))
+        # Move the embedded anchor an hour off; audio_start puts it back.
+        doc = json.loads(files["transcript.json"].read_text())
+        anchor = doc["audio_start_utc"]
+        doc["audio_start_utc"] = format_iso8601_ms(parse_iso8601_ms(anchor) + 3_600_000)
+        files["transcript.json"].write_text(json.dumps(doc))
+        result = run_pipeline(config_for(files, tmp_path / "b", audio_start=anchor))
+        assert result.triads_path.read_bytes() == base.triads_path.read_bytes()
+
+    def test_audio_start_and_offset_add(self, tmp_path):
+        files, _ = generated(tmp_path)
+        base = run_pipeline(config_for(files, tmp_path / "a"))
+        doc = json.loads(files["transcript.json"].read_text())
+        anchor_ms = parse_iso8601_ms(doc.pop("audio_start_utc"))
+        files["transcript.json"].write_text(json.dumps(doc))
+        result = run_pipeline(
+            config_for(
+                files, tmp_path / "b",
+                audio_start=format_iso8601_ms(anchor_ms - 1500), audio_offset_ms=1500,
+            )
+        )
+        assert result.triads_path.read_bytes() == base.triads_path.read_bytes()
 
 
 # The time fields of a triads record; nothing else may move with the clock.

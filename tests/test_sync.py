@@ -100,9 +100,11 @@ class TestBuildEvents:
 
     def test_basic_placement(self):
         events, warnings = build_events(
-            transcript((5.0, 6.0, "Turn left."), (20.0, 21.0, "Continue for half a mile.")),
+            transcript(
+                (5.0, 6.0, "Turn left."), (20.0, 21.0, "Continue for half a mile."),
+                anchor=1_000_000,
+            ),
             self._track(),
-            audio_start_ms=1_000_000,
         )
         assert warnings == []
         assert [e.id for e in events] == [0, 1]
@@ -110,11 +112,6 @@ class TestBuildEvents:
         assert {c.value for c in events[0].classes} == {"Turn"}
         assert events[0].geo.t_ms == 1_005_000
         assert events[0].heading_deg == pytest.approx(0.0, abs=1e-6)
-
-    def test_explicit_anchor_wins_over_embedded(self):
-        t = transcript((5.0, 6.0, "Turn left."), anchor=999_000_000)
-        events, _ = build_events(t, self._track(), audio_start_ms=1_000_000)
-        assert events[0].t_ms == 1_005_000
 
     def test_embedded_anchor_used_when_no_explicit(self):
         t = transcript((5.0, 6.0, "Turn left."), anchor=1_000_000)
@@ -125,31 +122,22 @@ class TestBuildEvents:
         with pytest.raises(InvalidAnchor):
             build_events(transcript((5.0, 6.0, "Turn left.")), self._track())
 
-    def test_audio_offset_shifts_events(self):
-        events, _ = build_events(
-            transcript((5.0, 6.0, "Turn left.")),
-            self._track(),
-            audio_start_ms=1_000_000,
-            audio_offset_ms=2_000,
-        )
-        assert events[0].t_ms == 1_007_000
-
     def test_gps_offset_shifts_track(self):
         # Track shifted +5 s: an event at +2 s now precedes the track start
-        # by 3 s, still within the default 5 s tolerance, so it clamps to
+        # by 3 s, still within the fixed 5 s tolerance, so it clamps to
         # the first fix.
         events, _ = build_events(
-            transcript((2.0, 3.0, "Turn left.")),
+            transcript((2.0, 3.0, "Turn left."), anchor=1_000_000),
             self._track().shifted(5_000),
-            audio_start_ms=1_000_000,
         )
         assert events[0].geo.lat_deg == 0.0
 
     def test_out_of_span_dropped_with_warning(self):
         events, warnings = build_events(
-            transcript((5.0, 6.0, "Turn left."), (500.0, 501.0, "Turn right.")),
+            transcript(
+                (5.0, 6.0, "Turn left."), (500.0, 501.0, "Turn right."), anchor=1_000_000
+            ),
             self._track(),
-            audio_start_ms=1_000_000,
         )
         assert len(events) == 1
         assert len(warnings) == 1
@@ -171,9 +159,8 @@ class TestBuildEvents:
         track = self._track()
         events, warnings = build_events(
             transcript((t_ms / 1000, t_ms / 1000 + 1, "Turn right."),
-                       (1030.0, 1031.0, "Turn left.")),
+                       (1030.0, 1031.0, "Turn left."), anchor=0),
             track,
-            audio_start_ms=0,
         )
         edge = [e for e in events if e.text == "Turn right."]
         if warning is None:
@@ -191,9 +178,10 @@ class TestBuildEvents:
     def test_unclassifiable_text_dropped_with_warning(self):
         # "..." normalizes to nothing; it cannot be placed as an event.
         events, warnings = build_events(
-            transcript((5.0, 6.0, "Turn left."), (10.0, 11.0, "...")),
+            transcript(
+                (5.0, 6.0, "Turn left."), (10.0, 11.0, "..."), anchor=1_000_000
+            ),
             self._track(),
-            audio_start_ms=1_000_000,
         )
         assert len(events) == 1
         assert any("no classifiable" in w for w in warnings)
@@ -202,9 +190,8 @@ class TestBuildEvents:
         # Real words with no navigation cue still become an event; empty
         # class sets are counted, not discarded.
         events, warnings = build_events(
-            transcript((5.0, 6.0, "Nice weather today.")),
+            transcript((5.0, 6.0, "Nice weather today."), anchor=1_000_000),
             self._track(),
-            audio_start_ms=1_000_000,
         )
         assert warnings == []
         assert events[0].classes == frozenset()
@@ -212,9 +199,8 @@ class TestBuildEvents:
     def test_nothing_usable_raises(self):
         with pytest.raises(NoUsableEvents):
             build_events(
-                transcript((500.0, 501.0, "Turn left.")),
+                transcript((500.0, 501.0, "Turn left."), anchor=1_000_000),
                 self._track(),
-                audio_start_ms=1_000_000,
             )
 
     def test_degenerate_heading_warns_on_event(self):
@@ -222,9 +208,8 @@ class TestBuildEvents:
         # cannot be derived.
         parked = track_from([(10.0, 20.0)] * 10, start_ms=1_000_000)
         events, warnings = build_events(
-            transcript((3.0, 4.0, "Turn left.")),
+            transcript((3.0, 4.0, "Turn left."), anchor=1_000_000),
             parked,
-            audio_start_ms=1_000_000,
         )
         assert warnings == ["event 0: heading undefined: track is degenerate here"]
         assert events[0].heading_deg is None
@@ -232,20 +217,18 @@ class TestBuildEvents:
     def test_frame_index_attached(self):
         video = VideoIndex(start_ms=1_000_000, fps=30.0, frame_count=10_000)
         events, _ = build_events(
-            transcript((5.0, 6.0, "Turn left.")),
+            transcript((5.0, 6.0, "Turn left."), anchor=1_000_000),
             self._track(),
             video=video,
-            audio_start_ms=1_000_000,
         )
         assert events[0].frame_index == 150
 
     def test_video_offset_shifts_frames(self):
         video = VideoIndex(start_ms=1_000_000, fps=30.0, frame_count=10_000)
         events, _ = build_events(
-            transcript((5.0, 6.0, "Turn left.")),
+            transcript((5.0, 6.0, "Turn left."), anchor=1_000_000),
             self._track(),
             video=video.shifted(1_000),
-            audio_start_ms=1_000_000,
         )
         # Video now starts 1 s later, so the event is 4 s into it.
         assert events[0].frame_index == 120
@@ -253,10 +236,9 @@ class TestBuildEvents:
     def test_event_outside_video_keeps_event_with_warning(self):
         video = VideoIndex(start_ms=1_000_000, fps=30.0, frame_count=30)  # 1 s long
         events, warnings = build_events(
-            transcript((5.0, 6.0, "Turn left.")),
+            transcript((5.0, 6.0, "Turn left."), anchor=1_000_000),
             self._track(),
             video=video,
-            audio_start_ms=1_000_000,
         )
         assert len(warnings) == 1
         assert warnings[0].startswith("event 0: no video frame: ")
@@ -265,18 +247,18 @@ class TestBuildEvents:
 
     def test_no_video_means_no_frame(self):
         events, _ = build_events(
-            transcript((5.0, 6.0, "Turn left.")),
+            transcript((5.0, 6.0, "Turn left."), anchor=1_000_000),
             self._track(),
-            audio_start_ms=1_000_000,
         )
         assert events[0].frame_index is None
 
     def test_ids_follow_time_order(self):
         # Segments given out of order still come back sorted with 0..n-1.
         events, _ = build_events(
-            transcript((30.0, 31.0, "Turn right."), (5.0, 6.0, "Turn left.")),
+            transcript(
+                (30.0, 31.0, "Turn right."), (5.0, 6.0, "Turn left."), anchor=1_000_000
+            ),
             self._track(),
-            audio_start_ms=1_000_000,
         )
         assert [e.id for e in events] == [0, 1]
         assert events[0].text == "Turn left."
@@ -293,10 +275,10 @@ class TestBuildEvents:
                 (10.0, 11.0, "..."),
                 (5.0, 6.0, "Bear right."),
                 (20.0, 21.0, "Turn left."),
+                anchor=1_000_000,
             ),
             self._track(),
             video=video,
-            audio_start_ms=1_000_000,
         )
         assert [(e.id, e.text) for e in events] == [
             (0, "Bear right."), (1, "Keep left."), (2, "Turn left.")
@@ -323,7 +305,7 @@ class TestBuildEvents:
             (25.0, 26.0, "..."), (30.0, 31.0, "Turn left."),
         ]
         events, warnings = build_events(
-            transcript(*rows), self._track(), audio_start_ms=1_000_000
+            transcript(*rows, anchor=1_000_000), self._track()
         )
         assert calls == {"Turn left.": 1, "...": 1, "In 500 feet, turn right.": 1}
         # Each event carries what classifying its own text gives.
