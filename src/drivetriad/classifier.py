@@ -93,10 +93,14 @@ class Evidence:
 
 @dataclass(frozen=True)
 class Classification:
-    """The full labeling of one instruction."""
+    """The full labeling of one instruction: its evidence, and the classes
+    that evidence names."""
 
-    classes: frozenset[CommandClass]
     evidence: tuple[Evidence, ...]
+
+    @property
+    def classes(self) -> frozenset[CommandClass]:
+        return frozenset(e.command_class for e in self.evidence)
 
 
 # [^\W_] is exactly str.isalnum; a "." or "," joins two decimal digits.
@@ -502,5 +506,4 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
             start, stop = token_spans[first][0], token_spans[end - 1][1]
             evidence.append(Evidence(cls, start, stop, text[start:stop]))
     evidence.sort(key=lambda e: (e.start, e.end, e.command_class.value))
-    classes = frozenset(e.command_class for e in evidence)
-    return Classification(classes, tuple(evidence))
+    return Classification(tuple(evidence))

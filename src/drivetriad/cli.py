@@ -258,7 +258,7 @@ def _run_classify(settings: dict, parser: _Parser) -> int:
             except EmptyInstruction:
                 lines[text] = None
             else:
-                fragment = labels_fragment(text, result.classes, result.evidence)
+                fragment = labels_fragment(text, result.evidence)
                 lines[text] = "{" + fragment + "}\n"
         line = lines[text]
         if line is None:

@@ -30,7 +30,8 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import (
-    DegenerateBearing, EncodingError, NonMonotoneTrack, OutOfTrackSpan, ParseError,
+    DegenerateBearing, EncodingError, InvalidAnchor, NonMonotoneTrack, OutOfTrackSpan,
+    ParseError,
 )
 
 EARTH_RADIUS_M = 6_371_008.8
@@ -293,9 +294,15 @@ class TrackLog:
         return self.points[-1].t_ms
 
     def shifted(self, offset_ms: int) -> "TrackLog":
-        """A copy with every timestamp moved by offset_ms."""
+        """A copy with every timestamp moved by offset_ms; InvalidAnchor if
+        that moves the first fix before the epoch or the last past 9999."""
         if offset_ms == 0:
             return self
+        moves = f"an offset of {offset_ms} ms moves the track"
+        if self.start_ms + offset_ms < 0:
+            raise InvalidAnchor(f"{moves} start before the epoch")
+        if self.end_ms + offset_ms > MAX_INSTANT_MS:
+            raise InvalidAnchor(f"{moves} past 9999-12-31T23:59:59.999Z")
         moved = tuple(
             GeoPoint(p.lat_deg, p.lon_deg, p.t_ms + offset_ms, p.ele_m)
             for p in self.points

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ._version import __version__
 from .classifier import CommandClass, Evidence, sort_classes
@@ -83,11 +83,11 @@ def _geo_members(point: GeoPoint) -> str:
     )
 
 
-def labels_fragment(
-    text: str, classes: Iterable[CommandClass], evidence: Iterable[Evidence]
-) -> str:
+def labels_fragment(text: str, evidence: Sequence[Evidence]) -> str:
     """The text, classes and evidence members of a labels record: the one
-    writer of that JSON fragment, for triads lines and ``classify`` lines."""
+    writer of that JSON fragment, for triads lines and ``classify`` lines.
+    The classes are those the evidence names, each once."""
+    classes = {ev.command_class for ev in evidence}
     class_list = ", ".join(_string(c.value) for c in sort_classes(classes))
     evidence_list = ", ".join(
         '{"class": %s, "start": %d, "end": %d, "matched": %s}'
@@ -142,7 +142,7 @@ def serialize_triad(triad: VlaTriad) -> str:
         % (
             event.id,
             event.t_ms,
-            labels_fragment(event.text, event.classes, event.evidence),
+            labels_fragment(event.text, event.evidence),
             _geo_members(event.geo),
             _opt_float6(event.heading_deg),
             _opt_int(event.frame_index),
@@ -277,7 +277,6 @@ def _triad_from_json(line: str) -> VlaTriad:
         id=event_id,
         t_ms=t_ms,
         text=member(obj, "text", "str"),
-        classes=classes,
         evidence=evidence,
         geo=_geo_from(member(obj, "geo", "object"), t_ms),
         heading_deg=member(obj, "heading_deg", "float", nullable=True),
@@ -311,7 +310,7 @@ def _triad_from_json(line: str) -> VlaTriad:
                 f"evidence [{ev.start}, {ev.end}] is not {ev.matched!r} in the text"
             )
     # The classes are what classify gives: the evidence's classes, each once.
-    if len(names) != len(classes) or classes != {ev.command_class for ev in evidence}:
+    if len(names) != len(classes) or classes != event.classes:
         raise ValueError(f"classes {names!r} are not the evidence's classes, each once")
     return VlaTriad(event, action)
 

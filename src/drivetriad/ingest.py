@@ -65,11 +65,25 @@ class Transcript:
 
 @dataclass(frozen=True)
 class VideoIndex:
-    """Maps wall time to frame indices without touching the media file."""
+    """Maps wall time to frame indices without touching the media file;
+    refuses a bad fps (InvalidFps), frame_count (ParseError) or start
+    (InvalidAnchor), so a ``shifted`` copy is checked too."""
 
     start_ms: int
     fps: float
     frame_count: int
+
+    def __post_init__(self) -> None:
+        # One comparison rejects zero, negatives, NaN, the infinities and
+        # ints too large to become a float.
+        if not 0 < self.fps <= sys.float_info.max:
+            raise InvalidFps(f"fps must be positive and finite, got {self.fps}")
+        object.__setattr__(self, "fps", float(self.fps))
+        if self.frame_count < 0:
+            raise ParseError(f"frame_count must be non-negative, got {self.frame_count}")
+        if not 0 <= self.start_ms <= MAX_INSTANT_MS:
+            where = "before the epoch" if self.start_ms < 0 else "after 9999-12-31T23:59:59.999Z"
+            raise InvalidAnchor(f"video start lands {where}: {self.start_ms} ms")
 
     def shifted(self, offset_ms: int) -> "VideoIndex":
         if offset_ms == 0:
@@ -413,16 +427,10 @@ def parse_video_meta(data: bytes) -> VideoIndex:
     try:
         start_ms = parse_iso8601_ms(member(doc, "start_time", "str"))
         fps = member(doc, "fps", "number")
-        # One comparison rejects zero, negatives, NaN, the infinities and
-        # ints too large to become a float.
-        if not 0 < fps <= sys.float_info.max:
-            raise InvalidFps(f"fps must be positive and finite, got {fps}")
         frame_count = member(doc, "frame_count", "int")
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if frame_count < 0:
-        raise ParseError(f"frame_count must be non-negative, got {frame_count}")
-    return VideoIndex(start_ms, float(fps), frame_count)
+    return VideoIndex(start_ms, fps, frame_count)
 
 
 def absolutize(transcript: Transcript) -> list[tuple[int, str]]:

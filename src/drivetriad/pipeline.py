@@ -6,10 +6,10 @@ and writes four artifacts into the output directory:
 * triads.jsonl    — the vision-language-action records
 * manifest.json   — provenance (input digests, config digest, warnings)
 * report.txt      — class and combination frequency tables over the triads
-* mismatches.txt  — stated-vs-observed turn direction contradictions
+* mismatches.txt  — one line per cue whose spoken turn opposes the driven one
 
-Every stream is put on the shared clock here, once: ``audio_start``
-becomes the transcript's anchor and each offset shifts its own stream.
+Every stream is put on the shared clock here, once: ``audio_start`` anchors
+the transcript and each stream's offset shifts it, or is refused by it.
 Everything is computed before anything is written, so a data error never
 leaves a file behind. A failed write raises IoError and removes every
 artifact the run wrote. Warnings never abort; they are collected into
@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import load_lexicon
-from .core import MAX_INSTANT_MS, TOLERANCE_MS, check_fields, parse_iso8601_ms
+from .core import TOLERANCE_MS, check_fields, parse_iso8601_ms
 from .emitter import (
     build_manifest,
     config_digest,
@@ -33,7 +33,7 @@ from .emitter import (
     write_manifest,
     write_text,
 )
-from .errors import InvalidAnchor, ParseError, parse_input
+from .errors import ParseError, parse_input
 from .ingest import TRANSCRIPT_FORMATS, Transcript, parse_gpx, parse_transcript, parse_video_meta
 from .segmenter import MANEUVER_RULE, collect_mismatches, segment_actions
 from .stats import check_label, corpus_stats, render_report
@@ -150,17 +150,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # The three clock corrections are applied here, once; sync and
     # segmentation only ever see the shifted streams. A transcript segment
     # moved out of range is refused by absolutize, inside build_events.
-    spans = [("gps_offset_ms", track.start_ms, track.end_ms)]
-    if video is not None:
-        spans.append(("video_offset_ms", video.start_ms, video.start_ms))
-    for name, first_ms, last_ms in spans:
-        offset_ms = getattr(config, name)
-        if first_ms + offset_ms < 0:
-            raise InvalidAnchor(f"{name} moves the stream start before the epoch")
-        if last_ms + offset_ms > MAX_INSTANT_MS:
-            raise InvalidAnchor(
-                f"{name} moves the stream past 9999-12-31T23:59:59.999Z"
-            )
     track = track.shifted(config.gps_offset_ms)
     video = video.shifted(config.video_offset_ms) if video is not None else None
     transcript = transcript.shifted(config.audio_offset_ms)
@@ -175,10 +164,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # The report counts what triads.jsonl holds, so that ``stats`` over
     # the run's own triads prints the same report.
     report = render_report([corpus_stats(label, [t.event for t in triads])])
-    mismatch_lines = "".join(
-        f"event {m.event_id}: stated {m.stated}, observed {m.observed}\n"
-        for m in mismatches
-    )
 
     manifest = build_manifest(
         inputs=inputs,
@@ -192,7 +177,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         triads_path = export_triads(triads, out_dir)
         write_manifest(manifest, out_dir)
         write_text(out_dir / REPORT_FILENAME, report)
-        mismatches_path = write_text(out_dir / MISMATCHES_FILENAME, mismatch_lines)
+        lines = "".join(line + "\n" for line in mismatches)
+        mismatches_path = write_text(out_dir / MISMATCHES_FILENAME, lines)
 
     return PipelineResult(
         out_dir=out_dir,

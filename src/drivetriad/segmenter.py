@@ -7,9 +7,9 @@ is summarized as a maneuver: the net signed bearing change over the slice,
 bucketed into Straight / LeftTurn / RightTurn / UTurn.
 
 A consistency check compares the stated turn direction in the instruction
-text against the observed maneuver and reports contradictions. Reports
-only; labels are never auto-corrected, because a disagreement is exactly
-the data-quality signal worth surfacing.
+text against the observed maneuver and writes each contradiction as its
+own mismatches.txt line. Reports only; labels are never auto-corrected,
+because a disagreement is exactly the data-quality signal worth surfacing.
 """
 
 from __future__ import annotations
@@ -74,15 +74,6 @@ class ActionSegment:
     maneuver: Maneuver
     frame_start: int | None
     frame_end: int | None
-
-
-@dataclass(frozen=True)
-class Mismatch:
-    """A stated turn direction contradicted by the observed maneuver."""
-
-    event_id: int
-    stated: str
-    observed: str
 
 
 def _step_lengths(waypoints: Sequence[GeoPoint]) -> list[float]:
@@ -225,33 +216,28 @@ _OBSERVED_SIDE = {
 }
 
 
-def consistency_check(
-    event: InstructionEvent, segment: ActionSegment
-) -> Mismatch | None:
-    """Flag events whose stated turn direction opposes the driven one.
+def consistency_check(event: InstructionEvent, segment: ActionSegment) -> str | None:
+    """The mismatches.txt line of an event whose stated turn side opposes
+    the driven one, such as "event 3: stated left, observed right".
 
-    Only fires when the text states exactly one side (a Turn evidence token
-    that is exactly left or right) and the observed maneuver is the
-    opposite turn. Straight, UTurn, Unknown, and ambiguous texts never
-    mismatch.
+    Fires only when the text states exactly one side (a Turn evidence token
+    that is exactly left or right) and the maneuver is the opposite turn;
+    Straight, UTurn, Unknown and ambiguous texts never mismatch.
     """
-    stated_sides = {
+    stated = {
         token
         for evidence in event.evidence
         if evidence.command_class is CommandClass.TURN
         for token in tokenize(evidence.matched)[0]
         if token in _SIDE_WORDS
     }
-    if len(stated_sides) != 1:
-        return None
-    stated = next(iter(stated_sides))
     observed = _OBSERVED_SIDE.get(segment.maneuver)
-    if observed is None or observed == stated:
+    if observed is None or len(stated) != 1 or observed in stated:
         return None
-    return Mismatch(event_id=event.id, stated=stated, observed=observed)
+    return f"event {event.id}: stated {stated.pop()}, observed {observed}"
 
 
-def collect_mismatches(triads: Iterable[VlaTriad]) -> list[Mismatch]:
-    """Run the consistency check over every triad, in triad order."""
+def collect_mismatches(triads: Iterable[VlaTriad]) -> list[str]:
+    """The consistency check's lines over every triad, in triad order."""
     found = (consistency_check(t.event, t.action) for t in triads)
-    return [mismatch for mismatch in found if mismatch is not None]
+    return [line for line in found if line is not None]

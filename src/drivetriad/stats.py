@@ -21,12 +21,25 @@ from .classifier import CommandClass, sort_classes
 
 @dataclass(frozen=True)
 class CorpusStats:
-    """Counts for one source (one app, one corpus, one drive...)."""
+    """Counts for one source (one app, one corpus, one drive...): the
+    number of events per distinct class set. The class counts and the
+    event total are derived from those."""
 
     source_label: str
-    class_counts: Mapping[CommandClass, int]
     combo_counts: Mapping[frozenset[CommandClass], int]
-    total_events: int
+
+    @property
+    def class_counts(self) -> dict[CommandClass, int]:
+        """Each class's count over the sets that hold it; 0 if none does."""
+        counts = dict.fromkeys(CommandClass, 0)
+        for combo, count in self.combo_counts.items():
+            for cls in combo:
+                counts[cls] += count
+        return counts
+
+    @property
+    def total_events(self) -> int:
+        return sum(self.combo_counts.values())
 
 
 # A table cell may not hold the column rule, a control character (C0, DEL
@@ -55,19 +68,10 @@ def check_label(name: str, label: str) -> None:
 
 
 def corpus_stats(source_label: str, events: Iterable) -> CorpusStats:
-    """Count each distinct class set, and each class from those counts.
-
-    Accepts instruction events or bare class sets; a class no event holds
-    counts 0.
-    """
-    combo_counts = Counter(frozenset(getattr(e, "classes", e)) for e in events)
-    class_counts = dict.fromkeys(CommandClass, 0)
-    for combo, count in combo_counts.items():
-        for cls in combo:
-            class_counts[cls] += count
-    return CorpusStats(
-        source_label, class_counts, combo_counts, sum(combo_counts.values())
-    )
+    """Count each distinct class set; accepts instruction events or bare
+    class sets."""
+    combos = Counter(frozenset(getattr(e, "classes", e)) for e in events)
+    return CorpusStats(source_label, combos)
 
 
 def combo_label(combo: frozenset[CommandClass]) -> str:

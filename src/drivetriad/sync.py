@@ -38,16 +38,20 @@ from .ingest import Transcript, VideoIndex, absolutize
 
 @dataclass(frozen=True)
 class InstructionEvent:
-    """One spoken instruction pinned to time, place, heading, and frame."""
+    """One spoken instruction pinned to time, place, heading, and frame;
+    its classes are those its evidence names, as ``classify`` gives them."""
 
     id: int
     t_ms: int
     text: str
-    classes: frozenset[CommandClass]
     evidence: tuple[Evidence, ...]
     geo: GeoPoint
     heading_deg: float | None
     frame_index: int | None
+
+    @property
+    def classes(self) -> frozenset[CommandClass]:
+        return frozenset(e.command_class for e in self.evidence)
 
 
 def frame_index_at(video: VideoIndex, t_ms: int, clamp: bool = False) -> int:
@@ -144,8 +148,7 @@ def build_events(
                 notes.append(f"event {event_id}: no video frame: {exc}")
         events.append(
             InstructionEvent(
-                event_id, t_ms, text, labeled.classes, labeled.evidence, geo,
-                heading, frame,
+                event_id, t_ms, text, labeled.evidence, geo, heading, frame
             )
         )
     if not events:

@@ -18,6 +18,7 @@ from drivetriad.classifier import (
     DEFAULT_ROAD_SUFFIXES,
     FRACTION_WORDS,
     STRUCTURE_WORDS,
+    Classification,
     Lexicon,
     sort_classes,
     tokenize,
@@ -290,6 +291,13 @@ class TestEvidence:
         for text, _ in MIXED_SENTENCES:
             c = classify(text)
             assert c.classes == frozenset(e.command_class for e in c.evidence)
+
+    def test_classes_is_not_a_constructor_argument(self):
+        # The classes are read from the evidence, so the two cannot disagree.
+        evidence = classify("Turn left onto Oak Street.").evidence
+        assert Classification(evidence).classes == {CommandClass.TURN, CommandClass.ROAD}
+        with pytest.raises(TypeError):
+            Classification(frozenset({CommandClass.DESTINATION}), evidence)
 
     def test_no_same_class_containment(self):
         for text, _ in MIXED_SENTENCES:

@@ -244,7 +244,7 @@ class TestClassifyCommand:
         for text in texts:
             if text != "...":
                 labeled = classify(text)
-                fragment = labels_fragment(text, labeled.classes, labeled.evidence)
+                fragment = labels_fragment(text, labeled.evidence)
                 expected += "{" + fragment + "}\n"
         assert out == expected
         assert err.splitlines() == [
@@ -1052,8 +1052,12 @@ class TestHostileInput:
             capsys,
         )
         assert code == EXIT_DATA
-        assert flag[2:].replace("-", "_") in err
+        # The stream that the offset moves refuses it, and names itself.
+        stream = {"--gps-offset-ms": "moves the track start", "--video-offset-ms": "video start lands"}
+        assert err.startswith("error: InvalidAnchor: ")
+        assert stream[flag] in err
         assert "before the epoch" in err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("document", [_LONG_INT, _DEEP], ids=["long-integer", "deep-nesting"])
     @pytest.mark.parametrize("flag", ["--video-meta", "--transcript", "--config", "--lexicon"])
@@ -1204,6 +1208,13 @@ class TestHostileInput:
             capsys,
         )
         assert code == EXIT_DATA
+        stream = {
+            "--gps-offset-ms": "moves the track past",
+            "--audio-offset-ms": "segment 0 lands after",
+            "--video-offset-ms": "video start lands after",
+        }
+        assert err.startswith("error: InvalidAnchor: ")
+        assert stream[flag] in err
         assert "9999-12-31T23:59:59.999Z" in err
         assert not (tmp_path / "d").exists()
 
@@ -1817,7 +1828,7 @@ class TestStdoutFailure:
                                        "classifiable text ('...'); dropped\n"))
             else:
                 got = classify(text)
-                outputs.append(("out", "{" + labels_fragment(text, got.classes, got.evidence)
+                outputs.append(("out", "{" + labels_fragment(text, got.evidence)
                                 + "}\n"))
         return srt, outputs
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivetriad import (
+    CommandClass,
     GeoPoint,
     Maneuver,
     classify,
@@ -48,7 +51,6 @@ def make_event(id=0, t_ms=1_000_000, text="Turn left onto Oak Street.", frame=12
         id=id,
         t_ms=t_ms,
         text=text,
-        classes=labeled.classes,
         evidence=labeled.evidence,
         geo=GeoPoint(40.0123456, -105.2705, t_ms, ele_m=1625.5),
         heading_deg=271.25,
@@ -237,7 +239,6 @@ class TestSerializeTriad:
             id=0,
             t_ms=event.t_ms,
             text=event.text,
-            classes=event.classes,
             evidence=event.evidence,
             geo=GeoPoint(40.0, -105.0, event.t_ms),  # no elevation
             heading_deg=None,
@@ -360,6 +361,27 @@ class TestReadTriads:
             assert back.action.maneuver is orig.action.maneuver
             assert back.action.frame_start == orig.action.frame_start
             assert len(back.action.waypoints) == len(orig.action.waypoints)
+
+    def test_every_evidence_subset_roundtrips(self, tmp_path):
+        # An event's classes are those its evidence names, so every line
+        # export_triads writes is one read_triads takes back, whichever
+        # evidence items an event keeps (two Turn items, one class).
+        event = make_event(text="In 500 feet, turn left onto Oak Street.")
+        assert len(event.evidence) == 4
+        for size in range(len(event.evidence) + 1):
+            for kept in itertools.combinations(event.evidence, size):
+                triad = VlaTriad(dataclasses.replace(event, evidence=kept), make_segment())
+                data = export_triads([triad], tmp_path).read_bytes()
+                classes = {ev.command_class for ev in kept}
+                assert json.loads(data)["classes"] == sorted(c.value for c in classes)
+                [back] = read_triads(data)
+                assert (back.event.evidence, back.event.classes) == (kept, classes)
+                assert export_triads([back], tmp_path).read_bytes() == data
+
+    def test_classes_is_not_a_constructor_argument(self):
+        # Only the evidence is stored; the classes are read from it.
+        assert "classes" not in {f.name for f in dataclasses.fields(InstructionEvent)}
+        assert make_event().classes == {CommandClass.TURN, CommandClass.ROAD}
 
     def test_reserialization_is_identity(self, tmp_path):
         # Serialized floats are already at emission precision, so a

@@ -26,6 +26,7 @@ from drivetriad.core import (
 )
 from drivetriad.errors import (
     DegenerateBearing,
+    InvalidAnchor,
     NonMonotoneTrack,
     OutOfTrackSpan,
     ParseError,
@@ -241,6 +242,26 @@ class TestTrackLog:
         moved = log.shifted(-50)
         assert (moved.start_ms, moved.end_ms) == (50, 950)
         assert log.shifted(0) is log
+
+    @pytest.mark.parametrize(
+        "offset_ms, message",
+        [
+            (-101, "an offset of -101 ms moves the track start before the epoch"),
+            (MAX_INSTANT_MS - 999, f"an offset of {MAX_INSTANT_MS - 999} ms moves the "
+             "track past 9999-12-31T23:59:59.999Z"),
+        ],
+        ids=["before-epoch", "past-9999"],
+    )
+    def test_shift_out_of_range_is_refused(self, offset_ms, message):
+        log = track_from([(0, 0), (0, 0.1)], start_ms=100, step_ms=900)
+        with pytest.raises(InvalidAnchor) as caught:
+            log.shifted(offset_ms)
+        assert str(caught.value) == message
+
+    def test_shift_to_the_range_ends_is_kept(self):
+        log = track_from([(0, 0), (0, 0.1)], start_ms=100, step_ms=900)
+        assert log.shifted(-100).start_ms == 0
+        assert log.shifted(MAX_INSTANT_MS - 1000).end_ms == MAX_INSTANT_MS
 
 
 class TestHaversine:

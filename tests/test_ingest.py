@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from drivetriad import (
     TrackLog,
     Transcript,
     TranscriptSegment,
+    VideoIndex,
     generate_instructions,
     parse_gpx,
     parse_legs,
@@ -920,6 +922,51 @@ class TestParseVideoMeta:
         v = parse_video_meta(self.GOOD)
         assert v.shifted(250).start_ms == v.start_ms + 250
         assert v.shifted(0) is v
+
+
+class TestVideoIndex:
+    """VideoIndex holds its own rule, so a bad value fails where it is made."""
+
+    @pytest.mark.parametrize(
+        "fps", [math.nan, math.inf, 0, -1], ids=["nan", "inf", "zero", "negative"]
+    )
+    def test_bad_fps_is_refused(self, fps):
+        with pytest.raises(InvalidFps, match=f"^fps must be positive and finite, got {fps}$"):
+            VideoIndex(start_ms=0, fps=fps, frame_count=10)
+
+    def test_fps_is_stored_as_a_float(self):
+        video = VideoIndex(start_ms=0, fps=30, frame_count=10)
+        assert type(video.fps) is float and video.fps == 30.0
+
+    def test_negative_frame_count_is_refused(self):
+        with pytest.raises(ParseError, match="^frame_count must be non-negative, got -1$"):
+            VideoIndex(start_ms=0, fps=30.0, frame_count=-1)
+
+    @pytest.mark.parametrize(
+        "start_ms, message",
+        [
+            (-1, "video start lands before the epoch: -1 ms"),
+            (MAX_INSTANT_MS + 1, "video start lands after 9999-12-31T23:59:59.999Z: "
+             f"{MAX_INSTANT_MS + 1} ms"),
+        ],
+        ids=["before-epoch", "past-9999"],
+    )
+    def test_start_out_of_range_is_refused(self, start_ms, message):
+        with pytest.raises(InvalidAnchor) as caught:
+            VideoIndex(start_ms=start_ms, fps=30.0, frame_count=10)
+        assert str(caught.value) == message
+
+    def test_range_ends_are_kept(self):
+        for start_ms in (0, MAX_INSTANT_MS):
+            assert VideoIndex(start_ms, 30.0, 10).start_ms == start_ms
+
+    @pytest.mark.parametrize(
+        "offset_ms", [-1_717_243_200_001, MAX_INSTANT_MS], ids=["before-epoch", "past-9999"]
+    )
+    def test_shift_out_of_range_is_refused(self, offset_ms):
+        video = VideoIndex(start_ms=1_717_243_200_000, fps=30.0, frame_count=10)
+        with pytest.raises(InvalidAnchor, match="^video start lands "):
+            video.shifted(offset_ms)
 
 
 class TestTranscriptShifted:

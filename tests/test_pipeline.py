@@ -200,7 +200,7 @@ class TestRunPipeline:
         for line in result.triads_path.read_text().splitlines():
             text = json.loads(line)["text"]
             labeled = classify(text)
-            fragment = labels_fragment(text, labeled.classes, labeled.evidence)
+            fragment = labels_fragment(text, labeled.evidence)
             assert line.startswith('{"id": ') and f", {fragment}, " in line
         warnings = json.loads((result.out_dir / "manifest.json").read_text())["warnings"]
         anchor_ms = parse_iso8601_ms(doc["audio_start_utc"])

@@ -41,7 +41,6 @@ def event(id, t_ms, text="Turn left.", lex=None):
         id=id,
         t_ms=t_ms,
         text=text,
-        classes=labeled.classes,
         evidence=labeled.evidence,
         geo=GeoPoint(0.0, 0.0, t_ms),
         heading_deg=None,
@@ -369,15 +368,11 @@ class TestConsistency:
 
     def test_opposite_turn_flagged(self):
         ev, seg = self._pair("Turn left onto Oak Street.", Maneuver.RIGHT_TURN)
-        mismatch = consistency_check(ev, seg)
-        assert mismatch is not None
-        assert (mismatch.stated, mismatch.observed) == ("left", "right")
-        assert mismatch.event_id == 0
+        assert consistency_check(ev, seg) == "event 0: stated left, observed right"
 
     def test_right_stated_left_observed(self):
         ev, seg = self._pair("Turn right.", Maneuver.LEFT_TURN, -90.0)
-        mismatch = consistency_check(ev, seg)
-        assert (mismatch.stated, mismatch.observed) == ("right", "left")
+        assert consistency_check(ev, seg) == "event 0: stated right, observed left"
 
     def test_no_side_stated_passes(self):
         ev, seg = self._pair("Continue for half a mile.", Maneuver.RIGHT_TURN)
@@ -401,9 +396,7 @@ class TestConsistency:
 
     def test_keep_left_counts_as_stated_side(self):
         ev, seg = self._pair("Keep left at the fork.", Maneuver.RIGHT_TURN)
-        mismatch = consistency_check(ev, seg)
-        assert mismatch is not None
-        assert mismatch.stated == "left"
+        assert consistency_check(ev, seg) == "event 0: stated left, observed right"
 
     @pytest.mark.parametrize(
         "text, stated",
@@ -417,23 +410,31 @@ class TestConsistency:
         ev, seg = self._pair(text, Maneuver.RIGHT_TURN, lex=lex)
         turn_evidence = [e.matched for e in ev.evidence if e.command_class.value == "Turn"]
         assert turn_evidence == [text.rstrip(".")]
-        mismatch = consistency_check(ev, seg)
-        assert (mismatch and mismatch.stated) == stated
+        expected = stated and f"event 0: stated {stated}, observed right"
+        assert consistency_check(ev, seg) == expected
 
     def test_collect_mismatches(self):
+        # Lines come in triad order, and an agreeing triad writes none.
         ev1, seg1 = self._pair("Turn left.", Maneuver.RIGHT_TURN)
-        ev2 = event(1, 60_000, "Turn right.")
-        seg2 = ActionSegment(
-            event_id=1,
-            t_start_ms=60_000,
-            t_end_ms=120_000,
-            waypoints=seg1.waypoints,
-            net_bearing_change_deg=90.0,
-            distance_m=100.0,
-            maneuver=Maneuver.RIGHT_TURN,
-            frame_start=None,
-            frame_end=None,
-        )
-        triads = make_triads([ev1, ev2], [seg1, seg2])
-        found = collect_mismatches(triads)
-        assert [m.event_id for m in found] == [0]
+        segments = [seg1]
+        for id, maneuver, net in [
+            (1, Maneuver.RIGHT_TURN, 90.0),
+            (2, Maneuver.LEFT_TURN, -90.0),
+        ]:
+            segments.append(ActionSegment(
+                event_id=id,
+                t_start_ms=60_000 * id,
+                t_end_ms=60_000 * (id + 1),
+                waypoints=seg1.waypoints,
+                net_bearing_change_deg=net,
+                distance_m=100.0,
+                maneuver=maneuver,
+                frame_start=None,
+                frame_end=None,
+            ))
+        events = [ev1, event(1, 60_000, "Turn right."), event(2, 120_000, "Turn right.")]
+        triads = make_triads(events, segments)
+        assert collect_mismatches(triads) == [
+            "event 0: stated left, observed right",
+            "event 2: stated right, observed left",
+        ]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivetriad import CommandClass, corpus_stats, render_report
-from drivetriad.stats import check_label, combo_label
+from drivetriad.stats import CorpusStats, check_label, combo_label
 
 C = CommandClass
 
@@ -118,6 +118,17 @@ class TestCorpusStats:
         assert stats.total_events == 2
         assert stats.class_counts[C.TURN] == 1
         assert stats.combo_counts[LOCATION] == 1
+
+    def test_class_counts_and_total_follow_the_combinations(self):
+        stats = CorpusStats("a", {frozenset({C.TURN}): 5, frozenset(): 2})
+        assert (stats.class_counts[C.TURN], stats.total_events) == (5, 7)
+        assert sum(stats.class_counts.values()) == 5
+        assert render_report([stats]).endswith("\nTotal events: 7\n")
+
+    def test_class_counts_and_total_are_not_constructor_arguments(self):
+        # A report can no longer be handed counts that disagree.
+        with pytest.raises(TypeError):
+            CorpusStats("a", {C.TURN: 5}, {frozenset(): 1}, 7)
 
 
 @st.composite

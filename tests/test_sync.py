@@ -314,7 +314,6 @@ class TestBuildEvents:
             assert (event.classes, event.evidence) == (labeled.classes, labeled.evidence)
         lefts = [e for e in events if e.text == "Turn left."]
         assert len(lefts) == 3
-        assert all(e.classes is lefts[0].classes for e in lefts)
         assert all(e.evidence is lefts[0].evidence for e in lefts)
         # Every occurrence of the wordless text is dropped with its own time.
         assert warnings == [

@@ -176,7 +176,6 @@ def _event(id, t_ms):
         id=id,
         t_ms=t_ms,
         text="Continue.",
-        classes=frozenset(),
         evidence=(),
         geo=GeoPoint(0, 0, t_ms),
         heading_deg=None,
