@@ -427,12 +427,12 @@ def interpolate_position(log: TrackLog, t_ms: int) -> GeoPoint:
     return GeoPoint(lat, lon, t_ms, ele)
 
 
-def heading_at(log: TrackLog, t_ms: int) -> float:
+def heading_at(log: TrackLog, t_ms: int) -> float | None:
     """Direction of travel at time t, from the bracketing track points.
 
     If the bracketing pair is coincident (vehicle stopped), the window grows
     outward to the nearest pair with actual separation. A log whose points
-    all coincide raises DegenerateBearing.
+    all coincide has no heading: None.
     """
     _, lo, hi = _bracket(log, t_ms)
     pts = log.points
@@ -445,5 +445,5 @@ def heading_at(log: TrackLog, t_ms: int) -> float:
         elif lo > 0:
             lo -= 1
         else:
-            raise DegenerateBearing("all track points coincide")
+            return None
 

@@ -104,10 +104,6 @@ class NoUsableEvents(DataError):
     usable time range or had no words, or segment_actions got no events."""
 
 
-class InsufficientGeometry(DataError):
-    """Too few non-degenerate points to derive a bearing change."""
-
-
 # --- emission ---------------------------------------------------------------
 
 class InternalOrderingError(InternalError):

@@ -20,8 +20,8 @@ from typing import Iterator
 
 from .classifier import has_word
 from .core import (
-    MAX_INSTANT_MS, GeoPoint, TrackLog, member, parse_float, parse_iso8601_ms,
-    read_object, read_text,
+    MAX_INSTANT_MS, GeoPoint, TrackLog, check_value, member, parse_float,
+    parse_iso8601_ms, read_object, read_text,
 )
 from .errors import (
     DataError,
@@ -66,14 +66,17 @@ class Transcript:
 @dataclass(frozen=True)
 class VideoIndex:
     """Maps wall time to frame indices without touching the media file;
-    refuses a bad fps (InvalidFps), frame_count (ParseError) or start
-    (InvalidAnchor), so a ``shifted`` copy is checked too."""
+    refuses a member of the wrong type (ValueError), a bad fps (InvalidFps),
+    frame_count (ParseError) or start (InvalidAnchor), so a ``shifted`` copy
+    is checked too."""
 
     start_ms: int
     fps: float
     frame_count: int
 
     def __post_init__(self) -> None:
+        for name, kind in (("start_ms", "int"), ("fps", "number"), ("frame_count", "int")):
+            check_value(name, kind, getattr(self, name))
         # One comparison rejects zero, negatives, NaN, the infinities and
         # ints too large to become a float.
         if not 0 < self.fps <= sys.float_info.max:
@@ -446,19 +449,18 @@ def absolutize(transcript: Transcript) -> list[tuple[int, str]]:
             "transcript has relative times but no audio start anchor was given"
         )
     events = []
-    for i, seg in enumerate(transcript.segments):
+    # A segment is named by its start: the segments were sorted and merged
+    # on reading, so their order is not the file's.
+    for seg in transcript.segments:
         # Compare before rounding: round() takes no NaN or infinity.
         if not seg.start_s * 1000 <= MAX_INSTANT_MS:
-            raise InvalidAnchor(
-                f"segment {i} lands after 9999-12-31T23:59:59.999Z: "
-                f"starts at {seg.start_s} s"
-            )
+            raise InvalidAnchor(f"segment at {seg.start_s} s lands after 9999-12-31T23:59:59.999Z")
         t_ms = audio_start_ms + round(seg.start_s * 1000)
         if t_ms < 0:
-            raise InvalidAnchor(f"segment {i} lands before the epoch: {t_ms} ms")
+            raise InvalidAnchor(f"segment at {seg.start_s} s lands before the epoch: {t_ms} ms")
         if t_ms > MAX_INSTANT_MS:
             raise InvalidAnchor(
-                f"segment {i} lands after 9999-12-31T23:59:59.999Z: {t_ms} ms"
+                f"segment at {seg.start_s} s lands after 9999-12-31T23:59:59.999Z: {t_ms} ms"
             )
         events.append((t_ms, seg.text))
     return events

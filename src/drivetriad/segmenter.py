@@ -28,7 +28,7 @@ from .core import (
     interpolate_position,
     signed_bearing_delta,
 )
-from .errors import InsufficientGeometry, InternalOrderingError, NoUsableEvents
+from .errors import InternalOrderingError, NoUsableEvents
 from .ingest import VideoIndex
 from .sync import InstructionEvent, frame_index_at
 
@@ -81,13 +81,13 @@ def _step_lengths(waypoints: Sequence[GeoPoint]) -> list[float]:
     return [haversine_distance(a, b) for a, b in zip(waypoints, waypoints[1:])]
 
 
-def net_bearing_change(waypoints: Sequence[GeoPoint], steps: Sequence[float]) -> float:
+def net_bearing_change(waypoints: Sequence[GeoPoint], steps: Sequence[float]) -> float | None:
     """Sum of signed heading deltas along the polyline, in degrees.
 
     Steps shorter than the jitter floor are folded into their successor so
     GPS noise while stopped does not masquerade as motion. Positive means
-    net clockwise (a right turn). Raises InsufficientGeometry when fewer
-    than three points survive the floor. The deltas are added left to
+    net clockwise (a right turn). None when fewer than three points survive
+    the floor, an empty polyline included. The deltas are added left to
     right, so the total does not depend on how the Python version sums.
 
     ``steps`` are the haversine lengths of the polyline's steps in order,
@@ -95,9 +95,7 @@ def net_bearing_change(waypoints: Sequence[GeoPoint], steps: Sequence[float]) ->
     is measured from it by its step; only a point after a folded one
     needs a haversine of its own.
     """
-    if not waypoints:
-        raise InsufficientGeometry("no waypoints")
-    kept = [waypoints[0]]
+    kept = list(waypoints[:1])
     previous_kept = True
     for point, step in zip(waypoints[1:], steps):
         gap = step if previous_kept else haversine_distance(kept[-1], point)
@@ -105,10 +103,7 @@ def net_bearing_change(waypoints: Sequence[GeoPoint], steps: Sequence[float]) ->
         if previous_kept:
             kept.append(point)
     if len(kept) < 3:
-        raise InsufficientGeometry(
-            f"only {len(kept)} waypoint(s) span more than the jitter floor "
-            f"({JITTER_FLOOR_M} m); need 3"
-        )
+        return None
     # Kept points lie at least the jitter floor apart, so each has a bearing.
     bearings = [initial_bearing(a, b) for a, b in zip(kept, kept[1:])]
     total = 0.0
@@ -117,8 +112,11 @@ def net_bearing_change(waypoints: Sequence[GeoPoint], steps: Sequence[float]) ->
     return total
 
 
-def classify_maneuver(net_change_deg: float) -> Maneuver:
-    """Bucket a net bearing change into a maneuver label."""
+def classify_maneuver(net_change_deg: float | None) -> Maneuver:
+    """Bucket a net bearing change into a maneuver label; a change that
+    could not be measured (None) is Unknown."""
+    if net_change_deg is None:
+        return Maneuver.UNKNOWN
     magnitude = abs(net_change_deg)
     if magnitude >= UTURN_THRESHOLD_DEG:
         return Maneuver.UTURN
@@ -182,12 +180,10 @@ def segment_actions(
         distance = 0.0
         for step in steps:
             distance += step
-        try:
-            net_change = net_bearing_change(waypoints, steps)
-            maneuver = classify_maneuver(net_change)
-        except InsufficientGeometry:
+        net_change = net_bearing_change(waypoints, steps)
+        maneuver = classify_maneuver(net_change)
+        if net_change is None:
             net_change = 0.0
-            maneuver = Maneuver.UNKNOWN
             warnings.append(
                 f"event {event.id}: too little usable motion in the window "
                 f"to classify a maneuver"

@@ -29,7 +29,6 @@ from .core import (
 from .errors import (
     AfterVideoEnd,
     BeforeVideoStart,
-    DegenerateBearing,
     EmptyInstruction,
     NoUsableEvents,
     OutOfTrackSpan,
@@ -135,10 +134,8 @@ def build_events(
             )
             continue
         event_id = len(events)
-        try:
-            heading = heading_at(track, t_ms)
-        except DegenerateBearing:
-            heading = None
+        heading = heading_at(track, t_ms)
+        if heading is None:
             notes.append(f"event {event_id}: heading undefined: track is degenerate here")
         frame: int | None = None
         if video is not None:

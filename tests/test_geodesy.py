@@ -422,10 +422,9 @@ class TestHeadingAt:
         log = track_from([(0, 0), (0.001, 0), (0.001, 0), (0.002, 0)])
         assert heading_at(log, 1500) == pytest.approx(0.0, abs=1e-6)
 
-    def test_all_coincident_raises(self):
+    def test_all_coincident_has_no_heading(self):
         log = track_from([(0.5, 0.5)] * 4)
-        with pytest.raises(DegenerateBearing):
-            heading_at(log, 1500)
+        assert heading_at(log, 1500) is None
 
 
 class TestAgainstOracle:

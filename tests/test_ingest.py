@@ -956,6 +956,21 @@ class TestVideoIndex:
             VideoIndex(start_ms=start_ms, fps=30.0, frame_count=10)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize(
+        "start_ms, fps, frame_count, message",
+        [
+            (0, 30.0, 2.5, "frame_count must be an integer, got 2.5"),
+            (0.5, True, 10, "start_ms must be an integer, got 0.5"),
+            (0, True, 10, "fps must be a number, got True"),
+            (True, 30.0, 10, "start_ms must be an integer, got True"),
+        ],
+        ids=["float-frame-count", "float-start", "bool-fps", "bool-start"],
+    )
+    def test_member_of_wrong_type_is_refused(self, start_ms, fps, frame_count, message):
+        with pytest.raises(ValueError) as caught:
+            VideoIndex(start_ms, fps, frame_count)
+        assert str(caught.value) == message
+
     def test_range_ends_are_kept(self):
         for start_ms in (0, MAX_INSTANT_MS):
             assert VideoIndex(start_ms, 30.0, 10).start_ms == start_ms
@@ -1016,7 +1031,9 @@ class TestAbsolutize:
             absolutize(self._transcript(None))
 
     def test_pre_epoch_rejected(self):
-        with pytest.raises(InvalidAnchor):
+        with pytest.raises(
+            InvalidAnchor, match="^segment at 0.5 s lands before the epoch: -999500 ms$"
+        ):
             absolutize(self._transcript(0).shifted(-1_000_000))
 
     def test_last_instant_accepted(self):
@@ -1030,5 +1047,8 @@ class TestAbsolutize:
     )
     def test_instant_past_9999_rejected(self, start_s, offset_ms):
         transcript = Transcript((TranscriptSegment(start_s, start_s, "Go."),), 1_000_000)
-        with pytest.raises(InvalidAnchor, match="segment 0 lands after 9999-12-31"):
+        with pytest.raises(InvalidAnchor) as caught:
             absolutize(transcript.shifted(offset_ms))
+        assert str(caught.value).startswith(
+            f"segment at {start_s} s lands after 9999-12-31T23:59:59.999Z"
+        )
