@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from datetime import datetime, timedelta, timezone
 
 from drivetriad import GeoPoint, TrackLog
 
@@ -84,3 +85,14 @@ def circular_diff_deg(a: float, b: float) -> float:
     """Absolute angular difference on the compass circle, in [0, 180]."""
     d = abs(a - b) % 360.0
     return 360.0 - d if d > 180.0 else d
+
+
+# --- instant-format oracle --------------------------------------------------
+
+
+def reference_iso8601_ms(t_ms: int) -> str:
+    """The aware-datetime and strftime rendering ``format_iso8601_ms`` once
+    used, kept as the reference for epoch milliseconds 0 to MAX_INSTANT_MS."""
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    dt = epoch + timedelta(milliseconds=t_ms)
+    return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t_ms % 1000:03d}Z"

@@ -32,7 +32,9 @@ from drivetriad.errors import (
     ParseError,
 )
 
-from helpers import oracle_bearing, oracle_distance, circular_diff_deg, track_from
+from helpers import (
+    circular_diff_deg, oracle_bearing, oracle_distance, reference_iso8601_ms, track_from,
+)
 
 
 def P(lat, lon, t=0, ele=None):
@@ -152,6 +154,10 @@ class TestTimestamps:
     @given(st.integers(min_value=0, max_value=4_000_000_000_000))
     def test_format_parse_roundtrip(self, t_ms):
         assert parse_iso8601_ms(format_iso8601_ms(t_ms)) == t_ms
+
+    @given(st.integers(min_value=0, max_value=MAX_INSTANT_MS))
+    def test_format_matches_reference(self, t_ms):
+        assert format_iso8601_ms(t_ms) == reference_iso8601_ms(t_ms)
 
 
 class TestGeoPoint:
