@@ -44,6 +44,7 @@ MAX_INSTANT_MS = 253_402_300_799_999
 """9999-12-31T23:59:59.999Z, the last instant format_iso8601_ms can render."""
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = datetime(1970, 1, 1)
 _MICROSECOND = timedelta(microseconds=1)
 
 
@@ -199,9 +200,14 @@ def check_fields(obj: object) -> None:
 
 
 def format_iso8601_ms(t_ms: int) -> str:
-    """Render epoch milliseconds as ``YYYY-MM-DDTHH:MM:SS.mmmZ``."""
-    dt = _EPOCH + timedelta(milliseconds=t_ms)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t_ms % 1000:03d}Z"
+    """Render epoch milliseconds as ``YYYY-MM-DDTHH:MM:SS.mmmZ``.
+
+    A naive datetime renders in one C call, about half the cost of an
+    aware one through ``strftime``; both give the same text for every
+    instant from 0 to MAX_INSTANT_MS.
+    """
+    dt = _NAIVE_EPOCH + timedelta(milliseconds=t_ms)
+    return dt.isoformat(timespec="milliseconds") + "Z"
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -38,13 +38,28 @@ from .errors import (
 TRANSCRIPT_FORMATS = ("segment-json", "srt", "plain-lines")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TranscriptSegment:
-    """One stretch of transcribed speech, in seconds relative to audio start."""
+    """One stretch of transcribed speech, in seconds relative to audio start.
+
+    Readers and synth build one per segment or cue, so the class has slots
+    and one storing constructor in place of the generated one, as GeoPoint
+    has; it checks nothing, as the generated one did not.
+    """
 
     start_s: float
     end_s: float
     text: str
+
+    def __init__(self, start_s: float, end_s: float, text: str) -> None:
+        _SET_START(self, start_s)
+        _SET_END(self, end_s)
+        _SET_TEXT(self, text)
+
+
+_SET_START = TranscriptSegment.start_s.__set__
+_SET_END = TranscriptSegment.end_s.__set__
+_SET_TEXT = TranscriptSegment.text.__set__
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .core import (
     interpolate_position,
     signed_bearing_delta,
 )
-from .errors import InternalOrderingError, NoUsableEvents
+from .errors import AfterVideoEnd, BeforeVideoStart, InternalOrderingError, NoUsableEvents
 from .ingest import VideoIndex
 from .sync import InstructionEvent, frame_index_at
 
@@ -138,6 +138,10 @@ def segment_actions(
     to nothing after clamping produces a warning instead of a segment, so
     consecutive surviving segments still abut exactly.
 
+    A window the video wholly covers gets the frames of its two ends as
+    ``frame_index_at`` gives them. Any other window gets no frame range
+    and one ``event N:`` warning saying how much of it the video covers.
+
     A window's interior (the fixes strictly inside it) is a slice found by
     bisecting the track's cached times, O(log N) per window. Windows do not
     overlap, so a run over N fixes and E events is O(N + E log N).
@@ -152,14 +156,14 @@ def segment_actions(
     times = track.times
     # Window i runs from bounds[i] to bounds[i + 1]: each event's instant
     # clamped into the track span, then the track's end. Each bound's point
-    # and frame serve the windows on both sides of it.
+    # and frame (None where the video has no frame) serve the windows on
+    # both sides of it.
     bounds = [min(max(e.t_ms, track.start_ms), track.end_ms) for e in events]
     bounds.append(track.end_ms)
     points = [interpolate_position(track, t) for t in bounds]
-    # A clamped frame exists unless the video has no frames at all.
     frames = [None] * len(bounds)
-    if video is not None and video.frame_count:
-        frames = [frame_index_at(video, t, clamp=True) for t in bounds]
+    if video is not None:
+        frames = [_frame_at(video, t) for t in bounds]
 
     segments: list[ActionSegment] = []
     warnings: list[str] = []
@@ -188,6 +192,10 @@ def segment_actions(
                 f"event {event.id}: too little usable motion in the window "
                 f"to classify a maneuver"
             )
+        frame_start, frame_end = frames[i], frames[i + 1]
+        if video is not None and (frame_start is None or frame_end is None):
+            frame_start = frame_end = None
+            warnings.append(_uncovered_note(event.id, video, t_start, t_end))
         segments.append(
             ActionSegment(
                 event_id=event.id,
@@ -197,11 +205,41 @@ def segment_actions(
                 net_bearing_change_deg=net_change,
                 distance_m=distance,
                 maneuver=maneuver,
-                frame_start=frames[i],
-                frame_end=frames[i + 1],
+                frame_start=frame_start,
+                frame_end=frame_end,
             )
         )
     return segments, warnings
+
+
+def _frame_at(video: VideoIndex, t_ms: int) -> int | None:
+    try:
+        return frame_index_at(video, t_ms)
+    except (BeforeVideoStart, AfterVideoEnd):
+        return None
+
+
+def _uncovered_note(event_id: int, video: VideoIndex, t_start: int, t_end: int) -> str:
+    """The warning of a window the video does not wholly cover: the stretch
+    of it that has frames, in seconds from the window's start, as an
+    interval that shows whether it holds the window's end."""
+    first = max(video.start_ms - t_start, 0)
+    # The video ends where (t - start) * fps reaches frame_count * 1000, as
+    # in frame_index_at. With fps = n / d that is a test in integers, which
+    # no frame count or rate is too large for.
+    n, d = video.fps.as_integer_ratio()
+    frames_ms = video.frame_count * 1000 * d
+    if frames_ms > (t_end - video.start_ms) * n:
+        last, close = t_end - t_start, "]"
+    else:
+        last, close = video.start_ms - t_start + frames_ms / n, ")"
+    covered = "none"
+    if last > first:
+        covered = f"[{first / 1000:.3f} s, {last / 1000:.3f} s{close}"
+    return (
+        f"event {event_id}: no frame range: the video covers {covered} of this "
+        f"{(t_end - t_start) / 1000:.3f} s action window"
+    )
 
 
 _SIDE_WORDS = frozenset({"left", "right"})

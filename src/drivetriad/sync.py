@@ -53,20 +53,17 @@ class InstructionEvent:
         return frozenset(e.command_class for e in self.evidence)
 
 
-def frame_index_at(video: VideoIndex, t_ms: int, clamp: bool = False) -> int:
+def frame_index_at(video: VideoIndex, t_ms: int) -> int:
     """Map a UTC instant to a frame number: floor((t - start) / 1000 * fps).
 
-    Out-of-range instants raise BeforeVideoStart / AfterVideoEnd unless
-    ``clamp`` is set, in which case the nearest valid frame is returned.
-    A zero-frame video has no valid frame, so it always raises.
+    Out-of-range instants raise BeforeVideoStart / AfterVideoEnd. A
+    zero-frame video has no valid frame, so it always raises.
     """
     if video.frame_count == 0:
         raise AfterVideoEnd(
             f"video has no frames (query at {format_iso8601_ms(t_ms)})"
         )
     if t_ms < video.start_ms:
-        if clamp:
-            return 0
         raise BeforeVideoStart(
             f"instant {format_iso8601_ms(t_ms)} precedes video start "
             f"{format_iso8601_ms(video.start_ms)}"
@@ -77,8 +74,6 @@ def frame_index_at(video: VideoIndex, t_ms: int, clamp: bool = False) -> int:
     # a huge fps makes the position infinite, which floor cannot take.
     position = (t_ms - video.start_ms) * video.fps / 1000.0
     if position >= video.frame_count:
-        if clamp:
-            return video.frame_count - 1
         shown = math.floor(position) if math.isfinite(position) else position
         raise AfterVideoEnd(
             f"instant {format_iso8601_ms(t_ms)} maps to frame {shown}, "

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,42 +208,44 @@ def _layout(plan: RoutePlan) -> tuple[list[tuple[float, float]], list[float], li
     return vertices, headings, cumulative
 
 
-def _point_at(
-    distance: float,
-    vertices: list[tuple[float, float]],
-    headings: list[float],
-    cumulative: list[float],
-) -> tuple[float, float]:
-    leg_index = min(bisect_right(cumulative, distance), len(headings)) - 1
-    leg_index = max(leg_index, 0)
-    along = distance - cumulative[leg_index]
-    x, y = vertices[leg_index]
-    rad = math.radians(headings[leg_index])
-    return x + along * math.sin(rad), y + along * math.cos(rad)
-
-
-def _to_geo(plan: RoutePlan, x: float, y: float, t_ms: int) -> GeoPoint:
-    lat0 = math.radians(plan.origin.lat_deg)
-    lat = plan.origin.lat_deg + math.degrees(y / EARTH_RADIUS_M)
-    lon = plan.origin.lon_deg + math.degrees(x / (EARTH_RADIUS_M * math.cos(lat0)))
-    return GeoPoint(lat, lon, t_ms)
-
-
 def generate_route(plan: RoutePlan) -> TrackLog:
-    """Sample the planned polyline at constant speed; seed-deterministic."""
+    """Sample the planned polyline at constant speed; seed-deterministic.
+
+    Each leg's heading sine and cosine and the origin's longitude scale
+    are worked out once. The distance along the route never decreases
+    from one sample to the next, so the current leg only moves forward.
+    """
     vertices, headings, cumulative = _layout(plan)
-    total_m = cumulative[-1]
-    duration_s = total_m / plan.speed_mps
-    samples = math.floor(duration_s * plan.sample_hz + 1e-9)
-    noise = random.Random(f"{plan.seed}:noise")
+    legs = [
+        (cumulative[i], x, y, math.sin(rad), math.cos(rad))
+        for i, ((x, y), rad) in enumerate(zip(vertices, map(math.radians, headings)))
+    ]
+    last_leg = len(legs) - 1
+    speed, hz = plan.speed_mps, plan.sample_hz
+    samples = math.floor(cumulative[-1] / speed * hz + 1e-9)
+    gauss, sigma = random.Random(f"{plan.seed}:noise").gauss, plan.noise_sigma_m
+    lat0, lon0, t0_ms = plan.origin.lat_deg, plan.origin.lon_deg, plan.origin.t_ms
+    lon_scale = EARTH_RADIUS_M * math.cos(math.radians(lat0))
+    degrees = math.degrees
+    leg = 0
+    leg_start, x0, y0, sin_h, cos_h = legs[0]
     points = []
     for k in range(samples + 1):
-        t_s = k / plan.sample_hz
-        x, y = _point_at(plan.speed_mps * t_s, vertices, headings, cumulative)
-        x += noise.gauss(0.0, plan.noise_sigma_m)
-        y += noise.gauss(0.0, plan.noise_sigma_m)
-        t_ms = plan.origin.t_ms + round(t_s * 1000)
-        points.append(_to_geo(plan, x, y, t_ms))
+        t_s = k / hz
+        distance = speed * t_s
+        while leg < last_leg and cumulative[leg + 1] <= distance:
+            leg += 1
+            leg_start, x0, y0, sin_h, cos_h = legs[leg]
+        along = distance - leg_start
+        x = x0 + along * sin_h + gauss(0.0, sigma)
+        y = y0 + along * cos_h + gauss(0.0, sigma)
+        points.append(
+            GeoPoint(
+                lat0 + degrees(y / EARTH_RADIUS_M),
+                lon0 + degrees(x / lon_scale),
+                t0_ms + round(t_s * 1000),
+            )
+        )
     return TrackLog(tuple(points))
 
 

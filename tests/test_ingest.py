@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -982,6 +983,48 @@ class TestVideoIndex:
         video = VideoIndex(start_ms=1_717_243_200_000, fps=30.0, frame_count=10)
         with pytest.raises(InvalidAnchor, match="^video start lands "):
             video.shifted(offset_ms)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ReferenceSegment:
+    """TranscriptSegment as the plain frozen dataclass it once was."""
+
+    start_s: float
+    end_s: float
+    text: str
+
+
+_SEGMENT_ARGS = st.tuples(st.floats(), st.floats(), st.text(max_size=8))
+
+
+class TestTranscriptSegment:
+    def test_frozen_value_type(self):
+        segment = TranscriptSegment(1.0, 2.0, "Go.")
+        for attempt in (
+            lambda: setattr(segment, "text", "Stop."),
+            lambda: delattr(segment, "start_s"),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                attempt()
+        assert [(f.name, f.type, f.default) for f in dataclasses.fields(segment)] == [
+            (f.name, f.type, f.default) for f in dataclasses.fields(_ReferenceSegment)
+        ]
+        assert TranscriptSegment(start_s=1.0, end_s=2.0, text="Go.") == segment
+        assert dataclasses.replace(segment, text="Stop.") == TranscriptSegment(1.0, 2.0, "Stop.")
+        # A segment is no tuple, though it holds the same values.
+        assert segment != (1.0, 2.0, "Go.")
+
+    @given(st.lists(_SEGMENT_ARGS, min_size=2, max_size=2))
+    def test_matches_frozen_dataclass_reference(self, pair):
+        # The slotted class with its own constructor behaves as the plain
+        # frozen dataclass it replaced.
+        built = [(TranscriptSegment(*args), _ReferenceSegment(*args)) for args in pair]
+        for new, ref in built:
+            assert repr(new) == repr(ref).replace("_ReferenceSegment", "TranscriptSegment")
+            assert hash(new) == hash(ref)
+            assert (new.start_s, new.end_s, new.text) == (ref.start_s, ref.end_s, ref.text)
+        (new_a, ref_a), (new_b, ref_b) = built
+        assert (new_a == new_b) == (ref_a == ref_b)
 
 
 class TestTranscriptShifted:

@@ -34,6 +34,11 @@ from drivetriad.synth import RoutePlan, generate_route, parse_legs
 
 from helpers import straight_north_track, track_from
 
+# A 100 s synth drive, and cue instants that put windows of several
+# lengths on it, one starting before the track.
+_VIDEO_TRACK = generate_route(RoutePlan(parse_legs("600R,500L,400"), seed=3, noise_sigma_m=3.0))
+_VIDEO_CUES_MS = (-2_000, 9_000, 30_500, 31_000, 64_250, 90_000)
+
 
 def event(id, t_ms, text="Turn left.", lex=None):
     labeled = classify(text, lex)
@@ -287,21 +292,71 @@ class TestSegmentActions:
     def test_frames_attached_when_video_given(self):
         from drivetriad import VideoIndex
 
+        # The window runs from 2 s to the track's end at 10 s.
         track = straight_north_track(n=11, start_ms=0)
-        video = VideoIndex(start_ms=0, fps=30.0, frame_count=250)
-        segments, _ = segment_actions([event(0, 2_000)], track, video=video)
-        assert segments[0].frame_start == 60
-        # Window end (10 s -> frame 300) is past the 250-frame video;
-        # clamps to the last frame.
-        assert segments[0].frame_end == 249
+        covering = VideoIndex(start_ms=0, fps=30.0, frame_count=301)
+        segments, warnings = segment_actions([event(0, 2_000)], track, video=covering)
+        assert (segments[0].frame_start, segments[0].frame_end) == (60, 300)
+        assert warnings == []
+        # A 250-frame video ends at 8.333 s, and one that starts at 3 s
+        # misses the window's first second: neither gets a frame range
+        # (once clamped to the last frame, or to frame 0), and one note
+        # says how much of the window the video covers.
+        for video, covered in (
+            (VideoIndex(start_ms=0, fps=30.0, frame_count=250), "[0.000 s, 6.333 s)"),
+            (VideoIndex(start_ms=3_000, fps=30.0, frame_count=301), "[1.000 s, 8.000 s]"),
+        ):
+            segments, warnings = segment_actions([event(0, 2_000)], track, video=video)
+            assert (segments[0].frame_start, segments[0].frame_end) == (None, None)
+            assert warnings == [
+                f"event 0: no frame range: the video covers {covered} of this "
+                "8.000 s action window"
+            ]
 
     def test_zero_frame_video_leaves_frames_unset(self):
         from drivetriad import VideoIndex
 
         track = straight_north_track(n=11, start_ms=0)
         video = VideoIndex(start_ms=0, fps=30.0, frame_count=0)
-        segments, _ = segment_actions([event(0, 0), event(1, 5_000)], track, video=video)
+        segments, warnings = segment_actions([event(0, 0), event(1, 5_000)], track, video=video)
         assert [(s.frame_start, s.frame_end) for s in segments] == [(None, None)] * 2
+        assert warnings == [
+            "event 0: no frame range: the video covers none of this 5.000 s action window",
+            "event 1: no frame range: the video covers none of this 5.000 s action window",
+        ]
+
+    @given(
+        start_ms=st.integers(min_value=-120_000, max_value=120_000),
+        frame_count=st.integers(min_value=0, max_value=4_000),
+    )
+    def test_frame_range_is_exact_or_absent(self, start_ms, frame_count):
+        from drivetriad import VideoIndex
+        from drivetriad.sync import frame_index_at
+
+        track = _VIDEO_TRACK
+        video = VideoIndex(track.start_ms + start_ms, 30.0, frame_count)
+        events = [event(i, track.start_ms + t_ms) for i, t_ms in enumerate(_VIDEO_CUES_MS)]
+        segments, warnings = segment_actions(events, track, video=video)
+        notes = [w for w in warnings if "no frame range" in w]
+        uncovered = 0
+        for segment in segments:
+            # At 30 fps the video holds t exactly when 0 <= (t - start) * 30
+            # < frame_count * 1000, in integers.
+            covered = all(
+                0 <= (t - video.start_ms) * 30 < frame_count * 1000
+                for t in (segment.t_start_ms, segment.t_end_ms)
+            )
+            if covered:
+                assert (segment.frame_start, segment.frame_end) == (
+                    frame_index_at(video, segment.t_start_ms),
+                    frame_index_at(video, segment.t_end_ms),
+                )
+            else:
+                uncovered += 1
+                assert (segment.frame_start, segment.frame_end) == (None, None)
+                mine = [n for n in notes if n.startswith(f"event {segment.event_id}: ")]
+                assert len(mine) == 1
+        assert len(notes) == uncovered
 
     def test_window_totals_add_left_to_right(self):
         # From Python 3.12 on, sum() of floats is compensated; the totals

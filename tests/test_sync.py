@@ -60,16 +60,10 @@ class TestFrameIndexAt:
         with pytest.raises(BeforeVideoStart):
             frame_index_at(self.VIDEO, 999_999)
 
-    def test_before_start_clamps_to_zero(self):
-        assert frame_index_at(self.VIDEO, 999_999, clamp=True) == 0
-
     def test_past_end_raises(self):
         # Frame 3000 would start at +100 s; the last valid frame is 2999.
         with pytest.raises(AfterVideoEnd):
             frame_index_at(self.VIDEO, 1_100_000)
-
-    def test_past_end_clamps_to_last(self):
-        assert frame_index_at(self.VIDEO, 1_100_000, clamp=True) == 2999
 
     def test_past_end_message_names_the_frame(self):
         with pytest.raises(AfterVideoEnd, match=r"maps to frame 3000, past the last frame 2999$"):
@@ -80,7 +74,6 @@ class TestFrameIndexAt:
         video = VideoIndex(start_ms=0, fps=1e308, frame_count=10)
         with pytest.raises(AfterVideoEnd, match="maps to frame inf"):
             frame_index_at(video, 5_000)
-        assert frame_index_at(video, 5_000, clamp=True) == 9
 
     def test_last_millisecond_of_final_frame(self):
         assert frame_index_at(self.VIDEO, 1_099_999) == 2999
@@ -89,8 +82,6 @@ class TestFrameIndexAt:
         empty = VideoIndex(start_ms=0, fps=30.0, frame_count=0)
         with pytest.raises(AfterVideoEnd):
             frame_index_at(empty, 0)
-        with pytest.raises(AfterVideoEnd):
-            frame_index_at(empty, 0, clamp=True)
 
 
 class TestBuildEvents:
