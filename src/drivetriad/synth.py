@@ -217,8 +217,8 @@ def generate_route(plan: RoutePlan) -> TrackLog:
     """
     vertices, headings, cumulative = _layout(plan)
     legs = [
-        (cumulative[i], x, y, math.sin(rad), math.cos(rad))
-        for i, ((x, y), rad) in enumerate(zip(vertices, map(math.radians, headings)))
+        (start, x, y, math.sin(rad), math.cos(rad))
+        for start, (x, y), rad in zip(cumulative, vertices, map(math.radians, headings))
     ]
     last_leg = len(legs) - 1
     speed, hz = plan.speed_mps, plan.sample_hz

@@ -299,9 +299,8 @@ class TestSegmentActions:
         assert (segments[0].frame_start, segments[0].frame_end) == (60, 300)
         assert warnings == []
         # A 250-frame video ends at 8.333 s, and one that starts at 3 s
-        # misses the window's first second: neither gets a frame range
-        # (once clamped to the last frame, or to frame 0), and one note
-        # says how much of the window the video covers.
+        # misses the window's first second: neither gets a frame range,
+        # and one note says how much of the window the video covers.
         for video, covered in (
             (VideoIndex(start_ms=0, fps=30.0, frame_count=250), "[0.000 s, 6.333 s)"),
             (VideoIndex(start_ms=3_000, fps=30.0, frame_count=301), "[1.000 s, 8.000 s]"),
