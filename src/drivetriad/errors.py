@@ -91,14 +91,6 @@ class LexiconError(DataError):
 
 # --- synchronization / segmentation ----------------------------------------
 
-class BeforeVideoStart(DataError):
-    """Queried time precedes the video start."""
-
-
-class AfterVideoEnd(DataError):
-    """Computed frame index is past the last frame."""
-
-
 class NoUsableEvents(DataError):
     """No instruction event to work on: every segment fell outside the
     usable time range or had no words, or segment_actions got no events."""

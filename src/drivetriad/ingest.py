@@ -99,6 +99,10 @@ class VideoIndex:
         object.__setattr__(self, "fps", float(self.fps))
         if self.frame_count < 0:
             raise ParseError(f"frame_count must be non-negative, got {self.frame_count}")
+        # With at most 2**53 frames, a frame position too large for a float
+        # lies past the last frame, where frame_index_at gives None.
+        if self.frame_count > 2**53:
+            raise ParseError("frame_count must be at most 2**53")
         if not 0 <= self.start_ms <= MAX_INSTANT_MS:
             where = "before the epoch" if self.start_ms < 0 else "after 9999-12-31T23:59:59.999Z"
             raise InvalidAnchor(f"video start lands {where}: {self.start_ms} ms")

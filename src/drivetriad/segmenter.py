@@ -28,7 +28,7 @@ from .core import (
     interpolate_position,
     signed_bearing_delta,
 )
-from .errors import AfterVideoEnd, BeforeVideoStart, InternalOrderingError, NoUsableEvents
+from .errors import InternalOrderingError, NoUsableEvents
 from .ingest import VideoIndex
 from .sync import InstructionEvent, frame_index_at
 
@@ -163,7 +163,7 @@ def segment_actions(
     points = [interpolate_position(track, t) for t in bounds]
     frames = [None] * len(bounds)
     if video is not None:
-        frames = [_frame_at(video, t) for t in bounds]
+        frames = [frame_index_at(video, t) for t in bounds]
 
     segments: list[ActionSegment] = []
     warnings: list[str] = []
@@ -194,8 +194,8 @@ def segment_actions(
             )
         frame_start, frame_end = frames[i], frames[i + 1]
         if video is not None and (frame_start is None or frame_end is None):
+            warnings.append(_uncovered_note(event.id, video, t_start, t_end, frame_end))
             frame_start = frame_end = None
-            warnings.append(_uncovered_note(event.id, video, t_start, t_end))
         segments.append(
             ActionSegment(
                 event_id=event.id,
@@ -212,27 +212,19 @@ def segment_actions(
     return segments, warnings
 
 
-def _frame_at(video: VideoIndex, t_ms: int) -> int | None:
-    try:
-        return frame_index_at(video, t_ms)
-    except (BeforeVideoStart, AfterVideoEnd):
-        return None
-
-
-def _uncovered_note(event_id: int, video: VideoIndex, t_start: int, t_end: int) -> str:
+def _uncovered_note(
+    event_id: int, video: VideoIndex, t_start: int, t_end: int, frame_end: int | None
+) -> str:
     """The warning of a window the video does not wholly cover: the stretch
     of it that has frames, in seconds from the window's start, as an
-    interval that shows whether it holds the window's end."""
+    interval that holds the window's end exactly when ``frame_end``, the
+    end's frame, exists."""
     first = max(video.start_ms - t_start, 0)
-    # The video ends where (t - start) * fps reaches frame_count * 1000, as
-    # in frame_index_at. With fps = n / d that is a test in integers, which
-    # no frame count or rate is too large for.
-    n, d = video.fps.as_integer_ratio()
-    frames_ms = video.frame_count * 1000 * d
-    if frames_ms > (t_end - video.start_ms) * n:
+    if frame_end is not None:
         last, close = t_end - t_start, "]"
     else:
-        last, close = video.start_ms - t_start + frames_ms / n, ")"
+        video_end = video.start_ms + video.frame_count * 1000 / video.fps
+        last, close = min(t_end, video_end) - t_start, ")"
     covered = "none"
     if last > first:
         covered = f"[{first / 1000:.3f} s, {last / 1000:.3f} s{close}"

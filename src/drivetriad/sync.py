@@ -26,13 +26,7 @@ from .core import (
     heading_at,
     interpolate_position,
 )
-from .errors import (
-    AfterVideoEnd,
-    BeforeVideoStart,
-    EmptyInstruction,
-    NoUsableEvents,
-    OutOfTrackSpan,
-)
+from .errors import EmptyInstruction, NoUsableEvents, OutOfTrackSpan
 from .ingest import Transcript, VideoIndex, absolutize
 
 @dataclass(frozen=True)
@@ -53,32 +47,22 @@ class InstructionEvent:
         return frozenset(e.command_class for e in self.evidence)
 
 
-def frame_index_at(video: VideoIndex, t_ms: int) -> int:
+def frame_index_at(video: VideoIndex, t_ms: int) -> int | None:
     """Map a UTC instant to a frame number: floor((t - start) / 1000 * fps).
 
-    Out-of-range instants raise BeforeVideoStart / AfterVideoEnd. A
-    zero-frame video has no valid frame, so it always raises.
+    None where the video holds no frame: before its start, at or past its
+    end, and always for a zero-frame video.
     """
-    if video.frame_count == 0:
-        raise AfterVideoEnd(
-            f"video has no frames (query at {format_iso8601_ms(t_ms)})"
-        )
     if t_ms < video.start_ms:
-        raise BeforeVideoStart(
-            f"instant {format_iso8601_ms(t_ms)} precedes video start "
-            f"{format_iso8601_ms(video.start_ms)}"
-        )
+        return None
     # Multiply before dividing: (dt * fps) is exact for integral fps, so
     # whole-second boundaries never land a float ulp below the frame line.
     # Test the bound before flooring (floor(x) >= n exactly when x >= n):
-    # a huge fps makes the position infinite, which floor cannot take.
+    # a huge fps makes the position infinite, which floor cannot take, and
+    # frame_count is at most 2**53, so an infinite position is past it.
     position = (t_ms - video.start_ms) * video.fps / 1000.0
     if position >= video.frame_count:
-        shown = math.floor(position) if math.isfinite(position) else position
-        raise AfterVideoEnd(
-            f"instant {format_iso8601_ms(t_ms)} maps to frame {shown}, "
-            f"past the last frame {video.frame_count - 1}"
-        )
+        return None
     return math.floor(position)
 
 
@@ -132,12 +116,9 @@ def build_events(
         heading = heading_at(track, t_ms)
         if heading is None:
             notes.append(f"event {event_id}: heading undefined: track is degenerate here")
-        frame: int | None = None
-        if video is not None:
-            try:
-                frame = frame_index_at(video, t_ms)
-            except (BeforeVideoStart, AfterVideoEnd) as exc:
-                notes.append(f"event {event_id}: no video frame: {exc}")
+        frame = None if video is None else frame_index_at(video, t_ms)
+        if video is not None and frame is None:
+            notes.append(f"event {event_id}: no video frame at {format_iso8601_ms(t_ms)}")
         events.append(
             InstructionEvent(
                 event_id, t_ms, text, labeled.evidence, geo, heading, frame

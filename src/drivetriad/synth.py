@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,7 @@ DEFAULT_STYLE = "distance-heavy"
 MAX_SAMPLES = 1_000_000
 _SPEECH_SECONDS = 2.0
 _VIDEO_FPS = 30.0
+_FOOT_M = 0.3048
 
 _ROAD_BANK = (
     "Oak Street",
@@ -152,13 +154,33 @@ def parse_legs(text: str) -> tuple[Leg, ...]:
 
 
 @dataclass(frozen=True)
+class PlantedTurn:
+    """A planted turn: its distance along the planned route, and the time
+    the drive reaches it, in seconds from the audio start."""
+
+    along_m: float
+    t_s: float
+
+
+@dataclass(frozen=True)
 class GroundTruthEntry:
-    """One instruction with its known-correct class set."""
+    """One instruction with its known-correct class set, and what the plan
+    says of it: where along the route it is spoken, the leg heading there,
+    the turn it announces (None for the arrival), the distance in metres
+    and the cardinal its text states (None where it states none), and the
+    planned length of its window, which runs to the next cue or, for the
+    last, to the track's end."""
 
     start_s: float
     end_s: float
     text: str
     classes: frozenset[CommandClass]
+    along_m: float
+    heading_deg: float
+    turn: PlantedTurn | None
+    stated_m: float | None
+    stated_cardinal: str | None
+    window_m: float
 
 
 @dataclass(frozen=True)
@@ -315,7 +337,9 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
     _, headings, cumulative = _layout(plan)
     text_rng = random.Random(f"{plan.seed}:text")
 
-    cues: list[tuple[float, str, frozenset[CommandClass]]] = []
+    speed = plan.speed_mps
+    # Each cue's GroundTruthEntry fields but its end and its window.
+    cues: list[dict] = []
     expected: list[Maneuver] = []
     for i, leg in enumerate(plan.legs):
         maneuver = leg.maneuver_after
@@ -330,28 +354,49 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
         else:
             cue_at_m = cumulative[i + 1] - leg.length_m / 2.0
         heading_after = headings[i + 1] if i + 1 < len(headings) else headings[i]
+        feet = round(DEFAULT_LEAD_M * 3.28084)
+        cardinal = _cardinal_for(heading_after)
         text = template.format(
             word="left" if maneuver is Maneuver.LEFT_TURN else "right",
             road=text_rng.choice(_ROAD_BANK),
-            cardinal=_cardinal_for(heading_after),
-            feet=round(DEFAULT_LEAD_M * 3.28084),
+            cardinal=cardinal,
+            feet=feet,
         )
-        cues.append((cue_at_m / plan.speed_mps, text, classes))
+        cues.append({
+            "start_s": cue_at_m / speed,
+            "text": text,
+            "classes": classes,
+            "along_m": cue_at_m,
+            "heading_deg": headings[i],
+            "turn": PlantedTurn(cumulative[i + 1], cumulative[i + 1] / speed),
+            "stated_m": feet * _FOOT_M if CommandClass.DISTANCE in classes else None,
+            "stated_cardinal": cardinal if CommandClass.CARDINAL in classes else None,
+        })
         expected.append(maneuver)
 
     place = text_rng.choice(_PLACE_BANK)
     track_end_s = (track.end_ms - plan.origin.t_ms) / 1000.0
     arrival_s = track_end_s - max(5.0, 5.0 / plan.sample_hz)
     if cues:
-        arrival_s = max(arrival_s, cues[-1][0] + _SPEECH_SECONDS + 0.5)
+        arrival_s = max(arrival_s, cues[-1]["start_s"] + _SPEECH_SECONDS + 0.5)
     arrival_s = min(arrival_s, track_end_s - 0.5)
-    cues.append(
-        (arrival_s, f"Arrived at {place}.", frozenset({CommandClass.LOCATION_NAME}))
-    )
+    # The leg the route is on there, as generate_route walks the legs.
+    arrival_leg = min(bisect_right(cumulative, arrival_s * speed), len(headings)) - 1
+    cues.append({
+        "start_s": arrival_s,
+        "text": f"Arrived at {place}.",
+        "classes": frozenset({CommandClass.LOCATION_NAME}),
+        "along_m": arrival_s * speed,
+        "heading_deg": headings[arrival_leg],
+        "turn": None,
+        "stated_m": None,
+        "stated_cardinal": None,
+    })
     expected.append(Maneuver.STRAIGHT)
 
     entries = []
-    for j, (start_s, text, classes) in enumerate(cues):
+    for cue, after in zip(cues, [*cues[1:], None]):
+        start_s, text = cue["start_s"], cue["text"]
         if not 0 <= start_s <= track_end_s:
             raise ValueError(
                 f"cue {text!r} at {start_s:g} s lies outside the track "
@@ -363,10 +408,14 @@ def generate_instructions(plan: RoutePlan, style: str) -> StyledCorpus:
                 f"cue ends ({entries[-1].end_s:g} s)"
             )
         end_s = start_s + _SPEECH_SECONDS
-        if j + 1 < len(cues):
-            end_s = min(end_s, cues[j + 1][0] - 0.1)
+        window_end_m = track_end_s * speed
+        if after is not None:
+            end_s = min(end_s, after["start_s"] - 0.1)
+            window_end_m = after["along_m"]
         end_s = max(end_s, start_s + 0.2)
-        entries.append(GroundTruthEntry(start_s, end_s, text, classes))
+        entries.append(
+            GroundTruthEntry(end_s=end_s, window_m=window_end_m - cue["along_m"], **cue)
+        )
 
     ground_truth = GroundTruth(
         style=style,

@@ -96,3 +96,20 @@ def reference_iso8601_ms(t_ms: int) -> str:
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     dt = epoch + timedelta(milliseconds=t_ms)
     return dt.strftime("%Y-%m-%dT%H:%M:%S.") + f"{t_ms % 1000:03d}Z"
+
+
+# --- frame oracle -----------------------------------------------------------
+
+
+def reference_frame_index_at(video, t_ms: int) -> int:
+    """The frame rule ``frame_index_at`` once used, which raised ValueError
+    where the video holds no frame; kept as the reference for every frame
+    that it does return."""
+    if video.frame_count == 0:
+        raise ValueError("video has no frames")
+    if t_ms < video.start_ms:
+        raise ValueError(f"instant {t_ms} precedes video start {video.start_ms}")
+    position = (t_ms - video.start_ms) * video.fps / 1000.0
+    if position >= video.frame_count:
+        raise ValueError(f"instant {t_ms} maps to frame {position}, past the last frame")
+    return math.floor(position)

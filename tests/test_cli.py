@@ -484,7 +484,10 @@ class TestPipelineCommand:
         code, _, _ = self._run_on(tmp_path, capsys, corpus, corpus / "track.gpx", sidecar)
         assert code == EXIT_OK
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
-        assert any("maps to frame inf" in w for w in manifest["warnings"])
+        # Every cue falls after the video's start, so none of them has a frame.
+        triads = (tmp_path / "d" / "triads.jsonl").read_text().splitlines()
+        notes = [w for w in manifest["warnings"] if ": no video frame at " in w]
+        assert len(notes) == len(triads) > 0
 
     def test_config_file_supplies_options(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, capsys)

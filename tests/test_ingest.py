@@ -919,6 +919,13 @@ class TestParseVideoMeta:
         with pytest.raises(ParseError):
             parse_video_meta(data)
 
+    def test_frame_count_of_401_digits_rejected(self):
+        data = b'{"start_time": "2024-06-01T12:00:00Z", "fps": 30, "frame_count": 1%s}' % (
+            b"0" * 400
+        )
+        with pytest.raises(ParseError, match=r"^frame_count must be at most 2\*\*53$"):
+            parse_video_meta(data)
+
     def test_shifted(self):
         v = parse_video_meta(self.GOOD)
         assert v.shifted(250).start_ms == v.start_ms + 250
@@ -942,6 +949,20 @@ class TestVideoIndex:
     def test_negative_frame_count_is_refused(self):
         with pytest.raises(ParseError, match="^frame_count must be non-negative, got -1$"):
             VideoIndex(start_ms=0, fps=30.0, frame_count=-1)
+
+    @pytest.mark.parametrize(
+        "fps, frame_count",
+        [(1e308, 10**400), (1e306, 10**307), (30.0, 2**53 + 1)],
+        ids=["1e400", "1e307", "2**53+1"],
+    )
+    def test_frame_count_above_2_53_is_refused(self, fps, frame_count):
+        # Past 2**53, a frame position too large for a float could still
+        # name one of the video's frames.
+        with pytest.raises(ParseError, match=r"^frame_count must be at most 2\*\*53$"):
+            VideoIndex(start_ms=0, fps=fps, frame_count=frame_count)
+
+    def test_frame_count_of_2_53_is_accepted(self):
+        assert VideoIndex(start_ms=0, fps=30.0, frame_count=2**53).frame_count == 2**53
 
     @pytest.mark.parametrize(
         "start_ms, message",

@@ -312,6 +312,21 @@ class TestSegmentActions:
                 "8.000 s action window"
             ]
 
+    def test_window_past_the_last_frame_ends_open(self):
+        from drivetriad import VideoIndex
+
+        # 30 frames at 30000/1001 fps end at 1.001 s, where frame 30 would
+        # start: a window ending there has no end frame, and its note leaves
+        # the window's end out of what the video covers.
+        track = straight_north_track(n=11, start_ms=0)
+        video = VideoIndex(start_ms=0, fps=30000 / 1001, frame_count=30)
+        segments, warnings = segment_actions([event(0, 0), event(1, 1_001)], track, video=video)
+        assert (segments[0].frame_start, segments[0].frame_end) == (None, None)
+        assert [w for w in warnings if w.startswith("event 0: no frame range")] == [
+            "event 0: no frame range: the video covers [0.000 s, 1.001 s) of this "
+            "1.001 s action window"
+        ]
+
     def test_zero_frame_video_leaves_frames_unset(self):
         from drivetriad import VideoIndex
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 import drivetriad.sync
 from drivetriad import (
@@ -15,20 +17,25 @@ from drivetriad import (
     classify,
     frame_index_at,
 )
-from drivetriad.errors import (
-    AfterVideoEnd,
-    BeforeVideoStart,
-    InvalidAnchor,
-    NoUsableEvents,
-)
+from drivetriad.core import MAX_INSTANT_MS
+from drivetriad.errors import InvalidAnchor, NoUsableEvents
 
-from helpers import straight_north_track, track_from
+from helpers import reference_frame_index_at, straight_north_track, track_from
 
 
 def transcript(*rows, anchor=None):
     return Transcript(
         tuple(TranscriptSegment(s, e, t) for s, e, t in rows), audio_start_ms=anchor
     )
+
+
+# Integral rates, the NTSC rates, and rates tiny and huge enough that a
+# frame position underflows or overflows.
+_FPS = (
+    st.sampled_from([29.97, 30000 / 1001, 60000 / 1001, 5e-324, 1e-300, 1e306, 1e308])
+    | st.integers(1, 240).map(float)
+    | st.floats(min_value=1e-300, max_value=1e308, allow_nan=False)
+)
 
 
 class TestFrameIndexAt:
@@ -56,32 +63,78 @@ class TestFrameIndexAt:
         assert frame_index_at(video, 1001) == 29
         assert frame_index_at(video, 1002) == 30
 
-    def test_before_start_raises(self):
-        with pytest.raises(BeforeVideoStart):
-            frame_index_at(self.VIDEO, 999_999)
+    @pytest.mark.parametrize(
+        "fps, t_ms, frame",
+        [
+            (29.97, 99_999, 2996),
+            (29.97, 100_000, 2997),
+            (30000 / 1001, 1000, 29),
+            (30000 / 1001, 1001, 30),
+            (30000 / 1001, 2002, 60),
+        ],
+    )
+    def test_ntsc_frames_start_on_the_decimal_rate(self, fps, t_ms, frame):
+        # Frame 2997 at 29.97 fps starts at 100 s, and frame 30 at
+        # 30000/1001 fps at 1.001 s. The float's own binary ratio puts each
+        # a frame lower, so exact arithmetic on it would move them.
+        video = VideoIndex(start_ms=0, fps=fps, frame_count=100_000)
+        assert frame_index_at(video, t_ms) == frame
 
-    def test_past_end_raises(self):
+    def test_before_start_is_none(self):
+        assert frame_index_at(self.VIDEO, 999_999) is None
+
+    def test_past_end_is_none(self):
         # Frame 3000 would start at +100 s; the last valid frame is 2999.
-        with pytest.raises(AfterVideoEnd):
-            frame_index_at(self.VIDEO, 1_100_000)
-
-    def test_past_end_message_names_the_frame(self):
-        with pytest.raises(AfterVideoEnd, match=r"maps to frame 3000, past the last frame 2999$"):
-            frame_index_at(self.VIDEO, 1_100_000)
+        assert frame_index_at(self.VIDEO, 1_100_000) is None
 
     def test_huge_fps_is_past_end_not_overflow(self):
         # 5 s at 1e308 fps is an infinite frame position.
         video = VideoIndex(start_ms=0, fps=1e308, frame_count=10)
-        with pytest.raises(AfterVideoEnd, match="maps to frame inf"):
-            frame_index_at(video, 5_000)
+        assert frame_index_at(video, 5_000) is None
+
+    def test_overflow_past_the_largest_frame_count_is_none(self):
+        # 5 s at 1e306 fps overflows to an infinite position, and frame
+        # 5e306 is past the last of 2**53 frames.
+        video = VideoIndex(start_ms=0, fps=1e306, frame_count=2**53)
+        assert frame_index_at(video, 5_000) is None
+        assert frame_index_at(video, 0) == 0
 
     def test_last_millisecond_of_final_frame(self):
         assert frame_index_at(self.VIDEO, 1_099_999) == 2999
 
-    def test_zero_frames_always_raises(self):
+    def test_zero_frames_is_always_none(self):
         empty = VideoIndex(start_ms=0, fps=30.0, frame_count=0)
-        with pytest.raises(AfterVideoEnd):
-            frame_index_at(empty, 0)
+        assert frame_index_at(empty, 0) is None
+        assert frame_index_at(empty, 5_000) is None
+
+    @given(data=st.data())
+    def test_matches_the_reference_rule(self, data):
+        # The frames of the rule that raised where the video holds none,
+        # and None exactly where it raised.
+        fps = data.draw(_FPS, label="fps")
+        frame_count = data.draw(
+            st.sampled_from([0, 1, 30, 2**53]) | st.integers(0, 2**53), label="frame_count"
+        )
+        start_ms = data.draw(st.integers(0, MAX_INSTANT_MS), label="start_ms")
+        video = VideoIndex(start_ms, fps, frame_count)
+        # Instants anywhere, and instants beside the first millisecond of a
+        # frame (the video's end among them), where float and exact
+        # arithmetic part: frame 30 at 30000/1001 fps starts at 1001 ms.
+        frame = data.draw(
+            st.integers(0, 100) | st.integers(0, frame_count) | st.just(frame_count),
+            label="frame",
+        )
+        frame_ms = frame * 1000 / fps
+        offsets = st.integers(-10**4, 10**13)
+        if frame_ms < 10**15:
+            offsets |= st.integers(-1, 1).map(lambda d: round(frame_ms) + d)
+        offset = data.draw(offsets, label="offset")
+        t_ms = start_ms + offset
+        try:
+            expected = reference_frame_index_at(video, t_ms)
+        except ValueError:
+            expected = None
+        assert frame_index_at(video, t_ms) == expected
 
 
 class TestBuildEvents:
@@ -231,8 +284,7 @@ class TestBuildEvents:
             self._track(),
             video=video,
         )
-        assert len(warnings) == 1
-        assert warnings[0].startswith("event 0: no video frame: ")
+        assert warnings == ["event 0: no video frame at 1970-01-01T00:16:45.000Z"]
         assert len(events) == 1
         assert events[0].frame_index is None
 

@@ -26,6 +26,7 @@ from drivetriad.segmenter import _step_lengths, net_bearing_change
 from drivetriad.synth import (
     MAX_SAMPLES,
     Leg,
+    PlantedTurn,
     generate_route,
     write_gpx,
     write_ground_truth,
@@ -221,6 +222,38 @@ class TestGenerateInstructions:
         first = corpus.ground_truth.instructions[0]
         assert "feet" not in first.text
         assert "Distance" not in {c.value for c in first.classes}
+
+    def test_truth_holds_the_plan_at_each_cue(self):
+        # 600R,500L,400 at 15 m/s: each cue 150 m before its turn, on a leg
+        # heading north, then east; the arrival on the last leg, north again.
+        corpus = generate_instructions(simple_plan(), "distance-heavy")
+        first, second, arrival = corpus.ground_truth.instructions
+        assert (first.along_m, first.heading_deg) == (450.0, 0.0)
+        assert (second.along_m, second.heading_deg) == (950.0, 90.0)
+        assert (first.turn, second.turn, arrival.turn) == (
+            PlantedTurn(600.0, 40.0), PlantedTurn(1100.0, 1100.0 / 15), None
+        )
+        # "In 492 feet" states 492 * 0.3048 m, and no cardinal.
+        assert first.stated_m == second.stated_m == pytest.approx(149.9616, abs=1e-9)
+        assert first.stated_cardinal is second.stated_cardinal is None
+        assert arrival.stated_m is arrival.stated_cardinal is None
+        assert arrival.heading_deg == 0.0
+        # Each window runs to the next cue, and the last to the track's end.
+        duration_s = (corpus.track.end_ms - corpus.track.start_ms) / 1000.0
+        assert (first.window_m, second.window_m) == (500.0, arrival.along_m - 950.0)
+        assert arrival.along_m + arrival.window_m == pytest.approx(duration_s * 15.0)
+        for entry in corpus.ground_truth.instructions:
+            assert entry.along_m == pytest.approx(entry.start_s * 15.0)
+
+    def test_truth_holds_the_stated_cardinal(self):
+        plan = RoutePlan(legs=(Leg(600.0, Maneuver.RIGHT_TURN), Leg(400.0)), seed=5)
+        first = generate_instructions(plan, "cardinal-heavy").ground_truth.instructions[0]
+        assert (first.stated_cardinal, first.stated_m) == ("East", None)
+
+    def test_short_leg_cue_states_no_distance(self):
+        plan = RoutePlan(legs=(Leg(100.0, Maneuver.RIGHT_TURN), Leg(400.0)), seed=2)
+        first = generate_instructions(plan, "distance-heavy").ground_truth.instructions[0]
+        assert (first.along_m, first.stated_m, first.turn.along_m) == (50.0, None, 100.0)
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
