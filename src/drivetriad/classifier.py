@@ -28,8 +28,8 @@ the first time a text triggers it:
   (both lists live on the lexicon);
 * ``<cardinal>`` matches north/south/east/west and ``<bound>`` a
   direction-suffixed token like "southbound";
-* ``<name+>`` matches a run of one or more name-like tokens (anything that
-  is not a structure word, road suffix, or unit).
+* ``<name+>`` matches a run of one to eight name-like tokens (anything
+  that is not a structure word, road suffix, or unit), longest first.
 
 A pattern runs only on texts holding one of its trigger words, the words of
 its element that takes the fewest; a pattern made only of ``*``, ``<num>``
@@ -38,13 +38,20 @@ and ``<name+>`` runs on every text.
 Two rules need structure beyond patterns: the name reach of "arrived at"
 phrases (with rejection of road-suffixed names), and the suppression of
 cardinal words that sit inside a detected road name ("North Lake Road" is
-a road, not a heading).
+a road, not a heading). Every element takes a bounded number of tokens,
+and each rule reads each token a bounded number of times, so ``classify``
+takes time linear in the text's length.
+
+``read_statement`` reads back what a labelled text states: its side,
+distance in metres, cardinal and maneuver.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Mapping
@@ -224,12 +231,18 @@ DEFAULT_ROAD_SUFFIXES = (
     "lane",
 )
 
-DEFAULT_DISTANCE_UNITS = (
-    "feet", "foot", "ft", "mile", "miles", "meter", "meters",
-    "kilometer", "kilometers",
-)
+# Metres per default distance unit. A unit that a lexicon override adds
+# has no factor, so a distance stated in it reads as None.
+UNIT_METRES = {
+    "feet": 0.3048, "foot": 0.3048, "ft": 0.3048,
+    "mile": 1609.344, "miles": 1609.344,
+    "meter": 1.0, "meters": 1.0,
+    "kilometer": 1000.0, "kilometers": 1000.0,
+}
+DEFAULT_DISTANCE_UNITS = tuple(UNIT_METRES)
 
-FRACTION_WORDS = frozenset({"half", "quarter", "third"})
+FRACTIONS = {"half": 1 / 2, "quarter": 1 / 4, "third": 1 / 3}
+FRACTION_WORDS = frozenset(FRACTIONS)
 
 # Words that never belong to a name phrase: articles, prepositions,
 # connective verbs, and the tokens other rules key on.
@@ -251,8 +264,9 @@ STRUCTURE_WORDS = frozenset({
 # Matching runs on the space-joined tokens plus one trailing space, so every
 # token reads "word " and each pattern element consumes whole tokens.
 _CARDINALS = frozenset({"north", "south", "east", "west"})
-_BOUNDS = frozenset(c + b for c in _CARDINALS for b in ("bound", "-bound"))
-_DIRECTIONS = _CARDINALS | _BOUNDS
+# Each direction word and the cardinal it names: "northbound" reads North.
+_CARDINAL_OF = {c + b: c.capitalize() for c in _CARDINALS for b in ("", "bound", "-bound")}
+_BOUNDS = frozenset(_CARDINAL_OF) - _CARDINALS
 _GAP = "(?:[^ ]+ ){0,3}?"  # up to three tokens, shortest first
 
 
@@ -320,7 +334,8 @@ class Lexicon:
         vocab: dict[str, str | frozenset[str]] = {
             "*": _GAP,
             "<num>": r"\d+(?:[.,]\d+)* ",
-            "<name+>": f"(?:(?!{not_name})[^ ]+ )+",
+            # Bounded, so each token start reads at most eight names ahead.
+            "<name+>": f"(?:(?!{not_name})[^ ]+ ){{1,8}}",
             "<frac>": FRACTION_WORDS,
             "<unit>": units,
             "<suffix>": self.suffixes,
@@ -413,10 +428,12 @@ def load_lexicon(data: bytes | None = None) -> Lexicon:
 
 
 def _maximal_spans(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Drop spans contained in another span of the same class."""
+    """Drop spans contained in another span of the same class. In (start,
+    longest first) order a span lies inside a kept one exactly when it ends
+    no further than the last kept span, which reaches furthest."""
     kept: list[tuple[int, int]] = []
     for start, end in sorted(set(spans), key=lambda s: (s[0], -s[1])):
-        if not any(ks <= start and end <= ke for ks, ke in kept):
+        if not kept or end > kept[-1][1]:
             kept.append((start, end))
     return kept
 
@@ -430,28 +447,18 @@ def _locate_names(
 
     The name reach stops at structure words and units but may flow through
     road-suffix words, so "arrived at Lake Road" is recognized as a road
-    reference (and rejected here) rather than a location name.
+    reference (and rejected here) rather than a location name. Each reach
+    ends at the first stop at or after its anchor, found by bisecting the
+    stops, so anchors inside one long name do not each walk it.
     """
+    stops = [i for i, token in enumerate(tokens) if token in lex.name_stops]
+    stops.append(len(tokens))
     spans = []
     for start, anchor_end in anchors:
-        end = anchor_end
-        while end < len(tokens) and tokens[end] not in lex.name_stops:
-            end += 1
+        end = stops[bisect_left(stops, anchor_end)]
         if end > anchor_end and tokens[end - 1] not in lex.suffixes:
             spans.append((start, end))
     return spans
-
-
-def _all_cardinals_inside_roads(
-    span: tuple[int, int],
-    cardinals: list[int],
-    road_spans: list[tuple[int, int]],
-) -> bool:
-    """True when every direction word in the span belongs to a road name."""
-    found = [pos for pos in cardinals if span[0] <= pos < span[1]]
-    return bool(found) and all(
-        any(r_start <= pos < r_end for r_start, r_end in road_spans) for pos in found
-    )
 
 
 def classify(text: str, lex: Lexicon | None = None) -> Classification:
@@ -491,11 +498,14 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
         if not spans:
             continue
         if cls is CommandClass.CARDINAL:
-            cardinals = [i for i, token in enumerate(tokens) if token in _DIRECTIONS]
+            # Drop a span that holds a direction word and has every one in a
+            # road name: the in-road flags of its direction words are {True}.
+            in_roads = {i for first, end in road_spans for i in range(first, end)}
             spans = [
-                span
-                for span in spans
-                if not _all_cardinals_inside_roads(span, cardinals, road_spans)
+                (first, end)
+                for first, end in spans
+                if {i in in_roads for i in range(first, end) if tokens[i] in _CARDINAL_OF}
+                != {True}
             ]
         elif cls is CommandClass.LOCATION_NAME:
             spans = _locate_names(tokens, spans, lex)
@@ -507,3 +517,78 @@ def classify(text: str, lex: Lexicon | None = None) -> Classification:
             evidence.append(Evidence(cls, start, stop, text[start:stop]))
     evidence.sort(key=lambda e: (e.start, e.end, e.command_class.value))
     return Classification(tuple(evidence))
+
+
+# --- what a text states -----------------------------------------------------
+
+# A quantity written with grouping commas, each followed by three digits,
+# or without, and an optional decimal part: "1,000.5" but not "1,5".
+_QUANTITY = re.compile(r"(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?")
+
+
+@dataclass(frozen=True)
+class Statement:
+    """What an instruction states, as ``read_statement`` reads it. Each
+    field is the one value its text states, or None where it states none
+    or two different ones."""
+
+    side: str | None  # "left" or "right"
+    distance_m: float | None
+    cardinal: str | None  # "North", "East", "South" or "West"
+    maneuver: str | None  # "turn", "u-turn", "keep", "exit" or "arrive"
+
+
+def _distance_m(words: list[str]) -> float | None:
+    """The metres a Distance evidence states: its first word a number or a
+    fraction word, its last a unit with a factor, else None."""
+    factor = UNIT_METRES.get(words[-1])
+    quantity = FRACTIONS.get(words[0])
+    if quantity is None and _QUANTITY.fullmatch(words[0]):
+        quantity = float(words[0].replace(",", ""))
+    if factor is None or quantity is None:
+        return None
+    # A number too large for a float states no distance.
+    distance = quantity * factor
+    return distance if math.isfinite(distance) else None
+
+
+def _turn_kind(words: list[str]) -> str:
+    """The maneuver a Turn evidence names."""
+    if "u-turn" in words or ("u", "turn") in zip(words, words[1:]):
+        return "u-turn"
+    for kind in ("keep", "exit"):
+        if kind in words:
+            return kind
+    return "turn"
+
+
+def read_statement(evidence: Iterable[Evidence]) -> Statement:
+    """What a text states, read from the words of its evidence.
+
+    A Turn evidence states the side of each ``left`` or ``right`` it holds,
+    and a maneuver: "u-turn" when it holds ``u-turn`` or ``u turn``, else
+    "keep" or "exit" when it holds that word, else "turn". LocationName
+    and Destination evidence state "arrive". A Distance evidence states a
+    distance when its first word is a number (``_QUANTITY``) or a fraction
+    word and its last a unit with a factor (``UNIT_METRES``); a cardinal
+    comes from each direction word in a Cardinal evidence.
+    """
+    sides, distances, cardinals, maneuvers = set(), set(), set(), set()
+    for ev in evidence:
+        words = [_fold(word) for word in _TOKEN.findall(ev.matched)]
+        if not words:
+            continue
+        cls = ev.command_class
+        if cls is CommandClass.TURN:
+            sides.update(word for word in words if word in ("left", "right"))
+            maneuvers.add(_turn_kind(words))
+        elif cls is CommandClass.DISTANCE:
+            distances.add(_distance_m(words))
+        elif cls is CommandClass.CARDINAL:
+            cardinals.update(_CARDINAL_OF[word] for word in words if word in _CARDINAL_OF)
+        elif cls in (CommandClass.LOCATION_NAME, CommandClass.DESTINATION):
+            maneuvers.add("arrive")
+    return Statement(*(
+        values.pop() if len(values) == 1 else None
+        for values in (sides, distances, cardinals, maneuvers)
+    ))

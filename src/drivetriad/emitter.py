@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from ._version import __version__
-from .classifier import CommandClass, Evidence, sort_classes
+from .classifier import CommandClass, Evidence, Statement, read_statement, sort_classes
 from .core import GeoPoint, member, read_text
 from .errors import InternalError, InternalOrderingError, IoError, ParseError
 from .segmenter import ActionSegment, Maneuver
@@ -224,11 +224,14 @@ def read_triads(data: bytes) -> list[VlaTriad]:
     line number.
     """
     triads = []
+    # The records of one text repeat its evidence, so each distinct evidence
+    # is built and read for its statement once.
+    labels: dict[tuple, tuple[tuple[Evidence, ...], Statement]] = {}
     for line_no, line in enumerate(read_text(data).split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            triads.append(_triad_from_json(line))
+            triads.append(_triad_from_json(line, labels))
         except (TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
     return triads
@@ -258,14 +261,18 @@ def _waypoint_from(obj: object) -> GeoPoint:
         return _geo_from(obj, member(obj, "t_ms", "int"))
 
 
-def _triad_from_json(line: str) -> VlaTriad:
+def _triad_from_json(
+    line: str, labels: dict[tuple, tuple[tuple[Evidence, ...], Statement]]
+) -> VlaTriad:
+    """One record as a triad; ``labels`` maps the evidence members already
+    read to their evidence and its statement."""
     obj = json.loads(line)
     event_id = member(obj, "id", "int")
     t_ms = member(obj, "t_utc_ms", "int")
     names = member(obj, "classes", "list")
     classes = frozenset(_enum(CommandClass, "class", name) for name in names)
-    evidence = tuple(
-        Evidence(
+    members = tuple(
+        (
             _enum(CommandClass, "class", member(ev, "class", "str")),
             member(ev, "start", "int"),
             member(ev, "end", "int"),
@@ -273,11 +280,16 @@ def _triad_from_json(line: str) -> VlaTriad:
         )
         for ev in member(obj, "evidence", "list")
     )
+    if members not in labels:
+        evidence = tuple(Evidence(*row) for row in members)
+        labels[members] = evidence, read_statement(evidence)
+    evidence, statement = labels[members]
     event = InstructionEvent(
         id=event_id,
         t_ms=t_ms,
         text=member(obj, "text", "str"),
         evidence=evidence,
+        statement=statement,
         geo=_geo_from(member(obj, "geo", "object"), t_ms),
         heading_deg=member(obj, "heading_deg", "float", nullable=True),
         frame_index=member(obj, "frame_index", "int", nullable=True),

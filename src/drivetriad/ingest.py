@@ -313,8 +313,9 @@ def parse_gpx(data: bytes) -> TrackLog:
     return TrackLog(tuple(points))
 
 
+# Hours, then minutes and seconds from 00 to 59, then milliseconds.
 _SRT_TIME = re.compile(
-    r"(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})\s*-->\s*(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})",
+    r"(\d{1,2}):([0-5]\d):([0-5]\d)[,.](\d{1,3})\s*-->\s*(\d{1,2}):([0-5]\d):([0-5]\d)[,.](\d{1,3})",
     re.ASCII,
 )
 
@@ -391,23 +392,27 @@ def _merge_overlaps(segments: list[TranscriptSegment]) -> tuple[TranscriptSegmen
     timeline simple. Text concatenates with a single space, the merged
     segment keeps the min start and max end. Touching segments stay separate.
     A segment with no word (by the classifier's token rule) is never merged,
-    so it stays its own segment and is dropped later with a warning.
+    so it stays its own segment and is dropped later with a warning. Each
+    merged group's texts are joined once, so a chain of n overlapping
+    segments costs time linear in its text.
     """
     ordered = sorted(segments, key=attrgetter("start_s", "end_s"))
     wordless = {text for text in {seg.text for seg in segments} if not has_word(text)}
     merged: list[TranscriptSegment] = []
+    groups: dict[int, list[str]] = {}  # index in merged -> the texts merged there
     last = -1  # index in merged of the latest segment with a word
     for seg in ordered:
         if seg.text in wordless:
             merged.append(seg)
         elif last >= 0 and seg.start_s < merged[last].end_s:
             prev = merged[last]
-            merged[last] = TranscriptSegment(
-                prev.start_s, max(prev.end_s, seg.end_s), prev.text + " " + seg.text
-            )
+            merged[last] = TranscriptSegment(prev.start_s, max(prev.end_s, seg.end_s), prev.text)
+            groups.setdefault(last, [prev.text]).append(seg.text)
         else:
             last = len(merged)
             merged.append(seg)
+    for i, texts in groups.items():
+        merged[i] = TranscriptSegment(merged[i].start_s, merged[i].end_s, " ".join(texts))
     return tuple(merged)
 
 

@@ -19,7 +19,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .classifier import CommandClass, tokenize
 from .core import (
     GeoPoint,
     TrackLog,
@@ -234,8 +233,6 @@ def _uncovered_note(
     )
 
 
-_SIDE_WORDS = frozenset({"left", "right"})
-
 _OBSERVED_SIDE = {
     Maneuver.LEFT_TURN: "left",
     Maneuver.RIGHT_TURN: "right",
@@ -246,21 +243,16 @@ def consistency_check(event: InstructionEvent, segment: ActionSegment) -> str | 
     """The mismatches.txt line of an event whose stated turn side opposes
     the driven one, such as "event 3: stated left, observed right".
 
-    Fires only when the text states exactly one side (a Turn evidence token
-    that is exactly left or right) and the maneuver is the opposite turn;
-    Straight, UTurn, Unknown and ambiguous texts never mismatch.
+    Fires only when the event's statement has a side (its Turn evidence
+    holds exactly one of the tokens left and right) and the maneuver is the
+    opposite turn; Straight, UTurn, Unknown and ambiguous texts never
+    mismatch.
     """
-    stated = {
-        token
-        for evidence in event.evidence
-        if evidence.command_class is CommandClass.TURN
-        for token in tokenize(evidence.matched)[0]
-        if token in _SIDE_WORDS
-    }
+    stated = event.statement.side
     observed = _OBSERVED_SIDE.get(segment.maneuver)
-    if observed is None or len(stated) != 1 or observed in stated:
+    if stated is None or observed is None or stated == observed:
         return None
-    return f"event {event.id}: stated {stated.pop()}, observed {observed}"
+    return f"event {event.id}: stated {stated}, observed {observed}"
 
 
 def collect_mismatches(triads: Iterable[VlaTriad]) -> list[str]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classifier import Classification, CommandClass, Evidence, Lexicon, classify
+from .classifier import CommandClass, Evidence, Lexicon, Statement, classify, read_statement
 from .core import (
     TOLERANCE_MS,
     GeoPoint,
@@ -32,12 +32,14 @@ from .ingest import Transcript, VideoIndex, absolutize
 @dataclass(frozen=True)
 class InstructionEvent:
     """One spoken instruction pinned to time, place, heading, and frame;
-    its classes are those its evidence names, as ``classify`` gives them."""
+    its classes are those its evidence names, as ``classify`` gives them,
+    and its statement what ``read_statement`` reads from that evidence."""
 
     id: int
     t_ms: int
     text: str
     evidence: tuple[Evidence, ...]
+    statement: Statement
     geo: GeoPoint
     heading_deg: float | None
     frame_index: int | None
@@ -89,12 +91,14 @@ def build_events(
     notes: list[str] = []
     events: list[InstructionEvent] = []
     # Navigation prompts are templated, so a text comes back many times in
-    # one drive: each distinct text is classified once (None: no words).
-    labels: dict[str, Classification | None] = {}
+    # one drive: each distinct text is classified and read once (None: no
+    # words).
+    labels: dict[str, tuple[tuple[Evidence, ...], Statement] | None] = {}
     for t_ms, text in timed:
         if text not in labels:
             try:
-                labels[text] = classify(text, lex)
+                evidence = classify(text, lex).evidence
+                labels[text] = evidence, read_statement(evidence)
             except EmptyInstruction:
                 labels[text] = None
         labeled = labels[text]
@@ -120,9 +124,7 @@ def build_events(
         if video is not None and frame is None:
             notes.append(f"event {event_id}: no video frame at {format_iso8601_ms(t_ms)}")
         events.append(
-            InstructionEvent(
-                event_id, t_ms, text, labeled.evidence, geo, heading, frame
-            )
+            InstructionEvent(event_id, t_ms, text, *labeled, geo, heading, frame)
         )
     if not events:
         raise NoUsableEvents(

@@ -113,3 +113,26 @@ def reference_frame_index_at(video, t_ms: int) -> int:
     if position >= video.frame_count:
         raise ValueError(f"instant {t_ms} maps to frame {position}, past the last frame")
     return math.floor(position)
+
+
+# --- span-rule oracles ------------------------------------------------------
+
+
+def reference_maximal_spans(spans):
+    """The containment rule ``classifier._maximal_spans`` once used, which
+    tested each span against every kept one; kept as its reference."""
+    kept = []
+    for start, end in sorted(set(spans), key=lambda s: (s[0], -s[1])):
+        if not any(ks <= start and end <= ke for ks, ke in kept):
+            kept.append((start, end))
+    return kept
+
+
+def reference_all_cardinals_inside_roads(span, cardinals, road_spans):
+    """The rule by which ``classify`` once dropped a Cardinal span: True
+    when every direction word in the span (``cardinals`` holds their token
+    indices) belongs to a road span; kept as the reference."""
+    found = [pos for pos in cardinals if span[0] <= pos < span[1]]
+    return bool(found) and all(
+        any(r_start <= pos < r_end for r_start, r_end in road_spans) for pos in found
+    )

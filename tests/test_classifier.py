@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -19,12 +20,17 @@ from drivetriad.classifier import (
     FRACTION_WORDS,
     STRUCTURE_WORDS,
     Classification,
+    Evidence,
     Lexicon,
+    Statement,
+    _maximal_spans,
+    read_statement,
     sort_classes,
     tokenize,
 )
 from drivetriad.errors import EmptyInstruction, LexiconError, ParseError
 from drivetriad.synth import STYLES, RoutePlan, generate_instructions, parse_legs
+from helpers import reference_all_cardinals_inside_roads, reference_maximal_spans
 from test_acceptance import APP_SENTENCES, PROTOTYPES as ACCEPTANCE_PROTOTYPES
 
 C = CommandClass
@@ -541,6 +547,13 @@ class TestPatternSemantics:
         text = f"In {number} {unit}, turn left."
         assert matched(text, C.DISTANCE) == [f"{number} {unit}"]
 
+    def test_a_name_run_takes_at_most_eight_words(self):
+        eight = "Turn onto Big Old Red Oak Elm Ash Fir Yew Street."
+        assert matched(eight, C.ROAD) == ["onto Big Old Red Oak Elm Ash Fir Yew Street"]
+        # From "Bay", nine names lie before the suffix: the road starts at "Big".
+        nine = "Turn onto Bay Big Old Red Oak Elm Ash Fir Yew Street."
+        assert matched(nine, C.ROAD) == ["Big Old Red Oak Elm Ash Fir Yew Street"]
+
 
 # --- token-level reference matcher -------------------------------------------
 
@@ -582,7 +595,8 @@ def ref_name_like(token, lex):
 
 def ref_match(tokens, i, elems, lex):
     """End of the first match of elems from token i: gaps try 0-3 tokens
-    shortest first, name runs longest first, backtracking on failure."""
+    shortest first, name runs of up to eight longest first, backtracking on
+    failure."""
     if not elems:
         return i
     head, rest = elems[0], elems[1:]
@@ -592,7 +606,7 @@ def ref_match(tokens, i, elems, lex):
         run = 0
         while i + run < len(tokens) and ref_name_like(tokens[i + run], lex):
             run += 1
-        takes = range(run, 0, -1)
+        takes = range(min(run, 8), 0, -1)
     else:
         takes = [1] if i < len(tokens) and ref_accepts(head, tokens[i], lex) else []
     for take in takes:
@@ -601,14 +615,6 @@ def ref_match(tokens, i, elems, lex):
             if end is not None:
                 return end
     return None
-
-
-def ref_maximal(spans):
-    kept = []
-    for start, end in sorted(set(spans), key=lambda s: (s[0], -s[1])):
-        if not any(ks <= start and end <= ke for ks, ke in kept):
-            kept.append((start, end))
-    return kept
 
 
 def ref_evidence(text, lex):
@@ -649,7 +655,7 @@ def ref_evidence(text, lex):
                 if end > anchor_end and tokens[end - 1] not in lex.road_suffixes:
                     names.append((start, end))
             raw = names
-        by_class[cls] = ref_maximal(raw)
+        by_class[cls] = reference_maximal_spans(raw)
     evidence = []
     for cls, spans in by_class.items():
         for start, end in spans:
@@ -846,3 +852,235 @@ class TestTriggerIndex:
             # Its trigger is "onto", the smaller of its two word sets.
             (C.CARDINAL, "<cardinal> onto"),
         ]
+
+
+# --- span rules against their references ----------------------------------------
+
+_SPANS = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(1, 12)).map(lambda s: (s[0], s[0] + s[1])),
+    max_size=40,
+)
+_DIRECTION_WORDS = _CARDINALS | {c + b for c in _CARDINALS for b in ("bound", "-bound")}
+# Cardinal patterns that hold no direction word, two of them, or one, and
+# that can match inside a road name.
+_CARDINAL_OVERRIDE = {
+    "Cardinal": ["onto <name+>", "<name+> <suffix>", "<cardinal> * <cardinal>", "head <cardinal>",
+                 "<bound>"],
+}
+# Texts dense in direction words, their contexts and road names.
+_ROADY_TEXTS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_DIRECTION_WORDS) + [
+            "head", "go", "continue", "on", "onto", "toward", "lake", "oak", "main", "road",
+            "street", "way",
+        ]),
+        st.sampled_from([" ", ", "]),
+    ),
+    min_size=1,
+    max_size=12,
+).map(lambda words: "".join(w + sep for w, sep in words))
+
+
+def ref_cardinal_spans(text, lex):
+    """The (start, end) of classify's Cardinal evidence by the former rule:
+    every Cardinal pattern match, less those the reference drops given
+    classify's Road evidence, kept maximal by the reference."""
+    tokens, token_spans = tokenize(text)
+    at_offset, offset = {}, 0
+    for i, token in enumerate(tokens):
+        at_offset[offset] = i
+        offset += len(token) + 1
+    at_offset[offset] = len(tokens)
+    padded = " ".join(tokens) + " "
+    raw = [
+        (at_offset[m.start(1)], at_offset[m.end(1)])
+        for i, (cls, _) in enumerate(lex.sources)
+        if cls is C.CARDINAL
+        for m in lex.regex(i).finditer(padded)
+    ]
+    first = {start: i for i, (start, _) in enumerate(token_spans)}
+    last = {end: i + 1 for i, (_, end) in enumerate(token_spans)}
+    roads = [
+        (first[e.start], last[e.end])
+        for e in classify(text, lex).evidence
+        if e.command_class is C.ROAD
+    ]
+    cardinals = [i for i, token in enumerate(tokens) if token in _DIRECTION_WORDS]
+    kept = reference_maximal_spans(
+        [s for s in raw if not reference_all_cardinals_inside_roads(s, cardinals, roads)]
+    )
+    return [(token_spans[a][0], token_spans[b - 1][1]) for a, b in kept]
+
+
+class TestSpanRules:
+    @given(spans=_SPANS)
+    def test_maximal_spans_matches_reference(self, spans):
+        assert _maximal_spans(spans) == reference_maximal_spans(spans)
+
+    @pytest.mark.parametrize(
+        "lex", [DEFAULT_LEXICON, lexicon(_CARDINAL_OVERRIDE)], ids=["default", "no-direction"]
+    )
+    @given(text=st.one_of(_TEXTS, _ROADY_TEXTS))
+    def test_cardinal_evidence_matches_reference(self, lex, text):
+        got = [(e.start, e.end) for e in classify(text, lex).evidence if e.command_class is C.CARDINAL]
+        assert got == ref_cardinal_spans(text, lex)
+
+    def test_span_without_direction_word_is_kept_inside_a_road(self):
+        lex = lexicon(_CARDINAL_OVERRIDE)
+        assert matched("Turn onto Oak Street.", C.CARDINAL, lex) == ["onto Oak", "Oak Street"]
+        assert matched("Turn onto Oak Street.", C.ROAD, lex) == ["onto Oak Street"]
+        # A span whose one direction word is in the road is dropped.
+        assert matched("Take Northbound Road.", C.CARDINAL, lex) == []
+
+
+class TestLinearTime:
+    # The rules once compared every span with every other, and a name run
+    # read the whole run from each token: minutes for these texts.
+    @pytest.mark.parametrize(
+        "text",
+        ["turn " * 100_000, "x " * 40_000 + "street", "street " + "x " * 40_000,
+         "head north lake road " * 10_000],
+        ids=["turns", "long-name", "suffix-first", "cardinals-in-roads"],
+    )
+    def test_long_text_classifies_in_bounded_time(self, text):
+        started = time.perf_counter()
+        classify(text)
+        assert time.perf_counter() - started < 10
+
+    def test_long_name_reach_of_a_custom_anchor(self):
+        # Every "x" is an anchor whose name reach runs to the text's end.
+        lex = lexicon({"LocationName": ["x"]})
+        started = time.perf_counter()
+        assert len(classify("x " * 40_000, lex).evidence) == 1
+        assert time.perf_counter() - started < 10
+
+
+# --- what a text states ----------------------------------------------------------
+
+# Metres per default unit, written out apart from the classifier's table.
+_FACTORS = {
+    "feet": 0.3048, "foot": 0.3048, "ft": 0.3048, "mile": 1609.344, "miles": 1609.344,
+    "meter": 1.0, "meters": 1.0, "kilometer": 1000.0, "kilometers": 1000.0,
+}
+_MIRROR = {
+    "left": "right", "right": "left", "east": "west", "west": "east",
+    "eastbound": "westbound", "westbound": "eastbound",
+    "east-bound": "west-bound", "west-bound": "east-bound",
+}
+_SWAP = {"left": "right", "right": "left", "East": "West", "West": "East"}
+_MIRROR_VOCAB = sorted(set(_VOCAB) | set(_MIRROR) | {"u-turn", "half", "quarter"})
+_WORD_LISTS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(_MIRROR_VOCAB),
+            st.sampled_from(sorted(_MIRROR) + ["turn", "head", "go", "keep", "on", "road"]),
+        ),
+        st.sampled_from([" ", ", ", ". ", " - "]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def statement_of(text, lex=None):
+    return read_statement(classify(text, lex).evidence)
+
+
+def spoken(words):
+    return "".join((w.title() if len(w) % 3 == 0 else w) + sep for w, sep in words)
+
+
+class TestStatement:
+    def test_default_units_all_have_a_factor(self):
+        assert set(DEFAULT_DISTANCE_UNITS) == set(_FACTORS)
+
+    @pytest.mark.parametrize("unit", DEFAULT_DISTANCE_UNITS)
+    @given(
+        whole=st.integers(0, 10**7),
+        fraction=st.one_of(st.none(), st.text("0123456789", min_size=1, max_size=3)),
+        grouped=st.booleans(),
+    )
+    def test_distance_is_quantity_times_factor(self, unit, whole, fraction, grouped):
+        number = f"{whole:,}" if grouped else str(whole)
+        quantity = str(whole)
+        if fraction is not None:
+            number += "." + fraction
+            quantity += "." + fraction
+        stated = statement_of(f"In {number} {unit}, turn left.")
+        assert stated.distance_m == float(quantity) * _FACTORS[unit]
+
+    @pytest.mark.parametrize(
+        "text, distance_m",
+        [
+            ("Continue for half a mile.", 0.5 * 1609.344),
+            ("In a quarter mile, turn right.", 0.25 * 1609.344),
+            ("In a third of a mile, keep left.", 1609.344 / 3),
+            ("In 1,000,000.5 meters, stop.", 1_000_000.5),
+            ("In ٣ feet, stop.", 3 * 0.3048),
+            # A comma groups only three digits, so "1,5" states no distance.
+            ("In 1,5 kilometers, stop.", None),
+            ("In 12,34 feet, stop.", None),
+            ("In 1.000.5 feet, stop.", None),
+            # Two distances state one only when they are the same.
+            ("In 500 feet, then in 500 feet, stop.", 500 * 0.3048),
+            ("In 500 feet, then in 1 mile, stop.", None),
+            ("In " + "9" * 400 + " feet, stop.", None),
+            ("Turn left.", None),
+        ],
+    )
+    def test_distance_rule(self, text, distance_m):
+        assert statement_of(text).distance_m == distance_m
+
+    def test_unit_an_override_adds_has_no_factor(self):
+        lex = lexicon({"distance_units": ["clicks"]})
+        assert "Distance" in classes_of("In 3 clicks, turn left.", lex)
+        assert statement_of("In 3 clicks, turn left.", lex).distance_m is None
+        assert statement_of("In 3 feet, turn left.", lex).distance_m == 3 * 0.3048
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("In 500 feet turn left onto Oak Street.", ("left", 152.4, None, "turn")),
+            ("Turn left, then turn right.", (None, None, None, "turn")),
+            ("Make a U-turn and head North.", (None, None, "North", "u-turn")),
+            ("Make a u turn here.", (None, None, None, "u-turn")),
+            ("Keep right.", ("right", None, None, "keep")),
+            ("Take the exit.", (None, None, None, "exit")),
+            ("Arrived at Pretty Good Burger.", (None, None, None, "arrive")),
+            ("Your destination is ahead.", (None, None, None, "arrive")),
+            # The Turn evidence "right" and the Destination state two maneuvers.
+            ("Your destination is on the right.", ("right", None, None, None)),
+            ("You are northbound.", (None, None, "North", None)),
+            ("Head north, then go south-bound.", (None, None, None, None)),
+            # "North" inside the road name states no cardinal.
+            ("Head West towards Lake Road, North Lake Road.", (None, None, "West", None)),
+            ("Head North Lake Road please.", (None, None, None, None)),
+            ("Continue.", (None, None, None, None)),
+        ],
+    )
+    def test_reading(self, text, expected):
+        assert statement_of(text) == Statement(*expected)
+
+    def test_reads_no_evidence_and_empty_evidence(self):
+        nothing = Statement(None, None, None, None)
+        assert read_statement(()) == nothing
+        assert read_statement([Evidence(C.TURN, 0, 0, "")]) == nothing
+
+    @given(words=_WORD_LISTS)
+    def test_mirror_swaps_side_and_cardinal(self, words):
+        mirrored = [(_MIRROR.get(w, w), sep) for w, sep in words]
+        before, after = statement_of(spoken(words)), statement_of(spoken(mirrored))
+        assert after == Statement(
+            _SWAP.get(before.side, before.side), before.distance_m,
+            _SWAP.get(before.cardinal, before.cardinal), before.maneuver,
+        )
+
+    @pytest.mark.parametrize("style", STYLES)
+    def test_every_synth_cue_states_its_planted_distance_and_cardinal(self, style):
+        plan = RoutePlan(legs=parse_legs("600R,500L,700U,400R,120L,90U,300L,500"), seed=5)
+        entries = generate_instructions(plan, style).ground_truth.instructions
+        for entry in entries:
+            stated = statement_of(entry.text)
+            assert (stated.distance_m, stated.cardinal) == (entry.stated_m, entry.stated_cardinal)
+        if style == "distance-heavy":
+            assert 492 * 0.3048 in {entry.stated_m for entry in entries}

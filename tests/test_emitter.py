@@ -41,6 +41,7 @@ from drivetriad.errors import (
     ParseError,
     parse_input,
 )
+from drivetriad.classifier import read_statement
 from drivetriad.segmenter import ActionSegment
 from drivetriad.sync import InstructionEvent
 
@@ -52,6 +53,7 @@ def make_event(id=0, t_ms=1_000_000, text="Turn left onto Oak Street.", frame=12
         t_ms=t_ms,
         text=text,
         evidence=labeled.evidence,
+        statement=read_statement(labeled.evidence),
         geo=GeoPoint(40.0123456, -105.2705, t_ms, ele_m=1625.5),
         heading_deg=271.25,
         frame_index=frame,
@@ -240,6 +242,7 @@ class TestSerializeTriad:
             t_ms=event.t_ms,
             text=event.text,
             evidence=event.evidence,
+            statement=event.statement,
             geo=GeoPoint(40.0, -105.0, event.t_ms),  # no elevation
             heading_deg=None,
             frame_index=None,

@@ -568,6 +568,21 @@ for two miles.
         with pytest.raises(ParseError):
             parse_transcript(b"1\nJust some words\n", "srt")
 
+    @pytest.mark.parametrize(
+        "timing",
+        ["00:99:99,000 --> 01:99:99,5", "00:00:59,000 --> 00:00:60,000",
+         "00:60:00,000 --> 01:00:00,000"],
+    )
+    def test_minutes_and_seconds_above_59_are_a_bad_timing_line(self, timing):
+        data = f"1\n{timing}\nTurn left.\n".encode()
+        with pytest.raises(ParseError, match=r"^srt block 1: bad timing line "):
+            parse_transcript(data, "srt")
+
+    def test_largest_fields_read(self):
+        data = b"1\n99:59:59,999 --> 99:59:59,999\nTurn left.\n"
+        [segment] = parse_transcript(data, "srt").segments
+        assert segment.start_s == segment.end_s == 359_999.999
+
     def test_end_before_start_rejected(self):
         with pytest.raises(ParseError, match=r"^srt block 1: bad timing \[5\.0, 1\.0\]$"):
             parse_transcript(
@@ -578,8 +593,9 @@ for two miles.
 
 # --- the SRT reader before each cue was read in one pass, as reference -------
 
+# Minutes and seconds run from 00 to 59, as in the reader.
 _REF_SRT_TIME = re.compile(
-    r"(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})\s*-->\s*(\d{1,2}):(\d{2}):(\d{2})[,.](\d{1,3})",
+    r"(\d{1,2}):([0-5]\d):([0-5]\d)[,.](\d{1,3})\s*-->\s*(\d{1,2}):([0-5]\d):([0-5]\d)[,.](\d{1,3})",
     re.ASCII,
 )
 
@@ -669,6 +685,7 @@ _SRT_BAD_TIMING = st.sampled_from([
     "00:00:01,000 -> 00:00:02,000", "0:0:01,000 --> 0:00:02,000", "00:00:01,0000 --> 00:00:02,000",
     "00:00:01 --> 00:00:02", "100:00:01,000 --> 00:00:02,000", "00:00:01,000-->",
     "00:00:01,000 --> 00:00:02,000 X1", "٠٠:00:01,000 --> 00:00:02,000",
+    "00:99:99,000 --> 01:99:99,5", "00:00:60,000 --> 00:01:00,000",
 ])
 _SRT_TEXT = st.sampled_from(["Turn left.", "...", "  Keep right  ", "Go\x0b", "¿?", "In 0.3 miles", "\x85"])
 
@@ -875,6 +892,19 @@ class TestMergeOverlaps:
         ).encode()
         t = parse_transcript(data, "segment-json")
         assert [s.text for s in t.segments] == ["Earlier.", "Later."]
+
+    def test_each_chain_becomes_one_segment(self):
+        # Two chains of overlapping segments, a wordless one inside the
+        # first: each chain is one segment, its texts joined in start order.
+        lines = [f"{i}\t{i + 1.5}\tw{i}" for i in range(2000)]
+        lines.append("500.25\t500.5\t...")
+        lines += [f"{i}\t{i + 1.5}\tv{i}" for i in range(3000, 3500)]
+        t = parse_transcript("\n".join(lines).encode(), "plain-lines")
+        assert [(s.start_s, s.end_s, s.text) for s in t.segments] == [
+            (0.0, 2000.5, " ".join(f"w{i}" for i in range(2000))),
+            (500.25, 500.5, "..."),
+            (3000.0, 3500.5, " ".join(f"v{i}" for i in range(3000, 3500))),
+        ]
 
 
 class TestParseVideoMeta:

@@ -8,6 +8,7 @@ import dataclasses
 import pytest
 
 from drivetriad import GeoPoint, Maneuver
+from drivetriad.classifier import read_statement
 from drivetriad.segmenter import ActionSegment
 from drivetriad.sync import InstructionEvent
 from drivetriad.synth import RoutePlan, generate_instructions, parse_legs
@@ -27,7 +28,10 @@ def _perfect_run(truth):
     for j, (entry, maneuver) in enumerate(zip(truth.instructions, truth.expected_maneuvers)):
         t_ms = truth.audio_start_ms + round(entry.start_s * 1000)
         events.append(
-            InstructionEvent(j, t_ms, entry.text, (), GeoPoint(0.0, 0.0, t_ms), entry.heading_deg, None)
+            InstructionEvent(
+                j, t_ms, entry.text, (), read_statement(()), GeoPoint(0.0, 0.0, t_ms),
+                entry.heading_deg, None,
+            )
         )
         segments.append(
             ActionSegment(j, t_ms, t_ms + 1, (), 0.0, entry.window_m, maneuver, None, None)

@@ -18,6 +18,7 @@ from drivetriad import (
     make_triads,
     segment_actions,
 )
+from drivetriad.classifier import read_statement
 from drivetriad.core import initial_bearing, signed_bearing_delta
 from drivetriad.errors import InternalOrderingError, NoUsableEvents
 from drivetriad.segmenter import (
@@ -47,6 +48,7 @@ def event(id, t_ms, text="Turn left.", lex=None):
         t_ms=t_ms,
         text=text,
         evidence=labeled.evidence,
+        statement=read_statement(labeled.evidence),
         geo=GeoPoint(0.0, 0.0, t_ms),
         heading_deg=None,
         frame_index=None,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drivetriad import GeoPoint, TrackLog, interpolate_position, segment_actions
+from drivetriad.classifier import read_statement
 from drivetriad.core import TOLERANCE_MS, _bracket, heading_at, initial_bearing
 from drivetriad.errors import OutOfTrackSpan
 from drivetriad.sync import InstructionEvent
@@ -177,6 +178,7 @@ def _event(id, t_ms):
         t_ms=t_ms,
         text="Continue.",
         evidence=(),
+        statement=read_statement(()),
         geo=GeoPoint(0, 0, t_ms),
         heading_deg=None,
         frame_index=None,
