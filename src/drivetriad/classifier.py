@@ -57,7 +57,7 @@ from itertools import groupby
 from typing import Iterable, Mapping
 
 from .core import read_object
-from .errors import EmptyInstruction, LexiconError
+from .errors import LexiconError
 
 
 class CommandClass(enum.Enum):
@@ -122,7 +122,7 @@ def _fold(word: str) -> str:
 
 
 def has_word(text: str) -> bool:
-    """Whether ``text`` holds a token, so that ``tokenize`` accepts it."""
+    """Whether ``text`` holds a token, so that ``classify`` labels it."""
     return _TOKEN.search(text) is not None
 
 
@@ -131,15 +131,13 @@ def tokenize(text: str) -> tuple[list[str], list[tuple[int, int]]]:
 
     A token is a run of letters, digits, apostrophes and hyphens, and of a
     ``.`` or ``,`` between two decimal digits; every other character
-    separates tokens. Text with no token raises EmptyInstruction.
+    separates tokens. Text with no token gives two empty lists.
     """
     tokens = []
     spans = []
     for m in _TOKEN.finditer(text):
         tokens.append(_fold(m.group()))
         spans.append(m.span())
-    if not tokens:
-        raise EmptyInstruction("instruction text has no words")
     return tokens, spans
 
 
@@ -461,16 +459,19 @@ def _locate_names(
     return spans
 
 
-def classify(text: str, lex: Lexicon | None = None) -> Classification:
+def classify(text: str, lex: Lexicon | None = None) -> Classification | None:
     """Label one instruction with every matching attribute class.
 
     Deterministic for a given text and lexicon. The returned evidence list
     is sorted by position and never contains a span fully inside another
-    span of the same class.
+    span of the same class. A text with no words (empty, blank or
+    punctuation only, such as "...") has no labelling: None.
     """
     if lex is None:
         lex = DEFAULT_LEXICON
     tokens, token_spans = tokenize(text)
+    if not tokens:
+        return None
     padded = " ".join(tokens) + " "
     # Offset in ``padded`` of each token start, and of the end, -> token index.
     token_at = {}

@@ -22,7 +22,7 @@ from pathlib import Path
 from ._version import __version__
 from .classifier import classify, load_lexicon
 from .core import check_value, parse_float, parse_int, read_object, unique_keys
-from .errors import DataError, EmptyInstruction, InternalError, IoError, parse_input
+from .errors import DataError, InternalError, IoError, parse_input
 from .emitter import labels_fragment, read_triads, write_text
 from .ingest import TRANSCRIPT_FORMATS, parse_transcript
 from .pipeline import PipelineConfig, run_pipeline
@@ -253,13 +253,11 @@ def _run_classify(settings: dict, parser: _Parser) -> int:
     for segment in transcript.segments:
         text = segment.text
         if text not in lines:
-            try:
-                result = classify(text, lexicon)
-            except EmptyInstruction:
-                lines[text] = None
-            else:
-                fragment = labels_fragment(text, result.evidence)
-                lines[text] = "{" + fragment + "}\n"
+            result = classify(text, lexicon)
+            lines[text] = (
+                None if result is None
+                else "{" + labels_fragment(text, result.evidence) + "}\n"
+            )
         line = lines[text]
         if line is None:
             # The lines before a warning are written before it.

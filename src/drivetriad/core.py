@@ -26,19 +26,26 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
+from itertools import accumulate, groupby
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .errors import (
-    DegenerateBearing, EncodingError, InvalidAnchor, NonMonotoneTrack, OutOfTrackSpan,
-    ParseError,
-)
+from .errors import EncodingError, InvalidAnchor, NonMonotoneTrack, ParseError
 
 EARTH_RADIUS_M = 6_371_008.8
 """Mean Earth radius in meters (arithmetic mean of the ellipsoid axes)."""
 
 TOLERANCE_MS = 5000
 """How far outside the track span a query may fall and still be clamped."""
+
+# The track profile's rule, the same for every drive; the manifest's config
+# digest records it through segmenter.PROFILE_RULE.
+PROFILE_STEP_M = 40.0
+"""A profile keeps a fix at least this far from the last fix it kept."""
+TURN_STEP_DEG = 20.0
+"""Each bearing change of a located turn exceeds this, all with one sign,"""
+TURN_TOTAL_DEG = 45.0
+"""and their total exceeds this."""
 
 MAX_INSTANT_MS = 253_402_300_799_999
 """9999-12-31T23:59:59.999Z, the last instant format_iso8601_ms can render."""
@@ -341,14 +348,14 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
 
 
-def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
+def initial_bearing(a: GeoPoint, b: GeoPoint) -> float | None:
     """Forward azimuth from a to b, compass degrees in [0, 360).
 
-    Raises DegenerateBearing when the points coincide: a stationary vehicle
-    has no direction of travel.
+    None when the points coincide: a stationary vehicle has no direction
+    of travel.
     """
     if a.lat_deg == b.lat_deg and a.lon_deg == b.lon_deg:
-        raise DegenerateBearing("coincident points have no bearing")
+        return None
     lat1 = math.radians(a.lat_deg)
     lat2 = math.radians(b.lat_deg)
     dlon = math.radians(b.lon_deg - a.lon_deg)
@@ -371,30 +378,23 @@ def signed_bearing_delta(from_deg: float, to_deg: float) -> float:
     return delta
 
 
-def _bracket(log: TrackLog, t_ms: int) -> tuple[int, int, int]:
+def _bracket(log: TrackLog, t_ms: int) -> tuple[int, int, int] | None:
     """Locate t within the track, clamping into the span within TOLERANCE_MS.
 
-    Returns (clamped_t, lo_index, hi_index) where lo/hi bracket clamped_t.
+    Returns (clamped_t, lo_index, hi_index) where lo/hi bracket clamped_t,
+    or None for a track of fewer than two fixes or an instant further out.
     Bisects the log's cached ``times``, so a query costs O(log N) and a run
     of E queries over N fixes costs O(N + E log N) in all.
     """
     times = log.times
     n = len(times)
     if n < 2:
-        raise OutOfTrackSpan("track has fewer than 2 points")
+        return None
     first, last = times[0], times[-1]
     if t_ms < first:
-        if first - t_ms > TOLERANCE_MS:
-            raise OutOfTrackSpan(
-                f"t={t_ms} precedes track start {first} by more than {TOLERANCE_MS} ms"
-            )
-        return first, 0, 1
+        return (first, 0, 1) if first - t_ms <= TOLERANCE_MS else None
     if t_ms > last:
-        if t_ms - last > TOLERANCE_MS:
-            raise OutOfTrackSpan(
-                f"t={t_ms} follows track end {last} by more than {TOLERANCE_MS} ms"
-            )
-        return last, n - 2, n - 1
+        return (last, n - 2, n - 1) if t_ms - last <= TOLERANCE_MS else None
     i = bisect_left(times, t_ms)
     if times[i] == t_ms:
         lo = i if i < n - 1 else i - 1
@@ -402,16 +402,20 @@ def _bracket(log: TrackLog, t_ms: int) -> tuple[int, int, int]:
     return t_ms, i - 1, i
 
 
-def interpolate_position(log: TrackLog, t_ms: int) -> GeoPoint:
+def interpolate_position(log: TrackLog, t_ms: int) -> GeoPoint | None:
     """Linearly interpolated position at time t.
 
     Queries up to TOLERANCE_MS (5 s) outside the span clamp to the nearest
-    endpoint; further out raises OutOfTrackSpan. The returned point carries
-    the query time, so callers can anchor events at the instant they asked
-    about. A query at a track point's own timestamp reproduces that point
-    exactly. Elevation interpolates only when both bracketing points have it.
+    endpoint; further out, or on a track of fewer than two fixes, there is
+    no position: None. The returned point carries the query time, so
+    callers can anchor events at the instant they asked about. A query at a
+    track point's own timestamp reproduces that point exactly. Elevation
+    interpolates only when both bracketing points have it.
     """
-    clamped, lo, hi = _bracket(log, t_ms)
+    bracket = _bracket(log, t_ms)
+    if bracket is None:
+        return None
+    clamped, lo, hi = bracket
     a, b = log.points[lo], log.points[hi]
     if clamped == a.t_ms:
         return GeoPoint(a.lat_deg, a.lon_deg, t_ms, a.ele_m)
@@ -437,15 +441,19 @@ def heading_at(log: TrackLog, t_ms: int) -> float | None:
     """Direction of travel at time t, from the bracketing track points.
 
     If the bracketing pair is coincident (vehicle stopped), the window grows
-    outward to the nearest pair with actual separation. A log whose points
-    all coincide has no heading: None.
+    outward to the nearest pair with actual separation. Where
+    ``interpolate_position`` has no position, or every point of the log
+    coincides, there is no heading: None.
     """
-    _, lo, hi = _bracket(log, t_ms)
+    bracket = _bracket(log, t_ms)
+    if bracket is None:
+        return None
+    _, lo, hi = bracket
     pts = log.points
     while True:
-        a, b = pts[lo], pts[hi]
-        if a.lat_deg != b.lat_deg or a.lon_deg != b.lon_deg:
-            return initial_bearing(a, b)
+        bearing = initial_bearing(pts[lo], pts[hi])
+        if bearing is not None:
+            return bearing
         if hi < len(pts) - 1:
             hi += 1
         elif lo > 0:
@@ -453,3 +461,100 @@ def heading_at(log: TrackLog, t_ms: int) -> float | None:
         else:
             return None
 
+
+class Turn(NamedTuple):
+    """A turn located on a TrackProfile: its one defined point, kept fix
+    ``vertex`` at instant ``t_ms``, and ``exit_step``, the first kept step
+    after the turn."""
+
+    t_ms: int
+    vertex: int
+    exit_step: int
+
+
+def _plane_bearing(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Compass bearing from a to b, both (east, north) metres on a plane."""
+    return normalize_bearing(math.degrees(math.atan2(b[0] - a[0], b[1] - a[1])))
+
+
+@dataclass(frozen=True)
+class TrackProfile:
+    """A whole track outlined once, as ``track_profile`` builds it.
+
+    ``points`` are the kept fixes as (east, north) metres on the tangent
+    plane at the track's first fix, and ``times`` their instants; step i
+    runs from point i to point i + 1. A kept step that spans a gap in the
+    fixes is a chord across the gap, not a measured path. ``turns`` are
+    the turns located on the steps, in time order.
+    """
+
+    times: tuple[int, ...]
+    points: tuple[tuple[float, float], ...]
+    turns: tuple[Turn, ...]
+
+    def exit_bearing(self, start_ms: int, end_ms: int) -> float | None:
+        """The bearing the track holds after the stretch from ``start_ms``
+        to ``end_ms``: that of the first kept step after the first turn
+        located in it, else of the first kept step at or after
+        ``start_ms``; None where no kept step follows."""
+        i = bisect_left(self.turns, start_ms, key=lambda turn: turn.t_ms)
+        if i < len(self.turns) and self.turns[i].t_ms <= end_ms:
+            step = self.turns[i].exit_step
+        else:
+            step = bisect_left(self.times, start_ms)
+        if step >= len(self.points) - 1:
+            return None
+        return _plane_bearing(self.points[step], self.points[step + 1])
+
+
+def track_profile(log: TrackLog) -> TrackProfile:
+    """The track decimated on a local tangent plane, and its turns.
+
+    Each fix is projected onto the plane at the first fix: north is
+    Δlat·R and east Δlon·R·cos lat₀, in radians, with Δlon taken the short
+    way across ±180°. A fix is kept when it lies at least PROFILE_STEP_M
+    from the last kept one, so GPS noise and stops do not read as turning.
+
+    A run of consecutive bearing changes between kept steps, each above
+    TURN_STEP_DEG and all of one sign, is one turn when its total exceeds
+    TURN_TOTAL_DEG. The turn's point is the vertex where the run's change
+    first reaches half its total, and its exit step the one leaving the
+    run's last vertex.
+    """
+    times: list[int] = []
+    points: list[tuple[float, float]] = []
+    if log.points:
+        origin = log.points[0]
+        lat0, lon0 = origin.lat_deg, origin.lon_deg
+        north_m = math.radians(EARTH_RADIUS_M)
+        east_m = north_m * math.cos(math.radians(lat0))
+        floor = PROFILE_STEP_M * PROFILE_STEP_M
+        last_x = last_y = math.inf
+        for p in log.points:
+            dlon = p.lon_deg - lon0
+            if dlon > 180.0:
+                dlon -= 360.0
+            elif dlon < -180.0:
+                dlon += 360.0
+            x, y = dlon * east_m, (p.lat_deg - lat0) * north_m
+            if (x - last_x) ** 2 + (y - last_y) ** 2 >= floor:
+                points.append((x, y))
+                times.append(p.t_ms)
+                last_x, last_y = x, y
+    bearings = [_plane_bearing(a, b) for a, b in zip(points, points[1:])]
+    changes = [signed_bearing_delta(a, b) for a, b in zip(bearings, bearings[1:])]
+    turns = []
+    # Change i lies at vertex i + 1, between steps i and i + 1.
+    vertex = 1
+    for sign, run in groupby(
+        changes, key=lambda c: (c > TURN_STEP_DEG) - (c < -TURN_STEP_DEG)
+    ):
+        run = list(run)
+        total = math.fsum(run)
+        if sign and abs(total) > TURN_TOTAL_DEG:
+            # All of one sign, so the swept change only grows.
+            half = abs(total) / 2
+            k = next(k for k, swept in enumerate(accumulate(run)) if abs(swept) >= half)
+            turns.append(Turn(times[vertex + k], vertex + k, vertex + len(run) - 1))
+        vertex += len(run)
+    return TrackProfile(tuple(times), tuple(points), tuple(turns))

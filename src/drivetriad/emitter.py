@@ -314,9 +314,15 @@ def _triad_from_json(
     ):
         if start is not None and end is not None and start > end:
             raise ValueError(f"{what} inverted: [{start}, {end}]")
-    # Each evidence item is what Evidence documents: a span of the text.
+    # A frame range is exact or absent: both ends, or neither.
+    if (action.frame_start is None) != (action.frame_end is None):
+        raise ValueError(
+            f"frame range has one null end: [{action.frame_start}, {action.frame_end}]"
+        )
+    # Each evidence item is what Evidence documents: a span of the text,
+    # never an empty one.
     for ev in evidence:
-        if not (0 <= ev.start <= ev.end <= len(event.text)
+        if not (0 <= ev.start < ev.end <= len(event.text)
                 and event.text[ev.start:ev.end] == ev.matched):
             raise ValueError(
                 f"evidence [{ev.start}, {ev.end}] is not {ev.matched!r} in the text"

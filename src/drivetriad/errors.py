@@ -42,14 +42,6 @@ class NonMonotoneTrack(DataError):
     """Track point timestamps decrease."""
 
 
-class OutOfTrackSpan(DataError):
-    """Queried time lies outside the track span beyond tolerance."""
-
-
-class DegenerateBearing(DataError):
-    """Bearing requested between coincident points."""
-
-
 # --- transcripts / sidecars -------------------------------------------------
 
 class ParseError(DataError):
@@ -77,11 +69,6 @@ class InvalidAnchor(DataError):
 
 
 # --- classification ---------------------------------------------------------
-
-class EmptyInstruction(DataError):
-    """Instruction text has no words: empty, whitespace or punctuation
-    only, such as "..."."""
-
 
 class LexiconError(DataError):
     """A lexicon override is a JSON object but no lexicon: a key that names

@@ -6,7 +6,8 @@ and writes four artifacts into the output directory:
 * triads.jsonl    — the vision-language-action records
 * manifest.json   — provenance (input digests, config digest, warnings)
 * report.txt      — class and combination frequency tables over the triads
-* mismatches.txt  — one line per cue whose spoken turn opposes the driven one
+* mismatches.txt  — one line per cue whose spoken turn side or cardinal
+                    the drive contradicts
 
 Every stream is put on the shared clock here, once: ``audio_start`` anchors
 the transcript and each stream's offset shifts it, or is refused by it.
@@ -22,7 +23,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .classifier import load_lexicon
-from .core import TOLERANCE_MS, check_fields, parse_iso8601_ms
+from .core import TOLERANCE_MS, check_fields, parse_iso8601_ms, track_profile
 from .emitter import (
     build_manifest,
     config_digest,
@@ -35,7 +36,7 @@ from .emitter import (
 )
 from .errors import ParseError, parse_input
 from .ingest import TRANSCRIPT_FORMATS, Transcript, parse_gpx, parse_transcript, parse_video_meta
-from .segmenter import MANEUVER_RULE, collect_mismatches, segment_actions
+from .segmenter import MANEUVER_RULE, PROFILE_RULE, collect_mismatches, segment_actions
 from .stats import check_label, corpus_stats, render_report
 from .sync import build_events
 
@@ -109,7 +110,7 @@ def _effective_config(config: PipelineConfig, lexicon_version: str) -> dict:
         for f in fields(config)
         if "Path" not in f.type
     }
-    return {**knobs, **MANEUVER_RULE, "tolerance_ms": TOLERANCE_MS,
+    return {**knobs, **MANEUVER_RULE, **PROFILE_RULE, "tolerance_ms": TOLERANCE_MS,
             "lexicon_version": lexicon_version}
 
 
@@ -158,7 +159,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     segments, segment_warnings = segment_actions(events, track, video)
     warnings += segment_warnings
     triads = make_triads(events, segments)
-    mismatches = collect_mismatches(triads)
+    mismatches, mismatch_warnings = collect_mismatches(triads, track_profile(track))
+    warnings += mismatch_warnings
 
     label = config.gpx_path.stem if config.source_label is None else config.source_label
     # The report counts what triads.jsonl holds, so that ``stats`` over

@@ -6,10 +6,11 @@ last one runs to the end of the track). The track slice inside that window
 is summarized as a maneuver: the net signed bearing change over the slice,
 bucketed into Straight / LeftTurn / RightTurn / UTurn.
 
-A consistency check compares the stated turn direction in the instruction
-text against the observed maneuver and writes each contradiction as its
-own mismatches.txt line. Reports only; labels are never auto-corrected,
-because a disagreement is exactly the data-quality signal worth surfacing.
+Two consistency checks write each contradiction as its own mismatches.txt
+line: the stated turn side against the observed maneuver, and the stated
+cardinal against the bearing the track profile holds after the cue.
+Reports only; labels are never auto-corrected, because a disagreement is
+exactly the data-quality signal worth surfacing.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
+    PROFILE_STEP_M,
+    TURN_STEP_DEG,
+    TURN_TOTAL_DEG,
     GeoPoint,
     TrackLog,
+    TrackProfile,
     haversine_distance,
     initial_bearing,
     interpolate_position,
@@ -43,6 +48,15 @@ MANEUVER_RULE = {
     "jitter_floor_m": JITTER_FLOOR_M,
     "straight_threshold_deg": STRAIGHT_THRESHOLD_DEG,
     "uturn_threshold_deg": UTURN_THRESHOLD_DEG,
+}
+# The track profile's rule (core.track_profile) and the cardinal check's,
+# recorded beside it.
+CARDINAL_TOLERANCE_DEG = 45.0
+PROFILE_RULE = {
+    "profile_step_m": PROFILE_STEP_M,
+    "turn_step_deg": TURN_STEP_DEG,
+    "turn_total_deg": TURN_TOTAL_DEG,
+    "cardinal_tolerance_deg": CARDINAL_TOLERANCE_DEG,
 }
 
 
@@ -255,7 +269,49 @@ def consistency_check(event: InstructionEvent, segment: ActionSegment) -> str | 
     return f"event {event.id}: stated {stated}, observed {observed}"
 
 
-def collect_mismatches(triads: Iterable[VlaTriad]) -> list[str]:
-    """The consistency check's lines over every triad, in triad order."""
-    found = (consistency_check(t.event, t.action) for t in triads)
-    return [line for line in found if line is not None]
+_CARDINAL_BEARING = {"North": 0.0, "East": 90.0, "South": 180.0, "West": 270.0}
+
+
+def cardinal_check(
+    event: InstructionEvent, segment: ActionSegment, profile: TrackProfile
+) -> tuple[str | None, str | None]:
+    """(mismatches.txt line, warning) of an event's stated cardinal.
+
+    The observed bearing is the profile's after the first turn located
+    between the cue and the end of its window, else at the cue. It
+    mismatches, as "event 3: stated North, observed bearing 268.0", when
+    it lies more than CARDINAL_TOLERANCE_DEG from the stated cardinal. An
+    event that states no cardinal gives neither; one where no kept step
+    follows the cue gives an ``event N:`` warning.
+    """
+    stated = event.statement.cardinal
+    if stated is None:
+        return None, None
+    observed = profile.exit_bearing(event.t_ms, segment.t_end_ms)
+    if observed is None:
+        return None, (
+            f"event {event.id}: stated {stated} unchecked: the track profile "
+            f"has no step after the cue"
+        )
+    if abs(signed_bearing_delta(_CARDINAL_BEARING[stated], observed)) <= CARDINAL_TOLERANCE_DEG:
+        return None, None
+    # Rounded first, so that 359.97 reads 0.0 and not 360.0.
+    observed = round(observed, 1) % 360.0
+    return f"event {event.id}: stated {stated}, observed bearing {observed:.1f}", None
+
+
+def collect_mismatches(
+    triads: Iterable[VlaTriad], profile: TrackProfile
+) -> tuple[list[str], list[str]]:
+    """The two checks' lines over every triad, in triad order, each
+    event's side line before its cardinal line; and the cardinal check's
+    warnings."""
+    lines: list[str] = []
+    warnings: list[str] = []
+    for triad in triads:
+        side = consistency_check(triad.event, triad.action)
+        cardinal, warning = cardinal_check(triad.event, triad.action, profile)
+        lines += [line for line in (side, cardinal) if line is not None]
+        if warning is not None:
+            warnings.append(warning)
+    return lines, warnings

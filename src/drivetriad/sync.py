@@ -26,7 +26,7 @@ from .core import (
     heading_at,
     interpolate_position,
 )
-from .errors import EmptyInstruction, NoUsableEvents, OutOfTrackSpan
+from .errors import NoUsableEvents
 from .ingest import Transcript, VideoIndex, absolutize
 
 @dataclass(frozen=True)
@@ -96,11 +96,10 @@ def build_events(
     labels: dict[str, tuple[tuple[Evidence, ...], Statement] | None] = {}
     for t_ms, text in timed:
         if text not in labels:
-            try:
-                evidence = classify(text, lex).evidence
-                labels[text] = evidence, read_statement(evidence)
-            except EmptyInstruction:
-                labels[text] = None
+            result = classify(text, lex)
+            labels[text] = None if result is None else (
+                result.evidence, read_statement(result.evidence)
+            )
         labeled = labels[text]
         if labeled is None:
             warnings.append(
@@ -108,9 +107,8 @@ def build_events(
                 f"text ({text!r}); dropped"
             )
             continue
-        try:
-            geo = interpolate_position(track, t_ms)
-        except OutOfTrackSpan:
+        geo = interpolate_position(track, t_ms)
+        if geo is None:
             warnings.append(
                 f"segment at {format_iso8601_ms(t_ms)} is outside the track "
                 f"span (tolerance {TOLERANCE_MS} ms); dropped"

@@ -9,10 +9,16 @@ segments the pipeline made of it, and returns:
   planned leg heading;
 - length ratios: each window's ``distance_m`` over its planned length.
 
+``locate`` scores the turns a track profile located against the planted
+turns, and ``cardinal_lines`` counts the cardinal check's lines on a
+cardinal-heavy drive, with its cardinals as planted or each one flipped.
+
 Run as a script, it prints the quality matrix: two drives, at 1, 5 and
 10 Hz, with GPS noise of sigma 0, 3 and 5 m, over seeds 1 and 2. Each row
 sums the hits of the two seeds and takes the mean of their median heading
-error and of their median length ratio::
+error and of their median length ratio. It sums the planted turns
+located, the spurious ones and the cardinal lines of the two seeds, and
+takes the median and the maximum turn error over both::
 
     PYTHONPATH=src python3 tests/quality.py
 """
@@ -23,8 +29,9 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from drivetriad import build_events, segment_actions
-from drivetriad.segmenter import ActionSegment
+from drivetriad import Transcript, TranscriptSegment, build_events, make_triads, segment_actions
+from drivetriad.core import Turn, track_profile
+from drivetriad.segmenter import ActionSegment, collect_mismatches
 from drivetriad.sync import InstructionEvent
 from drivetriad.synth import GroundTruth, RoutePlan, StyledCorpus, generate_instructions, parse_legs
 
@@ -100,7 +107,69 @@ def score(
     return Score(hits, len(truth.instructions), tuple(heading_errors), tuple(length_ratios))
 
 
-def drive(name: str, sample_hz: float, sigma_m: float, seed: int) -> StyledCorpus:
+@dataclass(frozen=True)
+class TurnScore:
+    """How the turns a profile located compare with the planted ones."""
+
+    planted: int
+    found: int
+    spurious: int
+    errors_m: tuple[float, ...]
+
+
+def locate(truth: GroundTruth, turns: Sequence[Turn]) -> TurnScore:
+    """Score located ``turns`` against the turns ``truth`` planted.
+
+    Each located turn belongs to the planted turn nearest it along the
+    route, measured as the time between them at the drive's constant
+    speed. A planted turn is found when at least one located turn belongs
+    to it, and each located turn past the first of its planted turn is
+    spurious. A found turn's error is its nearest located turn's distance.
+    """
+    planted = [entry.turn for entry in truth.instructions if entry.turn is not None]
+    nearest: dict[int, list[float]] = {}
+    for turn in turns:
+        t_s = (turn.t_ms - truth.audio_start_ms) / 1000
+        errors = [abs(t_s - p.t_s) * p.along_m / p.t_s for p in planted]
+        best = min(range(len(planted)), key=errors.__getitem__)
+        nearest.setdefault(best, []).append(errors[best])
+    return TurnScore(
+        planted=len(planted),
+        found=len(nearest),
+        spurious=len(turns) - len(nearest),
+        errors_m=tuple(min(errors) for _, errors in sorted(nearest.items())),
+    )
+
+
+_OPPOSITE = {"North": "South", "South": "North", "East": "West", "West": "East"}
+
+
+def flip_cardinals(transcript: Transcript) -> Transcript:
+    """The transcript with the cardinal each cue heads toward turned to
+    its opposite: "head North" reads "head South"."""
+    segments = []
+    for segment in transcript.segments:
+        text = segment.text
+        for cardinal, opposite in _OPPOSITE.items():
+            if f"head {cardinal}" in text:
+                text = text.replace(f"head {cardinal}", f"head {opposite}")
+                break
+        segments.append(TranscriptSegment(segment.start_s, segment.end_s, text))
+    return Transcript(tuple(segments), transcript.audio_start_ms)
+
+
+def cardinal_lines(corpus: StyledCorpus, transcript: Transcript | None = None) -> list[str]:
+    """The cardinal check's mismatches.txt lines on ``corpus``'s track,
+    for its own transcript or for ``transcript``."""
+    events, _ = build_events(transcript or corpus.transcript, corpus.track)
+    segments, _ = segment_actions(events, corpus.track)
+    lines, _ = collect_mismatches(make_triads(events, segments), track_profile(corpus.track))
+    return [line for line in lines if ", observed bearing " in line]
+
+
+def drive(
+    name: str, sample_hz: float, sigma_m: float, seed: int, style: str = "distance-heavy"
+) -> StyledCorpus:
     """One drive of the matrix."""
     legs, speed_mps = DRIVES[name]
     plan = RoutePlan(
@@ -110,7 +179,7 @@ def drive(name: str, sample_hz: float, sigma_m: float, seed: int) -> StyledCorpu
         noise_sigma_m=sigma_m,
         seed=seed,
     )
-    return generate_instructions(plan, "distance-heavy")
+    return generate_instructions(plan, style)
 
 
 def run(corpus: StyledCorpus) -> Score:
@@ -132,17 +201,44 @@ def matrix_row(name: str, sample_hz: float, sigma_m: float) -> tuple[int, int, f
     )
 
 
+def profile_row(name: str, sample_hz: float, sigma_m: float) -> tuple[TurnScore, int, int, int]:
+    """Over the seeds' cardinal-heavy drives: their located turns, pooled;
+    and the cardinal lines with the cardinals as planted, the lines with
+    each one flipped, and the cues that state a cardinal, summed."""
+    scores = []
+    planted = flipped = cues = 0
+    for seed in SEEDS:
+        corpus = drive(name, sample_hz, sigma_m, seed, "cardinal-heavy")
+        scores.append(locate(corpus.ground_truth, track_profile(corpus.track).turns))
+        planted += len(cardinal_lines(corpus))
+        flipped += len(cardinal_lines(corpus, flip_cardinals(corpus.transcript)))
+        cues += sum(e.stated_cardinal is not None for e in corpus.ground_truth.instructions)
+    turns = TurnScore(
+        planted=sum(s.planted for s in scores),
+        found=sum(s.found for s in scores),
+        spurious=sum(s.spurious for s in scores),
+        errors_m=tuple(e for s in scores for e in s.errors_m),
+    )
+    return turns, planted, flipped, cues
+
+
 def main() -> None:
-    print("| drive | maneuvers | heading error | length ratio |")
-    print("| --- | ---: | ---: | ---: |")
+    print(
+        "| drive | maneuvers | heading error | length ratio | turns | spurious "
+        "| turn error (median, max) | cardinal lines (planted, flipped) |"
+    )
+    print("| --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: |")
     for name in DRIVES:
         for sample_hz in RATES_HZ:
             for sigma_m in SIGMAS_M:
                 hits, cues, heading, ratio = matrix_row(name, sample_hz, sigma_m)
+                turns, planted, flipped, stated = profile_row(name, sample_hz, sigma_m)
                 noise = f"σ {sigma_m:g} m" if sigma_m else "σ 0"
                 print(
                     f"| {name} {sample_hz:g} Hz, {noise} | {hits}/{cues} | "
-                    f"{heading:.1f}° | ×{ratio:.2f} |"
+                    f"{heading:.1f}° | ×{ratio:.2f} | {turns.found}/{turns.planted} | "
+                    f"{turns.spurious} | {statistics.median(turns.errors_m):.0f} m, "
+                    f"{max(turns.errors_m):.0f} m | {planted}/{stated}, {flipped}/{stated} |"
                 )
 
 

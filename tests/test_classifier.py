@@ -24,11 +24,12 @@ from drivetriad.classifier import (
     Lexicon,
     Statement,
     _maximal_spans,
+    has_word,
     read_statement,
     sort_classes,
     tokenize,
 )
-from drivetriad.errors import EmptyInstruction, LexiconError, ParseError
+from drivetriad.errors import LexiconError, ParseError
 from drivetriad.synth import STYLES, RoutePlan, generate_instructions, parse_legs
 from helpers import reference_all_cardinals_inside_roads, reference_maximal_spans
 from test_acceptance import APP_SENTENCES, PROTOTYPES as ACCEPTANCE_PROTOTYPES
@@ -79,9 +80,10 @@ def ref_normalize(text):
     """The per-character normalizer tokenize replaced, kept as its reference:
     the normalized string (lowercased, final sigma folded to "σ", punctuation
     to single spaces, but a "." or "," between two decimal digits kept) and
-    the original index of each of its characters."""
+    the original index of each of its characters, or None for a text that
+    normalizes to nothing."""
     if not text.strip():
-        raise EmptyInstruction("instruction text is empty")
+        return None
     chars = []
     origins = []
     for i, ch in enumerate(text):
@@ -104,7 +106,7 @@ def ref_normalize(text):
         chars.pop()
         origins.pop()
     if not chars:
-        raise EmptyInstruction("instruction text is empty after normalization")
+        return None
     return "".join(chars), tuple(origins)
 
 
@@ -114,13 +116,12 @@ def ref_to_original(origins, start, end):
 
 
 def assert_tokenize_matches_reference(text):
-    try:
-        normalized, origins = ref_normalize(text)
-    except EmptyInstruction:
-        with pytest.raises(EmptyInstruction):
-            tokenize(text)
-        return
+    reference = ref_normalize(text)
     tokens, spans = tokenize(text)
+    if reference is None:
+        assert tokens == spans == []
+        return
+    normalized, origins = reference
     assert " ".join(tokens) == normalized
     start = 0
     for token, span in zip(tokens, spans):
@@ -149,8 +150,8 @@ class TestNormalizeText:
 
     @pytest.mark.parametrize("bad", ["", "   ", "...", "!?!"])
     def test_blank_input_rejected(self, bad):
-        with pytest.raises(EmptyInstruction):
-            tokenize(bad)
+        assert tokenize(bad) == ([], [])
+        assert classify(bad) is None
 
     @given(
         text=st.text(
@@ -338,8 +339,11 @@ class TestInvariance:
         assert classes_of(doubled) == expected
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInstruction):
-            classify("")
+        assert classify("") is None
+
+    @given(text=st.text(st.sampled_from("a9.,-'’ \t…!²_"), max_size=8))
+    def test_none_exactly_for_a_wordless_text(self, text):
+        assert (classify(text) is None) == (not has_word(text))
 
 
 class TestSortClasses:

@@ -715,6 +715,29 @@ class TestStatsCommand:
         assert code == EXIT_DATA
         assert f"error: {bad}: ParseError: line 1: {message}\n" in err
 
+    def test_half_null_frame_range_is_data_error(self, tmp_path, capsys):
+        # pipeline writes a frame range with both ends or with neither.
+        code, err, bad = self._stats_on_edited_record(
+            tmp_path, capsys, ("action", "frame_start"), 900
+        )
+        assert code == EXIT_DATA
+        assert (
+            f"error: {bad}: ParseError: line 1: frame range has one null end: [900, None]\n"
+        ) in err
+
+    def test_empty_evidence_span_is_data_error(self, tmp_path, capsys):
+        # classify never writes an empty span, even one of a class the
+        # record has.
+        triads = self._dataset(tmp_path, capsys)
+        record = json.loads(triads.read_bytes().splitlines()[0])
+        first = record["evidence"][0]
+        record["evidence"].append({"class": first["class"], "start": 0, "end": 0, "matched": ""})
+        bad = tmp_path / "edited.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        code, _, err = run(["stats", str(bad)], capsys)
+        assert code == EXIT_DATA
+        assert f"error: {bad}: ParseError: line 1: evidence [0, 0] is not '' in the text\n" in err
+
     @pytest.mark.parametrize("edit", ["missing", "extra", "repeated"])
     def test_classes_the_evidence_does_not_give_are_data_error(self, tmp_path, capsys, edit):
         # stats reads only records pipeline could write: the classes of the

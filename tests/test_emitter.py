@@ -487,6 +487,28 @@ class TestReadTriads:
             read_triads(inverted)
 
     @pytest.mark.parametrize(
+        "null_end, ends", [("frame_start", "[None, 899]"), ("frame_end", "[0, None]")]
+    )
+    def test_half_null_frame_range_rejected(self, tmp_path, null_end, ends):
+        # A frame range is exact or absent: pipeline writes both ends or neither.
+        record = json.loads(export_triads([make_triad()], tmp_path).read_bytes())
+        record["action"][null_end] = None
+        with pytest.raises(ParseError) as info:
+            read_triads(json.dumps(record).encode() + b"\n")
+        assert str(info.value) == f"line 1: frame range has one null end: {ends}"
+
+    def test_empty_evidence_span_rejected(self, tmp_path):
+        # classify never writes an empty span, so a reader refuses one.
+        data = export_triads([make_triad()], tmp_path).read_bytes()
+        record = json.loads(data)
+        record["evidence"].append(
+            {"class": record["evidence"][0]["class"], "start": 0, "end": 0, "matched": ""}
+        )
+        with pytest.raises(ParseError) as info:
+            read_triads(json.dumps(record).encode() + b"\n")
+        assert str(info.value) == "line 1: evidence [0, 0] is not '' in the text"
+
+    @pytest.mark.parametrize(
         "line",
         [b'{"id": ' + b"9" * 5000 + b"}", b"[" * 200_000 + b"]" * 200_000],
         ids=["long-integer", "deep-nesting"],

@@ -18,19 +18,15 @@ from drivetriad import (
 from drivetriad.core import (
     EARTH_RADIUS_M,
     MAX_INSTANT_MS,
+    PROFILE_STEP_M,
     format_iso8601_ms,
     heading_at,
     normalize_bearing,
     parse_iso8601_ms,
     signed_bearing_delta,
+    track_profile,
 )
-from drivetriad.errors import (
-    DegenerateBearing,
-    InvalidAnchor,
-    NonMonotoneTrack,
-    OutOfTrackSpan,
-    ParseError,
-)
+from drivetriad.errors import InvalidAnchor, NonMonotoneTrack, ParseError
 
 from helpers import (
     circular_diff_deg, oracle_bearing, oracle_distance, reference_iso8601_ms, track_from,
@@ -308,8 +304,19 @@ class TestBearing:
         assert initial_bearing(P(0, 0), P(0, -1)) == pytest.approx(270.0, abs=1e-9)
 
     def test_coincident_points_have_no_bearing(self):
-        with pytest.raises(DegenerateBearing):
-            initial_bearing(P(10, 20), P(10, 20))
+        assert initial_bearing(P(10, 20), P(10, 20)) is None
+
+    @given(
+        st.sampled_from([-90.0, -45.5, 0.0, 10.0, 89.999999, 90.0]),
+        st.sampled_from([-180.0, -0.000001, 0.0, 20.0, 179.999999]),
+        st.sampled_from([-90.0, -45.5, 0.0, 10.0, 89.999999, 90.0]),
+        st.sampled_from([-180.0, -0.000001, 0.0, 20.0, 179.999999]),
+    )
+    def test_none_exactly_for_coincident_points(self, lat1, lon1, lat2, lon2):
+        bearing = initial_bearing(P(lat1, lon1), P(lat2, lon2))
+        assert (bearing is None) == (lat1 == lat2 and lon1 == lon2)
+        if bearing is not None:
+            assert 0.0 <= bearing < 360.0
 
     def test_matches_vector_oracle_on_samples(self):
         pairs = [
@@ -371,15 +378,12 @@ class TestInterpolation:
 
     def test_rejects_beyond_tolerance(self):
         log = track_from([(1.0, 2.0), (2.0, 3.0)], start_ms=10_000)
-        with pytest.raises(OutOfTrackSpan):
-            interpolate_position(log, 1_000)
-        with pytest.raises(OutOfTrackSpan):
-            interpolate_position(log, 17_000)
+        assert interpolate_position(log, 1_000) is None
+        assert interpolate_position(log, 17_000) is None
 
     def test_single_point_track_rejected(self):
         log = TrackLog((P(0, 0, 0),))
-        with pytest.raises(OutOfTrackSpan):
-            interpolate_position(log, 0)
+        assert interpolate_position(log, 0) is None
 
     def test_elevation_needs_both_ends(self):
         log = TrackLog((P(0, 0, 0, ele=100.0), P(1, 0, 2000, ele=200.0)))
@@ -453,3 +457,83 @@ class TestAgainstOracle:
                 )
                 < 1e-6
             )
+
+
+def walk(origin, steps):
+    """A track from ``origin`` (lat, lon) along (bearing, metres) steps, one
+    fix a second, each step laid on the plane at the origin."""
+    lat0, lon0 = origin
+    x = y = 0.0
+    coords = [origin]
+    for bearing, length in steps:
+        x += length * math.sin(math.radians(bearing))
+        y += length * math.cos(math.radians(bearing))
+        lon = lon0 + math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(lat0))))
+        coords.append((lat0 + math.degrees(y / EARTH_RADIUS_M), (lon + 180.0) % 360.0 - 180.0))
+    return track_from(coords)
+
+
+class TestTrackProfile:
+    @given(st.lists(
+        st.tuples(st.floats(0.0, 360.0), st.floats(0.0, 30.0)), min_size=0, max_size=60,
+    ))
+    def test_keeps_each_fix_40_m_past_the_last_kept(self, steps):
+        log = walk((40.0, -105.0), steps)
+        profile = track_profile(log)
+        kept = {t // 1000 for t in profile.times}
+        assert 0 in kept
+        last = log.points[0]
+        for i, point in enumerate(log.points[1:], start=1):
+            gap = oracle_distance(last.lat_deg, last.lon_deg, point.lat_deg, point.lon_deg)
+            # The plane and the sphere agree to well under 5 cm over 2 km.
+            if i in kept:
+                assert gap > PROFILE_STEP_M - 0.05
+                last = point
+            else:
+                assert gap < PROFILE_STEP_M + 0.05
+        assert len(profile.points) == len(kept)
+
+    def test_short_tracks_have_no_step(self):
+        for log in (TrackLog(()), track_from([(1.0, 2.0)]), track_from([(1.0, 2.0)] * 5)):
+            profile = track_profile(log)
+            assert profile.turns == ()
+            assert profile.exit_bearing(0, 10_000) is None
+
+    def test_steps_cross_the_antimeridian_the_short_way(self):
+        # Due east across 180 degrees at the equator, 50 m a fix.
+        log = walk((0.0, 179.999), [(90.0, 50.0)] * 10)
+        assert log.points[-1].lon_deg < 0.0
+        profile = track_profile(log)
+        assert len(profile.points) == 11
+        assert profile.exit_bearing(0, 0) == pytest.approx(90.0)
+        assert profile.exit_bearing(9000, 9000) == pytest.approx(90.0)
+        assert profile.turns == ()
+
+    @pytest.mark.parametrize("after", [90.0, 270.0, 180.0], ids=["right", "left", "u-turn"])
+    def test_one_turn_at_the_corner(self, after):
+        # 492 m north, then 492 m on, 41 m a fix: the turn's point is the
+        # corner's fix, and the track holds the new bearing after it.
+        log = walk((40.0, -105.0), [(0.0, 41.0)] * 12 + [(after, 41.0)] * 12)
+        profile = track_profile(log)
+        (located,) = profile.turns
+        assert (located.t_ms, located.vertex) == (12_000, 12)
+        assert profile.points[12] == pytest.approx((0.0, 492.0))
+        assert profile.exit_bearing(0, log.end_ms) == pytest.approx(after)
+        # With no turn in the stretch, the bearing is the one at its start.
+        assert profile.exit_bearing(0, 11_999) == pytest.approx(0.0)
+        assert profile.exit_bearing(13_000, log.end_ms) == pytest.approx(after)
+
+    def test_a_corner_between_kept_fixes_is_one_turn(self):
+        # 10 m a fix: the kept step across the corner cuts it, and the
+        # turn's point lies within a kept step of the corner.
+        log = walk((40.0, -105.0), [(0.0, 10.0)] * 50 + [(90.0, 10.0)] * 50)
+        profile = track_profile(log)
+        (located,) = profile.turns
+        x, y = profile.points[located.vertex]
+        assert math.hypot(x, y - 500.0) <= PROFILE_STEP_M
+        assert abs(signed_bearing_delta(90.0, profile.exit_bearing(0, log.end_ms))) < 45.0
+
+    def test_a_gentle_bend_is_no_turn(self):
+        # 60 degrees over 600 m: no step changes bearing by 20 degrees.
+        log = walk((40.0, -105.0), [(i * 1.0, 10.0) for i in range(60)])
+        assert track_profile(log).turns == ()

@@ -62,7 +62,7 @@ GOLDEN = {
         "b18a87aed67ef036390ce586b3c2d2a1ccdf651c3589aa4e94f9acbba81576ce"
     ),
     "cardinal-heavy/manifest.json": (
-        "02c1788ddf2f08573c5bf5c426fb4c846a238c114aab9dc8f03a1a0505edabcd"
+        "adbb9e23dc40eaec6eb3f9d787ea7d706953e4cd332e1c0e440c719e4b5fca2e"
     ),
     "cardinal-heavy/mismatches.txt": (
         "09e1961bf66d13fc51d00b3c8bf40d8c976409e9ec715d708d6fe0e926cfdec1"
@@ -80,7 +80,7 @@ GOLDEN = {
         "aa8315bdb3807cc40a7d5838249d49b456e3e535e468be7c28d6d9925a8bb621"
     ),
     "distance-heavy/manifest.json": (
-        "94c874fc7c2faf6c32aaded2eb1fa871da04a4f8c325a122d0ce64d49ed6a393"
+        "a8c9e20252e8ca7f0188db9e562818f6637c0a083cb349258b2847a66a763c03"
     ),
     "distance-heavy/mismatches.txt": (
         "09e1961bf66d13fc51d00b3c8bf40d8c976409e9ec715d708d6fe0e926cfdec1"
@@ -104,7 +104,7 @@ GOLDEN = {
         "4a101bf839ad3b38be7f0c72b3934b9497cae4416c52980aab983c0d14a836d7"
     ),
     "static-object-heavy/manifest.json": (
-        "fc38e66db3e38da6b1b9a4e4118fed0dedaef325bf7edda568a71a0105fd2c0e"
+        "dcf0fb572bc5d38258c2c7dde3feb00a2fc969c6199a55b0fc4b07999894fdc8"
     ),
     "static-object-heavy/mismatches.txt": (
         "09e1961bf66d13fc51d00b3c8bf40d8c976409e9ec715d708d6fe0e926cfdec1"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -29,11 +30,13 @@ from drivetriad import (
 from drivetriad.cli import main
 from drivetriad.core import format_iso8601_ms, parse_iso8601_ms
 from drivetriad.emitter import labels_fragment
-from drivetriad.segmenter import MANEUVER_RULE
-from drivetriad.synth import write_gpx, write_video_meta
+from drivetriad.segmenter import MANEUVER_RULE, PROFILE_RULE
+from drivetriad.synth import STYLES, write_gpx, write_video_meta
 from pathlib import Path
 
 from drivetriad.errors import DataError, NoUsableEvents
+from quality import cardinal_lines
+from test_acceptance import _PLANS as ACCEPTANCE_PLANS
 
 
 def generated(tmp_path, seed=7, style="distance-heavy", legs="600R,500L,700U,400", **plan_kw):
@@ -58,9 +61,9 @@ class TestPipelineConfig:
         config = PipelineConfig("drive.gpx", "voice.json", "out")
         assert config.gpx_path == Path("drive.gpx")
         assert config.out_dir == Path("out")
-        # The maneuver rule and the placement tolerance are fixed: no run
-        # can set them.
-        for name in [*MANEUVER_RULE, "tolerance_ms"]:
+        # The maneuver rule, the profile's rule and the placement tolerance
+        # are fixed: no run can set them.
+        for name in [*MANEUVER_RULE, *PROFILE_RULE, "tolerance_ms"]:
             with pytest.raises(TypeError, match=name):
                 PipelineConfig("drive.gpx", "voice.json", "out", **{name: 1.0})
 
@@ -277,10 +280,10 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         "settings, digest",
         [
-            ({}, "fe0f68d97341c798ab0e986139f55f1989af08a7f2b1513a93f7eb396779d354"),
+            ({}, "830c692bbcfcc11a9f269fa68d75164ef05085ba7118f277357ac3aabcd7d2f0"),
             (
                 {"source_label": "drive"},
-                "e5cf6ff092998c635d0394686b5512be988ee7c153ba5690be84ee0b98ed43ec",
+                "73870bacea517a0bb74ef7f68d2658394c66a67545518b624ec144ff3cf15182",
             ),
         ],
         ids=["defaults", "overrides"],
@@ -442,6 +445,98 @@ class TestMirrorSwapsSides:
                 assert b.net_bearing_change_deg == pytest.approx(
                     -a.net_bearing_change_deg, abs=1e-6
                 )
+
+    @pytest.mark.parametrize("noise_sigma_m", [0.0, 3.0], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("sample_hz", [1.0, 10.0])
+    def test_mirror_swaps_east_and_west(self, tmp_path, sample_hz, noise_sigma_m):
+        # Mirrored, the drive turns the other way and heads East where it
+        # headed West: a voice that says so agrees with it, and one that
+        # swaps only the sides is flagged at each East and each West.
+        plan = RoutePlan(
+            legs=parse_legs("600R,500L,700U,400R,300L,500"), seed=4,
+            sample_hz=sample_hz, noise_sigma_m=noise_sigma_m,
+        )
+        corpus = generate_instructions(plan, "cardinal-heavy")
+        files = write_corpus(corpus, tmp_path / "corpus")
+        lon0 = plan.origin.lon_deg
+        mirrored = TrackLog(tuple(
+            GeoPoint(p.lat_deg, 2 * lon0 - p.lon_deg, p.t_ms, p.ele_m)
+            for p in corpus.track.points
+        ))
+        gpx = tmp_path / "mirrored.gpx"
+        gpx.write_bytes(write_gpx(mirrored, "mirrored").encode())
+        text = files["transcript.json"].read_text()
+        stated = [e.stated_cardinal for e in corpus.ground_truth.instructions]
+        assert {"East", "West"} <= set(stated)
+        for swaps, flagged in [
+            ({"left": "right", "right": "left"}, {"East", "West"}),
+            ({"left": "right", "right": "left", "East": "West", "West": "East"}, set()),
+        ]:
+            voice = tmp_path / f"voice-{len(swaps)}.json"
+            voice.write_text(
+                re.sub(r"\b(left|right|East|West)\b", lambda m: swaps.get(m[0], m[0]), text)
+            )
+            result = run_pipeline(config_for(
+                files, tmp_path / f"out-{len(swaps)}", gpx_path=gpx, transcript_path=voice,
+            ))
+            lines = result.mismatches_path.read_text().splitlines()
+            expected = [
+                f"event {i}: stated {swaps.get(cardinal, cardinal)}, observed bearing "
+                for i, cardinal in enumerate(stated)
+                if cardinal in flagged
+            ]
+            assert len(lines) == len(expected)
+            for line, start in zip(lines, expected):
+                assert line.startswith(start)
+
+
+_OPPOSITE = {"North": "South", "South": "North", "East": "West", "West": "East"}
+
+
+class TestCardinalCheck:
+    """The cardinal check over whole runs: a cardinal as planted is never
+    flagged, and each planted wrong one on exactly one line."""
+
+    def test_each_flipped_cardinal_is_flagged_once(self, tmp_path):
+        plan = RoutePlan(
+            legs=parse_legs("600R,500L,700U,400R,300L,500"), seed=11, noise_sigma_m=3.0
+        )
+        corpus = generate_instructions(plan, "cardinal-heavy")
+        files = write_corpus(corpus, tmp_path / "corpus")
+        assert run_pipeline(config_for(files, tmp_path / "out")).mismatches_path.read_text() == ""
+        doc = json.loads(files["transcript.json"].read_text())
+        cues = [e.stated_cardinal for e in corpus.ground_truth.instructions]
+        assert sum(cardinal is not None for cardinal in cues) == 5
+        for i, cardinal in enumerate(cues):
+            if cardinal is None:
+                continue
+            flipped = json.loads(json.dumps(doc))
+            segment = flipped["segments"][i]
+            segment["text"] = segment["text"].replace(
+                f"head {cardinal}", f"head {_OPPOSITE[cardinal]}"
+            )
+            voice = tmp_path / f"flipped-{i}.json"
+            voice.write_text(json.dumps(flipped))
+            out = tmp_path / f"out-{i}"
+            result = run_pipeline(config_for(files, out, transcript_path=voice))
+            line, = result.mismatches_path.read_text().splitlines()
+            assert line.startswith(f"event {i}: stated {_OPPOSITE[cardinal]}, observed bearing ")
+            # The observed bearing is the planted cardinal's, give or take.
+            observed = float(line.rsplit(" ", 1)[1])
+            planted = {"North": 0.0, "East": 90.0, "South": 180.0, "West": 270.0}[cardinal]
+            assert abs((observed - planted + 180.0) % 360.0 - 180.0) <= 45.0
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+    def test_acceptance_drives_write_no_cardinal_line(self, noisy):
+        # The cardinal-heavy drives of acceptance 5, clean and noisy.
+        for i in range(STYLES.index("cardinal-heavy"), 100, len(STYLES)):
+            plan = RoutePlan(
+                legs=parse_legs(ACCEPTANCE_PLANS[i % len(ACCEPTANCE_PLANS)]),
+                seed=1000 + i if noisy else i,
+                speed_mps=25.0 if noisy else 15.0,
+                noise_sigma_m=3.0 if noisy else 0.0,
+            )
+            assert cardinal_lines(generate_instructions(plan, "cardinal-heavy")) == [], i
 
 
 class TestReportCountsTriads:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from drivetriad import (
     GeoPoint,
     Maneuver,
+    TrackLog,
     build_events,
     classify,
     haversine_distance,
@@ -19,12 +21,15 @@ from drivetriad import (
     segment_actions,
 )
 from drivetriad.classifier import read_statement
-from drivetriad.core import initial_bearing, signed_bearing_delta
+from drivetriad.core import (
+    TrackProfile, Turn, initial_bearing, signed_bearing_delta, track_profile,
+)
 from drivetriad.errors import InternalOrderingError, NoUsableEvents
 from drivetriad.segmenter import (
     JITTER_FLOOR_M,
     ActionSegment,
     _step_lengths,
+    cardinal_check,
     classify_maneuver,
     collect_mismatches,
     consistency_check,
@@ -498,7 +503,70 @@ class TestConsistency:
             ))
         events = [ev1, event(1, 60_000, "Turn right."), event(2, 120_000, "Turn right.")]
         triads = make_triads(events, segments)
-        assert collect_mismatches(triads) == [
+        # No text states a cardinal, so the profile is never read.
+        assert collect_mismatches(triads, track_profile(TrackLog(()))) == ([
             "event 0: stated left, observed right",
             "event 2: stated right, observed left",
-        ]
+        ], [])
+
+
+def bearing_profile(bearing_deg, turn_at_ms=None):
+    """A profile of two 50 m steps, the first due north and the second at
+    ``bearing_deg``, with a turn between them at ``turn_at_ms``."""
+    rad = math.radians(bearing_deg)
+    points = ((0.0, 0.0), (0.0, 50.0), (50.0 * math.sin(rad), 50.0 + 50.0 * math.cos(rad)))
+    turns = () if turn_at_ms is None else (Turn(turn_at_ms, 1, 1),)
+    return TrackProfile((0, 4_000, 8_000), points, turns)
+
+
+class TestCardinalCheck:
+    def _pair(self, text, t_end_ms=10_000):
+        ev = event(0, 0, text)
+        seg = ActionSegment(0, 0, t_end_ms, (), 0.0, 100.0, Maneuver.STRAIGHT, None, None)
+        return ev, seg
+
+    @pytest.mark.parametrize(
+        "bearing, line",
+        [
+            (44.9, None),
+            (315.1, None),
+            (45.2, "event 0: stated North, observed bearing 45.2"),
+            (268.04, "event 0: stated North, observed bearing 268.0"),
+        ],
+    )
+    def test_more_than_45_degrees_off_is_flagged(self, bearing, line):
+        ev, seg = self._pair("Head North on Oak Street.")
+        # Past the turn the profile holds ``bearing``; before it, north.
+        assert cardinal_check(ev, seg, bearing_profile(bearing, 4_000)) == (line, None)
+        assert cardinal_check(ev, seg, bearing_profile(bearing)) == (None, None)
+
+    def test_a_turn_after_the_window_is_not_read(self):
+        ev, seg = self._pair("Head East on Oak Street.", t_end_ms=3_999)
+        line, _ = cardinal_check(ev, seg, bearing_profile(90.0, 4_000))
+        assert line == "event 0: stated East, observed bearing 0.0"
+
+    def test_bearing_rounds_within_the_compass(self):
+        # 359.97 degrees reads 0.0, not 360.0.
+        ev, seg = self._pair("Head South on Oak Street.")
+        line, _ = cardinal_check(ev, seg, bearing_profile(359.97, 4_000))
+        assert line == "event 0: stated South, observed bearing 0.0"
+
+    def test_no_step_after_the_cue_is_a_warning(self):
+        ev, seg = self._pair("Head West on Oak Street.")
+        ev = dataclasses.replace(ev, t_ms=4_001)
+        assert cardinal_check(ev, seg, bearing_profile(270.0)) == (
+            None,
+            "event 0: stated West unchecked: the track profile has no step after the cue",
+        )
+
+    def test_no_stated_cardinal_is_not_checked(self):
+        ev, seg = self._pair("Turn left onto Oak Street.")
+        assert cardinal_check(ev, seg, track_profile(TrackLog(()))) == (None, None)
+
+    def test_side_line_comes_first(self):
+        ev, seg = self._pair("Turn left and head East on Oak Street.")
+        seg = dataclasses.replace(seg, maneuver=Maneuver.RIGHT_TURN)
+        assert collect_mismatches(make_triads([ev], [seg]), bearing_profile(270.0, 4_000)) == ([
+            "event 0: stated left, observed right",
+            "event 0: stated East, observed bearing 270.0",
+        ], [])

@@ -6,6 +6,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from drivetriad import (
     GeoPoint,
@@ -20,10 +21,12 @@ from drivetriad import (
     parse_transcript,
     write_corpus,
 )
+from drivetriad.classifier import read_statement
 from drivetriad.core import MAX_INSTANT_MS
 from drivetriad.errors import IoError
 from drivetriad.segmenter import _step_lengths, net_bearing_change
 from drivetriad.synth import (
+    DEFAULT_LEAD_M,
     MAX_SAMPLES,
     Leg,
     PlantedTurn,
@@ -254,6 +257,34 @@ class TestGenerateInstructions:
         plan = RoutePlan(legs=(Leg(100.0, Maneuver.RIGHT_TURN), Leg(400.0)), seed=2)
         first = generate_instructions(plan, "distance-heavy").ground_truth.instructions[0]
         assert (first.along_m, first.stated_m, first.turn.along_m) == (50.0, None, 100.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(60.0, 900.0),
+                st.sampled_from([Maneuver.LEFT_TURN, Maneuver.RIGHT_TURN, Maneuver.UTURN]),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_cue_lead_and_stated_distance_follow_the_leg(self, turns):
+        # The cue leads its turn by 150 m on a leg longer than that, and
+        # says so; on a shorter leg it sits at the leg's midpoint and
+        # states no distance.
+        plan = RoutePlan(legs=(*(Leg(m, turn) for m, turn in turns), Leg(300.0)))
+        truth = generate_instructions(plan, "distance-heavy").ground_truth
+        cues = [entry for entry in truth.instructions if entry.turn is not None]
+        assert len(cues) == len(turns)
+        for (length_m, _), cue in zip(turns, cues):
+            stated_m = read_statement(classify(cue.text).evidence).distance_m
+            assert stated_m == cue.stated_m
+            if length_m > DEFAULT_LEAD_M:
+                assert cue.turn.along_m - cue.along_m == pytest.approx(DEFAULT_LEAD_M)
+                assert stated_m == pytest.approx(DEFAULT_LEAD_M, abs=0.05)
+            else:
+                assert cue.turn.along_m - cue.along_m == pytest.approx(length_m / 2)
+                assert stated_m is None
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Byte pins for what synth writes, and for the instant format it writes.
 
-``write_corpus``'s four files are hashed for five plans: the three golden
+``write_corpus``'s four files are hashed for six plans: the three golden
 drives (one per style), a 10 Hz noisy drive with a U-turn, a leg under the
-150 m cue lead and a straight run-out, and a noise-free 0.5 Hz drive from a
-southern origin. The GPX coordinates are written as ``repr``, so a change
+150 m cue lead and a straight run-out, a noise-free 0.5 Hz drive from a
+southern origin, and a 200 m leg, whose cue leads its turn by the full
+150 m and says so. The GPX coordinates are written as ``repr``, so a change
 in the last bit of one sample changes a digest here, where ``triads.jsonl``
 (rounded to 6 decimals) would not show it.
 
@@ -57,6 +58,10 @@ PLANS = {
             seed=2,
         ),
         "static-object-heavy",
+    ),
+    "200m-leg": (
+        RoutePlan(parse_legs("500R,200L,600"), seed=3),
+        "distance-heavy",
     ),
 }
 
@@ -122,6 +127,18 @@ DIGESTS = {
     ),
     "0.5hz-noise-free/video_meta.json": (
         "7ee6477510532a497bf101dacf24bed5b93312b0f34c6710ec0206e433eaa06d"
+    ),
+    "200m-leg/ground_truth.json": (
+        "940842f899de76fe969b7e17335528203c43186aad8ad0fc82a2b3588c8714db"
+    ),
+    "200m-leg/track.gpx": (
+        "9d81c79f247756d41a289062bb1b8fbddda4c329b7a7132363da83692bf361db"
+    ),
+    "200m-leg/transcript.json": (
+        "7978a4e6ffc651b999eba3ef83a858ab2ee7d7a14c273e740b087df1cebad647"
+    ),
+    "200m-leg/video_meta.json": (
+        "44a8355440fd15781753d880660035bc44dd0ba453c9084d1126424f11d8eb61"
     ),
 }
 

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from drivetriad import GeoPoint, TrackLog, interpolate_position, segment_actions
 from drivetriad.classifier import read_statement
 from drivetriad.core import TOLERANCE_MS, _bracket, heading_at, initial_bearing
-from drivetriad.errors import OutOfTrackSpan
 from drivetriad.sync import InstructionEvent
 
 # A few nearby positions, so tracks often hold coincident fixes (a stopped
@@ -55,15 +54,15 @@ def query_times(log: TrackLog):
 def ref_bracket(log, t_ms, tolerance_ms):
     pts = log.points
     if len(pts) < 2:
-        raise OutOfTrackSpan("short")
+        return None
     first, last = pts[0].t_ms, pts[-1].t_ms
     if t_ms < first:
         if first - t_ms > tolerance_ms:
-            raise OutOfTrackSpan("before")
+            return None
         return first, 0, 1
     if t_ms > last:
         if t_ms - last > tolerance_ms:
-            raise OutOfTrackSpan("after")
+            return None
         return last, len(pts) - 2, len(pts) - 1
     i = next(k for k, p in enumerate(pts) if p.t_ms >= t_ms)
     if pts[i].t_ms == t_ms:
@@ -73,7 +72,10 @@ def ref_bracket(log, t_ms, tolerance_ms):
 
 
 def ref_interpolate(log, t_ms, tolerance_ms):
-    clamped, lo, hi = ref_bracket(log, t_ms, tolerance_ms)
+    bracket = ref_bracket(log, t_ms, tolerance_ms)
+    if bracket is None:
+        return None
+    clamped, lo, hi = bracket
     a, b = log.points[lo], log.points[hi]
     if clamped == a.t_ms:
         return GeoPoint(a.lat_deg, a.lon_deg, t_ms, a.ele_m)
@@ -88,7 +90,10 @@ def ref_interpolate(log, t_ms, tolerance_ms):
 
 
 def ref_heading(log, t_ms, tolerance_ms):
-    _, lo, hi = ref_bracket(log, t_ms, tolerance_ms)
+    bracket = ref_bracket(log, t_ms, tolerance_ms)
+    if bracket is None:
+        return None
+    _, lo, hi = bracket
     pts = log.points
     while True:
         a, b = pts[lo], pts[hi]
@@ -104,14 +109,6 @@ def ref_heading(log, t_ms, tolerance_ms):
 
 def ref_interior(log, t_start, t_end):
     return tuple(p for p in log.points if t_start < p.t_ms < t_end)
-
-
-def outcome(fn, *args):
-    """The value fn returns, or the type of the data error it raises."""
-    try:
-        return fn(*args)
-    except OutOfTrackSpan as exc:
-        return type(exc)
 
 
 # --- properties ---------------------------------------------------------------
@@ -151,25 +148,41 @@ class TestQueriesMatchLinearScan:
     def test_bracket(self, case):
         log, queries = case
         for t in queries:
-            assert outcome(_bracket, log, t) == outcome(
-                ref_bracket, log, t, TOLERANCE_MS
-            )
+            assert _bracket(log, t) == ref_bracket(log, t, TOLERANCE_MS)
 
     @given(track_and_queries())
     def test_interpolate_position(self, case):
         log, queries = case
         for t in queries:
-            assert outcome(interpolate_position, log, t) == outcome(
-                ref_interpolate, log, t, TOLERANCE_MS
-            )
+            assert interpolate_position(log, t) == ref_interpolate(log, t, TOLERANCE_MS)
 
     @given(track_and_queries())
     def test_heading_at(self, case):
         log, queries = case
         for t in queries:
-            assert outcome(heading_at, log, t) == outcome(
-                ref_heading, log, t, TOLERANCE_MS
-            )
+            assert heading_at(log, t) == ref_heading(log, t, TOLERANCE_MS)
+
+
+class TestNoPositionIsNone:
+    """A query with no answer returns None, and only such a query does."""
+
+    @given(
+        st.lists(st.sampled_from(_POSITIONS), min_size=0, max_size=3),
+        st.integers(min_value=0, max_value=4 * TOLERANCE_MS),
+        st.integers(min_value=0, max_value=2000),
+        st.data(),
+    )
+    def test_none_exactly_outside_the_clamped_span(self, coords, start, step, data):
+        log = TrackLog(tuple(
+            GeoPoint(*coord, start + i * step) for i, coord in enumerate(coords)
+        ))
+        t = data.draw(st.integers(min_value=0, max_value=start + 6 * TOLERANCE_MS))
+        outside = len(log) < 2 or not (
+            log.start_ms - TOLERANCE_MS <= t <= log.end_ms + TOLERANCE_MS
+        )
+        assert (interpolate_position(log, t) is None) == outside
+        if outside:
+            assert heading_at(log, t) is None
 
 
 def _event(id, t_ms):
